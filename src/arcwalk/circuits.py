@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .sim import GateOp, InvalidTargetError
+from .sim import GateOp, InvalidTargetError, sample_cdf
 
 DESIGNS = ("binary", "arc", "arc_walk", "random_jump", "random_jump_cascading")
 
@@ -337,12 +337,6 @@ def arc_walk_circuit(cfg: WalkConfig) -> Circuit:
     return circ.validate()
 
 
-def _sample_cdf(rng: np.random.Generator, cdf: np.ndarray) -> int:
-    u = rng.random() * cdf[-1]
-    idx = int(np.searchsorted(cdf, u, side="right"))
-    return min(idx, len(cdf) - 1)
-
-
 def random_jump_circuit(cfg: WalkConfig) -> Circuit:
     """Per step, H on the coin then CNOT from the coin onto a sampled counter qubit.
 
@@ -364,7 +358,7 @@ def random_jump_circuit(cfg: WalkConfig) -> Circuit:
     )
     for _ in range(cfg.steps):
         circ.add(GateOp.h(coin))
-        target = _sample_cdf(rng, cdf)
+        target = int(sample_cdf(cdf, rng.random()))
         circ.add(GateOp.cnot(coin, target))
         circ.mark_step()
     return circ.validate()
@@ -431,7 +425,7 @@ def with_cascading_disjunctions(
         out.add(*circuit.ops[prev:mark])
         prev = mark
         if rng.random() < insertion_rate:
-            lower = _sample_cdf(rng, cdf)
+            lower = int(sample_cdf(cdf, rng.random()))
             higher = int(rng.integers(lower + 1, w))
             block = or_inplace_block(
                 circuit.counter.start + lower,

@@ -10,11 +10,13 @@ byte-identical files.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
 import math
 import os
+import stat
 import sys
 
 import numpy as np
@@ -340,11 +342,28 @@ def _csv_content(
 
 
 def _emit(path: str, content: str) -> None:
+    """Write ``content`` to ``path`` (``-``: stdout). A new path or a lone regular file
+    of ours gets a temporary file renamed onto it (with its mode), so a failed write
+    leaves the old file or none; symlinks, devices, FIFOs and others are written in place."""
     if path == "-":
         sys.stdout.write(content)
-    else:
+        return
+    st = os.lstat(path) if os.path.lexists(path) else None
+    if st and not (stat.S_ISREG(st.st_mode) and st.st_nlink == 1 and st.st_uid == os.geteuid()):
         with open(path, "w") as fh:
             fh.write(content)
+        return
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(content)
+        if st:
+            os.chmod(tmp, stat.S_IMODE(st.st_mode))
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def _parse_int_list(raw: str, flag: str) -> list[int]:

@@ -8,13 +8,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuits import DESIGNS, Circuit, WalkConfig, build_circuit
-from .noise import NoiseModel, apply_readout_noise, noisy_apply
-from .sim import GateOp, MeasurementRecord, StateVector
+from .noise import NoiseModel, noisy_apply
+from .sim import GateOp, MeasurementRecord, StateVector, apply_unitary, index_to_bits
+from .sim import measure_rows, sample_cdf
 
 RANDOM_JUMP_CIRCUITS = 30
 RANDOM_JUMP_SHOTS = 30
 
-_X_OPS_CACHE: dict[int, GateOp] = {}
+# Trajectory chunks hold at most this many amplitudes (64 KiB of complex128). Larger
+# chunks ran faster but their times spread more from run to run; 2**14 page-faulted.
+CHUNK_AMPS = 1 << 12
 
 
 def derive_seed(*parts: int) -> int:
@@ -72,7 +75,7 @@ def decode(bits: str, counter: range) -> int:
     return int(window[::-1], 2)
 
 
-def _decode_index(index: int, counter: range) -> int:
+def _decode_index(index: np.ndarray, counter: range) -> np.ndarray:
     return (index >> counter.start) & ((1 << len(counter)) - 1)
 
 
@@ -86,11 +89,51 @@ def _fire_offsets(circuit: Circuit, schedule: ZenoSchedule | None) -> list[int]:
     ]
 
 
-def _x_op(q: int) -> GateOp:
-    op = _X_OPS_CACHE.get(q)
-    if op is None:
-        op = _X_OPS_CACHE[q] = GateOp.x(q)
-    return op
+def _trajectories(
+    circuit: Circuit,
+    rngs: list[np.random.Generator],
+    noise: NoiseModel | None,
+    fires: list[int],
+) -> tuple[np.ndarray, list[tuple[GateOp, np.ndarray]]]:
+    """Final basis index of each shot, evolved as the rows of one (shots, 2**n) array,
+    and each MEASURE op with its per-row outcomes (True for 1).
+
+    Shot r draws from ``rngs[r]`` exactly what it would draw alone, in
+    order: one ``random()`` per collapse, each noisy gate's draws, one
+    ``random()`` for the final sample, and ``random(n)`` for readout flips.
+    """
+    amps = np.zeros((len(rngs), 1 << circuit.n_qubits), dtype=np.complex128)
+    amps[:, 0] = 1.0
+
+    def gate(chunk, op, gens):
+        return apply_unitary(chunk, op) if noise is None else noisy_apply(chunk, op, noise, gens)
+
+    fi, measured = 0, []
+    for j, op in enumerate([*circuit.ops, None]):  # fires after the last op land on None
+        while fi < len(fires) and fires[fi] == j:
+            for q in circuit.counter:
+                measure_rows(amps, q, rngs)
+            fi += 1
+        if op is None:
+            break
+        if op.is_unitary:
+            gate(amps, op, rngs)
+            continue
+        q = op.targets[0]
+        ones = measure_rows(amps, q, rngs)
+        if op.kind == "MEASURE":
+            measured.append((op, ones))
+        elif ones.any():  # RESET flips the rows that read 1 back to |0>
+            sel = np.flatnonzero(ones)
+            flipped = amps[sel]
+            gate(flipped, GateOp.x(q), [rngs[r] for r in sel])
+            amps[sel] = flipped
+    cdf = np.cumsum(amps.real**2 + amps.imag**2, axis=1)
+    idx = sample_cdf(cdf, np.array([g.random() for g in rngs]))
+    if noise is not None:  # readout flips: bit k of the mask flips qubit k
+        flips = np.array([g.random(circuit.n_qubits) for g in rngs]) < noise.readout_flip
+        idx ^= flips @ (1 << np.arange(circuit.n_qubits))
+    return idx, measured
 
 
 def run_single_shot(
@@ -100,37 +143,10 @@ def run_single_shot(
     schedule: ZenoSchedule | None = None,
 ) -> tuple[str, list[MeasurementRecord]]:
     """One full trajectory: returns the final bitstring and mid-circuit records."""
-    rng = np.random.default_rng(seed)
-    state = StateVector(circuit.n_qubits)
-    records: list[MeasurementRecord] = []
-    fires = _fire_offsets(circuit, schedule)
-    fi = 0
-    for j, op in enumerate(circuit.ops):
-        while fi < len(fires) and fires[fi] == j:
-            for q in circuit.counter:
-                state.measure_qubit(q, rng)
-            fi += 1
-        kind = op.kind
-        if kind == "MEASURE":
-            outcome = state.measure_qubit(op.targets[0], rng)
-            records.append(MeasurementRecord(op.classical_slot, op.targets[0], outcome))
-        elif kind == "RESET":
-            if noise is None:
-                state.reset_qubit(op.targets[0], rng)
-            elif state.measure_qubit(op.targets[0], rng) == 1:
-                noisy_apply(state, _x_op(op.targets[0]), noise, rng)
-        elif noise is None:
-            state.apply_gate(op)
-        else:
-            noisy_apply(state, op, noise, rng)
-    while fi < len(fires):
-        for q in circuit.counter:
-            state.measure_qubit(q, rng)
-        fi += 1
-    bits = state.measure_all(rng)
-    if noise is not None:
-        bits = apply_readout_noise(bits, noise, rng)
-    return bits, records
+    rngs = [np.random.default_rng(seed)]
+    idx, measured = _trajectories(circuit, rngs, noise, _fire_offsets(circuit, schedule))
+    records = [MeasurementRecord(op.classical_slot, op.targets[0], int(o[0])) for op, o in measured]
+    return index_to_bits(int(idx[0]), circuit.n_qubits), records
 
 
 def run_positions(
@@ -144,28 +160,25 @@ def run_positions(
 
     Deterministic circuits (no noise, no mid-circuit measurement or reset)
     are evolved once and sampled per shot from the final distribution, which
-    is exactly what per-shot evolution would produce.
+    is exactly what per-shot evolution would produce. Other circuits run as
+    trajectories in chunks of at most ``CHUNK_AMPS`` amplitudes.
     """
     if shots < 1:
         raise ValueError(f"shots must be positive, got {shots}")
     fires = _fire_offsets(circuit, schedule)
-    branching = bool(fires) or any(not op.is_unitary for op in circuit.ops)
-    out = np.empty(shots, dtype=np.int64)
-    if noise is None and not branching:
+    if noise is None and not fires and all(op.is_unitary for op in circuit.ops):
         state = StateVector(circuit.n_qubits)
         for op in circuit.ops:
             state.apply_gate(op)
-        cdf = np.cumsum(state.probabilities())
-        top = len(cdf) - 1
-        total = cdf[-1]
-        for i in range(shots):
-            rng = np.random.default_rng(base_seed + i)
-            idx = int(np.searchsorted(cdf, rng.random() * total, side="right"))
-            out[i] = _decode_index(min(idx, top), circuit.counter)
-        return out
-    for i in range(shots):
-        bits, _ = run_single_shot(circuit, base_seed + i, noise=noise, schedule=schedule)
-        out[i] = decode(bits, circuit.counter)
+        u = np.array([np.random.default_rng(base_seed + i).random() for i in range(shots)])
+        return _decode_index(sample_cdf(np.cumsum(state.probabilities()), u), circuit.counter)
+    chunk = max(1, CHUNK_AMPS >> circuit.n_qubits)
+    out = np.empty(shots, dtype=np.int64)
+    for start in range(0, shots, chunk):
+        stop = min(shots, start + chunk)
+        rngs = [np.random.default_rng(base_seed + i) for i in range(start, stop)]
+        idx, _ = _trajectories(circuit, rngs, noise, fires)
+        out[start:stop] = _decode_index(idx, circuit.counter)
     return out
 
 

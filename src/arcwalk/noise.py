@@ -4,6 +4,11 @@ Composite gates are charged per constituent after expansion to the
 {single-qubit, CNOT} basis: the three-qubit gate by its exact 6-CNOT
 phase-gate expansion, SWAP as 3 CNOT, and the controlled rotation as
 2 CNOT plus 2 single-qubit rotations.
+
+The two accountings differ for 2q constituents. ``estimate_fidelity``
+charges each one ``fidelity_2q`` once, but ``noisy_apply`` kicks each of
+its two qubits on its own with probability ``1 - fidelity_2q``: an isolated
+CNOT is error-free with probability ``fidelity_2q**2``.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .sim import GateOp, StateVector
+from .sim import GateOp, StateVector, apply_1q, apply_unitary
 
 _PAULI_INJECTIONS = (
     np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128),    # X
@@ -134,28 +139,36 @@ def estimate_fidelity(counts: GateCensus, model: NoiseModel) -> float:
     return model.fidelity_1q**counts.count_1q * model.fidelity_2q**counts.count_2q
 
 
-def noisy_apply(
-    state: StateVector,
-    op: GateOp,
-    model: NoiseModel,
-    rng: np.random.Generator,
-) -> None:
+def noisy_apply(state, op: GateOp, model: NoiseModel, rng) -> None:
     """Apply the ideal gate, then inject Pauli errors per constituent gate qubit.
 
-    Each constituent (after decomposition) exposes its qubits to an
-    independent error of probability 1 - fidelity of its class; a realized
-    error applies one of X, Y (up to phase), or Z chosen uniformly.
+    ``state`` is a ``StateVector`` drawing from the generator ``rng``, or a
+    (B, 2**n) chunk of trajectories whose row r draws from ``rng[r]``. Each
+    constituent (after decomposition) exposes its qubits to an independent
+    error of probability 1 - fidelity of its class; a realized error applies
+    one of X, Y (up to phase), or Z chosen uniformly. Each row draws
+    ``random(len(slots))``, then ``integers(3)`` per realized error in slot
+    order; kicks reach their rows grouped by (slot, Pauli), in slot order.
     """
-    state.apply_gate(op)
+    if isinstance(state, StateVector):
+        state.apply_gate(op)
+        state, rng = state.amps.reshape(1, -1), (rng,)
+    else:
+        apply_unitary(state, op)
     slots = _injection_slots(op)
     if not slots:
         return
-    us = rng.random(len(slots))
     p1 = 1.0 - model.fidelity_1q
     p2 = 1.0 - model.fidelity_2q
-    for (is_2q, q), u in zip(slots, us):
-        if u < (p2 if is_2q else p1):
-            state.apply_matrix_1q(_PAULI_INJECTIONS[int(rng.integers(3))], q)
+    probs = np.array([p2 if is_2q else p1 for is_2q, _ in slots])
+    rows, hits = np.nonzero(np.array([g.random(len(slots)) for g in rng]) < probs)
+    groups: dict[tuple[int, int], list[int]] = {}
+    for r, j in zip(rows.tolist(), hits.tolist()):
+        groups.setdefault((j, int(rng[r].integers(3))), []).append(r)
+    for (j, pauli), sel in sorted(groups.items()):
+        kicked = state[sel]
+        apply_1q(kicked, _PAULI_INJECTIONS[pauli], slots[j][1])
+        state[sel] = kicked
 
 
 def apply_readout_noise(bits: str, model: NoiseModel, rng: np.random.Generator) -> str:

@@ -169,34 +169,102 @@ def index_to_bits(index: int, n_qubits: int) -> str:
     return format(index, f"0{n_qubits}b")[::-1]
 
 
-def bits_to_index(bits: str) -> int:
-    return int(bits[::-1], 2) if bits else 0
-
-
 @lru_cache(maxsize=None)
-def _controlled_pair_indices(n_qubits: int, controls: tuple[int, ...], target: int):
-    """Basis indices with every control set, split by the target bit."""
+def _pair_indices(n_qubits: int, controls: tuple[int, ...], target: int, flip: int):
+    """Basis indices with every control set and the target clear, and ``lo ^ flip``."""
     basis = np.arange(1 << n_qubits)
     keep = (basis >> target) & 1 == 0
     for c in controls:
         keep &= (basis >> c) & 1 == 1
     lo = basis[keep]
-    hi = lo | (1 << target)
+    hi = lo ^ flip
     lo.setflags(write=False)
     hi.setflags(write=False)
     return lo, hi
 
 
-@lru_cache(maxsize=None)
-def _swap_pair_indices(n_qubits: int, qa: int, qb: int):
-    """Basis indices with qubit ``qa`` set and ``qb`` clear, plus their partners."""
-    basis = np.arange(1 << n_qubits)
-    keep = ((basis >> qa) & 1 == 1) & ((basis >> qb) & 1 == 0)
-    lo = basis[keep]
-    hi = lo ^ ((1 << qa) | (1 << qb))
-    lo.setflags(write=False)
-    hi.setflags(write=False)
-    return lo, hi
+# Batch-aware kernels. ``amps`` is one state of shape (2**n,) or a chunk of
+# trajectories of shape (B, 2**n), C-contiguous; every row gets the same
+# elementwise arithmetic as a lone state, so results agree bit for bit.
+
+
+def apply_1q(amps: np.ndarray, matrix: np.ndarray, q: int) -> None:
+    """Apply a 2x2 matrix to qubit ``q`` of every row in place."""
+    v = amps.reshape(-1, 2, 1 << q)  # a 2**(q+1) block never straddles two rows
+    a0, a1 = v[:, 0, :], v[:, 1, :]
+    b0 = matrix[0, 0] * a0 + matrix[0, 1] * a1
+    b1 = matrix[1, 0] * a0 + matrix[1, 1] * a1
+    v[:, 0, :], v[:, 1, :] = b0, b1
+
+
+def apply_unitary(amps: np.ndarray, op: GateOp) -> None:
+    """Apply one unitary op to every row in place; targets are not checked.
+
+    CNOT, CRX and TOFFOLI pair the basis states with every control set and
+    the target clear with their target-set partners; SWAP pairs (first set,
+    second clear) with (first clear, second set).
+    """
+    kind = op.kind
+    if kind == "RX":
+        return apply_1q(amps, rx_matrix(op.theta), op.targets[0])
+    if kind in MATRICES_1Q:
+        return apply_1q(amps, MATRICES_1Q[kind], op.targets[0])
+    if kind in NONUNITARY_KINDS:
+        raise ValueError(f"{kind} is not unitary; use measure_qubit or reset_qubit")
+    *controls, t = op.targets
+    flip = (1 << t) | (1 << controls[0] if kind == "SWAP" else 0)
+    n = amps.shape[-1].bit_length() - 1
+    lo, hi = _pair_indices(n, tuple(sorted(controls)), t, flip)
+    # Gather through one flat view: 1-D fancy indexing is several times
+    # cheaper per call than indexing the last axis of a 2-D chunk.
+    flat = amps.reshape(-1)
+    if flat.size > amps.shape[-1]:
+        offsets = np.arange(0, flat.size, amps.shape[-1])[:, None]
+        lo, hi = lo + offsets, hi + offsets
+    a_lo = flat[lo]
+    a_hi = flat[hi]
+    if kind == "CRX":
+        u = rx_matrix(op.theta)
+        flat[lo] = u[0, 0] * a_lo + u[0, 1] * a_hi
+        flat[hi] = u[1, 0] * a_lo + u[1, 1] * a_hi
+    else:
+        flat[lo] = a_hi
+        flat[hi] = a_lo
+
+
+def measure_rows(amps: np.ndarray, q: int, rngs) -> np.ndarray:
+    """Measure qubit ``q`` of row r with one ``rngs[r].random()``, collapse and
+    renormalize every row; returns True where the outcome is 1."""
+    rows = len(rngs)
+    v = amps.reshape(rows, -1, 2, 1 << q)
+    sq = v.real**2 + v.imag**2
+    # Contiguous copies, so each row sums pairwise in the order a lone state does.
+    p0 = sq[:, :, 0, :].reshape(rows, -1).sum(axis=1)
+    p1 = sq[:, :, 1, :].reshape(rows, -1).sum(axis=1)
+    total = p0 + p1
+    if not (np.isfinite(total) & (total > 0.0)).all():
+        raise DegenerateStateError("state has no measurable norm")
+    ones = np.array([rng.random() for rng in rngs]) * total >= p0
+    branch = np.where(ones, p1, p0)
+    if (branch < 1e-290).any():
+        raise DegenerateStateError(f"projection branch of qubit {q} underflows")
+    np.copyto(v[:, :, 0, :], 0.0, where=ones[:, None, None])
+    np.copyto(v[:, :, 1, :], 0.0, where=~ones[:, None, None])
+    v /= np.sqrt(branch)[:, None, None, None]
+    return ones
+
+
+def sample_cdf(cdf: np.ndarray, u):
+    """First index whose cumulative weight exceeds ``u * total``, at most N - 1.
+
+    ``cdf`` is one cumulative weight vector searched for every ``u`` (scalar
+    or array), or a (B, N) stack of them with one ``u`` per row.
+    """
+    if cdf.ndim == 2:
+        idx = (cdf <= (u * cdf[:, -1])[:, None]).sum(axis=1)
+    else:
+        idx = np.searchsorted(cdf, u * cdf[-1], side="right")
+    return np.minimum(idx, cdf.shape[-1] - 1)
 
 
 class StateVector:
@@ -239,62 +307,17 @@ class StateVector:
     def apply_matrix_1q(self, matrix: np.ndarray, q: int) -> None:
         """Apply an arbitrary 2x2 matrix to one qubit (used by noise injection too)."""
         self._check_target(q)
-        v = self.amps.reshape(-1, 2, 1 << q)
-        a0 = v[:, 0, :]
-        a1 = v[:, 1, :]
-        b0 = matrix[0, 0] * a0 + matrix[0, 1] * a1
-        b1 = matrix[1, 0] * a0 + matrix[1, 1] * a1
-        v[:, 0, :] = b0
-        v[:, 1, :] = b1
-
-    def _swap_amp_pairs(self, lo: np.ndarray, hi: np.ndarray) -> None:
-        tmp = self.amps[lo]
-        self.amps[lo] = self.amps[hi]
-        self.amps[hi] = tmp
+        apply_1q(self.amps, matrix, q)
 
     def apply_gate(self, op: GateOp) -> None:
         """Apply one unitary op in place; measurement/reset ops are rejected."""
-        kind = op.kind
-        if kind in NONUNITARY_KINDS:
-            raise ValueError(f"{kind} is not unitary; use measure_qubit or reset_qubit")
         for q in op.targets:
             self._check_target(q)
-        n = self.n_qubits
-        if kind == "RX":
-            self.apply_matrix_1q(rx_matrix(op.theta), op.targets[0])
-        elif kind in MATRICES_1Q:
-            self.apply_matrix_1q(MATRICES_1Q[kind], op.targets[0])
-        elif kind == "CNOT":
-            c, t = op.targets
-            lo, hi = _controlled_pair_indices(n, (c,), t)
-            self._swap_amp_pairs(lo, hi)
-        elif kind == "TOFFOLI":
-            a, b, t = op.targets
-            lo, hi = _controlled_pair_indices(n, (min(a, b), max(a, b)), t)
-            self._swap_amp_pairs(lo, hi)
-        elif kind == "SWAP":
-            qa, qb = op.targets
-            lo, hi = _swap_pair_indices(n, min(qa, qb), max(qa, qb))
-            self._swap_amp_pairs(lo, hi)
-        elif kind == "CRX":
-            c, t = op.targets
-            u = rx_matrix(op.theta)
-            lo, hi = _controlled_pair_indices(n, (c,), t)
-            a_lo = self.amps[lo]
-            a_hi = self.amps[hi]
-            self.amps[lo] = u[0, 0] * a_lo + u[0, 1] * a_hi
-            self.amps[hi] = u[1, 0] * a_lo + u[1, 1] * a_hi
-        else:  # pragma: no cover - kinds and handlers are defined together
-            raise ValueError(f"unhandled gate kind {kind!r}")
+        apply_unitary(self.amps, op)
 
     def measure_all(self, rng: np.random.Generator) -> str:
         """Sample a full basis state, collapse onto it, and return its bits."""
-        probs = self.probabilities()
-        cdf = np.cumsum(probs)
-        u = rng.random() * cdf[-1]
-        idx = int(np.searchsorted(cdf, u, side="right"))
-        if idx >= cdf.size:
-            idx = cdf.size - 1
+        idx = int(sample_cdf(np.cumsum(self.probabilities()), rng.random()))
         self.amps.fill(0.0)
         self.amps[idx] = 1.0
         return index_to_bits(idx, self.n_qubits)
@@ -302,19 +325,7 @@ class StateVector:
     def measure_qubit(self, q: int, rng: np.random.Generator) -> int:
         """Sample one qubit from its marginal, collapse, and renormalize."""
         self._check_target(q)
-        v = self.amps.reshape(-1, 2, 1 << q)
-        p0 = float(np.sum(v[:, 0, :].real ** 2 + v[:, 0, :].imag ** 2))
-        p1 = float(np.sum(v[:, 1, :].real ** 2 + v[:, 1, :].imag ** 2))
-        total = p0 + p1
-        if total <= 0.0 or not math.isfinite(total):
-            raise DegenerateStateError("state has no measurable norm")
-        outcome = 0 if rng.random() * total < p0 else 1
-        branch = p0 if outcome == 0 else p1
-        if branch < 1e-290:
-            raise DegenerateStateError(f"projection branch {outcome} of qubit {q} underflows")
-        v[:, 1 - outcome, :] = 0.0
-        self.amps /= math.sqrt(branch)
-        return outcome
+        return int(measure_rows(self.amps, q, (rng,))[0])
 
     def reset_qubit(self, q: int, rng: np.random.Generator) -> None:
         """Measure one qubit and flip it back to |0> if the outcome was 1."""

@@ -1,9 +1,14 @@
 """Command line front end, exercised in process through cli.main."""
 
+import errno
 import json
 import math
+import os
+import stat
 
 import pytest
+
+import arcwalk.cli
 
 from arcwalk import (
     DEFAULT_NOISE,
@@ -486,3 +491,77 @@ class TestTopLevel:
         manifest, _, _, _ = read_annotated_csv(out)
         assert manifest["noise"]["fidelity_2q"] == 0.9
         assert manifest["noise"]["fidelity_1q"] == DEFAULT_NOISE.fidelity_1q
+
+
+class TestAtomicOutput:
+    ARGV = ["walk-hist", "--design", "arc", "--width", "3", "--steps", "2", "--shots", "20"]
+
+    def test_write_failing_partway_leaves_no_file(self, tmp_path, monkeypatch):
+        real_open = open
+
+        class FailsHalfway:
+            def __init__(self, *args, **kwargs):
+                self.fh = real_open(*args, **kwargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, text):
+                self.fh.write(text[: len(text) // 2])
+                self.fh.flush()
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(arcwalk.cli, "open", FailsHalfway, raising=False)
+        out = tmp_path / "hist.csv"
+        assert main(self.ARGV + ["--out", str(out)]) == 1
+        assert list(tmp_path.iterdir()) == []
+
+    def test_success_leaves_only_the_target(self, tmp_path):
+        out = tmp_path / "hist.csv"
+        out.write_text("stale\n")
+        assert main(self.ARGV + ["--out", str(out)]) == 0
+        assert list(tmp_path.iterdir()) == [out]
+        assert out.read_text().startswith("# manifest: ")
+
+    def test_replaced_file_keeps_its_mode(self, tmp_path):
+        out = tmp_path / "hist.csv"
+        out.write_text("stale\n")
+        out.chmod(0o640)
+        assert main(self.ARGV + ["--out", str(out)]) == 0
+        assert stat.S_IMODE(out.stat().st_mode) == 0o640
+        assert out.read_text().startswith("# manifest: ")
+
+    def test_symlink_is_written_through(self, tmp_path):
+        real = tmp_path / "real.csv"
+        real.write_text("stale\n")
+        link = tmp_path / "link.csv"
+        link.symlink_to(real)
+        assert main(self.ARGV + ["--out", str(link)]) == 0
+        assert link.is_symlink()
+        assert real.read_text().startswith("# manifest: ")
+        assert sorted(tmp_path.iterdir()) == [link, real]
+
+    def test_hard_link_is_written_in_place(self, tmp_path):
+        out = tmp_path / "hist.csv"
+        out.write_text("stale\n")
+        twin = tmp_path / "twin.csv"
+        os.link(out, twin)
+        assert main(self.ARGV + ["--out", str(out)]) == 0
+        assert twin.read_text() == out.read_text()
+        assert out.read_text().startswith("# manifest: ")
+
+    def test_fifo_is_written_through(self, tmp_path):
+        # Stands in for device nodes such as /dev/null: the node must survive.
+        fifo = tmp_path / "out.fifo"
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            assert main(self.ARGV + ["--out", str(fifo)]) == 0
+            data = os.read(reader, 1 << 16)
+        finally:
+            os.close(reader)
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+        assert data.startswith(b"# manifest: ")

@@ -18,7 +18,7 @@ from arcwalk import (
     new_state,
     noisy_apply,
 )
-from arcwalk.noise import toffoli_decomposition
+from arcwalk.noise import _injection_slots, toffoli_decomposition
 
 UNIT_NOISE = NoiseModel(fidelity_1q=1.0, fidelity_2q=1.0)
 
@@ -102,6 +102,37 @@ class TestEstimateFidelity:
             DEFAULT_NOISE.fidelity_2q**counts.count_2q
         )
         assert estimate_fidelity(counts, DEFAULT_NOISE) == pytest.approx(want)
+
+
+class TestNoiseAccounting:
+    """The noise channel kicks each qubit of a 2q constituent on its own,
+    while the fidelity estimate charges the constituent once."""
+
+    @pytest.mark.parametrize(
+        "op,slots_2q,slots_1q,counts",
+        [
+            (GateOp.cnot(0, 1), 2, 0, (0, 1)),
+            (GateOp.swap(0, 1), 6, 0, (0, 3)),
+            (GateOp.crx(0, 1, 0.5), 4, 2, (2, 2)),
+            (GateOp.toffoli(0, 1, 2), 12, 9, (9, 6)),
+        ],
+    )
+    def test_slots_beside_census(self, op, slots_2q, slots_1q, counts):
+        slots = _injection_slots(op)
+        assert sum(is_2q for is_2q, _ in slots) == slots_2q
+        assert sum(not is_2q for is_2q, _ in slots) == slots_1q
+        got = census([op])
+        assert (got.count_1q, got.count_2q) == counts
+        assert slots_2q == 2 * got.count_2q and slots_1q == got.count_1q
+
+    def test_isolated_cnot_survival_is_f2_squared_but_estimate_is_f2(self):
+        model = NoiseModel(fidelity_1q=0.99, fidelity_2q=0.9)
+        op = GateOp.cnot(0, 1)
+        survival = math.prod(
+            model.fidelity_2q if is_2q else model.fidelity_1q for is_2q, _ in _injection_slots(op)
+        )
+        assert survival == model.fidelity_2q**2
+        assert estimate_fidelity(census([op]), model) == model.fidelity_2q
 
 
 class TestNoiseModel:
