@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .sim import GateOp, InvalidTargetError, sample_cdf
+from .sim import ConfigError, GateOp, InvalidTargetError, sample_cdf
 
 DESIGNS = ("binary", "arc", "arc_walk", "random_jump", "random_jump_cascading")
 
@@ -28,7 +28,7 @@ class CircuitParseError(ValueError):
 def halving_weights(width: int) -> tuple[float, ...]:
     """The {1/2, 1/4, 1/8, ...} qubit-selection weights renormalized to ``width``."""
     if width < 1:
-        raise ValueError(f"width must be positive, got {width}")
+        raise ConfigError(f"width must be positive, got {width}")
     raw = [2.0 ** -(k + 1) for k in range(width)]
     total = sum(raw)
     return tuple(w / total for w in raw)
@@ -51,25 +51,25 @@ class WalkConfig:
 
     def __post_init__(self):
         if self.design not in DESIGNS:
-            raise ValueError(f"unknown design {self.design!r}; expected one of {DESIGNS}")
+            raise ConfigError(f"unknown design {self.design!r}; expected one of {DESIGNS}")
         if self.counter_width < 1:
-            raise ValueError(f"counter_width must be positive, got {self.counter_width}")
+            raise ConfigError(f"counter_width must be positive, got {self.counter_width}")
         if self.steps < 0:
-            raise ValueError(f"steps must be nonnegative, got {self.steps}")
+            raise ConfigError(f"steps must be nonnegative, got {self.steps}")
         if not (math.isfinite(self.base_angle) and self.base_angle > 0.0):
-            raise ValueError(f"base_angle must be positive and finite, got {self.base_angle}")
+            raise ConfigError(f"base_angle must be positive and finite, got {self.base_angle}")
         if self.jump_weights is None:
             self.jump_weights = halving_weights(self.counter_width)
         else:
             weights = tuple(float(w) for w in self.jump_weights)
             if len(weights) != self.counter_width:
-                raise ValueError(
+                raise ConfigError(
                     f"need {self.counter_width} jump weights, got {len(weights)}"
                 )
             if any(w < 0.0 for w in weights):
-                raise ValueError("jump weights must be nonnegative")
+                raise ConfigError("jump weights must be nonnegative")
             if abs(sum(weights) - 1.0) > 1e-12:
-                raise ValueError(f"jump weights must sum to 1, got {sum(weights)}")
+                raise ConfigError(f"jump weights must sum to 1, got {sum(weights)}")
             self.jump_weights = weights
 
 
@@ -273,7 +273,7 @@ def increment_circuit(width: int, use_ancilla: bool | None = None) -> Circuit:
     decomposition needs it (width >= 4).
     """
     if width < 1:
-        raise ValueError(f"width must be positive, got {width}")
+        raise ConfigError(f"width must be positive, got {width}")
     needs_ancilla = width >= 4
     if use_ancilla is None:
         use_ancilla = needs_ancilla
@@ -407,7 +407,7 @@ def with_cascading_disjunctions(
     if circuit.ancilla is None:
         raise NoAncillaError("cascading disjunctions need a circuit with an ancilla qubit")
     if not 0.0 <= insertion_rate <= 1.0:
-        raise ValueError(f"insertion_rate must be in [0, 1], got {insertion_rate}")
+        raise ConfigError(f"insertion_rate must be in [0, 1], got {insertion_rate}")
     w = len(circuit.counter)
     if w < 2 or insertion_rate == 0.0:
         return circuit.copy()

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 on success, 2 for usage problems (bad flags, bad config keys,
-missing input files), 1 for runtime failures. On a nonzero exit no output
+missing input files, and any ``ConfigError`` the library raises for an
+out-of-range argument), 1 for runtime failures. On a nonzero exit no output
 file is written. Every CSV starts with a ``# manifest: {...}`` comment that
 records the parameters of the run, so identical invocations produce
 byte-identical files.
@@ -48,12 +49,9 @@ from .market import (
     relative_changes,
 )
 from .noise import DEFAULT_NOISE, HIGH_END_NOISE, GateCensus, NoiseModel, census, estimate_fidelity
+from .sim import ConfigError
 
 NOISE_PRESETS = {"none": None, "default": DEFAULT_NOISE, "high-end": HIGH_END_NOISE}
-
-
-class UsageError(Exception):
-    """Bad invocation; maps to exit code 2."""
 
 
 def _add_config_arg(parser: argparse.ArgumentParser) -> None:
@@ -209,7 +207,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentParse
 
 def _load_config(path: str) -> dict[str, str]:
     if not os.path.isfile(path):
-        raise UsageError(f"config file not found: {path}")
+        raise ConfigError(f"config file not found: {path}")
     out: dict[str, str] = {}
     with open(path) as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -218,7 +216,7 @@ def _load_config(path: str) -> dict[str, str]:
                 continue
             key, sep, value = stripped.partition("=")
             if not sep or not key.strip():
-                raise UsageError(f"{path}:{line_no}: expected key=value, got {stripped!r}")
+                raise ConfigError(f"{path}:{line_no}: expected key=value, got {stripped!r}")
             out[key.strip().replace("-", "_")] = value.strip()
     return out
 
@@ -234,15 +232,15 @@ def _convert_config_value(action: argparse.Action, raw: str, key: str):
             return True
         if low in _FALSE_WORDS:
             return False
-        raise UsageError(f"config key {key}: expected a boolean, got {raw!r}")
+        raise ConfigError(f"config key {key}: expected a boolean, got {raw!r}")
     value = raw
     if action.type is not None:
         try:
             value = action.type(raw)
         except ValueError:
-            raise UsageError(f"config key {key}: bad value {raw!r}") from None
+            raise ConfigError(f"config key {key}: bad value {raw!r}") from None
     if action.choices is not None and value not in action.choices:
-        raise UsageError(
+        raise ConfigError(
             f"config key {key}: {value!r} not one of {sorted(action.choices)}"
         )
     return value
@@ -260,7 +258,7 @@ def _apply_config(config: dict[str, str], parsers: list[argparse.ArgumentParser]
             consumed.add(dest)
     unknown = sorted(set(config) - consumed)
     if unknown:
-        raise UsageError(f"unknown config key(s): {', '.join(unknown)}")
+        raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
 
 
 def _prescan_config_path(argv: list[str]) -> str | None:
@@ -281,7 +279,7 @@ def _resolve_seed(args) -> int:
     try:
         return int(raw)
     except ValueError:
-        raise UsageError(f"QWALK_SEED must be an integer, got {raw!r}") from None
+        raise ConfigError(f"QWALK_SEED must be an integer, got {raw!r}") from None
 
 
 def _resolve_noise(args) -> NoiseModel | None:
@@ -294,7 +292,7 @@ def _resolve_noise(args) -> NoiseModel | None:
     given = {k: v for k, v in overrides.items() if v is not None}
     if preset != "custom":
         if given:
-            raise UsageError(
+            raise ConfigError(
                 "--fidelity-1q/--fidelity-2q/--readout-flip require --noise custom"
             )
         return NOISE_PRESETS[preset]
@@ -304,10 +302,7 @@ def _resolve_noise(args) -> NoiseModel | None:
         "readout_flip": DEFAULT_NOISE.readout_flip,
     }
     fields.update(given)
-    try:
-        return NoiseModel(**fields)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    return NoiseModel(**fields)
 
 
 def _noise_manifest(model: NoiseModel | None):
@@ -322,7 +317,7 @@ def _noise_manifest(model: NoiseModel | None):
 
 def _require(condition: bool, message: str) -> None:
     if not condition:
-        raise UsageError(message)
+        raise ConfigError(message)
 
 
 def _csv_content(
@@ -370,19 +365,12 @@ def _parse_int_list(raw: str, flag: str) -> list[int]:
     try:
         return [int(part) for part in raw.split(",") if part.strip() != ""]
     except ValueError:
-        raise UsageError(f"{flag} expects comma-separated integers, got {raw!r}") from None
+        raise ConfigError(f"{flag} expects comma-separated integers, got {raw!r}") from None
 
 
 def _cmd_distance_table(args) -> int:
     designs = [d.strip() for d in args.designs.split(",") if d.strip()]
     _require(bool(designs), "--designs must name at least one design")
-    for d in designs:
-        _require(d in DESIGNS, f"unknown design {d!r}; expected one of {list(DESIGNS)}")
-    _require(args.steps >= 0, "--steps must be nonnegative")
-    _require(args.width >= 1, "--width must be positive")
-    _require(args.shots >= 1, "--shots must be positive")
-    _require(args.random_circuits >= 1, "--random-circuits must be positive")
-    _require(args.random_shots >= 1, "--random-shots must be positive")
     seed = _resolve_seed(args)
     noise = _resolve_noise(args)
     table = distance_table(
@@ -418,9 +406,6 @@ def _cmd_distance_table(args) -> int:
 
 
 def _cmd_walk_hist(args) -> int:
-    _require(args.width >= 1, "--width must be positive")
-    _require(args.steps >= 0, "--steps must be nonnegative")
-    _require(args.shots >= 1, "--shots must be positive")
     _require(
         args.down_angle is None or args.two_way,
         "--down-angle only applies with --two-way",
@@ -463,13 +448,8 @@ def _cmd_walk_hist(args) -> int:
 
 
 def _cmd_zeno(args) -> int:
-    _require(args.width >= 1, "--width must be positive")
-    _require(args.steps >= 0, "--steps must be nonnegative")
-    _require(args.shots >= 1, "--shots must be positive")
     periods = _parse_int_list(args.periods, "--periods")
     _require(bool(periods), "--periods must name at least one period")
-    for p in periods:
-        _require(p >= 0, f"periods must be nonnegative, got {p}")
     seed = _resolve_seed(args)
     results = zeno_experiment(
         args.width, args.steps, args.base_angle, periods, shots=args.shots, seed=seed
@@ -501,13 +481,9 @@ def _cmd_fidelity(args) -> int:
     else:
         c1 = args.count_1q if args.count_1q is not None else 0
         c2 = args.count_2q if args.count_2q is not None else 0
-        _require(c1 >= 0 and c2 >= 0, "gate counts must be nonnegative")
         counts = GateCensus(c1, c2)
         source = "explicit"
-    try:
-        model = NoiseModel(args.fidelity_1q, args.fidelity_2q)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    model = NoiseModel(args.fidelity_1q, args.fidelity_2q)
     estimate = estimate_fidelity(counts, model)
     manifest = {
         "command": "fidelity",
@@ -596,8 +572,6 @@ def _cmd_market(args) -> int:
 
 
 def _cmd_emit_circuit(args) -> int:
-    _require(args.width >= 1, "--width must be positive")
-    _require(args.steps >= 0, "--steps must be nonnegative")
     _require(
         0.0 <= args.insertion_rate <= 1.0,
         f"--insertion-rate must be in [0, 1], got {args.insertion_rate}",
@@ -623,7 +597,7 @@ def main(argv: list[str] | None = None) -> int:
         config_path = _prescan_config_path(argv)
         if config_path is not None:
             _apply_config(_load_config(config_path), all_parsers)
-    except UsageError as exc:
+    except ConfigError as exc:
         print(f"arcwalk: error: {exc}", file=sys.stderr)
         return 2
     try:
@@ -632,7 +606,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         return args.func(args)
-    except UsageError as exc:
+    except ConfigError as exc:
         print(f"arcwalk: error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError) as exc:

@@ -9,8 +9,8 @@ import numpy as np
 
 from .circuits import DESIGNS, Circuit, WalkConfig, build_circuit
 from .noise import NoiseModel, noisy_apply
-from .sim import GateOp, MeasurementRecord, StateVector, apply_unitary, index_to_bits
-from .sim import measure_rows, sample_cdf
+from .sim import MAX_QUBITS, ConfigError, GateOp, OutOfRangeError, StateVector, apply_unitary
+from .sim import index_to_bits, measure_rows, sample_cdf
 
 RANDOM_JUMP_CIRCUITS = 30
 RANDOM_JUMP_SHOTS = 30
@@ -34,7 +34,7 @@ class ZenoSchedule:
 
     def __post_init__(self):
         if self.period < 0:
-            raise ValueError(f"period must be nonnegative, got {self.period}")
+            raise ConfigError(f"period must be nonnegative, got {self.period}")
 
 
 @dataclass
@@ -89,26 +89,33 @@ def _fire_offsets(circuit: Circuit, schedule: ZenoSchedule | None) -> list[int]:
     ]
 
 
+def _rng_chunks(base_seed: int, shots: int, rows: int):
+    """Generators of shots 0..shots-1 (shot i seeded ``base_seed + i``), ``rows`` at a time."""
+    for start in range(0, shots, rows):
+        yield [np.random.default_rng(base_seed + i) for i in range(start, min(shots, start + rows))]
+
+
 def _trajectories(
     circuit: Circuit,
     rngs: list[np.random.Generator],
     noise: NoiseModel | None,
     fires: list[int],
-) -> tuple[np.ndarray, list[tuple[GateOp, np.ndarray]]]:
-    """Final basis index of each shot, evolved as the rows of one (shots, 2**n) array,
-    and each MEASURE op with its per-row outcomes (True for 1).
+) -> np.ndarray:
+    """Final basis index of each shot, evolved as the rows of one (shots, 2**n) array.
 
     Shot r draws from ``rngs[r]`` exactly what it would draw alone, in
     order: one ``random()`` per collapse, each noisy gate's draws, one
     ``random()`` for the final sample, and ``random(n)`` for readout flips.
     """
+    if circuit.n_qubits > MAX_QUBITS:
+        raise OutOfRangeError(f"n_qubits must be in 1..{MAX_QUBITS}, got {circuit.n_qubits}")
     amps = np.zeros((len(rngs), 1 << circuit.n_qubits), dtype=np.complex128)
     amps[:, 0] = 1.0
 
     def gate(chunk, op, gens):
         return apply_unitary(chunk, op) if noise is None else noisy_apply(chunk, op, noise, gens)
 
-    fi, measured = 0, []
+    fi = 0
     for j, op in enumerate([*circuit.ops, None]):  # fires after the last op land on None
         while fi < len(fires) and fires[fi] == j:
             for q in circuit.counter:
@@ -121,9 +128,7 @@ def _trajectories(
             continue
         q = op.targets[0]
         ones = measure_rows(amps, q, rngs)
-        if op.kind == "MEASURE":
-            measured.append((op, ones))
-        elif ones.any():  # RESET flips the rows that read 1 back to |0>
+        if op.kind == "RESET" and ones.any():  # flip the rows that read 1 back to |0>
             sel = np.flatnonzero(ones)
             flipped = amps[sel]
             gate(flipped, GateOp.x(q), [rngs[r] for r in sel])
@@ -133,7 +138,7 @@ def _trajectories(
     if noise is not None:  # readout flips: bit k of the mask flips qubit k
         flips = np.array([g.random(circuit.n_qubits) for g in rngs]) < noise.readout_flip
         idx ^= flips @ (1 << np.arange(circuit.n_qubits))
-    return idx, measured
+    return idx
 
 
 def run_single_shot(
@@ -141,12 +146,11 @@ def run_single_shot(
     seed: int,
     noise: NoiseModel | None = None,
     schedule: ZenoSchedule | None = None,
-) -> tuple[str, list[MeasurementRecord]]:
-    """One full trajectory: returns the final bitstring and mid-circuit records."""
+) -> str:
+    """One full trajectory: returns the final bitstring."""
     rngs = [np.random.default_rng(seed)]
-    idx, measured = _trajectories(circuit, rngs, noise, _fire_offsets(circuit, schedule))
-    records = [MeasurementRecord(op.classical_slot, op.targets[0], int(o[0])) for op, o in measured]
-    return index_to_bits(int(idx[0]), circuit.n_qubits), records
+    idx = _trajectories(circuit, rngs, noise, _fire_offsets(circuit, schedule))
+    return index_to_bits(int(idx[0]), circuit.n_qubits)
 
 
 def run_positions(
@@ -164,7 +168,7 @@ def run_positions(
     trajectories in chunks of at most ``CHUNK_AMPS`` amplitudes.
     """
     if shots < 1:
-        raise ValueError(f"shots must be positive, got {shots}")
+        raise ConfigError(f"shots must be positive, got {shots}")
     fires = _fire_offsets(circuit, schedule)
     if noise is None and not fires and all(op.is_unitary for op in circuit.ops):
         state = StateVector(circuit.n_qubits)
@@ -172,14 +176,9 @@ def run_positions(
             state.apply_gate(op)
         u = np.array([np.random.default_rng(base_seed + i).random() for i in range(shots)])
         return _decode_index(sample_cdf(np.cumsum(state.probabilities()), u), circuit.counter)
-    chunk = max(1, CHUNK_AMPS >> circuit.n_qubits)
-    out = np.empty(shots, dtype=np.int64)
-    for start in range(0, shots, chunk):
-        stop = min(shots, start + chunk)
-        rngs = [np.random.default_rng(base_seed + i) for i in range(start, stop)]
-        idx, _ = _trajectories(circuit, rngs, noise, fires)
-        out[start:stop] = _decode_index(idx, circuit.counter)
-    return out
+    chunks = _rng_chunks(base_seed, shots, max(1, CHUNK_AMPS >> circuit.n_qubits))
+    idx = np.concatenate([_trajectories(circuit, rngs, noise, fires) for rngs in chunks])
+    return _decode_index(idx, circuit.counter)
 
 
 def run_shots(
@@ -198,9 +197,9 @@ def run_shots(
 def arc_expected(width: int, steps: int, base_angle: float) -> float:
     """Closed-form mean of the arc counter: sum of 2^k sin^2(steps * theta_k / 2)."""
     if width < 1:
-        raise ValueError(f"width must be positive, got {width}")
+        raise ConfigError(f"width must be positive, got {width}")
     if steps < 0:
-        raise ValueError(f"steps must be nonnegative, got {steps}")
+        raise ConfigError(f"steps must be nonnegative, got {steps}")
     return sum(
         2**k * math.sin(steps * (base_angle / 2**k) / 2.0) ** 2 for k in range(width)
     )
@@ -313,9 +312,11 @@ def distance_table(
     """
     for design in designs:
         if design not in DESIGNS:
-            raise ValueError(f"unknown design {design!r}; expected one of {DESIGNS}")
+            raise ConfigError(f"unknown design {design!r}; expected one of {DESIGNS}")
     if max_steps < 0:
-        raise ValueError(f"max_steps must be nonnegative, got {max_steps}")
+        raise ConfigError(f"max_steps must be nonnegative, got {max_steps}")
+    if min(shots, random_circuits, random_shots) < 1:
+        raise ConfigError(f"counts must be positive: {shots=}, {random_circuits=}, {random_shots=}")
     rows = []
     for steps in range(max_steps + 1):
         cells = {}
@@ -340,11 +341,10 @@ def zeno_experiment(
     seed: int = 0,
 ) -> list[tuple[int, float]]:
     """Mean decoded arc-counter value under each mid-measurement period."""
-    cfg = WalkConfig(width, steps, design="arc", base_angle=base_angle)
-    circuit = build_circuit(cfg)
+    circuit = build_circuit(WalkConfig(width, steps, design="arc", base_angle=base_angle))
+    schedules = [ZenoSchedule(int(period)) for period in periods]  # all checked before any run
     out = []
-    for idx, period in enumerate(periods):
-        schedule = ZenoSchedule(int(period))
+    for idx, schedule in enumerate(schedules):
         hist = run_shots(
             circuit,
             shots,
@@ -361,27 +361,26 @@ def single_qubit_zeno(theta: float, segments: int) -> float:
     Closed form: cos^2(theta/segments) ** segments.
     """
     if segments < 1:
-        raise ValueError(f"segments must be positive, got {segments}")
+        raise ConfigError(f"segments must be positive, got {segments}")
     return (math.cos(theta / segments) ** 2) ** segments
 
 
 def single_qubit_zeno_sampled(theta: float, segments: int, shots: int, seed: int = 0) -> float:
     """Monte Carlo cross-check of ``single_qubit_zeno`` via RX + measure sequences."""
     if segments < 1:
-        raise ValueError(f"segments must be positive, got {segments}")
+        raise ConfigError(f"segments must be positive, got {segments}")
     if shots < 1:
-        raise ValueError(f"shots must be positive, got {shots}")
+        raise ConfigError(f"shots must be positive, got {shots}")
     step = GateOp.rx(0, 2.0 * theta / segments)
     survived = 0
-    for i in range(shots):
-        rng = np.random.default_rng(seed + i)
-        state = StateVector(1)
-        for _ in range(segments):
-            state.apply_gate(step)
-            if state.measure_qubit(0, rng) == 1:
-                break
-        else:
-            survived += 1
+    for rngs in _rng_chunks(seed, shots, CHUNK_AMPS >> 1):
+        amps = np.zeros((len(rngs), 2), dtype=np.complex128)
+        amps[:, 0] = 1.0
+        flipped = np.zeros(len(rngs), dtype=bool)
+        for _ in range(segments):  # draws after a row's first 1 cannot revive it
+            apply_unitary(amps, step)
+            flipped |= measure_rows(amps, 0, rngs)
+        survived += len(rngs) - int(flipped.sum())
     return survived / shots
 
 
@@ -399,7 +398,7 @@ def walk_step_changes(
     independent seeds per step count, for tail diagnostics on walk output.
     """
     if max_steps < 1:
-        raise ValueError(f"max_steps must be at least 1, got {max_steps}")
+        raise ConfigError(f"max_steps must be at least 1, got {max_steps}")
     per_step = []
     for s in range(max_steps + 1):
         cfg = WalkConfig(width, s, design=design, base_angle=base_angle, seed=derive_seed(seed, 0, s))

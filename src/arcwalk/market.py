@@ -11,6 +11,8 @@ from datetime import date
 
 import numpy as np
 
+from .sim import ConfigError
+
 logger = logging.getLogger(__name__)
 
 _MONTH_RE = re.compile(r"^\d{4}-(0[1-9]|1[0-2])$")
@@ -139,7 +141,7 @@ def housing_correlations(
     as skipped. The histogram spans [-1, 1] in ``bins`` uniform bins.
     """
     if bins < 1:
-        raise ValueError(f"bins must be positive, got {bins}")
+        raise ConfigError(f"bins must be positive, got {bins}")
     groups: dict[str, list[MetroMonthlyRecord]] = {}
     for rec in records:
         groups.setdefault(rec.metro, []).append(rec)

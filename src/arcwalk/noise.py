@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .sim import GateOp, StateVector, apply_1q, apply_unitary
+from .sim import ConfigError, GateOp, StateVector, apply_1q, apply_unitary
 
 _PAULI_INJECTIONS = (
     np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128),    # X
@@ -41,9 +41,9 @@ class NoiseModel:
         for name in ("fidelity_1q", "fidelity_2q"):
             f = getattr(self, name)
             if not 0.0 < f <= 1.0:
-                raise ValueError(f"{name} must be in (0, 1], got {f}")
+                raise ConfigError(f"{name} must be in (0, 1], got {f}")
         if not 0.0 <= self.readout_flip < 1.0:
-            raise ValueError(f"readout_flip must be in [0, 1), got {self.readout_flip}")
+            raise ConfigError(f"readout_flip must be in [0, 1), got {self.readout_flip}")
 
 
 DEFAULT_NOISE = NoiseModel()
@@ -59,7 +59,7 @@ class GateCensus:
 
     def __post_init__(self):
         if self.count_1q < 0 or self.count_2q < 0:
-            raise ValueError("gate counts must be nonnegative")
+            raise ConfigError("gate counts must be nonnegative")
 
     def __add__(self, other: "GateCensus") -> "GateCensus":
         return GateCensus(self.count_1q + other.count_1q, self.count_2q + other.count_2q)

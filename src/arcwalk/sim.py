@@ -19,7 +19,11 @@ MAX_QUBITS = 20
 RX_PERIOD = 4.0 * math.pi
 
 
-class OutOfRangeError(ValueError):
+class ConfigError(ValueError):
+    """An argument outside its documented range; the CLI maps it to exit code 2."""
+
+
+class OutOfRangeError(ConfigError):
     """Register width outside the supported simulation range."""
 
 
@@ -60,7 +64,6 @@ class GateOp:
     kind: str
     targets: tuple[int, ...]
     theta: float | None = None
-    classical_slot: int | None = None
 
     def __post_init__(self):
         arity = _ARITY.get(self.kind)
@@ -80,8 +83,6 @@ class GateOp:
             object.__setattr__(self, "theta", float(self.theta) % RX_PERIOD)
         elif self.theta is not None:
             raise ValueError(f"{self.kind} takes no angle")
-        if self.classical_slot is not None and self.kind != "MEASURE":
-            raise ValueError(f"{self.kind} takes no classical slot")
 
     @property
     def is_unitary(self) -> bool:
@@ -124,25 +125,12 @@ class GateOp:
         return cls("SWAP", (qa, qb))
 
     @classmethod
-    def measure(cls, q: int, slot: int | None = None) -> "GateOp":
-        return cls("MEASURE", (q,), classical_slot=slot)
+    def measure(cls, q: int) -> "GateOp":
+        return cls("MEASURE", (q,))
 
     @classmethod
     def reset(cls, q: int) -> "GateOp":
         return cls("RESET", (q,))
-
-
-@dataclass(frozen=True)
-class MeasurementRecord:
-    """Outcome of one explicit mid-circuit measurement."""
-
-    slot: int | None
-    qubit: int
-    outcome: int
-
-    def __post_init__(self):
-        if self.outcome not in (0, 1):
-            raise ValueError(f"outcome must be 0 or 1, got {self.outcome}")
 
 
 _SQ2 = 1.0 / math.sqrt(2.0)
@@ -272,16 +260,16 @@ class StateVector:
 
     __slots__ = ("n_qubits", "amps")
 
-    def __init__(self, n_qubits: int, max_qubits: int = MAX_QUBITS):
-        if n_qubits < 1 or n_qubits > max_qubits:
-            raise OutOfRangeError(f"n_qubits must be in 1..{max_qubits}, got {n_qubits}")
+    def __init__(self, n_qubits: int):
+        if not 1 <= n_qubits <= MAX_QUBITS:
+            raise OutOfRangeError(f"n_qubits must be in 1..{MAX_QUBITS}, got {n_qubits}")
         self.n_qubits = n_qubits
         self.amps = np.zeros(1 << n_qubits, dtype=np.complex128)
         self.amps[0] = 1.0
 
     @classmethod
-    def from_basis(cls, n_qubits: int, index: int, max_qubits: int = MAX_QUBITS) -> "StateVector":
-        state = cls(n_qubits, max_qubits=max_qubits)
+    def from_basis(cls, n_qubits: int, index: int) -> "StateVector":
+        state = cls(n_qubits)
         if not 0 <= index < (1 << n_qubits):
             raise OutOfRangeError(f"basis index {index} out of range for {n_qubits} qubits")
         state.amps[0] = 0.0
@@ -347,6 +335,6 @@ class StateVector:
         return bool(np.allclose(self.amps * phase, other.amps, atol=atol))
 
 
-def new_state(n_qubits: int, max_qubits: int = MAX_QUBITS) -> StateVector:
+def new_state(n_qubits: int) -> StateVector:
     """Fresh |0...0> register."""
-    return StateVector(n_qubits, max_qubits=max_qubits)
+    return StateVector(n_qubits)

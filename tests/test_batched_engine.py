@@ -87,7 +87,7 @@ def test_every_design_matches_per_shot_oracle(design, noise, period):
 
 def measure_reset_circuit():
     circuit = Circuit(n_qubits=4, counter=range(0, 4))
-    circuit.add(GateOp.h(0), GateOp.rx(1, 1.1), GateOp.h(2), GateOp.measure(2, slot=0))
+    circuit.add(GateOp.h(0), GateOp.rx(1, 1.1), GateOp.h(2), GateOp.measure(2))
     circuit.add(*or_inplace_block(0, 1, 2).ops)
     circuit.add(GateOp.h(2), GateOp.cnot(2, 3), GateOp.measure(3), GateOp.reset(2))
     return circuit.validate()

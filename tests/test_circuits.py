@@ -8,6 +8,7 @@ import pytest
 from arcwalk import (
     Circuit,
     CircuitParseError,
+    ConfigError,
     GateOp,
     InvalidTargetError,
     NoAncillaError,
@@ -67,7 +68,7 @@ class TestHalvingWeights:
             assert w[k] == pytest.approx(2.0 * w[k + 1])
 
     def test_zero_width_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             halving_weights(0)
 
 
@@ -92,7 +93,7 @@ class TestWalkConfig:
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             WalkConfig(**kwargs)
 
     def test_explicit_weights_kept(self):
@@ -380,7 +381,7 @@ class TestCascading:
     def test_rate_validated(self):
         cfg = WalkConfig(4, 3, design="random_jump_cascading", seed=0)
         base = random_jump_circuit(cfg)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             with_cascading_disjunctions(base, cfg, insertion_rate=1.5)
 
     def test_single_qubit_counter_unchanged(self):

@@ -493,6 +493,53 @@ class TestTopLevel:
         assert manifest["noise"]["fidelity_1q"] == DEFAULT_NOISE.fidelity_1q
 
 
+SIM_COMMANDS = ("distance-table", "walk-hist", "zeno")
+
+# Bad invocations and their exit codes: 2 for a bad value, whichever layer
+# rejects it, and 1 for a runtime failure. "{prices}" and "{circuit}" name
+# input files the test writes; every row also gets "--out" in the same directory.
+BAD_INVOCATIONS = [
+    *(
+        ([cmd, flag, value], 2)
+        for cmd in (*SIM_COMMANDS, "emit-circuit")
+        for flag, value in (("--width", "0"), ("--steps", "-1"))
+    ),
+    *(([cmd, "--shots", "0"], 2) for cmd in SIM_COMMANDS),
+    (["distance-table", "--random-circuits", "0"], 2),
+    (["distance-table", "--random-shots", "0"], 2),
+    (["distance-table", "--designs", "spiral"], 2),
+    (["distance-table", "--designs", ","], 2),
+    (["zeno", "--periods", "0,-1"], 2),
+    (["zeno", "--periods", ","], 2),
+    (["fidelity", "--count-1q", "-1"], 2),
+    (["fidelity", "--count-1q", "1", "--fidelity-1q", "2"], 2),
+    (["walk-hist", "--noise", "custom", "--readout-flip", "1"], 2),
+    (["market", "returns", "{prices}", "--bins", "0"], 2),
+    (["emit-circuit", "--design", "arc", "--insertion-rate", "2"], 2),
+    (["emit-circuit", "--design", "random_jump_cascading", "--insertion-rate", "2"], 2),
+    *(
+        ([cmd, "--base-angle", value], 2)
+        for cmd in (*SIM_COMMANDS, "emit-circuit")
+        for value in ("0", "-1", "nan")
+    ),
+    (["walk-hist", "--two-way", "--down-angle", "-1"], 2),
+    (["walk-hist", "--width", "21", "--noise", "default", "--shots", "1"], 2),
+    (["fidelity", "--census-from", "{circuit}"], 1),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,code", BAD_INVOCATIONS, ids=[" ".join(argv) for argv, _ in BAD_INVOCATIONS]
+)
+def test_bad_invocation_exit_code(argv, code, tmp_path):
+    inputs = {"prices": tmp_path / "prices.csv", "circuit": tmp_path / "circ.txt"}
+    inputs["prices"].write_text(make_price_csv(n_days=30, seed=0))
+    inputs["circuit"].write_text("# nqubits 1\nFROB 0\n")
+    argv = [arg.format(**inputs) for arg in argv]
+    assert main(argv + ["--out", str(tmp_path / "out.csv")]) == code
+    assert sorted(tmp_path.iterdir()) == sorted(inputs.values())
+
+
 class TestAtomicOutput:
     ARGV = ["walk-hist", "--design", "arc", "--width", "3", "--steps", "2", "--shots", "20"]
 

@@ -8,7 +8,9 @@ import pytest
 from arcwalk import (
     DEFAULT_NOISE,
     Circuit,
+    ConfigError,
     GateOp,
+    OutOfRangeError,
     ShotHistogram,
     StateVector,
     WalkConfig,
@@ -129,8 +131,14 @@ class TestRunShots:
         assert 0.47 <= h.counts[0] / 2000 <= 0.53
 
     def test_shots_validated(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             run_positions(bell_circuit(), 0)
+
+    def test_noisy_register_above_maximum_rejected(self):
+        # the trajectory path must refuse before it allocates (1, 2**21) amplitudes
+        circ = Circuit(n_qubits=21, counter=range(0, 21)).validate()
+        with pytest.raises(OutOfRangeError):
+            run_positions(circ, 1, noise=DEFAULT_NOISE)
 
     def test_fast_path_matches_per_shot_evolution(self):
         circ = build_circuit(WalkConfig(3, 4, design="arc_walk"))
@@ -146,14 +154,9 @@ class TestRunShots:
 
     def test_single_shot_records_mid_measurements(self):
         circ = Circuit(n_qubits=2, counter=range(0, 2))
-        circ.add(GateOp.x(0), GateOp.measure(0, slot=4), GateOp.reset(0))
+        circ.add(GateOp.x(0), GateOp.measure(0), GateOp.reset(0))
         circ.validate()
-        bits, records = run_single_shot(circ, 0)
-        assert bits == "00"
-        assert len(records) == 1
-        assert records[0].slot == 4
-        assert records[0].qubit == 0
-        assert records[0].outcome == 1
+        assert run_single_shot(circ, 0) == "00"
 
 
 class TestArcExpected:
@@ -166,9 +169,9 @@ class TestArcExpected:
         assert arc_expected(5, 0, math.pi / 2) == 0.0
 
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             arc_expected(0, 1, 1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             arc_expected(3, -1, 1.0)
 
 
@@ -230,7 +233,7 @@ class TestDistanceTable:
         assert float(first[2]) == 0.0
 
     def test_unknown_design_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             distance_table(["spiral"], 2, 3)
 
     def test_noisy_binary_overshoots(self):
@@ -254,7 +257,7 @@ class TestDistanceTable:
 class TestZeno:
     def test_schedule_validation(self):
         assert ZenoSchedule(0).period == 0
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             ZenoSchedule(-1)
 
     def test_more_frequent_checks_freeze_the_counter(self):
@@ -319,10 +322,24 @@ class TestSingleQubitZeno:
         got = single_qubit_zeno_sampled(math.pi / 2, 10, shots, seed=21)
         assert abs(got - exact) <= 4.0 * math.sqrt(exact * (1 - exact) / shots)
 
+    @pytest.mark.parametrize(
+        "args,want",
+        [
+            ((math.pi / 2, 10, 4000, 21), 0.78075),
+            ((math.pi / 2, 1, 500, 0), 0.0),
+            ((1.0, 3, 700, 5), 0.7142857142857143),
+            ((math.pi / 4, 25, 300, 9), 0.9766666666666667),
+            ((2.5, 7, 5000, 3), 0.4084),
+        ],
+    )
+    def test_sampled_frozen_values(self, args, want):
+        # Values of the per-shot loop the batched sampler replaced.
+        assert single_qubit_zeno_sampled(*args) == want
+
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             single_qubit_zeno(1.0, 0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             single_qubit_zeno_sampled(1.0, 3, 0)
 
 
@@ -334,5 +351,5 @@ class TestWalkStepChanges:
         assert np.array_equal(a, b)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             walk_step_changes("arc_walk", 4, 0, 10)

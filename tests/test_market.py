@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from arcwalk import (
+    ConfigError,
     DegenerateVarianceError,
     LengthMismatchError,
     MetroMonthlyRecord,
@@ -168,7 +169,7 @@ class TestHousingCorrelations:
         assert names == sorted(names)
 
     def test_bins_validated(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             housing_correlations([], bins=0)
 
 

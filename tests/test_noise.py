@@ -8,6 +8,7 @@ import pytest
 from arcwalk import (
     DEFAULT_NOISE,
     HIGH_END_NOISE,
+    ConfigError,
     GateCensus,
     GateOp,
     NoiseModel,
@@ -46,9 +47,9 @@ class TestCensus:
         assert census(first) + census(second) == census(first + second)
 
     def test_negative_counts_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             GateCensus(-1, 0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             GateCensus(0, -2)
 
 
@@ -153,7 +154,7 @@ class TestNoiseModel:
         ],
     )
     def test_invalid_parameters_rejected(self, kwargs):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             NoiseModel(**kwargs)
 
 

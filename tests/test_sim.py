@@ -9,7 +9,6 @@ from arcwalk import (
     DegenerateStateError,
     GateOp,
     InvalidTargetError,
-    MeasurementRecord,
     OutOfRangeError,
     StateVector,
     new_state,
@@ -47,11 +46,6 @@ class TestConstruction:
     def test_width_above_maximum_rejected(self):
         with pytest.raises(OutOfRangeError):
             new_state(21)
-
-    def test_configurable_maximum(self):
-        assert StateVector(4, max_qubits=4).n_qubits == 4
-        with pytest.raises(OutOfRangeError):
-            StateVector(5, max_qubits=4)
 
     def test_from_basis(self):
         state = StateVector.from_basis(3, 5)
@@ -332,10 +326,3 @@ class TestAlgebraProperties:
         assert state.allclose_up_to_phase(rotated)
         other = random_state(3, 6)
         assert not state.allclose_up_to_phase(other)
-
-
-class TestMeasurementRecord:
-    def test_outcome_validated(self):
-        assert MeasurementRecord(0, 1, 1).outcome == 1
-        with pytest.raises(ValueError):
-            MeasurementRecord(0, 1, 2)
