@@ -36,18 +36,13 @@ def halving_weights(width: int) -> tuple[float, ...]:
 
 @dataclass
 class WalkConfig:
-    """Parameters shared by the circuit builders.
-
-    ``jump_weights`` defaults to the halving weights over the counter width;
-    explicitly passed weights must already sum to 1.
-    """
+    """Parameters shared by the circuit builders."""
 
     counter_width: int
     steps: int
     design: str = "arc"
     base_angle: float = math.pi / 2
     seed: int = 0
-    jump_weights: tuple[float, ...] | None = None
 
     def __post_init__(self):
         if self.design not in DESIGNS:
@@ -58,19 +53,6 @@ class WalkConfig:
             raise ConfigError(f"steps must be nonnegative, got {self.steps}")
         if not (math.isfinite(self.base_angle) and self.base_angle > 0.0):
             raise ConfigError(f"base_angle must be positive and finite, got {self.base_angle}")
-        if self.jump_weights is None:
-            self.jump_weights = halving_weights(self.counter_width)
-        else:
-            weights = tuple(float(w) for w in self.jump_weights)
-            if len(weights) != self.counter_width:
-                raise ConfigError(
-                    f"need {self.counter_width} jump weights, got {len(weights)}"
-                )
-            if any(w < 0.0 for w in weights):
-                raise ConfigError("jump weights must be nonnegative")
-            if abs(sum(weights) - 1.0) > 1e-12:
-                raise ConfigError(f"jump weights must sum to 1, got {sum(weights)}")
-            self.jump_weights = weights
 
 
 @dataclass
@@ -264,24 +246,19 @@ def _mcx_ops(controls: tuple[int, ...], target: int, scratch: tuple[int, ...]) -
     return g1 + g2 + g1 + g2
 
 
-def increment_circuit(width: int, use_ancilla: bool | None = None) -> Circuit:
+def increment_circuit(width: int) -> Circuit:
     """One +1 step on the counter: |n> maps to |n+1 mod 2^width>.
 
     Built as a descending cascade: qubit k flips when all lower qubits are 1.
     Controls of three or more are decomposed to Toffoli gates through one
-    ancilla qubit. ``use_ancilla=None`` allocates the ancilla exactly when the
-    decomposition needs it (width >= 4).
+    ancilla qubit, allocated exactly when that decomposition is needed
+    (width >= 4).
     """
     if width < 1:
         raise ConfigError(f"width must be positive, got {width}")
-    needs_ancilla = width >= 4
-    if use_ancilla is None:
-        use_ancilla = needs_ancilla
-    if needs_ancilla and not use_ancilla:
-        raise InvalidTargetError(f"a width-{width} increment needs the ancilla qubit")
-    ancilla = width if use_ancilla else None
+    ancilla = width if width >= 4 else None
     circ = Circuit(
-        n_qubits=width + (1 if use_ancilla else 0),
+        n_qubits=width + (ancilla is not None),
         counter=range(0, width),
         ancilla=ancilla,
     )
@@ -340,7 +317,7 @@ def arc_walk_circuit(cfg: WalkConfig) -> Circuit:
 def random_jump_circuit(cfg: WalkConfig) -> Circuit:
     """Per step, H on the coin then CNOT from the coin onto a sampled counter qubit.
 
-    The target qubit is drawn per step from ``cfg.jump_weights`` by a
+    The target qubit is drawn per step from ``halving_weights`` by a
     classical sampler seeded with ``cfg.seed``, so the circuit is a pure
     function of its config. The cascading variant also carries an ancilla.
     """
@@ -349,7 +326,7 @@ def random_jump_circuit(cfg: WalkConfig) -> Circuit:
     cascading = cfg.design == "random_jump_cascading"
     ancilla = w + 1 if cascading else None
     rng = np.random.default_rng(cfg.seed)
-    cdf = np.cumsum(cfg.jump_weights)
+    cdf = np.cumsum(halving_weights(w))
     circ = Circuit(
         n_qubits=w + (2 if cascading else 1),
         counter=range(0, w),
@@ -397,7 +374,7 @@ def with_cascading_disjunctions(
 ) -> Circuit:
     """After each step, OR a sampled lower counter qubit into a higher one.
 
-    The lower index is drawn from ``cfg.jump_weights`` restricted to indices
+    The lower index is drawn from ``halving_weights`` restricted to indices
     that have a strictly higher partner; the higher index is uniform among
     strictly higher counter qubits. The sampler is seeded from ``cfg.seed``
     on a stream separate from the jump-target sampler. ``insertion_rate`` is
@@ -411,7 +388,7 @@ def with_cascading_disjunctions(
     w = len(circuit.counter)
     if w < 2 or insertion_rate == 0.0:
         return circuit.copy()
-    lower_weights = np.asarray(cfg.jump_weights[: w - 1], dtype=float)
+    lower_weights = np.asarray(halving_weights(cfg.counter_width)[: w - 1])
     cdf = np.cumsum(lower_weights / lower_weights.sum())
     rng = np.random.default_rng((cfg.seed, 1))
     out = Circuit(

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -62,7 +63,15 @@ def _add_config_arg(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_seed_arg(parser) -> None:
+def _add_walk_args(parser, width: int, steps: int, shots: int | None) -> None:
+    """--width, --steps, --base-angle, --shots (unless ``shots`` is None) and --seed."""
+    parser.add_argument("--width", type=int, default=width, help="counter qubits")
+    parser.add_argument("--steps", type=int, default=steps, help="walk steps (table: 0 to this)")
+    parser.add_argument(
+        "--base-angle", type=float, default=math.pi / 2, help="step rotation (radians)"
+    )
+    if shots is not None:
+        parser.add_argument("--shots", type=int, default=shots, help="shots per run")
     parser.add_argument(
         "--seed",
         type=int,
@@ -100,13 +109,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentParse
         default=",".join(DESIGNS),
         help="comma-separated design names (default: all)",
     )
-    p_table.add_argument("--width", type=int, default=6, help="counter qubits")
-    p_table.add_argument("--steps", type=int, default=10, help="largest step count")
-    p_table.add_argument(
-        "--base-angle", type=float, default=math.pi / 2, help="step rotation (radians)"
-    )
-    p_table.add_argument("--shots", type=int, default=1000, help="shots per run")
-    _add_seed_arg(p_table)
+    _add_walk_args(p_table, width=6, steps=10, shots=1000)
     _add_noise_args(p_table)
     p_table.add_argument(
         "--noisy-cascading",
@@ -120,13 +123,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentParse
 
     p_hist = sub.add_parser("walk-hist", help="position histogram of one walk")
     p_hist.add_argument("--design", choices=DESIGNS, default="arc_walk")
-    p_hist.add_argument("--width", type=int, default=6, help="counter qubits")
-    p_hist.add_argument("--steps", type=int, default=10, help="walk steps")
-    p_hist.add_argument(
-        "--base-angle", type=float, default=math.pi / 2, help="step rotation (radians)"
-    )
-    p_hist.add_argument("--shots", type=int, default=1000, help="shots per run")
-    _add_seed_arg(p_hist)
+    _add_walk_args(p_hist, width=6, steps=10, shots=1000)
     _add_noise_args(p_hist)
     p_hist.add_argument(
         "--two-way",
@@ -145,13 +142,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentParse
     p_zeno = sub.add_parser(
         "zeno", help="mean counter value vs mid-circuit measurement period"
     )
-    p_zeno.add_argument("--width", type=int, default=8, help="counter qubits")
-    p_zeno.add_argument("--steps", type=int, default=20, help="walk steps")
-    p_zeno.add_argument(
-        "--base-angle", type=float, default=math.pi / 2, help="step rotation (radians)"
-    )
-    p_zeno.add_argument("--shots", type=int, default=2000, help="shots per period")
-    _add_seed_arg(p_zeno)
+    _add_walk_args(p_zeno, width=8, steps=20, shots=2000)
     p_zeno.add_argument(
         "--periods",
         default="0,7,1",
@@ -186,10 +177,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentParse
 
     p_emit = sub.add_parser("emit-circuit", help="print a circuit in the text format")
     p_emit.add_argument("--design", choices=DESIGNS, default="arc")
-    p_emit.add_argument("--width", type=int, default=6)
-    p_emit.add_argument("--steps", type=int, default=3)
-    p_emit.add_argument("--base-angle", type=float, default=math.pi / 2)
-    _add_seed_arg(p_emit)
+    _add_walk_args(p_emit, width=6, steps=3, shots=None)
     p_emit.add_argument(
         "--insertion-rate",
         type=float,
@@ -283,36 +271,19 @@ def _resolve_seed(args) -> int:
 
 
 def _resolve_noise(args) -> NoiseModel | None:
-    preset = getattr(args, "noise", "none")
-    overrides = {
-        "fidelity_1q": getattr(args, "fidelity_1q", None),
-        "fidelity_2q": getattr(args, "fidelity_2q", None),
-        "readout_flip": getattr(args, "readout_flip", None),
-    }
-    given = {k: v for k, v in overrides.items() if v is not None}
-    if preset != "custom":
+    names = ("fidelity_1q", "fidelity_2q", "readout_flip")
+    given = {k: getattr(args, k) for k in names if getattr(args, k) is not None}
+    if args.noise != "custom":
         if given:
             raise ConfigError(
                 "--fidelity-1q/--fidelity-2q/--readout-flip require --noise custom"
             )
-        return NOISE_PRESETS[preset]
-    fields = {
-        "fidelity_1q": DEFAULT_NOISE.fidelity_1q,
-        "fidelity_2q": DEFAULT_NOISE.fidelity_2q,
-        "readout_flip": DEFAULT_NOISE.readout_flip,
-    }
-    fields.update(given)
-    return NoiseModel(**fields)
+        return NOISE_PRESETS[args.noise]
+    return dataclasses.replace(DEFAULT_NOISE, **given)
 
 
 def _noise_manifest(model: NoiseModel | None):
-    if model is None:
-        return None
-    return {
-        "fidelity_1q": model.fidelity_1q,
-        "fidelity_2q": model.fidelity_2q,
-        "readout_flip": model.readout_flip,
-    }
+    return None if model is None else dataclasses.asdict(model)
 
 
 def _require(condition: bool, message: str) -> None:

@@ -79,14 +79,17 @@ def _decode_index(index: np.ndarray, counter: range) -> np.ndarray:
     return (index >> counter.start) & ((1 << len(counter)) - 1)
 
 
-def _fire_offsets(circuit: Circuit, schedule: ZenoSchedule | None) -> list[int]:
-    if schedule is None or schedule.period <= 0:
-        return []
-    return [
-        mark
-        for step, mark in enumerate(circuit.steps_marks, start=1)
-        if step % schedule.period == 0
-    ]
+def _scheduled_ops(circuit: Circuit, schedule: ZenoSchedule | None) -> list[GateOp]:
+    """The circuit's ops with a MEASURE of every counter qubit after each fired step."""
+    period = schedule.period if schedule is not None else 0
+    if period == 0:
+        return circuit.ops
+    collapse = [GateOp.measure(q) for q in circuit.counter]
+    ops, prev = [], 0
+    for mark in circuit.steps_marks[period - 1 :: period]:
+        ops += circuit.ops[prev:mark] + collapse
+        prev = mark
+    return ops + circuit.ops[prev:]
 
 
 def _rng_chunks(base_seed: int, shots: int, rows: int):
@@ -97,11 +100,11 @@ def _rng_chunks(base_seed: int, shots: int, rows: int):
 
 def _trajectories(
     circuit: Circuit,
+    ops: list[GateOp],
     rngs: list[np.random.Generator],
     noise: NoiseModel | None,
-    fires: list[int],
 ) -> np.ndarray:
-    """Final basis index of each shot, evolved as the rows of one (shots, 2**n) array.
+    """Final basis index of each shot running ``ops``, as the rows of one (shots, 2**n) array.
 
     Shot r draws from ``rngs[r]`` exactly what it would draw alone, in
     order: one ``random()`` per collapse, each noisy gate's draws, one
@@ -115,14 +118,7 @@ def _trajectories(
     def gate(chunk, op, gens):
         return apply_unitary(chunk, op) if noise is None else noisy_apply(chunk, op, noise, gens)
 
-    fi = 0
-    for j, op in enumerate([*circuit.ops, None]):  # fires after the last op land on None
-        while fi < len(fires) and fires[fi] == j:
-            for q in circuit.counter:
-                measure_rows(amps, q, rngs)
-            fi += 1
-        if op is None:
-            break
+    for op in ops:
         if op.is_unitary:
             gate(amps, op, rngs)
             continue
@@ -149,7 +145,7 @@ def run_single_shot(
 ) -> str:
     """One full trajectory: returns the final bitstring."""
     rngs = [np.random.default_rng(seed)]
-    idx = _trajectories(circuit, rngs, noise, _fire_offsets(circuit, schedule))
+    idx = _trajectories(circuit, _scheduled_ops(circuit, schedule), rngs, noise)
     return index_to_bits(int(idx[0]), circuit.n_qubits)
 
 
@@ -162,22 +158,23 @@ def run_positions(
 ) -> np.ndarray:
     """Decoded counter value per shot; shot i uses seed ``base_seed + i``.
 
-    Deterministic circuits (no noise, no mid-circuit measurement or reset)
+    A schedule adds a MEASURE of every counter qubit after each fired step.
+    Deterministic runs (no noise, no mid-circuit measurement or reset)
     are evolved once and sampled per shot from the final distribution, which
-    is exactly what per-shot evolution would produce. Other circuits run as
+    is exactly what per-shot evolution would produce. Other runs evolve as
     trajectories in chunks of at most ``CHUNK_AMPS`` amplitudes.
     """
     if shots < 1:
         raise ConfigError(f"shots must be positive, got {shots}")
-    fires = _fire_offsets(circuit, schedule)
-    if noise is None and not fires and all(op.is_unitary for op in circuit.ops):
+    ops = _scheduled_ops(circuit, schedule)
+    if noise is None and all(op.is_unitary for op in ops):
         state = StateVector(circuit.n_qubits)
-        for op in circuit.ops:
+        for op in ops:
             state.apply_gate(op)
         u = np.array([np.random.default_rng(base_seed + i).random() for i in range(shots)])
         return _decode_index(sample_cdf(np.cumsum(state.probabilities()), u), circuit.counter)
     chunks = _rng_chunks(base_seed, shots, max(1, CHUNK_AMPS >> circuit.n_qubits))
-    idx = np.concatenate([_trajectories(circuit, rngs, noise, fires) for rngs in chunks])
+    idx = np.concatenate([_trajectories(circuit, ops, rngs, noise) for rngs in chunks])
     return _decode_index(idx, circuit.counter)
 
 
@@ -238,13 +235,6 @@ class DistanceTable:
 
     def column(self, design: str) -> list[float]:
         return [cells[design].mean for _, cells in self.rows]
-
-    def long_rows(self) -> list[tuple[int, str, float, float, int]]:
-        return [
-            (steps, design, cell.mean, cell.stderr, cell.shots)
-            for steps, cells in self.rows
-            for design, cell in ((d, cells[d]) for d in self.designs)
-        ]
 
 
 def _positions_for(
@@ -407,19 +397,3 @@ def walk_step_changes(
         )
     deltas = [per_step[s + 1] - per_step[s] for s in range(max_steps)]
     return np.concatenate(deltas)
-
-
-def histogram_json(hist: ShotHistogram) -> dict:
-    """JSON-ready histogram: counts keyed by position in numeric order."""
-    return {
-        "total_shots": hist.total_shots,
-        "counts": {str(p): hist.counts[p] for p in sorted(hist.counts)},
-    }
-
-
-def distance_long_csv(table: DistanceTable) -> str:
-    """Long-form CSV: steps,design,mean,stderr,shots."""
-    lines = ["steps,design,mean,stderr,shots"]
-    for steps, design, mean, stderr, shots in table.long_rows():
-        lines.append(f"{steps},{design},{mean!r},{stderr!r},{shots}")
-    return "\n".join(lines) + "\n"

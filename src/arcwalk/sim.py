@@ -136,7 +136,6 @@ class GateOp:
 _SQ2 = 1.0 / math.sqrt(2.0)
 
 MATRICES_1Q = {
-    "X": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128),
     "H": np.array([[_SQ2, _SQ2], [_SQ2, -_SQ2]], dtype=np.complex128),
     "T": np.array([[1.0, 0.0], [0.0, cmath.exp(0.25j * math.pi)]], dtype=np.complex128),
     "TDG": np.array([[1.0, 0.0], [0.0, cmath.exp(-0.25j * math.pi)]], dtype=np.complex128),
@@ -188,9 +187,9 @@ def apply_1q(amps: np.ndarray, matrix: np.ndarray, q: int) -> None:
 def apply_unitary(amps: np.ndarray, op: GateOp) -> None:
     """Apply one unitary op to every row in place; targets are not checked.
 
-    CNOT, CRX and TOFFOLI pair the basis states with every control set and
-    the target clear with their target-set partners; SWAP pairs (first set,
-    second clear) with (first clear, second set).
+    X, CNOT, CRX and TOFFOLI pair the basis states with every control set
+    (X has none) and the target clear with their target-set partners; SWAP
+    pairs (first set, second clear) with (first clear, second set).
     """
     kind = op.kind
     if kind == "RX":
@@ -318,7 +317,7 @@ class StateVector:
     def reset_qubit(self, q: int, rng: np.random.Generator) -> None:
         """Measure one qubit and flip it back to |0> if the outcome was 1."""
         if self.measure_qubit(q, rng) == 1:
-            self.apply_matrix_1q(MATRICES_1Q["X"], q)
+            self.apply_gate(GateOp.x(q))
 
     def allclose_up_to_phase(self, other: "StateVector", atol: float = 1e-12) -> bool:
         """Amplitude equality modulo one common phase factor."""
@@ -334,7 +333,3 @@ class StateVector:
         phase /= abs(phase)
         return bool(np.allclose(self.amps * phase, other.amps, atol=atol))
 
-
-def new_state(n_qubits: int) -> StateVector:
-    """Fresh |0...0> register."""
-    return StateVector(n_qubits)

@@ -117,6 +117,33 @@ def test_frozen_positions():
     ]
 
 
+def with_measures_every(circuit, period):
+    """The circuit with a MEASURE of each counter qubit after every ``period``-th step."""
+    out = Circuit(circuit.n_qubits, circuit.counter, circuit.coin, circuit.ancilla)
+    prev = 0
+    for step, mark in enumerate(circuit.steps_marks, start=1):
+        out.add(*circuit.ops[prev:mark])
+        prev = mark
+        if step % period == 0:
+            out.add(*(GateOp.measure(q) for q in circuit.counter))
+        out.mark_step()
+    out.add(*circuit.ops[prev:])
+    return out.validate()
+
+
+@pytest.mark.parametrize("noise", [None, NOISY], ids=["ideal", "noisy"])
+@pytest.mark.parametrize("design,width,steps", [("arc", 4, 6), ("binary", 3, 4)])
+def test_schedule_equals_explicit_measure_ops(design, width, steps, noise):
+    circuit = build_circuit(WalkConfig(width, steps, design=design))
+    for period in sorted({1, 2, 3, steps}):
+        got = run_positions(circuit, 32, noise=noise, schedule=ZenoSchedule(period), base_seed=9)
+        want = run_positions(with_measures_every(circuit, period), 32, noise=noise, base_seed=9)
+        assert np.array_equal(got, want), period
+    never = run_positions(circuit, 32, noise=noise, schedule=ZenoSchedule(0), base_seed=9)
+    beyond = run_positions(circuit, 32, noise=noise, schedule=ZenoSchedule(steps + 1), base_seed=9)
+    assert np.array_equal(beyond, never)
+
+
 def test_ten_qubits_span_several_chunks_and_end_partial():
     circuit = build_circuit(WalkConfig(8, 3, design="random_jump_cascading", seed=2))
     assert circuit.n_qubits == 10

@@ -77,7 +77,6 @@ class TestWalkConfig:
         cfg = WalkConfig(4, 3)
         assert cfg.design == "arc"
         assert cfg.base_angle == pytest.approx(math.pi / 2)
-        assert cfg.jump_weights == halving_weights(4)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -87,18 +86,11 @@ class TestWalkConfig:
             {"counter_width": 3, "steps": 1, "design": "spiral"},
             {"counter_width": 3, "steps": 1, "base_angle": 0.0},
             {"counter_width": 3, "steps": 1, "base_angle": math.inf},
-            {"counter_width": 3, "steps": 1, "jump_weights": (0.5, 0.5)},
-            {"counter_width": 3, "steps": 1, "jump_weights": (0.7, 0.4, -0.1)},
-            {"counter_width": 3, "steps": 1, "jump_weights": (0.5, 0.3, 0.3)},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(ConfigError):
             WalkConfig(**kwargs)
-
-    def test_explicit_weights_kept(self):
-        cfg = WalkConfig(2, 1, jump_weights=(0.25, 0.75))
-        assert cfg.jump_weights == (0.25, 0.75)
 
 
 class TestFullAdder:
@@ -161,17 +153,6 @@ class TestIncrement:
         assert increment_circuit(3).n_qubits == 3
         assert increment_circuit(4).ancilla == 4
         assert increment_circuit(4).n_qubits == 5
-
-    def test_wide_increment_without_ancilla_rejected(self):
-        with pytest.raises(InvalidTargetError):
-            increment_circuit(4, use_ancilla=False)
-
-    def test_forced_ancilla_on_narrow_width(self):
-        circ = increment_circuit(2, use_ancilla=True)
-        assert circ.ancilla == 2
-        state = StateVector.from_basis(3, 0b01)
-        apply_ops(state, circ.ops)
-        assert state.amps[0b10] == 1.0
 
     def test_dirty_ancilla_restored(self):
         circ = increment_circuit(4)
@@ -320,12 +301,6 @@ class TestRandomJump:
             if op.kind == "CNOT":
                 assert op.targets[0] == 3
                 assert 0 <= op.targets[1] < 3
-
-    def test_degenerate_weights_pin_the_target(self):
-        cfg = WalkConfig(4, 50, design="random_jump", seed=2, jump_weights=(1.0, 0.0, 0.0, 0.0))
-        circ = random_jump_circuit(cfg)
-        targets = [op.targets[1] for op in circ.ops if op.kind == "CNOT"]
-        assert targets == [0] * 50
 
     def test_target_frequency_follows_weights(self):
         cfg = WalkConfig(6, 10_000, design="random_jump", seed=77)

@@ -29,7 +29,6 @@ from arcwalk import (
     walk_step_changes,
     zeno_experiment,
 )
-from arcwalk.engine import distance_long_csv, histogram_json
 
 # Mean decoded noisy arc value per step count (width 6, quarter-turn base
 # angle, default noise): the reference drift profile this harness is expected
@@ -101,10 +100,6 @@ class TestShotHistogram:
     def test_single_shot_stats(self):
         h = ShotHistogram.from_positions(np.array([4]))
         assert h.sample_std() == 0.0
-
-    def test_json_form(self):
-        h = ShotHistogram.from_positions(np.array([3, 0, 3]))
-        assert histogram_json(h) == {"total_shots": 3, "counts": {"0": 1, "3": 2}}
 
 
 class TestRunShots:
@@ -213,24 +208,6 @@ class TestDistanceTable:
             cell = cells["arc"]
             want = arc_expected(4, steps, math.pi / 2)
             assert abs(cell.mean - want) <= 4.0 * cell.stderr + 1e-9, steps
-
-    def test_long_rows_shape(self):
-        tab = distance_table(["binary", "arc"], 2, 3, shots=20, seed=1)
-        rows = tab.long_rows()
-        assert len(rows) == 6
-        assert rows[0] == (0, "binary", 0.0, 0.0, 20)
-        designs = {r[1] for r in rows}
-        assert designs == {"binary", "arc"}
-
-    def test_long_csv_round_trips(self):
-        tab = distance_table(["arc"], 2, 3, shots=20, seed=1)
-        text = distance_long_csv(tab)
-        lines = text.strip().splitlines()
-        assert lines[0] == "steps,design,mean,stderr,shots"
-        assert len(lines) == 4
-        first = lines[1].split(",")
-        assert first[0] == "0" and first[1] == "arc"
-        assert float(first[2]) == 0.0
 
     def test_unknown_design_rejected(self):
         with pytest.raises(ConfigError):

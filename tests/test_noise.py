@@ -16,7 +16,6 @@ from arcwalk import (
     apply_readout_noise,
     census,
     estimate_fidelity,
-    new_state,
     noisy_apply,
 )
 from arcwalk.noise import _injection_slots, toffoli_decomposition
@@ -71,7 +70,7 @@ class TestToffoliDecomposition:
     def test_exact_on_superposition(self):
         rng = np.random.default_rng(17)
         v = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-        native = new_state(3)
+        native = StateVector(3)
         native.amps[:] = v / np.linalg.norm(v)
         expanded = native.copy()
         native.apply_gate(GateOp.toffoli(2, 0, 1))
@@ -161,7 +160,7 @@ class TestNoiseModel:
 class TestNoisyApply:
     def test_unit_fidelities_match_ideal(self):
         for op in [GateOp.h(0), GateOp.cnot(0, 1), GateOp.toffoli(0, 1, 2), GateOp.swap(1, 2)]:
-            noisy = new_state(3)
+            noisy = StateVector(3)
             noisy.apply_gate(GateOp.rx(0, 0.9))
             ideal = noisy.copy()
             noisy_apply(noisy, op, UNIT_NOISE, np.random.default_rng(0))
@@ -169,7 +168,7 @@ class TestNoisyApply:
             assert np.allclose(noisy.amps, ideal.amps, atol=1e-15)
 
     def test_nonunitary_ops_rejected(self):
-        state = new_state(1)
+        state = StateVector(1)
         with pytest.raises(ValueError):
             noisy_apply(state, GateOp.measure(0), NoiseModel(0.5, 0.5), np.random.default_rng(0))
 
@@ -181,7 +180,7 @@ class TestNoisyApply:
         counts = {"00": 0, "10": 0, "01": 0, "11": 0}
         for i in range(n):
             rng = np.random.default_rng(1000 + i)
-            state = new_state(2)
+            state = StateVector(2)
             noisy_apply(state, GateOp.cnot(0, 1), model, rng)
             counts[state.measure_all(rng)] += 1
         expected = {"00": 4 / 9, "10": 2 / 9, "01": 2 / 9, "11": 1 / 9}
@@ -192,7 +191,7 @@ class TestNoisyApply:
     def test_norm_preserved_under_noise(self):
         model = NoiseModel(fidelity_1q=0.9, fidelity_2q=0.8)
         rng = np.random.default_rng(4)
-        state = new_state(3)
+        state = StateVector(3)
         for _ in range(50):
             noisy_apply(state, GateOp.toffoli(0, 1, 2), model, rng)
             noisy_apply(state, GateOp.h(0), model, rng)

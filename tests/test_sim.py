@@ -11,8 +11,8 @@ from arcwalk import (
     InvalidTargetError,
     OutOfRangeError,
     StateVector,
-    new_state,
 )
+from arcwalk.sim import apply_1q, apply_unitary
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -34,18 +34,18 @@ def bell_state() -> StateVector:
 
 class TestConstruction:
     def test_new_state_single_qubit(self):
-        assert np.array_equal(new_state(1).amps, [1, 0])
+        assert np.array_equal(StateVector(1).amps, [1, 0])
 
     def test_new_state_two_qubits(self):
-        assert np.array_equal(new_state(2).amps, [1, 0, 0, 0])
+        assert np.array_equal(StateVector(2).amps, [1, 0, 0, 0])
 
     def test_zero_qubits_rejected(self):
         with pytest.raises(OutOfRangeError):
-            new_state(0)
+            StateVector(0)
 
     def test_width_above_maximum_rejected(self):
         with pytest.raises(OutOfRangeError):
-            new_state(21)
+            StateVector(21)
 
     def test_from_basis(self):
         state = StateVector.from_basis(3, 5)
@@ -57,12 +57,12 @@ class TestConstruction:
 
 class TestGates:
     def test_hadamard_on_zero(self):
-        state = new_state(1)
+        state = StateVector(1)
         state.apply_gate(GateOp.h(0))
         assert np.allclose(state.amps, [INV_SQRT2, INV_SQRT2], atol=1e-15)
 
     def test_rx_pi_full_flip(self):
-        state = new_state(1)
+        state = StateVector(1)
         state.apply_gate(GateOp.rx(0, math.pi))
         assert abs(state.amps[0]) < 1e-15
         assert state.amps[1] == pytest.approx(1j, abs=1e-15)
@@ -88,7 +88,7 @@ class TestGates:
         assert state.amps[0b10] == 1.0
 
     def test_crx_control_unset_is_identity(self):
-        state = new_state(2)
+        state = StateVector(2)
         state.apply_gate(GateOp.crx(0, 1, 1.23))
         assert state.amps[0] == 1.0
 
@@ -105,12 +105,12 @@ class TestGates:
             GateOp.toffoli(0, 2, 2)
 
     def test_out_of_range_target_rejected(self):
-        state = new_state(2)
+        state = StateVector(2)
         with pytest.raises(InvalidTargetError):
             state.apply_gate(GateOp.x(2))
 
     def test_nonunitary_op_rejected_by_apply_gate(self):
-        state = new_state(1)
+        state = StateVector(1)
         with pytest.raises(ValueError):
             state.apply_gate(GateOp.measure(0))
         with pytest.raises(ValueError):
@@ -125,6 +125,21 @@ class TestGates:
         with pytest.raises(ValueError):
             GateOp.rx(0, math.inf)
 
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_x_gather_equals_matrix_product(self, rows):
+        # X runs as a permutation gather; it must equal the 2x2 product on
+        # every qubit of every row (up to the sign of a zero).
+        n = 5
+        rng = np.random.default_rng(rows)
+        chunk = rng.standard_normal((rows, 1 << n)) + 1j * rng.standard_normal((rows, 1 << n))
+        matrix = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
+        for q in range(n):
+            got = chunk.copy()
+            apply_unitary(got if rows > 1 else got.reshape(-1), GateOp.x(q))
+            want = chunk.copy()
+            apply_1q(want, matrix, q)
+            assert np.array_equal(got, want), q
+
 
 class TestProbabilities:
     def test_bell_distribution(self):
@@ -135,12 +150,12 @@ class TestProbabilities:
         assert probs[2] == pytest.approx(0.0, abs=1e-15)
 
     def test_ground_state(self):
-        probs = new_state(3).probabilities()
+        probs = StateVector(3).probabilities()
         assert probs[0] == 1.0
         assert probs.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_half_rotation(self):
-        state = new_state(1)
+        state = StateVector(1)
         state.apply_gate(GateOp.rx(0, math.pi / 2))
         probs = state.probabilities()
         assert probs[0] == pytest.approx(0.5, abs=1e-12)
@@ -154,10 +169,10 @@ class TestMeasureAll:
             assert outcome in ("00", "11")
 
     def test_ground_state_deterministic(self):
-        assert new_state(5).measure_all(np.random.default_rng(0)) == "00000"
+        assert StateVector(5).measure_all(np.random.default_rng(0)) == "00000"
 
     def test_bit_order_is_qubit_index(self):
-        state = new_state(3)
+        state = StateVector(3)
         state.apply_gate(GateOp.x(0))
         assert state.measure_all(np.random.default_rng(0)) == "100"
 
@@ -170,7 +185,7 @@ class TestMeasureAll:
     def test_hadamard_frequency_three_sigma(self):
         ones = 0
         for seed in range(10_000):
-            state = new_state(1)
+            state = StateVector(1)
             state.apply_gate(GateOp.h(0))
             ones += state.measure_all(np.random.default_rng(seed)) == "1"
         assert 0.47 <= ones / 10_000 <= 0.53
@@ -195,7 +210,7 @@ class TestMeasureQubit:
 
     def test_projection_is_exact(self):
         for seed in range(20):
-            state = new_state(1)
+            state = StateVector(1)
             state.apply_gate(GateOp.rx(0, math.pi / 2))
             if state.measure_qubit(0, np.random.default_rng(seed)) == 0:
                 assert state.amps[1] == 0.0
@@ -211,7 +226,7 @@ class TestMeasureQubit:
         assert state.measure_qubit(2, rng) == first
 
     def test_degenerate_state_rejected(self):
-        state = new_state(2)
+        state = StateVector(2)
         state.amps[:] = 0.0
         with pytest.raises(DegenerateStateError):
             state.measure_qubit(0, np.random.default_rng(0))
@@ -224,7 +239,7 @@ class TestReset:
         assert state.amps[0b01] == pytest.approx(1.0)
 
     def test_reset_ground_state_noop(self):
-        state = new_state(3)
+        state = StateVector(3)
         state.reset_qubit(1, np.random.default_rng(0))
         assert state.amps[0] == 1.0
 
@@ -244,7 +259,7 @@ class TestReset:
 class TestAlgebraProperties:
     def test_norm_preserved_by_random_circuit(self):
         rng = np.random.default_rng(42)
-        state = new_state(5)
+        state = StateVector(5)
         kinds = ["x", "h", "rx", "cnot", "crx", "swap", "toffoli"]
         for _ in range(300):
             kind = kinds[rng.integers(len(kinds))]
@@ -298,14 +313,14 @@ class TestAlgebraProperties:
     def test_transition_law(self):
         # Rx(2*theta) from |0> puts sin^2(theta) of the probability on |1>
         for theta in np.linspace(0.05, math.pi / 2, 12):
-            state = new_state(1)
+            state = StateVector(1)
             state.apply_gate(GateOp.rx(0, 2.0 * float(theta)))
             assert state.probabilities()[1] == pytest.approx(
                 math.sin(theta) ** 2, abs=1e-12
             )
 
     def test_measurement_frequencies_match_probabilities(self):
-        state = new_state(2)
+        state = StateVector(2)
         state.apply_gate(GateOp.rx(0, 1.1))
         state.apply_gate(GateOp.crx(0, 1, 2.3))
         probs = state.probabilities()
