@@ -51,6 +51,8 @@ class WalkConfig:
             raise ConfigError(f"counter_width must be positive, got {self.counter_width}")
         if self.steps < 0:
             raise ConfigError(f"steps must be nonnegative, got {self.steps}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         if not (math.isfinite(self.base_angle) and self.base_angle > 0.0):
             raise ConfigError(f"base_angle must be positive and finite, got {self.base_angle}")
 

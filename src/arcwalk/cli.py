@@ -259,15 +259,13 @@ def _prescan_config_path(argv: list[str]) -> str | None:
 
 
 def _resolve_seed(args) -> int:
-    if getattr(args, "seed", None) is not None:
-        return int(args.seed)
-    raw = os.environ.get("QWALK_SEED", "").strip()
-    if not raw:
-        return 0
+    raw = args.seed if args.seed is not None else os.environ.get("QWALK_SEED", "").strip() or "0"
     try:
-        return int(raw)
+        seed = int(raw)
     except ValueError:
         raise ConfigError(f"QWALK_SEED must be an integer, got {raw!r}") from None
+    _require(seed >= 0, f"seeds must be nonnegative integers, got {seed}")
+    return seed
 
 
 def _resolve_noise(args) -> NoiseModel | None:
@@ -307,28 +305,35 @@ def _csv_content(
     return buf.getvalue()
 
 
-def _emit(path: str, content: str) -> None:
-    """Write ``content`` to ``path`` (``-``: stdout). A new path or a lone regular file
-    of ours gets a temporary file renamed onto it (with its mode), so a failed write
-    leaves the old file or none; symlinks, devices, FIFOs and others are written in place."""
-    if path == "-":
-        sys.stdout.write(content)
-        return
-    st = os.lstat(path) if os.path.lexists(path) else None
-    if st and not (stat.S_ISREG(st.st_mode) and st.st_nlink == 1 and st.st_uid == os.geteuid()):
-        with open(path, "w") as fh:
-            fh.write(content)
-        return
-    tmp = f"{path}.{os.getpid()}.tmp"
+def _emit(*outputs: tuple[str, str]) -> None:
+    """Write each ``(path, content)`` of one command (path ``-``: stdout). A new path or a
+    lone regular file of ours gets a temporary file beside it with the target's mode; all
+    of them are written before any is renamed onto its target and removed if anything
+    fails, so a failed command leaves the old files or none. Symlinks, devices, FIFOs and
+    others are written in place, after the temporary files."""
+    staged, in_place = [], []
     try:
-        with open(tmp, "w") as fh:
-            fh.write(content)
-        if st:
-            os.chmod(tmp, stat.S_IMODE(st.st_mode))
-        os.replace(tmp, path)
+        for path, content in outputs:
+            st = os.lstat(path) if os.path.lexists(path) else None
+            if path == "-" or st and not (
+                stat.S_ISREG(st.st_mode) and st.st_nlink == 1 and st.st_uid == os.geteuid()
+            ):
+                in_place.append((path, content))
+                continue
+            staged.append((f"{path}.{os.getpid()}.tmp", path))
+            with open(staged[-1][0], "w") as fh:
+                fh.write(content)
+            if st:
+                os.chmod(staged[-1][0], stat.S_IMODE(st.st_mode))
+        for path, content in in_place:
+            with contextlib.nullcontext(sys.stdout) if path == "-" else open(path, "w") as fh:
+                fh.write(content)
+        for tmp, path in staged:
+            os.replace(tmp, path)
     except BaseException:
-        with contextlib.suppress(OSError):
-            os.remove(tmp)
+        for tmp, _ in staged:
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
         raise
 
 
@@ -372,7 +377,7 @@ def _cmd_distance_table(args) -> int:
     rows = [
         (steps, *(cells[d].mean for d in designs)) for steps, cells in table.rows
     ]
-    _emit(args.out, _csv_content(manifest, ["steps", *designs], rows))
+    _emit((args.out, _csv_content(manifest, ["steps", *designs], rows)))
     return 0
 
 
@@ -387,15 +392,9 @@ def _cmd_walk_hist(args) -> int:
         args.width, args.steps, design=args.design, base_angle=args.base_angle, seed=seed
     )
     hist = run_shots(build_circuit(cfg), args.shots, noise=noise, base_seed=derive_seed(seed, 0))
-    down_angle = args.down_angle
     if args.two_way:
-        down_cfg = WalkConfig(
-            args.width,
-            args.steps,
-            design=args.design,
-            base_angle=args.base_angle if down_angle is None else down_angle,
-            seed=seed,
-        )
+        down_angle = args.base_angle if args.down_angle is None else args.down_angle
+        down_cfg = dataclasses.replace(cfg, base_angle=down_angle)
         down = run_shots(
             build_circuit(down_cfg), args.shots, noise=noise, base_seed=derive_seed(seed, 1)
         )
@@ -412,9 +411,9 @@ def _cmd_walk_hist(args) -> int:
         "seed": seed,
         "noise": _noise_manifest(noise),
         "two_way": args.two_way,
-        "down_angle": down_angle,
+        "down_angle": args.down_angle,
     }
-    _emit(args.out, _csv_content(manifest, ["position", "frequency"], rows))
+    _emit((args.out, _csv_content(manifest, ["position", "frequency"], rows)))
     return 0
 
 
@@ -434,7 +433,7 @@ def _cmd_zeno(args) -> int:
         "shots": args.shots,
         "seed": seed,
     }
-    _emit(args.out, _csv_content(manifest, ["period", "mean"], results))
+    _emit((args.out, _csv_content(manifest, ["period", "mean"], results)))
     return 0
 
 
@@ -464,7 +463,7 @@ def _cmd_fidelity(args) -> int:
     }
     row = (counts.count_1q, counts.count_2q, model.fidelity_1q, model.fidelity_2q, estimate)
     header = ["count_1q", "count_2q", "fidelity_1q", "fidelity_2q", "estimated_fidelity"]
-    _emit(args.out, _csv_content(manifest, header, [row]))
+    _emit((args.out, _csv_content(manifest, header, [row])))
     return 0
 
 
@@ -503,8 +502,7 @@ def _cmd_market(args) -> int:
             rows,
             extra_comments=["# summary: " + json.dumps(summary, sort_keys=True)],
         )
-        out = args.out if args.out is not None else f"{stem}_returns.csv"
-        _emit(out, content)
+        _emit((args.out if args.out is not None else f"{stem}_returns.csv", content))
         return 0
     _require(args.out is None, "--out applies to the returns kind only; see --out-prefix")
     records = ingest_metro(args.input)
@@ -537,8 +535,7 @@ def _cmd_market(args) -> int:
         indent=2,
     ) + "\n"
     prefix = args.out_prefix if args.out_prefix is not None else f"{stem}_housing"
-    _emit(f"{prefix}_per_metro.csv", per_metro_csv)
-    _emit(f"{prefix}_report.json", report_json)
+    _emit((f"{prefix}_per_metro.csv", per_metro_csv), (f"{prefix}_report.json", report_json))
     return 0
 
 
@@ -557,7 +554,7 @@ def _cmd_emit_circuit(args) -> int:
         )
     else:
         circuit = build_circuit(cfg)
-    _emit(args.out, circuit.to_text())
+    _emit((args.out, circuit.to_text()))
     return 0
 
 

@@ -9,14 +9,15 @@ import numpy as np
 
 from .circuits import DESIGNS, Circuit, WalkConfig, build_circuit
 from .noise import NoiseModel, noisy_apply
-from .sim import MAX_QUBITS, ConfigError, GateOp, OutOfRangeError, StateVector, apply_unitary
+from .sim import MAX_QUBITS, ConfigError, GateOp, OutOfRangeError, apply_unitary
 from .sim import index_to_bits, measure_rows, sample_cdf
 
 RANDOM_JUMP_CIRCUITS = 30
 RANDOM_JUMP_SHOTS = 30
 
-# Trajectory chunks hold at most this many amplitudes (64 KiB of complex128). Larger
-# chunks ran faster but their times spread more from run to run; 2**14 page-faulted.
+# Chunks of parted rows hold at most this many amplitudes (64 KiB of complex128); larger
+# ones ran faster but their times spread more from run to run, and 2**14 page-faulted.
+# Shots that share one row come this many to a chunk.
 CHUNK_AMPS = 1 << 12
 
 
@@ -98,22 +99,13 @@ def _rng_chunks(base_seed: int, shots: int, rows: int):
         yield [np.random.default_rng(base_seed + i) for i in range(start, min(shots, start + rows))]
 
 
-def _trajectories(
-    circuit: Circuit,
-    ops: list[GateOp],
-    rngs: list[np.random.Generator],
-    noise: NoiseModel | None,
-) -> np.ndarray:
-    """Final basis index of each shot running ``ops``, as the rows of one (shots, 2**n) array.
-
-    Shot r draws from ``rngs[r]`` exactly what it would draw alone, in
-    order: one ``random()`` per collapse, each noisy gate's draws, one
-    ``random()`` for the final sample, and ``random(n)`` for readout flips.
-    """
-    if circuit.n_qubits > MAX_QUBITS:
-        raise OutOfRangeError(f"n_qubits must be in 1..{MAX_QUBITS}, got {circuit.n_qubits}")
-    amps = np.zeros((len(rngs), 1 << circuit.n_qubits), dtype=np.complex128)
-    amps[:, 0] = 1.0
+def _trajectories(circuit: Circuit, row: np.ndarray, ops: list[GateOp], rngs, noise) -> np.ndarray:
+    """Final basis index per shot running ``ops`` on from the evolved (1, 2**n) ``row``,
+    which the shots share if no op is left. Shot r draws from ``rngs[r]`` exactly
+    what it would draw alone, in order: one ``random()`` per collapse, each noisy
+    gate's draws, one ``random()`` for the final sample, and ``random(n)`` for
+    readout flips."""
+    amps = np.repeat(row, len(rngs), axis=0) if ops else row
 
     def gate(chunk, op, gens):
         return apply_unitary(chunk, op) if noise is None else noisy_apply(chunk, op, noise, gens)
@@ -130,11 +122,30 @@ def _trajectories(
             gate(flipped, GateOp.x(q), [rngs[r] for r in sel])
             amps[sel] = flipped
     cdf = np.cumsum(amps.real**2 + amps.imag**2, axis=1)
-    idx = sample_cdf(cdf, np.array([g.random() for g in rngs]))
+    idx = sample_cdf(cdf if len(cdf) > 1 else cdf[0], np.array([g.random() for g in rngs]))
     if noise is not None:  # readout flips: bit k of the mask flips qubit k
         flips = np.array([g.random(circuit.n_qubits) for g in rngs]) < noise.readout_flip
         idx ^= flips @ (1 << np.arange(circuit.n_qubits))
     return idx
+
+
+def _run(
+    circuit: Circuit, shots: int, noise: NoiseModel | None, schedule: ZenoSchedule | None, seed: int
+) -> np.ndarray:
+    """Final basis index of each shot; the ops before the first one that draws
+    (a MEASURE or RESET, or any gate under noise) are evolved once, on one row."""
+    n = circuit.n_qubits
+    if n > MAX_QUBITS:
+        raise OutOfRangeError(f"n_qubits must be in 1..{MAX_QUBITS}, got {n}")
+    ops = _scheduled_ops(circuit, schedule)
+    draws = (i for i, op in enumerate(ops) if noise is not None or not op.is_unitary)
+    first = next(draws, len(ops))
+    row = np.eye(1, 1 << n, dtype=np.complex128)  # |0...0>
+    for op in ops[:first]:
+        apply_unitary(row, op)
+    rest = ops[first:]  # a chunk holds CHUNK_AMPS amplitudes of parted rows, or shots of one row
+    chunks = _rng_chunks(seed, shots, max(1, CHUNK_AMPS >> n) if rest else CHUNK_AMPS)
+    return np.concatenate([_trajectories(circuit, row, rest, rngs, noise) for rngs in chunks])
 
 
 def run_single_shot(
@@ -144,9 +155,7 @@ def run_single_shot(
     schedule: ZenoSchedule | None = None,
 ) -> str:
     """One full trajectory: returns the final bitstring."""
-    rngs = [np.random.default_rng(seed)]
-    idx = _trajectories(circuit, _scheduled_ops(circuit, schedule), rngs, noise)
-    return index_to_bits(int(idx[0]), circuit.n_qubits)
+    return index_to_bits(int(_run(circuit, 1, noise, schedule, seed)[0]), circuit.n_qubits)
 
 
 def run_positions(
@@ -159,23 +168,14 @@ def run_positions(
     """Decoded counter value per shot; shot i uses seed ``base_seed + i``.
 
     A schedule adds a MEASURE of every counter qubit after each fired step.
-    Deterministic runs (no noise, no mid-circuit measurement or reset)
-    are evolved once and sampled per shot from the final distribution, which
-    is exactly what per-shot evolution would produce. Other runs evolve as
-    trajectories in chunks of at most ``CHUNK_AMPS`` amplitudes.
+    The ops before the first one that draws (a MEASURE or RESET, or any gate
+    under noise) are evolved once per run. The shots then part into rows of
+    chunks of at most ``CHUNK_AMPS`` amplitudes; if no op is left, they all
+    sample that one row, and a noise-free unitary run is evolved just once.
     """
     if shots < 1:
         raise ConfigError(f"shots must be positive, got {shots}")
-    ops = _scheduled_ops(circuit, schedule)
-    if noise is None and all(op.is_unitary for op in ops):
-        state = StateVector(circuit.n_qubits)
-        for op in ops:
-            state.apply_gate(op)
-        u = np.array([np.random.default_rng(base_seed + i).random() for i in range(shots)])
-        return _decode_index(sample_cdf(np.cumsum(state.probabilities()), u), circuit.counter)
-    chunks = _rng_chunks(base_seed, shots, max(1, CHUNK_AMPS >> circuit.n_qubits))
-    idx = np.concatenate([_trajectories(circuit, ops, rngs, noise) for rngs in chunks])
-    return _decode_index(idx, circuit.counter)
+    return _decode_index(_run(circuit, shots, noise, schedule, base_seed), circuit.counter)
 
 
 def run_shots(
@@ -230,7 +230,6 @@ class DistanceCell:
 class DistanceTable:
     """Mean decoded distance per design and step count, rows indexed 0..max_steps."""
 
-    designs: list[str]
     rows: list[tuple[int, dict[str, DistanceCell]]]
 
     def column(self, design: str) -> list[float]:
@@ -319,7 +318,7 @@ def distance_table(
             stderr = float(pos.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
             cells[design] = DistanceCell(float(pos.mean()), stderr, n)
         rows.append((steps, cells))
-    return DistanceTable(designs=list(designs), rows=rows)
+    return DistanceTable(rows)
 
 
 def zeno_experiment(

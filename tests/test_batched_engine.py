@@ -26,6 +26,7 @@ from arcwalk import (
 )
 from arcwalk.circuits import or_inplace_block
 from arcwalk.engine import CHUNK_AMPS
+from arcwalk.sim import index_to_bits, sample_cdf
 
 NOISY = NoiseModel(0.97, 0.9, 0.05)
 
@@ -152,3 +153,27 @@ def test_ten_qubits_span_several_chunks_and_end_partial():
     assert_engine_matches_oracle(
         circuit, shots, noise=NOISY, schedule=ZenoSchedule(2), base_seed=31
     )
+
+
+def test_ideal_run_shares_one_row_over_several_chunks():
+    # Every shot samples the one evolved row, CHUNK_AMPS shots per chunk.
+    circuit = build_circuit(WalkConfig(9, 3, design="arc_walk"))
+    assert circuit.n_qubits == 10 and all(op.is_unitary for op in circuit.ops)
+    shots = CHUNK_AMPS + CHUNK_AMPS // 2
+    state = StateVector(circuit.n_qubits)
+    for op in circuit.ops:
+        state.apply_gate(op)
+    cdf = np.cumsum(state.probabilities())
+    want = [
+        decode(index_to_bits(int(sample_cdf(cdf, np.random.default_rng(3 + i).random())),
+                             circuit.n_qubits), circuit.counter)
+        for i in range(shots)
+    ]
+    assert np.array_equal(run_positions(circuit, shots, base_seed=3), np.array(want))
+
+
+def test_noisy_circuit_without_ops_shares_one_row():
+    # Nothing draws before the final sample, so only readout flips act on the shared |000>.
+    circuit = build_circuit(WalkConfig(3, 0, design="arc"))
+    assert circuit.ops == []
+    assert_engine_matches_oracle(circuit, CHUNK_AMPS + 3, noise=NOISY, base_seed=11)

@@ -86,6 +86,7 @@ class TestWalkConfig:
             {"counter_width": 3, "steps": 1, "design": "spiral"},
             {"counter_width": 3, "steps": 1, "base_angle": 0.0},
             {"counter_width": 3, "steps": 1, "base_angle": math.inf},
+            {"counter_width": 3, "steps": 1, "seed": -1},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):

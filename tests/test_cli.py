@@ -457,6 +457,12 @@ class TestConfigAndSeeds:
             "--shots", "40", "--out", str(tmp_path / "a.csv"),
         ]) == 2
 
+    @pytest.mark.parametrize("cmd", ["walk-hist", "zeno", "emit-circuit"])
+    def test_negative_env_seed(self, monkeypatch, tmp_path, cmd):
+        monkeypatch.setenv("QWALK_SEED", "-1")
+        assert main([cmd, "--width", "3", "--steps", "2", "--out", str(tmp_path / "a.csv")]) == 2
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestTopLevel:
     def test_version(self, capsys):
@@ -524,6 +530,10 @@ BAD_INVOCATIONS = [
     ),
     (["walk-hist", "--two-way", "--down-angle", "-1"], 2),
     (["walk-hist", "--width", "21", "--noise", "default", "--shots", "1"], 2),
+    *(([cmd, "--seed", "-1"], 2) for cmd in (*SIM_COMMANDS, "emit-circuit")),
+    (["walk-hist", "--design", "random_jump", "--seed", "-1"], 2),
+    (["emit-circuit", "--design", "random_jump", "--seed", "-5"], 2),
+    (["distance-table", "--designs", "arc", "--seed", "-3"], 2),
     (["fidelity", "--census-from", "{circuit}"], 1),
 ]
 
@@ -599,6 +609,15 @@ class TestAtomicOutput:
         assert main(self.ARGV + ["--out", str(out)]) == 0
         assert twin.read_text() == out.read_text()
         assert out.read_text().startswith("# manifest: ")
+
+    def test_failed_second_output_leaves_neither(self, tmp_path):
+        src = tmp_path / "metros.csv"
+        src.write_text(records_to_csv(make_housing_records(metros=2, months=6, seed=2)))
+        (tmp_path / "out_report.json").mkdir()
+        argv = ["market", "housing", str(src), "--out-prefix", str(tmp_path / "out")]
+        assert main(argv) == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["metros.csv", "out_report.json"]
+        assert list((tmp_path / "out_report.json").iterdir()) == []
 
     def test_fifo_is_written_through(self, tmp_path):
         # Stands in for device nodes such as /dev/null: the node must survive.
