@@ -15,14 +15,16 @@ from .sim import index_to_bits, measure_rows, sample_cdf
 RANDOM_JUMP_CIRCUITS = 30
 RANDOM_JUMP_SHOTS = 30
 
-# Chunks of parted rows hold at most this many amplitudes (64 KiB of complex128); larger
-# ones ran faster but their times spread more from run to run, and 2**14 page-faulted.
-# Shots that share one row come this many to a chunk.
-CHUNK_AMPS = 1 << 12
+# A chunk holds at most CHUNK_SHOTS generators (about 3.6 KB each) and, while ops remain,
+# CHUNK_AMPS amplitudes (512 KiB) even if every shot parts to its own row, as under noise.
+CHUNK_SHOTS = 1 << 12
+CHUNK_AMPS = 1 << 15
 
 
 def derive_seed(*parts: int) -> int:
-    """Stable, order-sensitive child seed from integer parts."""
+    """Stable, order-sensitive child seed from nonnegative integer parts."""
+    if min(parts, default=0) < 0:
+        raise ConfigError(f"seed parts must be nonnegative, got {parts}")
     entropy = [int(p) & 0xFFFFFFFFFFFFFFFF for p in parts]
     return int(np.random.SeedSequence(entropy).generate_state(1)[0])
 
@@ -95,34 +97,39 @@ def _scheduled_ops(circuit: Circuit, schedule: ZenoSchedule | None) -> list[Gate
 
 def _rng_chunks(base_seed: int, shots: int, rows: int):
     """Generators of shots 0..shots-1 (shot i seeded ``base_seed + i``), ``rows`` at a time."""
+    if base_seed < 0:
+        raise ConfigError(f"seed must be nonnegative, got {base_seed}")
     for start in range(0, shots, rows):
         yield [np.random.default_rng(base_seed + i) for i in range(start, min(shots, start + rows))]
 
 
 def _trajectories(circuit: Circuit, row: np.ndarray, ops: list[GateOp], rngs, noise) -> np.ndarray:
     """Final basis index per shot running ``ops`` on from the evolved (1, 2**n) ``row``,
-    which the shots share if no op is left. Shot r draws from ``rngs[r]`` exactly
-    what it would draw alone, in order: one ``random()`` per collapse, each noisy
-    gate's draws, one ``random()`` for the final sample, and ``random(n)`` for
-    readout flips."""
-    amps = np.repeat(row, len(rngs), axis=0) if ops else row
+    which every shot holds at first; see ``run_positions``. Shot r draws from
+    ``rngs[r]``: one ``random()`` per collapse, each noisy gate's draws, one
+    ``random()`` for the final sample, and ``random(n)`` for readout flips."""
+    amps, cls = row.copy(), np.zeros(len(rngs), np.intp)
 
-    def gate(chunk, op, gens):
-        return apply_unitary(chunk, op) if noise is None else noisy_apply(chunk, op, noise, gens)
+    def gate(amps, op, cls, gens):
+        if noise is None:
+            apply_unitary(amps, op)
+            return amps, cls
+        return noisy_apply(amps, op, noise, gens, cls)
 
     for op in ops:
         if op.is_unitary:
-            gate(amps, op, rngs)
+            amps, cls = gate(amps, op, cls, rngs)
             continue
         q = op.targets[0]
-        ones = measure_rows(amps, q, rngs)
+        amps, cls, ones = measure_rows(amps, q, rngs, cls)
         if op.kind == "RESET" and ones.any():  # flip the rows that read 1 back to |0>
-            sel = np.flatnonzero(ones)
-            flipped = amps[sel]
-            gate(flipped, GateOp.x(q), [rngs[r] for r in sel])
-            amps[sel] = flipped
+            order = np.argsort(ones, kind="stable")  # the rows that read 1 go last
+            amps, cls, k = amps[order], np.argsort(order)[cls], len(ones) - int(ones.sum())
+            held = np.flatnonzero(cls >= k)
+            flipped, sub = gate(amps[k:], GateOp.x(q), cls[held] - k, [rngs[s] for s in held])
+            amps, cls[held] = np.concatenate([amps[:k], flipped]), sub + k
     cdf = np.cumsum(amps.real**2 + amps.imag**2, axis=1)
-    idx = sample_cdf(cdf if len(cdf) > 1 else cdf[0], np.array([g.random() for g in rngs]))
+    idx = sample_cdf(cdf[cls] if len(cdf) > 1 else cdf[0], np.array([g.random() for g in rngs]))
     if noise is not None:  # readout flips: bit k of the mask flips qubit k
         flips = np.array([g.random(circuit.n_qubits) for g in rngs]) < noise.readout_flip
         idx ^= flips @ (1 << np.arange(circuit.n_qubits))
@@ -143,9 +150,10 @@ def _run(
     row = np.eye(1, 1 << n, dtype=np.complex128)  # |0...0>
     for op in ops[:first]:
         apply_unitary(row, op)
-    rest = ops[first:]  # a chunk holds CHUNK_AMPS amplitudes of parted rows, or shots of one row
-    chunks = _rng_chunks(seed, shots, max(1, CHUNK_AMPS >> n) if rest else CHUNK_AMPS)
-    return np.concatenate([_trajectories(circuit, row, rest, rngs, noise) for rngs in chunks])
+    rest = ops[first:]
+    chunk = min(CHUNK_SHOTS, max(1, CHUNK_AMPS >> n)) if rest else CHUNK_SHOTS
+    return np.concatenate([_trajectories(circuit, row, rest, rngs, noise)
+                           for rngs in _rng_chunks(seed, shots, chunk)])
 
 
 def run_single_shot(
@@ -169,9 +177,11 @@ def run_positions(
 
     A schedule adds a MEASURE of every counter qubit after each fired step.
     The ops before the first one that draws (a MEASURE or RESET, or any gate
-    under noise) are evolved once per run. The shots then part into rows of
-    chunks of at most ``CHUNK_AMPS`` amplitudes; if no op is left, they all
-    sample that one row, and a noise-free unitary run is evolved just once.
+    under noise) run once, on one row every shot holds. From there each
+    distinct state is evolved once and each shot holds its row's index: shots
+    part by outcome at a collapse or by kicks at a noisy gate, and rows with
+    equal bytes merge after a collapse (exact: equal bytes in give equal bytes
+    out). Each shot keeps its own generator and draw order.
     """
     if shots < 1:
         raise ConfigError(f"shots must be positive, got {shots}")
@@ -362,13 +372,13 @@ def single_qubit_zeno_sampled(theta: float, segments: int, shots: int, seed: int
         raise ConfigError(f"shots must be positive, got {shots}")
     step = GateOp.rx(0, 2.0 * theta / segments)
     survived = 0
-    for rngs in _rng_chunks(seed, shots, CHUNK_AMPS >> 1):
-        amps = np.zeros((len(rngs), 2), dtype=np.complex128)
-        amps[:, 0] = 1.0
+    for rngs in _rng_chunks(seed, shots, CHUNK_SHOTS):
+        amps, cls = np.array([[1.0, 0.0]], dtype=np.complex128), np.zeros(len(rngs), np.intp)
         flipped = np.zeros(len(rngs), dtype=bool)
-        for _ in range(segments):  # draws after a row's first 1 cannot revive it
+        for _ in range(segments):  # draws after a shot's first 1 cannot revive it
             apply_unitary(amps, step)
-            flipped |= measure_rows(amps, 0, rngs)
+            amps, cls, ones = measure_rows(amps, 0, rngs, cls)
+            flipped |= ones[cls]
         survived += len(rngs) - int(flipped.sum())
     return survived / shots
 

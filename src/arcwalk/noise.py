@@ -139,36 +139,51 @@ def estimate_fidelity(counts: GateCensus, model: NoiseModel) -> float:
     return model.fidelity_1q**counts.count_1q * model.fidelity_2q**counts.count_2q
 
 
-def noisy_apply(state, op: GateOp, model: NoiseModel, rng) -> None:
+def noisy_apply(state, op: GateOp, model: NoiseModel, rng, cls=None):
     """Apply the ideal gate, then inject Pauli errors per constituent gate qubit.
 
     ``state`` is a ``StateVector`` drawing from the generator ``rng``, or a
-    (B, 2**n) chunk of trajectories whose row r draws from ``rng[r]``. Each
+    (U, 2**n) array of distinct states where shot s holds row ``cls[s]`` and
+    draws from ``rng[s]``; returns the rows and each shot's row. Each
     constituent (after decomposition) exposes its qubits to an independent
     error of probability 1 - fidelity of its class; a realized error applies
-    one of X, Y (up to phase), or Z chosen uniformly. Each row draws
+    one of X, Y (up to phase), or Z chosen uniformly. Each shot draws
     ``random(len(slots))``, then ``integers(3)`` per realized error in slot
-    order; kicks reach their rows grouped by (slot, Pauli), in slot order.
+    order. Rows get their kicks in slot order, in place if no row's shots were
+    kicked apart; else first as one row per realized (row, kicks).
     """
     if isinstance(state, StateVector):
         state.apply_gate(op)
-        state, rng = state.amps.reshape(1, -1), (rng,)
+        state, rng, cls = state.amps.reshape(1, -1), (rng,), np.zeros(1, np.intp)
     else:
         apply_unitary(state, op)
     slots = _injection_slots(op)
     if not slots:
-        return
+        return state, cls
     p1 = 1.0 - model.fidelity_1q
     p2 = 1.0 - model.fidelity_2q
     probs = np.array([p2 if is_2q else p1 for is_2q, _ in slots])
-    rows, hits = np.nonzero(np.array([g.random(len(slots)) for g in rng]) < probs)
+    shots, hits = np.nonzero(np.array([g.random(len(slots)) for g in rng]) < probs)
+    if not len(shots):
+        return state, cls
+    draws = [(s, j, int(rng[s].integers(3))) for s, j in zip(shots.tolist(), hits.tolist())]
+    row_of = cls.tolist()
+    if len(state) < len(cls):  # shared rows part: one row per realized (row, kicks)
+        kicks: dict[int, tuple] = {}
+        for s, j, pauli in draws:
+            kicks[s] = kicks.get(s, ()) + ((j, pauli),)
+        alike: dict[tuple[int, tuple], int] = {}
+        ids = [alike.setdefault((r, kicks.get(s, ())), len(alike)) for s, r in enumerate(row_of)]
+        if len(alike) > len(state):
+            state, cls, row_of = state[[row for row, _ in alike]], np.array(ids), ids
     groups: dict[tuple[int, int], list[int]] = {}
-    for r, j in zip(rows.tolist(), hits.tolist()):
-        groups.setdefault((j, int(rng[r].integers(3))), []).append(r)
+    for s, j, pauli in draws:  # a row repeats per shot kicked alike; its copies agree
+        groups.setdefault((j, pauli), []).append(row_of[s])
     for (j, pauli), sel in sorted(groups.items()):
         kicked = state[sel]
         apply_1q(kicked, _PAULI_INJECTIONS[pauli], slots[j][1])
         state[sel] = kicked
+    return state, cls
 
 
 def apply_readout_noise(bits: str, model: NoiseModel, rng: np.random.Generator) -> str:

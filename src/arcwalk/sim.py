@@ -219,10 +219,15 @@ def apply_unitary(amps: np.ndarray, op: GateOp) -> None:
         flat[hi] = a_lo
 
 
-def measure_rows(amps: np.ndarray, q: int, rngs) -> np.ndarray:
-    """Measure qubit ``q`` of row r with one ``rngs[r].random()``, collapse and
-    renormalize every row; returns True where the outcome is 1."""
-    rows = len(rngs)
+def measure_rows(amps: np.ndarray, q: int, rngs, cls: np.ndarray):
+    """Measure qubit ``q`` per shot: shot s holds row ``cls[s]`` of ``amps`` (every
+    row is held) and reads 1 if ``rngs[s].random() * total >= p0`` for its row.
+
+    Returns one collapsed row per realized (row, outcome), in place if no row
+    was read both ways, with rows of equal bytes merged (exact: equal bytes in
+    give equal bytes out); each shot's row; and True for the rows that read 1.
+    """
+    rows = len(amps)
     v = amps.reshape(rows, -1, 2, 1 << q)
     sq = v.real**2 + v.imag**2
     # Contiguous copies, so each row sums pairwise in the order a lone state does.
@@ -231,14 +236,23 @@ def measure_rows(amps: np.ndarray, q: int, rngs) -> np.ndarray:
     total = p0 + p1
     if not (np.isfinite(total) & (total > 0.0)).all():
         raise DegenerateStateError("state has no measurable norm")
-    ones = np.array([rng.random() for rng in rngs]) * total >= p0
-    branch = np.where(ones, p1, p0)
+    key = 2 * cls + (np.array([rng.random() for rng in rngs]) * total[cls] >= p0[cls])
+    pairs = np.flatnonzero(np.bincount(key, minlength=2 * rows))  # 2 * row + outcome
+    cls, ones, parent = np.searchsorted(pairs, key), (pairs & 1).astype(bool), pairs >> 1
+    amps = amps[parent] if len(pairs) > rows else amps  # a row read both ways is copied
+    branch = np.where(ones, p1[parent], p0[parent])
     if (branch < 1e-290).any():
         raise DegenerateStateError(f"projection branch of qubit {q} underflows")
+    v = amps.reshape(len(amps), -1, 2, 1 << q)
     np.copyto(v[:, :, 0, :], 0.0, where=ones[:, None, None])
     np.copyto(v[:, :, 1, :], 0.0, where=~ones[:, None, None])
     v /= np.sqrt(branch)[:, None, None, None]
-    return ones
+    seen: dict[bytes, int] = {}
+    ids = np.array([seen.setdefault(row.tobytes(), len(seen)) for row in amps])
+    if len(seen) < len(amps):
+        first = np.unique(ids, return_index=True)[1]
+        amps, ones, cls = amps[first], ones[first], ids[cls]
+    return amps, cls, ones
 
 
 def sample_cdf(cdf: np.ndarray, u):
@@ -312,7 +326,8 @@ class StateVector:
     def measure_qubit(self, q: int, rng: np.random.Generator) -> int:
         """Sample one qubit from its marginal, collapse, and renormalize."""
         self._check_target(q)
-        return int(measure_rows(self.amps, q, (rng,))[0])
+        _, _, ones = measure_rows(self.amps.reshape(1, -1), q, (rng,), np.zeros(1, np.intp))
+        return int(ones[0])
 
     def reset_qubit(self, q: int, rng: np.random.Generator) -> None:
         """Measure one qubit and flip it back to |0> if the outcome was 1."""

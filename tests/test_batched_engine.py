@@ -24,9 +24,10 @@ from arcwalk import (
     noisy_apply,
     run_positions,
 )
+from arcwalk import engine
 from arcwalk.circuits import or_inplace_block
-from arcwalk.engine import CHUNK_AMPS
-from arcwalk.sim import index_to_bits, sample_cdf
+from arcwalk.engine import CHUNK_AMPS, CHUNK_SHOTS
+from arcwalk.sim import index_to_bits, measure_rows, sample_cdf
 
 NOISY = NoiseModel(0.97, 0.9, 0.05)
 
@@ -145,10 +146,15 @@ def test_schedule_equals_explicit_measure_ops(design, width, steps, noise):
     assert np.array_equal(beyond, never)
 
 
+def chunk_of(circuit):
+    """Shots per chunk of a circuit whose shots may part."""
+    return min(CHUNK_SHOTS, CHUNK_AMPS >> circuit.n_qubits)
+
+
 def test_ten_qubits_span_several_chunks_and_end_partial():
     circuit = build_circuit(WalkConfig(8, 3, design="random_jump_cascading", seed=2))
     assert circuit.n_qubits == 10
-    chunk = CHUNK_AMPS >> circuit.n_qubits
+    chunk = chunk_of(circuit)
     shots = 2 * chunk + chunk // 2
     assert_engine_matches_oracle(
         circuit, shots, noise=NOISY, schedule=ZenoSchedule(2), base_seed=31
@@ -156,10 +162,10 @@ def test_ten_qubits_span_several_chunks_and_end_partial():
 
 
 def test_ideal_run_shares_one_row_over_several_chunks():
-    # Every shot samples the one evolved row, CHUNK_AMPS shots per chunk.
+    # Every shot samples the one evolved row, CHUNK_SHOTS shots per chunk.
     circuit = build_circuit(WalkConfig(9, 3, design="arc_walk"))
     assert circuit.n_qubits == 10 and all(op.is_unitary for op in circuit.ops)
-    shots = CHUNK_AMPS + CHUNK_AMPS // 2
+    shots = CHUNK_SHOTS + CHUNK_SHOTS // 2
     state = StateVector(circuit.n_qubits)
     for op in circuit.ops:
         state.apply_gate(op)
@@ -176,4 +182,43 @@ def test_noisy_circuit_without_ops_shares_one_row():
     # Nothing draws before the final sample, so only readout flips act on the shared |000>.
     circuit = build_circuit(WalkConfig(3, 0, design="arc"))
     assert circuit.ops == []
-    assert_engine_matches_oracle(circuit, CHUNK_AMPS + 3, noise=NOISY, base_seed=11)
+    assert_engine_matches_oracle(circuit, CHUNK_SHOTS + 3, noise=NOISY, base_seed=11)
+
+
+ZENO_ARC = (WalkConfig(8, 6, design="arc"), 2)
+CASCADING_10Q = (WalkConfig(8, 6, design="random_jump_cascading", seed=1), 0)
+
+
+@pytest.mark.parametrize(
+    "case,noise,merges",
+    [
+        (ZENO_ARC, None, True),
+        (ZENO_ARC, NOISY, True),
+        # Its parted rows differ beyond the reset ancilla, so none merge again.
+        (CASCADING_10Q, None, False),
+        (CASCADING_10Q, NOISY, True),
+    ],
+    ids=["zeno_arc-ideal", "zeno_arc-noisy", "cascading_10q-ideal", "cascading_10q-noisy"],
+)
+def test_shared_rows_split_and_merge_as_the_oracle(case, noise, merges, monkeypatch):
+    # Shots hold indices into the distinct states: a collapse parts a row into
+    # (row, outcome) rows, and rows with equal bytes merge again.
+    collapses = []
+
+    def spy(amps, q, rngs, cls):
+        before = cls.tolist()
+        out, cls, ones = measure_rows(amps, q, rngs, cls)
+        pairs = len(set(zip(before, ones[cls].tolist())))
+        collapses.append((len(amps), pairs, len(out)))
+        return out, cls, ones
+
+    monkeypatch.setattr(engine, "measure_rows", spy)
+    config, period = case
+    circuit = build_circuit(config)
+    shots = 2 * chunk_of(circuit) + 5
+    assert_engine_matches_oracle(
+        circuit, shots, noise=noise, schedule=ZenoSchedule(period), base_seed=17
+    )
+    assert any(pairs > rows for rows, pairs, _ in collapses)  # a shared row parted
+    if merges:
+        assert any(out < pairs for _, pairs, out in collapses)  # parted rows merged

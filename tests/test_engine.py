@@ -62,6 +62,22 @@ class TestDeriveSeed:
         assert 0 <= s < 2**32
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: run_positions(bell_circuit(), 2, base_seed=-1),
+        lambda: single_qubit_zeno_sampled(1.0, 2, 3, seed=-1),
+        lambda: zeno_experiment(3, 2, 1.0, [0], shots=2, seed=-1),
+        lambda: walk_step_changes("arc", 3, 1, 2, seed=-1),
+        lambda: derive_seed(1, -2),
+    ],
+    ids=["run_positions", "zeno_sampled", "zeno_experiment", "walk_step_changes", "derive_seed"],
+)
+def test_negative_seed_is_config_error(call):
+    with pytest.raises(ConfigError, match="nonnegative"):
+        call()
+
+
 class TestDecode:
     def test_qubit_zero_is_least_significant(self):
         assert decode("100", range(0, 3)) == 1
