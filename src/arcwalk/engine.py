@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -15,18 +16,101 @@ from .sim import index_to_bits, measure_rows, sample_cdf
 RANDOM_JUMP_CIRCUITS = 30
 RANDOM_JUMP_SHOTS = 30
 
-# A chunk holds at most CHUNK_SHOTS generators (about 3.6 KB each) and, while ops remain,
-# CHUNK_AMPS amplitudes (512 KiB) even if every shot parts to its own row, as under noise.
+# A chunk holds at most CHUNK_SHOTS shots and, while ops remain, CHUNK_AMPS amplitudes
+# (512 KiB) even if every shot parts to its own row, as under noise. A noisy shot holds a
+# generator (about 3.6 KB); an ideal chunk draws at most CHUNK_DRAWS uniforms (2 MiB, and
+# about 11 times that while ``_uniforms`` computes them).
 CHUNK_SHOTS = 1 << 12
 CHUNK_AMPS = 1 << 15
+CHUNK_DRAWS = 1 << 18
 
 
 def derive_seed(*parts: int) -> int:
     """Stable, order-sensitive child seed from nonnegative integer parts."""
     if min(parts, default=0) < 0:
         raise ConfigError(f"seed parts must be nonnegative, got {parts}")
-    entropy = [int(p) & 0xFFFFFFFFFFFFFFFF for p in parts]
-    return int(np.random.SeedSequence(entropy).generate_state(1)[0])
+    return int(np.random.SeedSequence([int(p) for p in parts]).generate_state(1)[0])
+
+
+def _hash_consts(init: int, mult: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(xor, multiply) constants of n successive SeedSequence hash steps, as (n, 1) columns."""
+    xors, mults = [], []
+    for _ in range(n):
+        xors.append(init)
+        init = init * mult & 0xFFFFFFFF
+        mults.append(init)
+    return np.array(xors, np.uint32)[:, None], np.array(mults, np.uint32)[:, None]
+
+
+_POOL_HASH = _hash_consts(0x43B0D7E5, 0x931E8875, 16)  # 4 entropy words, then 12 mixes
+_STATE_HASH = _hash_consts(0x8B51F9DD, 0x58F38DED, 8)  # generate_state(4, np.uint64)
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hashmix(v: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    v = (v ^ xor) * mult
+    return v ^ (v >> np.uint32(16))
+
+
+@lru_cache(maxsize=256)
+def _pcg_jumps(k: int) -> tuple[np.ndarray, ...]:
+    """64-bit halves A_hi, A_lo, B_hi, B_lo of A_j and B_j for draws j = 1..k, where
+    draw j outputs from the LCG state A_j * initstate + B_j * inc mod 2**128: seeding
+    steps twice, each draw once, so A_j = M**(j+1), B_j = 1 + M + ... + M**(j+1)."""
+    rows, power, total, low = [], _PCG64_MULT, 1 + _PCG64_MULT, (1 << 64) - 1
+    for _ in range(k):
+        power = power * _PCG64_MULT % (1 << 128)
+        total = (total + power) % (1 << 128)
+        rows.append((power >> 64, power & low, total >> 64, total & low))
+    out = np.array(rows, np.uint64).T
+    out.setflags(write=False)
+    return tuple(out)
+
+
+def _mul128(x_hi, x_lo, c_hi, c_lo):
+    """(hi, lo) halves of x * c mod 2**128; the high half of x_lo * c_lo in 32-bit limbs."""
+    m, s = np.uint64(0xFFFFFFFF), np.uint64(32)
+    x0, x1, c0, c1 = x_lo & m, x_lo >> s, c_lo & m, c_lo >> s
+    p01, p10 = x0 * c1, x1 * c0
+    mid = (x0 * c0 >> s) + (p01 & m) + (p10 & m)
+    hi = x1 * c1 + (p01 >> s) + (p10 >> s) + (mid >> s) + x_lo * c_hi + x_hi * c_lo
+    return hi, x_lo * c_lo
+
+
+def _uniforms(base_seed: int, shots: int, k: int) -> np.ndarray:
+    """(shots, k) array whose row i equals ``default_rng(base_seed + i).random(k)``
+    bit for bit, computed for every row at once.
+
+    It replays numpy's algorithms in wrapping uint32/uint64 arithmetic:
+    SeedSequence hashing of each seed as 4 entropy words (a seed's missing
+    words act as zeros), ``generate_state(4, np.uint64)`` and PCG64 seeding, a
+    jump to each draw's 128-bit LCG state, and the XSL-RR output as
+    ``(x >> 11) * 2**-53``. Seeds at or above 2**64 take ``default_rng`` row by
+    row. tests/test_streams.py checks the rows against numpy.
+    """
+    if base_seed + shots > 1 << 64:
+        return np.array([np.random.default_rng(base_seed + i).random(k) for i in range(shots)])
+    u32, u64 = np.uint32, np.uint64
+    seeds = np.arange(shots, dtype=u64) + u64(base_seed)
+    pool = np.zeros((4, shots), u32)
+    pool[0], pool[1] = seeds & u64(0xFFFFFFFF), seeds >> u64(32)
+    xor, mult = _POOL_HASH
+    pool = _hashmix(pool, xor[:4], mult[:4])
+    for src in range(4):  # each word mixes into the other three, in order
+        dst, at = [d for d in range(4) if d != src], slice(4 + 3 * src, 7 + 3 * src)
+        r = u32(0xCA01F9DD) * pool[dst] - u32(0x4973F715) * _hashmix(pool[src], xor[at], mult[at])
+        pool[dst] = r ^ (r >> u32(16))
+    state = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], *_STATE_HASH).astype(u64)
+    init_hi, init_lo, seq_hi, seq_lo = (state[0::2] | state[1::2] << u64(32))[:, :, None]
+    inc_hi, inc_lo = seq_hi << u64(1) | seq_lo >> u64(63), seq_lo << u64(1) | u64(1)
+    a_hi, a_lo, b_hi, b_lo = _pcg_jumps(k)
+    hi_a, lo_a = _mul128(init_hi, init_lo, a_hi, a_lo)
+    hi_b, lo_b = _mul128(inc_hi, inc_lo, b_hi, b_lo)
+    lo = lo_a + lo_b
+    hi = hi_a + hi_b + (lo < lo_a)
+    x, rot = hi ^ lo, hi >> u64(58)
+    x = x >> rot | x << ((u64(64) - rot) & u64(63))
+    return (x >> u64(11)) * (1.0 / (1 << 53))
 
 
 @dataclass(frozen=True)
@@ -95,41 +179,50 @@ def _scheduled_ops(circuit: Circuit, schedule: ZenoSchedule | None) -> list[Gate
     return ops + circuit.ops[prev:]
 
 
-def _rng_chunks(base_seed: int, shots: int, rows: int):
-    """Generators of shots 0..shots-1 (shot i seeded ``base_seed + i``), ``rows`` at a time."""
-    if base_seed < 0:
-        raise ConfigError(f"seed must be nonnegative, got {base_seed}")
-    for start in range(0, shots, rows):
-        yield [np.random.default_rng(base_seed + i) for i in range(start, min(shots, start + rows))]
+def _draws_per_shot(ops: list[GateOp]) -> int:
+    """Uniforms an ideal shot draws running ``ops``: one per collapse, one for the final sample."""
+    return 1 + sum(not op.is_unitary for op in ops)
 
 
-def _trajectories(circuit: Circuit, row: np.ndarray, ops: list[GateOp], rngs, noise) -> np.ndarray:
+def _trajectories(
+    circuit: Circuit, row: np.ndarray, ops: list[GateOp], base_seed: int, shots: int, noise
+) -> np.ndarray:
     """Final basis index per shot running ``ops`` on from the evolved (1, 2**n) ``row``,
     which every shot holds at first; see ``run_positions``. Shot r draws from
-    ``rngs[r]``: one ``random()`` per collapse, each noisy gate's draws, one
-    ``random()`` for the final sample, and ``random(n)`` for readout flips."""
-    amps, cls = row.copy(), np.zeros(len(rngs), np.intp)
+    ``default_rng(base_seed + r)``: one ``random()`` per collapse, each noisy
+    gate's draws, one ``random()`` for the final sample, and ``random(n)`` for
+    readout flips. Ideal shots draw only the ``random()`` calls, so they take
+    them as columns of one ``_uniforms`` block; noisy shots hold generators."""
+    amps, cls = row.copy(), np.zeros(shots, np.intp)
+    if noise is None:
+        uniform = iter(_uniforms(base_seed, shots, _draws_per_shot(ops)).T).__next__
+    else:
+        rngs = [np.random.default_rng(base_seed + r) for r in range(shots)]
 
-    def gate(amps, op, cls, gens):
+        def uniform():
+            return np.array([g.random() for g in rngs])
+
+    def gate(amps, op, cls, held=None):
         if noise is None:
             apply_unitary(amps, op)
             return amps, cls
+        gens = rngs if held is None else [rngs[s] for s in held]
         return noisy_apply(amps, op, noise, gens, cls)
 
     for op in ops:
         if op.is_unitary:
-            amps, cls = gate(amps, op, cls, rngs)
+            amps, cls = gate(amps, op, cls)
             continue
         q = op.targets[0]
-        amps, cls, ones = measure_rows(amps, q, rngs, cls)
+        amps, cls, ones = measure_rows(amps, q, uniform(), cls)
         if op.kind == "RESET" and ones.any():  # flip the rows that read 1 back to |0>
             order = np.argsort(ones, kind="stable")  # the rows that read 1 go last
             amps, cls, k = amps[order], np.argsort(order)[cls], len(ones) - int(ones.sum())
             held = np.flatnonzero(cls >= k)
-            flipped, sub = gate(amps[k:], GateOp.x(q), cls[held] - k, [rngs[s] for s in held])
+            flipped, sub = gate(amps[k:], GateOp.x(q), cls[held] - k, held)
             amps, cls[held] = np.concatenate([amps[:k], flipped]), sub + k
     cdf = np.cumsum(amps.real**2 + amps.imag**2, axis=1)
-    idx = sample_cdf(cdf[cls] if len(cdf) > 1 else cdf[0], np.array([g.random() for g in rngs]))
+    idx = sample_cdf(cdf[cls] if len(cdf) > 1 else cdf[0], uniform())
     if noise is not None:  # readout flips: bit k of the mask flips qubit k
         flips = np.array([g.random(circuit.n_qubits) for g in rngs]) < noise.readout_flip
         idx ^= flips @ (1 << np.arange(circuit.n_qubits))
@@ -144,6 +237,8 @@ def _run(
     n = circuit.n_qubits
     if n > MAX_QUBITS:
         raise OutOfRangeError(f"n_qubits must be in 1..{MAX_QUBITS}, got {n}")
+    if seed < 0:
+        raise ConfigError(f"seed must be nonnegative, got {seed}")
     ops = _scheduled_ops(circuit, schedule)
     draws = (i for i, op in enumerate(ops) if noise is not None or not op.is_unitary)
     first = next(draws, len(ops))
@@ -152,8 +247,11 @@ def _run(
         apply_unitary(row, op)
     rest = ops[first:]
     chunk = min(CHUNK_SHOTS, max(1, CHUNK_AMPS >> n)) if rest else CHUNK_SHOTS
-    return np.concatenate([_trajectories(circuit, row, rest, rngs, noise)
-                           for rngs in _rng_chunks(seed, shots, chunk)])
+    if noise is None:
+        chunk = min(chunk, max(1, CHUNK_DRAWS // _draws_per_shot(rest)))
+    return np.concatenate([_trajectories(circuit, row, rest, seed + start,
+                                         min(chunk, shots - start), noise)
+                           for start in range(0, shots, chunk)])
 
 
 def run_single_shot(
@@ -181,7 +279,10 @@ def run_positions(
     distinct state is evolved once and each shot holds its row's index: shots
     part by outcome at a collapse or by kicks at a noisy gate, and rows with
     equal bytes merge after a collapse (exact: equal bytes in give equal bytes
-    out). Each shot keeps its own generator and draw order.
+    out). Each shot draws what ``default_rng(base_seed + i)`` would give it
+    alone, in the same order: ideal shots, which draw only ``random()``, take
+    their uniforms from one vectorized block per chunk, and noisy shots keep a
+    generator each.
     """
     if shots < 1:
         raise ConfigError(f"shots must be positive, got {shots}")
@@ -370,16 +471,20 @@ def single_qubit_zeno_sampled(theta: float, segments: int, shots: int, seed: int
         raise ConfigError(f"segments must be positive, got {segments}")
     if shots < 1:
         raise ConfigError(f"shots must be positive, got {shots}")
+    if seed < 0:
+        raise ConfigError(f"seed must be nonnegative, got {seed}")
     step = GateOp.rx(0, 2.0 * theta / segments)
+    chunk = max(1, min(CHUNK_SHOTS, CHUNK_DRAWS // segments))
     survived = 0
-    for rngs in _rng_chunks(seed, shots, CHUNK_SHOTS):
-        amps, cls = np.array([[1.0, 0.0]], dtype=np.complex128), np.zeros(len(rngs), np.intp)
-        flipped = np.zeros(len(rngs), dtype=bool)
-        for _ in range(segments):  # draws after a shot's first 1 cannot revive it
+    for start in range(0, shots, chunk):
+        u = _uniforms(seed + start, min(chunk, shots - start), segments)  # column j: segment j
+        amps, cls = np.array([[1.0, 0.0]], dtype=np.complex128), np.zeros(len(u), np.intp)
+        flipped = np.zeros(len(u), dtype=bool)
+        for j in range(segments):  # draws after a shot's first 1 cannot revive it
             apply_unitary(amps, step)
-            amps, cls, ones = measure_rows(amps, 0, rngs, cls)
+            amps, cls, ones = measure_rows(amps, 0, u[:, j], cls)
             flipped |= ones[cls]
-        survived += len(rngs) - int(flipped.sum())
+        survived += len(u) - int(flipped.sum())
     return survived / shots
 
 

@@ -121,6 +121,15 @@ def _injection_slots(op: GateOp) -> tuple[tuple[bool, int], ...]:
     return tuple((cls == "2q", q) for cls, qubits in constituents(op) for q in qubits)
 
 
+@lru_cache(maxsize=8192)
+def _slot_probs(op: GateOp, model: NoiseModel) -> np.ndarray:
+    """Read-only error probability of each of the op's noise slots under ``model``."""
+    p1, p2 = 1.0 - model.fidelity_1q, 1.0 - model.fidelity_2q
+    probs = np.array([p2 if is_2q else p1 for is_2q, _ in _injection_slots(op)])
+    probs.setflags(write=False)
+    return probs
+
+
 def census(circuit) -> GateCensus:
     """Gate totals for a circuit (or any iterable of ops) after decomposition."""
     ops = getattr(circuit, "ops", circuit)
@@ -160,9 +169,7 @@ def noisy_apply(state, op: GateOp, model: NoiseModel, rng, cls=None):
     slots = _injection_slots(op)
     if not slots:
         return state, cls
-    p1 = 1.0 - model.fidelity_1q
-    p2 = 1.0 - model.fidelity_2q
-    probs = np.array([p2 if is_2q else p1 for is_2q, _ in slots])
+    probs = _slot_probs(op, model)
     shots, hits = np.nonzero(np.array([g.random(len(slots)) for g in rng]) < probs)
     if not len(shots):
         return state, cls

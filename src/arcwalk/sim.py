@@ -219,9 +219,9 @@ def apply_unitary(amps: np.ndarray, op: GateOp) -> None:
         flat[hi] = a_lo
 
 
-def measure_rows(amps: np.ndarray, q: int, rngs, cls: np.ndarray):
+def measure_rows(amps: np.ndarray, q: int, u: np.ndarray, cls: np.ndarray):
     """Measure qubit ``q`` per shot: shot s holds row ``cls[s]`` of ``amps`` (every
-    row is held) and reads 1 if ``rngs[s].random() * total >= p0`` for its row.
+    row is held) and reads 1 if its uniform ``u[s] * total >= p0`` for its row.
 
     Returns one collapsed row per realized (row, outcome), in place if no row
     was read both ways, with rows of equal bytes merged (exact: equal bytes in
@@ -236,7 +236,7 @@ def measure_rows(amps: np.ndarray, q: int, rngs, cls: np.ndarray):
     total = p0 + p1
     if not (np.isfinite(total) & (total > 0.0)).all():
         raise DegenerateStateError("state has no measurable norm")
-    key = 2 * cls + (np.array([rng.random() for rng in rngs]) * total[cls] >= p0[cls])
+    key = 2 * cls + (u * total[cls] >= p0[cls])
     pairs = np.flatnonzero(np.bincount(key, minlength=2 * rows))  # 2 * row + outcome
     cls, ones, parent = np.searchsorted(pairs, key), (pairs & 1).astype(bool), pairs >> 1
     amps = amps[parent] if len(pairs) > rows else amps  # a row read both ways is copied
@@ -326,7 +326,8 @@ class StateVector:
     def measure_qubit(self, q: int, rng: np.random.Generator) -> int:
         """Sample one qubit from its marginal, collapse, and renormalize."""
         self._check_target(q)
-        _, _, ones = measure_rows(self.amps.reshape(1, -1), q, (rng,), np.zeros(1, np.intp))
+        u = np.array([rng.random()])
+        _, _, ones = measure_rows(self.amps.reshape(1, -1), q, u, np.zeros(1, np.intp))
         return int(ones[0])
 
     def reset_qubit(self, q: int, rng: np.random.Generator) -> None:

@@ -100,6 +100,19 @@ def test_explicit_measure_and_reset_match_per_shot_oracle(noise):
     assert_engine_matches_oracle(measure_reset_circuit(), 40, noise=noise, base_seed=7)
 
 
+@pytest.mark.parametrize(
+    "circuit,schedule",
+    [
+        (measure_reset_circuit(), None),
+        (build_circuit(WalkConfig(3, 4, design="arc")), ZenoSchedule(1)),
+    ],
+    ids=["measure_reset", "zeno_arc"],
+)
+def test_shot_seeds_across_two_to_the_32_match_per_shot_oracle(circuit, schedule):
+    # Shot seeds from 2**32 on enter SeedSequence as two 32-bit words.
+    assert_engine_matches_oracle(circuit, 24, schedule=schedule, base_seed=2**32 - 10)
+
+
 def test_frozen_positions():
     # Positions of the per-shot engine the batched one replaced. The oracle
     # above shares the kernels and the noise channel with the engine, so
@@ -205,9 +218,9 @@ def test_shared_rows_split_and_merge_as_the_oracle(case, noise, merges, monkeypa
     # (row, outcome) rows, and rows with equal bytes merge again.
     collapses = []
 
-    def spy(amps, q, rngs, cls):
+    def spy(amps, q, u, cls):
         before = cls.tolist()
-        out, cls, ones = measure_rows(amps, q, rngs, cls)
+        out, cls, ones = measure_rows(amps, q, u, cls)
         pairs = len(set(zip(before, ones[cls].tolist())))
         collapses.append((len(amps), pairs, len(out)))
         return out, cls, ones

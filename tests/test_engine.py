@@ -61,6 +61,12 @@ class TestDeriveSeed:
         assert isinstance(s, int)
         assert 0 <= s < 2**32
 
+    def test_parts_beyond_64_bits_stay_distinct(self):
+        assert derive_seed(2**64 + 5, 1) != derive_seed(5, 1)
+        # Parts below 2**64 give the seeds they gave when parts were masked to 64 bits.
+        assert derive_seed(5, 1) == 3796490668
+        assert derive_seed(2**64 - 1, 7) == 651757590
+
 
 @pytest.mark.parametrize(
     "call",
