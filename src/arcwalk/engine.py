@@ -9,7 +9,7 @@ from functools import lru_cache
 import numpy as np
 
 from .circuits import DESIGNS, Circuit, WalkConfig, build_circuit
-from .noise import NoiseModel, noisy_apply
+from .noise import NoiseModel, ShotStreams, _injection_slots, noisy_apply
 from .sim import MAX_QUBITS, ConfigError, GateOp, OutOfRangeError, apply_unitary
 from .sim import index_to_bits, measure_rows, sample_cdf
 
@@ -17,12 +17,17 @@ RANDOM_JUMP_CIRCUITS = 30
 RANDOM_JUMP_SHOTS = 30
 
 # A chunk holds at most CHUNK_SHOTS shots and, while ops remain, CHUNK_AMPS amplitudes
-# (512 KiB) even if every shot parts to its own row, as under noise. A noisy shot holds a
-# generator (about 3.6 KB); an ideal chunk draws at most CHUNK_DRAWS uniforms (2 MiB, and
-# about 11 times that while ``_uniforms`` computes them).
+# (512 KiB) even if every shot parts to its own row, as under noise. An ideal chunk draws
+# at most CHUNK_DRAWS uniforms (2 MiB, and about 11 times that while ``_uniforms``
+# computes them). A noisy chunk holds a PCG64 bit generator per shot and reads their
+# streams through a window of at most WINDOW_COLUMNS raw outputs per shot and CHUNK_DRAWS
+# in all, wider only if one read needs more (a Toffoli's 21 slots, or readout's n). A
+# refill calls ``random_raw`` once per shot, about 1 us plus 3.6 ns per output on a
+# 2 vCPU x86 host, so at 2**10 columns its fixed cost is about 1 ns per output.
 CHUNK_SHOTS = 1 << 12
 CHUNK_AMPS = 1 << 15
 CHUNK_DRAWS = 1 << 18
+WINDOW_COLUMNS = 1 << 10
 
 
 def derive_seed(*parts: int) -> int:
@@ -192,22 +197,25 @@ def _trajectories(
     ``default_rng(base_seed + r)``: one ``random()`` per collapse, each noisy
     gate's draws, one ``random()`` for the final sample, and ``random(n)`` for
     readout flips. Ideal shots draw only the ``random()`` calls, so they take
-    them as columns of one ``_uniforms`` block; noisy shots hold generators."""
-    amps, cls = row.copy(), np.zeros(shots, np.intp)
+    them as columns of one ``_uniforms`` block; noisy shots read their streams
+    through one ``ShotStreams`` window, no wider than the ``random()`` draws of
+    a shot (noise slots, collapses, final sample, readout) need."""
+    n, amps, cls = circuit.n_qubits, row.copy(), np.zeros(shots, np.intp)
     if noise is None:
         uniform = iter(_uniforms(base_seed, shots, _draws_per_shot(ops)).T).__next__
     else:
-        rngs = [np.random.default_rng(base_seed + r) for r in range(shots)]
+        width = _draws_per_shot(ops) + sum(len(_injection_slots(op)) for op in ops) + n
+        streams = ShotStreams([np.random.PCG64(base_seed + r) for r in range(shots)],
+                              min(width, WINDOW_COLUMNS, CHUNK_DRAWS // shots))
 
         def uniform():
-            return np.array([g.random() for g in rngs])
+            return streams.random(1)[:, 0]
 
     def gate(amps, op, cls, held=None):
         if noise is None:
             apply_unitary(amps, op)
             return amps, cls
-        gens = rngs if held is None else [rngs[s] for s in held]
-        return noisy_apply(amps, op, noise, gens, cls)
+        return noisy_apply(amps, op, noise, streams if held is None else streams.view(held), cls)
 
     for op in ops:
         if op.is_unitary:
@@ -224,8 +232,7 @@ def _trajectories(
     cdf = np.cumsum(amps.real**2 + amps.imag**2, axis=1)
     idx = sample_cdf(cdf[cls] if len(cdf) > 1 else cdf[0], uniform())
     if noise is not None:  # readout flips: bit k of the mask flips qubit k
-        flips = np.array([g.random(circuit.n_qubits) for g in rngs]) < noise.readout_flip
-        idx ^= flips @ (1 << np.arange(circuit.n_qubits))
+        idx ^= (streams.random(n) < noise.readout_flip) @ (1 << np.arange(n))
     return idx
 
 
@@ -281,8 +288,10 @@ def run_positions(
     equal bytes merge after a collapse (exact: equal bytes in give equal bytes
     out). Each shot draws what ``default_rng(base_seed + i)`` would give it
     alone, in the same order: ideal shots, which draw only ``random()``, take
-    their uniforms from one vectorized block per chunk, and noisy shots keep a
-    generator each.
+    their uniforms from one vectorized block per chunk, and noisy shots read
+    raw PCG64 outputs through one window per chunk (``ShotStreams``), which
+    replays numpy's ``random()`` and ``integers(3)`` on them. A noisy gate
+    folds each shot's Pauli kicks into one signed permutation of its row.
     """
     if shots < 1:
         raise ConfigError(f"shots must be positive, got {shots}")

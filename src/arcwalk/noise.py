@@ -18,15 +18,109 @@ from functools import lru_cache
 
 import numpy as np
 
-from .sim import ConfigError, GateOp, StateVector, apply_1q, apply_unitary
+from .sim import ConfigError, GateOp, StateVector, apply_unitary
 
-_PAULI_INJECTIONS = (
-    np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128),    # X
-    np.array([[0.0, 1.0j], [-1.0j, 0.0]], dtype=np.complex128),  # Y up to global phase
-    np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128),   # Z
-)
-for _m in _PAULI_INJECTIONS:
-    _m.setflags(write=False)
+# A Pauli kick is a signed permutation: out[i] = 1j**phase * (-1)**parity(z & src) * a[src]
+# with src = i ^ x. Pick 0, 1, 2 is X, Y up to global phase ([[0, 1j], [-1j, 0]]), Z; on
+# qubit bit b it is (phase, x, z) = (0, b, 0), (3, b, b), (0, 0, b).
+_PICKS = ((0, 1, 0), (3, 1, 1), (0, 0, 1))  # (phase, x / b, z / b)
+_PHASES = np.array([1, 1j, -1, -1j] * 2)  # 1j**phase, for phase 0 .. 7
+
+
+class _Window:
+    """Row s of a (streams, width) block holds raw outputs of bit generator s, and
+    ``pos[s]`` is the column of its next unread one."""
+
+    def __init__(self, bit_generators, width: int):
+        self.gens = bit_generators
+        self.raw = np.empty((len(bit_generators), max(1, width)), np.uint64)
+        self.pos = np.full(len(bit_generators), self.raw.shape[1])  # the first read fills
+        self.half = [None] * len(bit_generators)  # the kept high half of each stream, if any
+
+    def take(self, ids, k):
+        """(len(ids), k) next raw outputs of the distinct streams ``ids``."""
+        pos = self.pos[ids]
+        if pos.max() > self.raw.shape[1] - k:
+            self.refill(ids[pos > self.raw.shape[1] - k], k)
+            pos = self.pos[ids]
+        self.pos[ids] = pos + k
+        w = self.raw.shape[1]
+        return self.raw.reshape(-1)[(ids * w + pos)[:, None] + np.arange(k)]
+
+    def take_one(self, s: int) -> int:
+        """The next raw output of stream ``s``."""
+        pos = self.pos.item(s)
+        if pos == self.raw.shape[1]:
+            self.refill((s,), 1)
+            pos = 0
+        self.pos[s] = pos + 1
+        return self.raw.item(s, pos)
+
+    def refill(self, ids, k):
+        """Move the unread outputs of streams ``ids`` to the front and fill the rest."""
+        raw, pos = self.raw, self.pos
+        if k > raw.shape[1]:  # a wider window: every stream moves into it
+            self.raw, ids = np.empty((len(raw), k), np.uint64), range(len(raw))
+        for s in ids:
+            rest = raw[s, pos[s] :]
+            self.raw[s, : len(rest)] = rest
+            self.raw[s, len(rest) :] = self.gens[s].random_raw(self.raw.shape[1] - len(rest))
+            pos[s] = 0
+
+
+class ShotStreams:
+    """Per-shot PCG64 streams, read through a window of raw outputs.
+
+    Stream s draws exactly what ``np.random.Generator(bit_generators[s])``
+    would, in the same order. Its raw 64-bit outputs are read ``width`` at a
+    time with ``random_raw`` into row s of a (shots, width) block, where a
+    cursor per shot marks the next unread output. ``random(k)`` reads k
+    outputs as ``(x >> 11) * 2**-53``; ``integers3`` replays
+    ``Generator.integers(3)``, which draws by Lemire's method on 32-bit
+    values: the low half of a fresh output, with the high half kept for the
+    next 32-bit draw (``random`` leaves it kept), and the value redrawn while
+    it is 0. The window widens only when one read needs more columns.
+    ``view(held)`` reads the streams ``held`` through the same block.
+    """
+
+    def __init__(self, bit_generators, width: int):
+        self._window, self.ids = _Window(bit_generators, width), np.arange(len(bit_generators))
+
+    def view(self, held: np.ndarray) -> "ShotStreams":
+        """The streams ``held`` (indices into this view), sharing its window."""
+        out = object.__new__(ShotStreams)
+        out._window, out.ids = self._window, self.ids[held]
+        return out
+
+    def random(self, k: int) -> np.ndarray:
+        """(shots, k) uniforms in [0, 1): each stream's next ``random(k)``."""
+        return (self._window.take(self.ids, k) >> np.uint64(11)) * (1.0 / (1 << 53))
+
+    def integers3(self, at: np.ndarray) -> list[int]:
+        """One ``integers(3)`` draw from stream ``at[i]`` for each i, in order."""
+        window, out = self._window, []
+        for s in self.ids[at].tolist():
+            v = 0
+            while not v:  # Lemire redraws while 3 * v mod 2**32 < 1, that is v == 0
+                v, window.half[s] = window.half[s], None
+                if v is None:
+                    x = window.take_one(s)
+                    v, window.half[s] = x & 0xFFFFFFFF, x >> 32
+            out.append(v * 3 >> 32)
+        return out
+
+
+class _OneStream:
+    """A lone ``Generator`` read as a one-shot ``ShotStreams``."""
+
+    def __init__(self, rng: np.random.Generator):
+        self.rng = rng
+
+    def random(self, k: int) -> np.ndarray:
+        return self.rng.random((1, k))
+
+    def integers3(self, at: np.ndarray) -> list[int]:
+        return [int(self.rng.integers(3)) for _ in at]
 
 
 @dataclass(frozen=True)
@@ -130,6 +224,17 @@ def _slot_probs(op: GateOp, model: NoiseModel) -> np.ndarray:
     return probs
 
 
+@lru_cache(maxsize=None)
+def _sign_phases(size: int) -> np.ndarray:
+    """Read-only 2 * parity(i) for i in 0 .. size - 1 (a power of two): the phase of
+    (-1)**parity(i) in steps of 1j, one byte each."""
+    table = np.zeros(1, np.uint8)
+    while len(table) < size:
+        table = np.concatenate([table, table ^ 2])
+    table.setflags(write=False)
+    return table
+
+
 def census(circuit) -> GateCensus:
     """Gate totals for a circuit (or any iterable of ops) after decomposition."""
     ops = getattr(circuit, "ops", circuit)
@@ -153,43 +258,53 @@ def noisy_apply(state, op: GateOp, model: NoiseModel, rng, cls=None):
 
     ``state`` is a ``StateVector`` drawing from the generator ``rng``, or a
     (U, 2**n) array of distinct states where shot s holds row ``cls[s]`` and
-    draws from ``rng[s]``; returns the rows and each shot's row. Each
-    constituent (after decomposition) exposes its qubits to an independent
-    error of probability 1 - fidelity of its class; a realized error applies
-    one of X, Y (up to phase), or Z chosen uniformly. Each shot draws
-    ``random(len(slots))``, then ``integers(3)`` per realized error in slot
-    order. Rows get their kicks in slot order, in place if no row's shots were
-    kicked apart; else first as one row per realized (row, kicks).
+    draws from stream s of the ``ShotStreams`` ``rng``; returns the rows and
+    each shot's row. Each constituent (after decomposition) exposes its qubits
+    to an independent error of probability 1 - fidelity of its class; a
+    realized error applies one of X, Y (up to phase), or Z chosen uniformly.
+    Each shot draws ``random(len(slots))``, then ``integers(3)`` per realized
+    error in slot order. A shot's kicks, in slot order, fold into one signed
+    permutation; rows take theirs in place if no row's shots were kicked
+    apart, else first part into one row per realized (row, kicks).
     """
     if isinstance(state, StateVector):
         state.apply_gate(op)
-        state, rng, cls = state.amps.reshape(1, -1), (rng,), np.zeros(1, np.intp)
+        state, rng, cls = state.amps.reshape(1, -1), _OneStream(rng), np.zeros(1, np.intp)
     else:
         apply_unitary(state, op)
     slots = _injection_slots(op)
     if not slots:
         return state, cls
-    probs = _slot_probs(op, model)
-    shots, hits = np.nonzero(np.array([g.random(len(slots)) for g in rng]) < probs)
+    shots, hits = np.nonzero(rng.random(len(slots)) < _slot_probs(op, model))
     if not len(shots):
         return state, cls
-    draws = [(s, j, int(rng[s].integers(3))) for s, j in zip(shots.tolist(), hits.tolist())]
-    row_of = cls.tolist()
+    kicks: dict[int, tuple[int, int, int]] = {}  # shot -> its kicks so far, composed
+    for s, j, pick in zip(shots.tolist(), hits.tolist(), rng.integers3(shots)):
+        b, (dp, dx, dz) = 1 << slots[j][1], _PICKS[pick]
+        phase, x, z = kicks.get(s, (0, 0, 0))
+        kicks[s] = (phase + dp + (2 if x & b * dz else 0), x ^ b * dx, z ^ b * dz)
+    phase, x, z = np.array(list(kicks.values())).T
+    return _kick(state, cls, np.array(list(kicks)), phase & 3, x, z)
+
+
+def _kick(state, cls, shots, phase, x, z):
+    """Apply to the row of shot ``shots[i]`` the signed permutation
+    (``phase[i]``, ``x[i]``, ``z[i]``) in one gather and one multiply; returns
+    the rows and each shot's row."""
+    size = state.shape[1]
     if len(state) < len(cls):  # shared rows part: one row per realized (row, kicks)
-        kicks: dict[int, tuple] = {}
-        for s, j, pauli in draws:
-            kicks[s] = kicks.get(s, ()) + ((j, pauli),)
-        alike: dict[tuple[int, tuple], int] = {}
-        ids = [alike.setdefault((r, kicks.get(s, ())), len(alike)) for s, r in enumerate(row_of)]
+        key = cls * (4 * size * size)
+        key[shots] += (phase * size + x) * size + z
+        alike, first, ids = np.unique(key, return_index=True, return_inverse=True)
         if len(alike) > len(state):
-            state, cls, row_of = state[[row for row, _ in alike]], np.array(ids), ids
-    groups: dict[tuple[int, int], list[int]] = {}
-    for s, j, pauli in draws:  # a row repeats per shot kicked alike; its copies agree
-        groups.setdefault((j, pauli), []).append(row_of[s])
-    for (j, pauli), sel in sorted(groups.items()):
-        kicked = state[sel]
-        apply_1q(kicked, _PAULI_INJECTIONS[pauli], slots[j][1])
-        state[sel] = kicked
+            state, cls = state[cls[first]], ids.reshape(-1)
+        rows, at = np.unique(cls[shots], return_index=True)  # a row's shots were kicked alike
+        phase, x, z = phase[at], x[at], z[at]
+    else:
+        rows = cls[shots]
+    src = np.arange(size) ^ x[:, None]
+    coef = _PHASES[phase[:, None] + _sign_phases(size)[z[:, None] & src]]
+    state[rows] = state.reshape(-1)[rows[:, None] * size + src] * coef
     return state, cls
 
 

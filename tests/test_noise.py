@@ -19,6 +19,7 @@ from arcwalk import (
     noisy_apply,
 )
 from arcwalk.noise import _injection_slots, toffoli_decomposition
+from arcwalk.sim import apply_1q, apply_unitary
 
 UNIT_NOISE = NoiseModel(fidelity_1q=1.0, fidelity_2q=1.0)
 
@@ -196,6 +197,77 @@ class TestNoisyApply:
             noisy_apply(state, GateOp.toffoli(0, 1, 2), model, rng)
             noisy_apply(state, GateOp.h(0), model, rng)
         assert state.norm_sq() == pytest.approx(1.0, abs=1e-12)
+
+
+PAULI_MATRICES = (
+    np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128),  # X
+    np.array([[0.0, 1.0j], [-1.0j, 0.0]], dtype=np.complex128),  # Y up to global phase
+    np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128),  # Z
+)
+
+
+class ScriptedStreams:
+    """Streams whose ``random`` reads 0 (an error) on the masked slots and 0.75 on
+    the others, and whose ``integers3`` returns the scripted picks in order."""
+
+    def __init__(self, errors, picks):
+        self.errors, self.picks = errors, iter(picks)
+
+    def random(self, k):
+        assert self.errors.shape[1] == k
+        return np.where(self.errors, 0.0, 0.75)
+
+    def integers3(self, at):
+        return [next(self.picks) for _ in at]
+
+
+class TestKickPermutation:
+    """Each shot's kicks, folded into one signed permutation of its row, against
+    the 2x2 products applied one by one to a lone copy of that row."""
+
+    OPS = [GateOp.h(1), GateOp.cnot(2, 0), GateOp.swap(0, 3), GateOp.crx(3, 1, 0.7),
+           GateOp.toffoli(0, 2, 3)]
+
+    @pytest.mark.parametrize("trial", range(40))
+    def test_matches_sequential_products(self, trial):
+        rng = np.random.default_rng(trial)
+        op = self.OPS[trial % len(self.OPS)]
+        slots = _injection_slots(op)
+        rows = int(rng.integers(1, 4))
+        amps = rng.normal(size=(rows, 16)) + 1j * rng.normal(size=(rows, 16))
+        amps[:, rng.random(16) < 0.2] = 0.0  # zero amplitudes carry signs of zero
+        amps /= np.linalg.norm(amps, axis=1)[:, None]
+        # Every row is held: by one shot each, or some by several.
+        extra = 0 if trial % 4 == 1 else 5
+        cls = np.sort(np.concatenate([np.arange(rows), rng.integers(0, rows, size=extra)]))
+        # Few kick patterns per trial, so that shots on one row are often kicked alike.
+        patterns = [(rng.random(len(slots)) < 0.4, rng.integers(0, 3, size=len(slots)))
+                    for _ in range(int(rng.integers(1, 4)))]
+        if trial % 4 == 0:  # every row's shots kicked alike: the rows take kicks in place
+            chosen = [patterns[row % len(patterns)] for row in cls]
+        else:
+            chosen = [patterns[i] for i in rng.integers(0, len(patterns), size=len(cls))]
+        want = []
+        for row, (mask, pattern) in zip(cls, chosen):
+            lone = amps[row : row + 1].copy()
+            apply_unitary(lone, op)
+            for j in np.flatnonzero(mask):
+                apply_1q(lone, PAULI_MATRICES[pattern[j]], slots[j][1])
+            want.append(lone[0])
+        want = np.array(want)
+        errors = np.array([mask for mask, _ in chosen])
+        picks = [int(pattern[j]) for mask, pattern in chosen for j in np.flatnonzero(mask)]
+        got_rows, got_cls = noisy_apply(amps.copy(), op, NoiseModel(0.5, 0.5),
+                                        ScriptedStreams(errors, picks), cls)
+        got = got_rows[got_cls]
+        assert np.array_equal(got, want)  # equal up to the sign of zeros
+        assert np.array_equal(got.real**2 + got.imag**2, want.real**2 + want.imag**2)
+        # At most one row per realized (row, kicks); kicks can compose alike.
+        realized = {(row, tuple(mask), tuple(pattern[mask])) for row, (mask, pattern)
+                    in zip(cls.tolist(), chosen)}
+        assert rows <= len(got_rows) <= len(realized)
+        if trial % 4 == 0:
+            assert len(got_rows) == rows
 
 
 class TestReadoutNoise:
