@@ -544,11 +544,15 @@ def _cmd_emit_circuit(args) -> int:
         0.0 <= args.insertion_rate <= 1.0,
         f"--insertion-rate must be in [0, 1], got {args.insertion_rate}",
     )
+    _require(
+        args.design == "random_jump_cascading" or args.insertion_rate == 1.0,
+        "--insertion-rate only applies with --design random_jump_cascading",
+    )
     seed = _resolve_seed(args)
     cfg = WalkConfig(
         args.width, args.steps, design=args.design, base_angle=args.base_angle, seed=seed
     )
-    if args.design == "random_jump_cascading" and args.insertion_rate != 1.0:
+    if args.design == "random_jump_cascading":
         circuit = with_cascading_disjunctions(
             random_jump_circuit(cfg), cfg, insertion_rate=args.insertion_rate
         )

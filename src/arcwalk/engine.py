@@ -9,18 +9,18 @@ from functools import lru_cache
 import numpy as np
 
 from .circuits import DESIGNS, Circuit, WalkConfig, build_circuit
-from .noise import NoiseModel, ShotStreams, _injection_slots, noisy_apply
+from .noise import NoiseModel, ShotStreams, noisy_apply
 from .sim import MAX_QUBITS, ConfigError, GateOp, OutOfRangeError, apply_unitary
 from .sim import index_to_bits, measure_rows, sample_cdf
 
 RANDOM_JUMP_CIRCUITS = 30
 RANDOM_JUMP_SHOTS = 30
 
-# A chunk holds at most CHUNK_SHOTS shots and, while ops remain, CHUNK_AMPS amplitudes
+# A chunk holds at most CHUNK_SHOTS shots and, when an op draws, CHUNK_AMPS amplitudes
 # (512 KiB) even if every shot parts to its own row, as under noise. An ideal chunk draws
 # at most CHUNK_DRAWS uniforms (2 MiB, and about 11 times that while ``_uniforms``
 # computes them). A noisy chunk holds a PCG64 bit generator per shot and reads their
-# streams through a window of at most WINDOW_COLUMNS raw outputs per shot and CHUNK_DRAWS
+# streams through a window of WINDOW_COLUMNS raw outputs per shot, at most CHUNK_DRAWS
 # in all, wider only if one read needs more (a Toffoli's 21 slots, or readout's n). A
 # refill calls ``random_raw`` once per shot, about 1 us plus 3.6 ns per output on a
 # 2 vCPU x86 host, so at 2**10 columns its fixed cost is about 1 ns per output.
@@ -31,7 +31,12 @@ WINDOW_COLUMNS = 1 << 10
 
 
 def derive_seed(*parts: int) -> int:
-    """Stable, order-sensitive child seed from nonnegative integer parts."""
+    """Stable, order-sensitive child seed from nonnegative integer parts.
+
+    The parts are packed as 32-bit SeedSequence words, so distinct part lists
+    can alias: ``derive_seed(7, 0, 0) == derive_seed(7, 0)`` and
+    ``derive_seed(2**32 + 5, 0) == derive_seed(5, 1)``.
+    """
     if min(parts, default=0) < 0:
         raise ConfigError(f"seed parts must be nonnegative, got {parts}")
     return int(np.random.SeedSequence([int(p) for p in parts]).generate_state(1)[0])
@@ -190,23 +195,22 @@ def _draws_per_shot(ops: list[GateOp]) -> int:
 
 
 def _trajectories(
-    circuit: Circuit, row: np.ndarray, ops: list[GateOp], base_seed: int, shots: int, noise
+    circuit: Circuit, ops: list[GateOp], base_seed: int, shots: int, noise
 ) -> np.ndarray:
-    """Final basis index per shot running ``ops`` on from the evolved (1, 2**n) ``row``,
-    which every shot holds at first; see ``run_positions``. Shot r draws from
+    """Final basis index per shot running ``ops`` from |0...0>, one row every shot
+    holds at first; see ``run_positions``. Shot r draws from
     ``default_rng(base_seed + r)``: one ``random()`` per collapse, each noisy
     gate's draws, one ``random()`` for the final sample, and ``random(n)`` for
     readout flips. Ideal shots draw only the ``random()`` calls, so they take
     them as columns of one ``_uniforms`` block; noisy shots read their streams
-    through one ``ShotStreams`` window, no wider than the ``random()`` draws of
-    a shot (noise slots, collapses, final sample, readout) need."""
-    n, amps, cls = circuit.n_qubits, row.copy(), np.zeros(shots, np.intp)
+    through one ``ShotStreams`` window, refilled as they reach its end."""
+    n, cls = circuit.n_qubits, np.zeros(shots, np.intp)
+    amps = np.eye(1, 1 << n, dtype=np.complex128)
     if noise is None:
         uniform = iter(_uniforms(base_seed, shots, _draws_per_shot(ops)).T).__next__
     else:
-        width = _draws_per_shot(ops) + sum(len(_injection_slots(op)) for op in ops) + n
         streams = ShotStreams([np.random.PCG64(base_seed + r) for r in range(shots)],
-                              min(width, WINDOW_COLUMNS, CHUNK_DRAWS // shots))
+                              min(WINDOW_COLUMNS, CHUNK_DRAWS // shots))
 
         def uniform():
             return streams.random(1)[:, 0]
@@ -239,26 +243,22 @@ def _trajectories(
 def _run(
     circuit: Circuit, shots: int, noise: NoiseModel | None, schedule: ZenoSchedule | None, seed: int
 ) -> np.ndarray:
-    """Final basis index of each shot; the ops before the first one that draws
-    (a MEASURE or RESET, or any gate under noise) are evolved once, on one row."""
+    """Final basis index of each shot, run in chunks of shots that each start on one
+    shared row; the amplitude cap applies when an op draws (a MEASURE or RESET, or
+    any op under noise)."""
     n = circuit.n_qubits
     if n > MAX_QUBITS:
         raise OutOfRangeError(f"n_qubits must be in 1..{MAX_QUBITS}, got {n}")
     if seed < 0:
         raise ConfigError(f"seed must be nonnegative, got {seed}")
     ops = _scheduled_ops(circuit, schedule)
-    draws = (i for i, op in enumerate(ops) if noise is not None or not op.is_unitary)
-    first = next(draws, len(ops))
-    row = np.eye(1, 1 << n, dtype=np.complex128)  # |0...0>
-    for op in ops[:first]:
-        apply_unitary(row, op)
-    rest = ops[first:]
-    chunk = min(CHUNK_SHOTS, max(1, CHUNK_AMPS >> n)) if rest else CHUNK_SHOTS
+    k = _draws_per_shot(ops)
+    draws = k > 1 or noise is not None and len(ops) > 0  # a collapse, or a noisy gate
+    chunk = min(CHUNK_SHOTS, max(1, CHUNK_AMPS >> n)) if draws else CHUNK_SHOTS
     if noise is None:
-        chunk = min(chunk, max(1, CHUNK_DRAWS // _draws_per_shot(rest)))
-    return np.concatenate([_trajectories(circuit, row, rest, seed + start,
-                                         min(chunk, shots - start), noise)
-                           for start in range(0, shots, chunk)])
+        chunk = min(chunk, max(1, CHUNK_DRAWS // k))
+    return np.concatenate([_trajectories(circuit, ops, seed + start, min(chunk, shots - start),
+                                         noise) for start in range(0, shots, chunk)])
 
 
 def run_single_shot(
@@ -281,17 +281,18 @@ def run_positions(
     """Decoded counter value per shot; shot i uses seed ``base_seed + i``.
 
     A schedule adds a MEASURE of every counter qubit after each fired step.
-    The ops before the first one that draws (a MEASURE or RESET, or any gate
-    under noise) run once, on one row every shot holds. From there each
-    distinct state is evolved once and each shot holds its row's index: shots
-    part by outcome at a collapse or by kicks at a noisy gate, and rows with
-    equal bytes merge after a collapse (exact: equal bytes in give equal bytes
-    out). Each shot draws what ``default_rng(base_seed + i)`` would give it
-    alone, in the same order: ideal shots, which draw only ``random()``, take
-    their uniforms from one vectorized block per chunk, and noisy shots read
-    raw PCG64 outputs through one window per chunk (``ShotStreams``), which
-    replays numpy's ``random()`` and ``integers(3)`` on them. A noisy gate
-    folds each shot's Pauli kicks into one signed permutation of its row.
+    Every shot of a chunk starts on one row, |0...0>, so the ops before the
+    first one that draws (a MEASURE or RESET, or any gate under noise) run
+    once per chunk. Each distinct state is evolved once and each shot holds
+    its row's index: shots part by outcome at a collapse or by kicks at a
+    noisy gate, and rows with equal bytes merge after a collapse (exact: equal
+    bytes in give equal bytes out). Each shot draws what
+    ``default_rng(base_seed + i)`` would give it alone, in the same order:
+    ideal shots, which draw only ``random()``, take their uniforms from one
+    vectorized block per chunk, and noisy shots read raw PCG64 outputs
+    through one window per chunk (``ShotStreams``), which replays numpy's
+    ``random()`` and ``integers(3)`` on them. A noisy gate folds each shot's
+    Pauli kicks into one signed permutation of its row.
     """
     if shots < 1:
         raise ConfigError(f"shots must be positive, got {shots}")

@@ -334,18 +334,3 @@ class StateVector:
         """Measure one qubit and flip it back to |0> if the outcome was 1."""
         if self.measure_qubit(q, rng) == 1:
             self.apply_gate(GateOp.x(q))
-
-    def allclose_up_to_phase(self, other: "StateVector", atol: float = 1e-12) -> bool:
-        """Amplitude equality modulo one common phase factor."""
-        if self.n_qubits != other.n_qubits:
-            return False
-        j = int(np.argmax(np.abs(self.amps)))
-        ref = self.amps[j]
-        if abs(ref) < atol:
-            return bool(np.allclose(self.amps, other.amps, atol=atol))
-        if abs(other.amps[j]) < atol:
-            return False
-        phase = other.amps[j] / ref
-        phase /= abs(phase)
-        return bool(np.allclose(self.amps * phase, other.amps, atol=atol))
-

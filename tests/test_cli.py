@@ -523,6 +523,7 @@ BAD_INVOCATIONS = [
     (["market", "returns", "{prices}", "--bins", "0"], 2),
     (["emit-circuit", "--design", "arc", "--insertion-rate", "2"], 2),
     (["emit-circuit", "--design", "random_jump_cascading", "--insertion-rate", "2"], 2),
+    (["emit-circuit", "--design", "arc", "--insertion-rate", "0.5"], 2),
     *(
         ([cmd, "--base-angle", value], 2)
         for cmd in (*SIM_COMMANDS, "emit-circuit")

@@ -333,11 +333,3 @@ class TestAlgebraProperties:
             p = probs[i]
             bound = 4.0 * math.sqrt(max(p * (1 - p), 1e-12) / n)
             assert abs(counts[i] / n - p) <= max(bound, 1e-9)
-
-    def test_allclose_up_to_phase(self):
-        state = random_state(3, 5)
-        rotated = state.copy()
-        rotated.amps *= np.exp(1j * 0.77)
-        assert state.allclose_up_to_phase(rotated)
-        other = random_state(3, 6)
-        assert not state.allclose_up_to_phase(other)
