@@ -195,19 +195,19 @@ def _draws_per_shot(ops: list[GateOp]) -> int:
 
 
 def _trajectories(
-    circuit: Circuit, ops: list[GateOp], base_seed: int, shots: int, noise
+    circuit: Circuit, ops: list[GateOp], base_seed: int, shots: int, noise, draws: int
 ) -> np.ndarray:
     """Final basis index per shot running ``ops`` from |0...0>, one row every shot
     holds at first; see ``run_positions``. Shot r draws from
     ``default_rng(base_seed + r)``: one ``random()`` per collapse, each noisy
     gate's draws, one ``random()`` for the final sample, and ``random(n)`` for
-    readout flips. Ideal shots draw only the ``random()`` calls, so they take
-    them as columns of one ``_uniforms`` block; noisy shots read their streams
-    through one ``ShotStreams`` window, refilled as they reach its end."""
+    readout flips. Ideal shots draw only the ``random()`` calls, ``draws`` each,
+    so they take them as columns of one ``_uniforms`` block; noisy shots read
+    their streams through one ``ShotStreams`` window, refilled as they reach its end."""
     n, cls = circuit.n_qubits, np.zeros(shots, np.intp)
     amps = np.eye(1, 1 << n, dtype=np.complex128)
     if noise is None:
-        uniform = iter(_uniforms(base_seed, shots, _draws_per_shot(ops)).T).__next__
+        uniform = iter(_uniforms(base_seed, shots, draws).T).__next__
     else:
         streams = ShotStreams([np.random.PCG64(base_seed + r) for r in range(shots)],
                               min(WINDOW_COLUMNS, CHUNK_DRAWS // shots))
@@ -258,7 +258,7 @@ def _run(
     if noise is None:
         chunk = min(chunk, max(1, CHUNK_DRAWS // k))
     return np.concatenate([_trajectories(circuit, ops, seed + start, min(chunk, shots - start),
-                                         noise) for start in range(0, shots, chunk)])
+                                         noise, k) for start in range(0, shots, chunk)])
 
 
 def run_single_shot(
@@ -357,50 +357,6 @@ class DistanceTable:
         return [cells[design].mean for _, cells in self.rows]
 
 
-def _positions_for(
-    design: str,
-    design_index: int,
-    steps: int,
-    width: int,
-    shots: int,
-    noise: NoiseModel | None,
-    base_angle: float,
-    seed: int,
-    noisy_cascading: bool,
-    random_circuits: int,
-    random_shots: int,
-) -> np.ndarray:
-    noise_eff = noise
-    if design == "random_jump_cascading" and noise is not None and not noisy_cascading:
-        noise_eff = None
-    if design in ("random_jump", "random_jump_cascading"):
-        chunks = []
-        for c in range(random_circuits):
-            cfg = WalkConfig(
-                width,
-                steps,
-                design=design,
-                base_angle=base_angle,
-                seed=derive_seed(seed, design_index, steps, c, 0),
-            )
-            chunks.append(
-                run_positions(
-                    build_circuit(cfg),
-                    random_shots,
-                    noise=noise_eff,
-                    base_seed=derive_seed(seed, design_index, steps, c, 1),
-                )
-            )
-        return np.concatenate(chunks)
-    cfg = WalkConfig(width, steps, design=design, base_angle=base_angle, seed=seed)
-    return run_positions(
-        build_circuit(cfg),
-        shots,
-        noise=noise_eff,
-        base_seed=derive_seed(seed, design_index, steps),
-    )
-
-
 def distance_table(
     designs: list[str],
     max_steps: int,
@@ -431,10 +387,20 @@ def distance_table(
     for steps in range(max_steps + 1):
         cells = {}
         for di, design in enumerate(designs):
-            pos = _positions_for(
-                design, di, steps, width, shots, noise, base_angle, seed,
-                noisy_cascading, random_circuits, random_shots,
-            )
+            ideal = design == "random_jump_cascading" and not noisy_cascading
+            # Each run is (circuit seed, shots, base seed).
+            if design in ("random_jump", "random_jump_cascading"):
+                runs = [(derive_seed(seed, di, steps, c, 0), random_shots,
+                         derive_seed(seed, di, steps, c, 1)) for c in range(random_circuits)]
+            else:
+                runs = [(seed, shots, derive_seed(seed, di, steps))]
+            pos = np.concatenate([
+                run_positions(
+                    build_circuit(WalkConfig(width, steps, design, base_angle=base_angle, seed=s)),
+                    k, noise=None if ideal else noise, base_seed=b,
+                )
+                for s, k, b in runs
+            ])
             n = len(pos)
             stderr = float(pos.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
             cells[design] = DistanceCell(float(pos.mean()), stderr, n)

@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .sim import ConfigError, GateOp, StateVector, apply_unitary
+from .sim import ConfigError, GateOp, apply_unitary
 
 # A Pauli kick is a signed permutation: out[i] = 1j**phase * (-1)**parity(z & src) * a[src]
 # with src = i ^ x. Pick 0, 1, 2 is X, Y up to global phase ([[0, 1j], [-1j, 0]]), Z; on
@@ -108,19 +108,6 @@ class ShotStreams:
                     v, window.half[s] = x & 0xFFFFFFFF, x >> 32
             out.append(v * 3 >> 32)
         return out
-
-
-class _OneStream:
-    """A lone ``Generator`` read as a one-shot ``ShotStreams``."""
-
-    def __init__(self, rng: np.random.Generator):
-        self.rng = rng
-
-    def random(self, k: int) -> np.ndarray:
-        return self.rng.random((1, k))
-
-    def integers3(self, at: np.ndarray) -> list[int]:
-        return [int(self.rng.integers(3)) for _ in at]
 
 
 @dataclass(frozen=True)
@@ -253,38 +240,34 @@ def estimate_fidelity(counts: GateCensus, model: NoiseModel) -> float:
     return model.fidelity_1q**counts.count_1q * model.fidelity_2q**counts.count_2q
 
 
-def noisy_apply(state, op: GateOp, model: NoiseModel, rng, cls=None):
+def noisy_apply(rows: np.ndarray, op: GateOp, model: NoiseModel, streams, cls: np.ndarray):
     """Apply the ideal gate, then inject Pauli errors per constituent gate qubit.
 
-    ``state`` is a ``StateVector`` drawing from the generator ``rng``, or a
-    (U, 2**n) array of distinct states where shot s holds row ``cls[s]`` and
-    draws from stream s of the ``ShotStreams`` ``rng``; returns the rows and
-    each shot's row. Each constituent (after decomposition) exposes its qubits
-    to an independent error of probability 1 - fidelity of its class; a
-    realized error applies one of X, Y (up to phase), or Z chosen uniformly.
-    Each shot draws ``random(len(slots))``, then ``integers(3)`` per realized
-    error in slot order. A shot's kicks, in slot order, fold into one signed
-    permutation; rows take theirs in place if no row's shots were kicked
-    apart, else first part into one row per realized (row, kicks).
+    ``rows`` is a (U, 2**n) array of distinct states; shot s holds row
+    ``cls[s]`` and draws from stream s of ``streams`` (a ``ShotStreams``).
+    Returns the rows and each shot's row. Each constituent (after
+    decomposition) exposes its qubits to an independent error of probability
+    1 - fidelity of its class; a realized error applies one of X, Y (up to
+    phase), or Z chosen uniformly. Each shot draws ``random(len(slots))``,
+    then ``integers(3)`` per realized error in slot order. A shot's kicks, in
+    slot order, fold into one signed permutation; rows take theirs in place if
+    no row's shots were kicked apart, else first part into one row per
+    realized (row, kicks).
     """
-    if isinstance(state, StateVector):
-        state.apply_gate(op)
-        state, rng, cls = state.amps.reshape(1, -1), _OneStream(rng), np.zeros(1, np.intp)
-    else:
-        apply_unitary(state, op)
+    apply_unitary(rows, op)
     slots = _injection_slots(op)
     if not slots:
-        return state, cls
-    shots, hits = np.nonzero(rng.random(len(slots)) < _slot_probs(op, model))
+        return rows, cls
+    shots, hits = np.nonzero(streams.random(len(slots)) < _slot_probs(op, model))
     if not len(shots):
-        return state, cls
+        return rows, cls
     kicks: dict[int, tuple[int, int, int]] = {}  # shot -> its kicks so far, composed
-    for s, j, pick in zip(shots.tolist(), hits.tolist(), rng.integers3(shots)):
+    for s, j, pick in zip(shots.tolist(), hits.tolist(), streams.integers3(shots)):
         b, (dp, dx, dz) = 1 << slots[j][1], _PICKS[pick]
         phase, x, z = kicks.get(s, (0, 0, 0))
         kicks[s] = (phase + dp + (2 if x & b * dz else 0), x ^ b * dx, z ^ b * dz)
     phase, x, z = np.array(list(kicks.values())).T
-    return _kick(state, cls, np.array(list(kicks)), phase & 3, x, z)
+    return _kick(rows, cls, np.array(list(kicks)), phase & 3, x, z)
 
 
 def _kick(state, cls, shots, phase, x, z):

@@ -306,7 +306,7 @@ class StateVector:
             raise InvalidTargetError(f"qubit {q} out of range for {self.n_qubits}-qubit state")
 
     def apply_matrix_1q(self, matrix: np.ndarray, q: int) -> None:
-        """Apply an arbitrary 2x2 matrix to one qubit (used by noise injection too)."""
+        """Apply an arbitrary 2x2 matrix to one qubit."""
         self._check_target(q)
         apply_1q(self.amps, matrix, q)
 

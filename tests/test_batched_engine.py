@@ -1,10 +1,10 @@
 """The chunked trajectory engine against a per-shot oracle.
 
 The oracle evolves each shot alone through the public single-state API
-(``StateVector``, ``noisy_apply``, ``apply_readout_noise``, ``decode``) with
-its own ``default_rng(base_seed + i)``, drawing in the documented order. The
-engine must return the same positions element for element: shots in a chunk
-share each op but never each other's random draws.
+(``StateVector``, ``apply_readout_noise``, ``decode``) and its own Pauli
+channel, with its own ``default_rng(base_seed + i)``, drawing in the
+documented order. The engine must return the same positions element for
+element: shots in a chunk share each op but never each other's random draws.
 """
 
 import numpy as np
@@ -21,15 +21,32 @@ from arcwalk import (
     apply_readout_noise,
     build_circuit,
     decode,
-    noisy_apply,
     run_positions,
 )
 from arcwalk import engine
 from arcwalk.circuits import or_inplace_block
 from arcwalk.engine import CHUNK_AMPS, CHUNK_SHOTS
+from arcwalk.noise import _injection_slots
 from arcwalk.sim import index_to_bits, measure_rows, sample_cdf
 
 NOISY = NoiseModel(0.97, 0.9, 0.05)
+
+PAULIS = (
+    np.array([[0, 1], [1, 0]], dtype=np.complex128),  # X
+    np.array([[0, 1j], [-1j, 0]], dtype=np.complex128),  # Y up to global phase
+    np.array([[1, 0], [0, -1]], dtype=np.complex128),  # Z
+)
+
+
+def pauli_channel(state, op, noise, rng):
+    """After ``op``: one uniform per noise slot, an error where it is below
+    1 - fidelity of the slot's class, then per error in slot order an
+    ``integers(3)`` pick of X, Y or Z on the slot's qubit."""
+    slots = _injection_slots(op)
+    p = [1.0 - (noise.fidelity_2q if is_2q else noise.fidelity_1q) for is_2q, _ in slots]
+    for (_, q), hit in zip(slots, rng.random(len(slots)) < p):
+        if hit:
+            state.apply_matrix_1q(PAULIS[rng.integers(3)], q)
 
 
 def oracle_positions(circuit, shots, noise=None, schedule=None, base_seed=0):
@@ -45,10 +62,9 @@ def oracle_positions(circuit, shots, noise=None, schedule=None, base_seed=0):
         state = StateVector(circuit.n_qubits)
 
         def gate(op):
-            if noise is None:
-                state.apply_gate(op)
-            else:
-                noisy_apply(state, op, noise, rng)
+            state.apply_gate(op)
+            if noise is not None:
+                pauli_channel(state, op, noise, rng)
 
         for j in range(len(circuit.ops) + 1):
             for _ in range(fires.count(j)):
@@ -115,8 +131,8 @@ def test_shot_seeds_across_two_to_the_32_match_per_shot_oracle(circuit, schedule
 
 def test_frozen_positions():
     # Positions of the per-shot engine the batched one replaced. The oracle
-    # above shares the kernels and the noise channel with the engine, so
-    # these literals are what catches a change of draw order in either.
+    # above shares the kernels with the engine and follows the same draw
+    # order, so these literals are what catches a change to either.
     zeno = build_circuit(WalkConfig(3, 4, design="random_jump_cascading", seed=5))
     got = run_positions(zeno, 24, noise=NOISY, schedule=ZenoSchedule(1), base_seed=101)
     assert got.tolist() == [

@@ -413,6 +413,36 @@ class TestConfigAndSeeds:
         cfg.write_text("width=wide\n")
         assert main(["distance-table", "--config", str(cfg), "--out", "-"]) == 2
 
+    def test_boolean_config_word_sets_flag(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("noisy_cascading = yes\n")
+        out = tmp_path / "t.csv"
+        assert main([
+            "distance-table", "--config", str(cfg), "--designs", "random_jump_cascading",
+            "--width", "3", "--steps", "1", "--random-circuits", "2", "--random-shots", "3",
+            "--out", str(out),
+        ]) == 0
+        manifest, _, _, _ = read_annotated_csv(out)
+        assert manifest["noisy_cascading"] is True
+
+    def test_boolean_config_word_clears_flag(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("two_way = off\n")
+        out = tmp_path / "h.csv"
+        assert main([
+            "walk-hist", "--config", str(cfg), "--design", "arc", "--width", "3",
+            "--steps", "2", "--shots", "20", "--out", str(out),
+        ]) == 0
+        manifest, _, _, _ = read_annotated_csv(out)
+        assert manifest["two_way"] is False
+
+    def test_bad_boolean_config_value(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("two_way = maybe\n")
+        assert main([
+            "walk-hist", "--config", str(cfg), "--design", "arc", "--out", "-",
+        ]) == 2
+
     def test_missing_config_file(self, tmp_path):
         assert main([
             "distance-table", "--config", str(tmp_path / "absent.cfg"), "--out", "-",

@@ -242,6 +242,33 @@ class TestDistanceTable:
             noisy = run_shots(circ, 120, noise=DEFAULT_NOISE, base_seed=derive_seed(31, rep))
             assert noisy.mean() > 15.0, rep
 
+    # An arc column beside a cascading one, so a noisy table holds both choices.
+    CASCADE = dict(designs=["arc", "random_jump_cascading"], max_steps=3, width=3, shots=200,
+                   seed=4, random_circuits=2, random_shots=6)
+
+    def test_cascading_stays_ideal_under_noise(self):
+        ideal = distance_table(**self.CASCADE)
+        noisy = distance_table(noise=DEFAULT_NOISE, **self.CASCADE)
+        want = [cells["random_jump_cascading"] for _, cells in ideal.rows]
+        assert [round(cell.mean, 3) for cell in want] == [0.0, 2.083, 2.583, 4.0]
+        assert [cells["random_jump_cascading"] for _, cells in noisy.rows] == want
+        assert noisy.column("arc") != ideal.column("arc")
+
+    def test_noisy_cascading_runs_every_circuit_under_noise(self):
+        table = distance_table(noise=DEFAULT_NOISE, noisy_cascading=True, **self.CASCADE)
+        for steps, cells in table.rows:
+            pos = np.concatenate([
+                run_positions(
+                    build_circuit(WalkConfig(3, steps, "random_jump_cascading",
+                                             seed=derive_seed(4, 1, steps, c, 0))),
+                    6, noise=DEFAULT_NOISE, base_seed=derive_seed(4, 1, steps, c, 1),
+                )
+                for c in range(2)
+            ])
+            assert cells["random_jump_cascading"].mean == float(pos.mean()), steps
+        ideal = distance_table(**self.CASCADE)
+        assert table.column("random_jump_cascading") != ideal.column("random_jump_cascading")
+
     def test_noisy_arc_profile(self):
         tab = distance_table(
             ["arc"], 10, 6, shots=1000, noise=DEFAULT_NOISE, seed=0

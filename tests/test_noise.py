@@ -8,6 +8,7 @@ import pytest
 from arcwalk import (
     DEFAULT_NOISE,
     HIGH_END_NOISE,
+    Circuit,
     ConfigError,
     GateCensus,
     GateOp,
@@ -17,9 +18,10 @@ from arcwalk import (
     census,
     estimate_fidelity,
     noisy_apply,
+    run_positions,
 )
-from arcwalk.noise import _injection_slots, toffoli_decomposition
-from arcwalk.sim import apply_1q, apply_unitary
+from arcwalk.noise import ShotStreams, _injection_slots, toffoli_decomposition
+from arcwalk.sim import apply_1q, apply_unitary, index_to_bits
 
 UNIT_NOISE = NoiseModel(fidelity_1q=1.0, fidelity_2q=1.0)
 
@@ -158,32 +160,42 @@ class TestNoiseModel:
             NoiseModel(**kwargs)
 
 
+def noisy_apply_one(state, op, model, streams):
+    """``noisy_apply`` on ``state`` as the one row of the one shot of ``streams``."""
+    rows, cls = noisy_apply(state.amps.reshape(1, -1), op, model, streams, np.zeros(1, np.intp))
+    state.amps = rows[cls[0]]
+
+
+def one_stream(seed):
+    """One shot's stream, drawing what ``default_rng(seed)`` would."""
+    return ShotStreams([np.random.PCG64(seed)], 1)
+
+
 class TestNoisyApply:
     def test_unit_fidelities_match_ideal(self):
         for op in [GateOp.h(0), GateOp.cnot(0, 1), GateOp.toffoli(0, 1, 2), GateOp.swap(1, 2)]:
             noisy = StateVector(3)
             noisy.apply_gate(GateOp.rx(0, 0.9))
             ideal = noisy.copy()
-            noisy_apply(noisy, op, UNIT_NOISE, np.random.default_rng(0))
+            noisy_apply_one(noisy, op, UNIT_NOISE, one_stream(0))
             ideal.apply_gate(op)
             assert np.allclose(noisy.amps, ideal.amps, atol=1e-15)
 
     def test_nonunitary_ops_rejected(self):
         state = StateVector(1)
         with pytest.raises(ValueError):
-            noisy_apply(state, GateOp.measure(0), NoiseModel(0.5, 0.5), np.random.default_rng(0))
+            noisy_apply_one(state, GateOp.measure(0), NoiseModel(0.5, 0.5), one_stream(0))
 
     def test_cnot_error_channel_frequencies(self):
         # one 2q constituent exposes two qubits; each errs w.p. 1/2 and
         # flips its readout bit in 2 of 3 Pauli picks, so bit flip prob is 1/3
         model = NoiseModel(fidelity_1q=1.0, fidelity_2q=0.5)
         n = 2000
+        circuit = Circuit(n_qubits=2, counter=range(0, 2))
+        circuit.add(GateOp.cnot(0, 1))
         counts = {"00": 0, "10": 0, "01": 0, "11": 0}
-        for i in range(n):
-            rng = np.random.default_rng(1000 + i)
-            state = StateVector(2)
-            noisy_apply(state, GateOp.cnot(0, 1), model, rng)
-            counts[state.measure_all(rng)] += 1
+        for position in run_positions(circuit.validate(), n, noise=model, base_seed=1000).tolist():
+            counts[index_to_bits(position, 2)] += 1
         expected = {"00": 4 / 9, "10": 2 / 9, "01": 2 / 9, "11": 1 / 9}
         for bits, p in expected.items():
             bound = 4.0 * math.sqrt(p * (1 - p) / n)
@@ -191,11 +203,11 @@ class TestNoisyApply:
 
     def test_norm_preserved_under_noise(self):
         model = NoiseModel(fidelity_1q=0.9, fidelity_2q=0.8)
-        rng = np.random.default_rng(4)
+        streams = one_stream(4)
         state = StateVector(3)
         for _ in range(50):
-            noisy_apply(state, GateOp.toffoli(0, 1, 2), model, rng)
-            noisy_apply(state, GateOp.h(0), model, rng)
+            noisy_apply_one(state, GateOp.toffoli(0, 1, 2), model, streams)
+            noisy_apply_one(state, GateOp.h(0), model, streams)
         assert state.norm_sq() == pytest.approx(1.0, abs=1e-12)
 
 
