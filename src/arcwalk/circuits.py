@@ -369,6 +369,31 @@ def or_inplace_block(low: int, high: int, ancilla: int) -> Circuit:
     return circ.validate()
 
 
+def _insert_after_steps(circuit: Circuit, blocks: list[list[GateOp]]) -> Circuit:
+    """A copy of ``circuit`` with ``blocks[j]`` after step j+1's ops, inside that step;
+    the ops after the last step mark stay last."""
+    out = Circuit(circuit.n_qubits, circuit.counter, circuit.coin, circuit.ancilla)
+    prev = 0
+    for mark, block in zip(circuit.steps_marks, blocks):
+        out.add(*circuit.ops[prev:mark], *block)
+        out.mark_step()
+        prev = mark
+    out.add(*circuit.ops[prev:])
+    return out.validate()
+
+
+def with_zeno_measurements(circuit: Circuit, period: int) -> Circuit:
+    """A MEASURE of every counter qubit, in counter order, after every ``period``-th
+    step. Period 0, or one above ``n_steps``, adds none."""
+    if period < 0:
+        raise ConfigError(f"period must be nonnegative, got {period}")
+    fired = range(period - 1, circuit.n_steps, period) if period else range(0)
+    collapse = [GateOp.measure(q) for q in circuit.counter]
+    return _insert_after_steps(
+        circuit, [collapse if j in fired else [] for j in range(circuit.n_steps)]
+    )
+
+
 def with_cascading_disjunctions(
     circuit: Circuit,
     cfg: WalkConfig,
@@ -393,28 +418,15 @@ def with_cascading_disjunctions(
     lower_weights = np.asarray(halving_weights(cfg.counter_width)[: w - 1])
     cdf = np.cumsum(lower_weights / lower_weights.sum())
     rng = np.random.default_rng((cfg.seed, 1))
-    out = Circuit(
-        n_qubits=circuit.n_qubits,
-        counter=circuit.counter,
-        coin=circuit.coin,
-        ancilla=circuit.ancilla,
-    )
-    prev = 0
-    for mark in circuit.steps_marks:
-        out.add(*circuit.ops[prev:mark])
-        prev = mark
+    start, blocks = circuit.counter.start, []
+    for _ in range(circuit.n_steps):  # one draw per step, two more when it inserts
         if rng.random() < insertion_rate:
             lower = int(sample_cdf(cdf, rng.random()))
             higher = int(rng.integers(lower + 1, w))
-            block = or_inplace_block(
-                circuit.counter.start + lower,
-                circuit.counter.start + higher,
-                circuit.ancilla,
-            )
-            out.add(*block.ops)
-        out.mark_step()
-    out.add(*circuit.ops[prev:])
-    return out.validate()
+            blocks.append(or_inplace_block(start + lower, start + higher, circuit.ancilla).ops)
+        else:
+            blocks.append([])
+    return _insert_after_steps(circuit, blocks)
 
 
 def build_circuit(cfg: WalkConfig) -> Circuit:

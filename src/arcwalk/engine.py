@@ -8,7 +8,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .circuits import DESIGNS, Circuit, WalkConfig, build_circuit
+from .circuits import DESIGNS, Circuit, WalkConfig, build_circuit, with_zeno_measurements
 from .noise import NoiseModel, ShotStreams, noisy_apply
 from .sim import MAX_QUBITS, ConfigError, GateOp, OutOfRangeError, apply_unitary
 from .sim import index_to_bits, measure_rows, sample_cdf
@@ -123,17 +123,6 @@ def _uniforms(base_seed: int, shots: int, k: int) -> np.ndarray:
     return (x >> u64(11)) * (1.0 / (1 << 53))
 
 
-@dataclass(frozen=True)
-class ZenoSchedule:
-    """Mid-circuit measurement cadence: period 0 never fires, k fires every k steps."""
-
-    period: int = 0
-
-    def __post_init__(self):
-        if self.period < 0:
-            raise ConfigError(f"period must be nonnegative, got {self.period}")
-
-
 @dataclass
 class ShotHistogram:
     """Counts of decoded positions. Totals may be fractional for derived histograms."""
@@ -176,28 +165,13 @@ def _decode_index(index: np.ndarray, counter: range) -> np.ndarray:
     return (index >> counter.start) & ((1 << len(counter)) - 1)
 
 
-def _scheduled_ops(circuit: Circuit, schedule: ZenoSchedule | None) -> list[GateOp]:
-    """The circuit's ops with a MEASURE of every counter qubit after each fired step."""
-    period = schedule.period if schedule is not None else 0
-    if period == 0:
-        return circuit.ops
-    collapse = [GateOp.measure(q) for q in circuit.counter]
-    ops, prev = [], 0
-    for mark in circuit.steps_marks[period - 1 :: period]:
-        ops += circuit.ops[prev:mark] + collapse
-        prev = mark
-    return ops + circuit.ops[prev:]
-
-
 def _draws_per_shot(ops: list[GateOp]) -> int:
     """Uniforms an ideal shot draws running ``ops``: one per collapse, one for the final sample."""
     return 1 + sum(not op.is_unitary for op in ops)
 
 
-def _trajectories(
-    circuit: Circuit, ops: list[GateOp], base_seed: int, shots: int, noise, draws: int
-) -> np.ndarray:
-    """Final basis index per shot running ``ops`` from |0...0>, one row every shot
+def _trajectories(circuit: Circuit, base_seed: int, shots: int, noise, draws: int) -> np.ndarray:
+    """Final basis index per shot running the circuit from |0...0>, one row every shot
     holds at first; see ``run_positions``. Shot r draws from
     ``default_rng(base_seed + r)``: one ``random()`` per collapse, each noisy
     gate's draws, one ``random()`` for the final sample, and ``random(n)`` for
@@ -221,7 +195,7 @@ def _trajectories(
             return amps, cls
         return noisy_apply(amps, op, noise, streams if held is None else streams.view(held), cls)
 
-    for op in ops:
+    for op in circuit.ops:
         if op.is_unitary:
             amps, cls = gate(amps, op, cls)
             continue
@@ -240,9 +214,7 @@ def _trajectories(
     return idx
 
 
-def _run(
-    circuit: Circuit, shots: int, noise: NoiseModel | None, schedule: ZenoSchedule | None, seed: int
-) -> np.ndarray:
+def _run(circuit: Circuit, shots: int, noise: NoiseModel | None, seed: int) -> np.ndarray:
     """Final basis index of each shot, run in chunks of shots that each start on one
     shared row; the amplitude cap applies when an op draws (a MEASURE or RESET, or
     any op under noise)."""
@@ -251,42 +223,33 @@ def _run(
         raise OutOfRangeError(f"n_qubits must be in 1..{MAX_QUBITS}, got {n}")
     if seed < 0:
         raise ConfigError(f"seed must be nonnegative, got {seed}")
-    ops = _scheduled_ops(circuit, schedule)
-    k = _draws_per_shot(ops)
-    draws = k > 1 or noise is not None and len(ops) > 0  # a collapse, or a noisy gate
+    k = _draws_per_shot(circuit.ops)
+    draws = k > 1 or noise is not None and len(circuit.ops) > 0  # a collapse, or a noisy gate
     chunk = min(CHUNK_SHOTS, max(1, CHUNK_AMPS >> n)) if draws else CHUNK_SHOTS
     if noise is None:
         chunk = min(chunk, max(1, CHUNK_DRAWS // k))
-    return np.concatenate([_trajectories(circuit, ops, seed + start, min(chunk, shots - start),
-                                         noise, k) for start in range(0, shots, chunk)])
+    return np.concatenate([_trajectories(circuit, seed + start, min(chunk, shots - start), noise, k)
+                           for start in range(0, shots, chunk)])
 
 
-def run_single_shot(
-    circuit: Circuit,
-    seed: int,
-    noise: NoiseModel | None = None,
-    schedule: ZenoSchedule | None = None,
-) -> str:
+def run_single_shot(circuit: Circuit, seed: int, noise: NoiseModel | None = None) -> str:
     """One full trajectory: returns the final bitstring."""
-    return index_to_bits(int(_run(circuit, 1, noise, schedule, seed)[0]), circuit.n_qubits)
+    return index_to_bits(int(_run(circuit, 1, noise, seed)[0]), circuit.n_qubits)
 
 
 def run_positions(
-    circuit: Circuit,
-    shots: int,
-    noise: NoiseModel | None = None,
-    schedule: ZenoSchedule | None = None,
-    base_seed: int = 0,
+    circuit: Circuit, shots: int, noise: NoiseModel | None = None, base_seed: int = 0
 ) -> np.ndarray:
     """Decoded counter value per shot; shot i uses seed ``base_seed + i``.
 
-    A schedule adds a MEASURE of every counter qubit after each fired step.
-    Every shot of a chunk starts on one row, |0...0>, so the ops before the
-    first one that draws (a MEASURE or RESET, or any gate under noise) run
-    once per chunk. Each distinct state is evolved once and each shot holds
-    its row's index: shots part by outcome at a collapse or by kicks at a
-    noisy gate, and rows with equal bytes merge after a collapse (exact: equal
-    bytes in give equal bytes out). Each shot draws what
+    The engine runs the circuit's ops as they stand: a Zeno schedule is a
+    circuit too, made by ``circuits.with_zeno_measurements``. Every shot of a
+    chunk starts on one row, |0...0>, so the ops before the first one that
+    draws (a MEASURE or RESET, or any gate under noise) run once per chunk.
+    Each distinct state is evolved once and each shot holds its row's index:
+    shots part by outcome at a collapse or by kicks at a noisy gate, and rows
+    with equal bytes merge after a collapse (exact: equal bytes in give equal
+    bytes out). Each shot draws what
     ``default_rng(base_seed + i)`` would give it alone, in the same order:
     ideal shots, which draw only ``random()``, take their uniforms from one
     vectorized block per chunk, and noisy shots read raw PCG64 outputs
@@ -296,20 +259,14 @@ def run_positions(
     """
     if shots < 1:
         raise ConfigError(f"shots must be positive, got {shots}")
-    return _decode_index(_run(circuit, shots, noise, schedule, base_seed), circuit.counter)
+    return _decode_index(_run(circuit, shots, noise, base_seed), circuit.counter)
 
 
 def run_shots(
-    circuit: Circuit,
-    shots: int,
-    noise: NoiseModel | None = None,
-    schedule: ZenoSchedule | None = None,
-    base_seed: int = 0,
+    circuit: Circuit, shots: int, noise: NoiseModel | None = None, base_seed: int = 0
 ) -> ShotHistogram:
     """Histogram of decoded counter values over ``shots`` trajectories."""
-    return ShotHistogram.from_positions(
-        run_positions(circuit, shots, noise=noise, schedule=schedule, base_seed=base_seed)
-    )
+    return ShotHistogram.from_positions(run_positions(circuit, shots, noise, base_seed))
 
 
 def arc_expected(width: int, steps: int, base_angle: float) -> float:
@@ -418,17 +375,12 @@ def zeno_experiment(
 ) -> list[tuple[int, float]]:
     """Mean decoded arc-counter value under each mid-measurement period."""
     circuit = build_circuit(WalkConfig(width, steps, design="arc", base_angle=base_angle))
-    schedules = [ZenoSchedule(int(period)) for period in periods]  # all checked before any run
-    out = []
-    for idx, schedule in enumerate(schedules):
-        hist = run_shots(
-            circuit,
-            shots,
-            schedule=schedule,
-            base_seed=derive_seed(seed, idx, schedule.period),
-        )
-        out.append((schedule.period, hist.mean()))
-    return out
+    periods = [int(period) for period in periods]
+    zeno = [with_zeno_measurements(circuit, period) for period in periods]  # checked before any run
+    return [
+        (period, run_shots(z, shots, base_seed=derive_seed(seed, idx, period)).mean())
+        for idx, (period, z) in enumerate(zip(periods, zeno))
+    ]
 
 
 def single_qubit_zeno(theta: float, segments: int) -> float:

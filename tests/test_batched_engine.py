@@ -17,11 +17,11 @@ from arcwalk import (
     NoiseModel,
     StateVector,
     WalkConfig,
-    ZenoSchedule,
     apply_readout_noise,
     build_circuit,
     decode,
     run_positions,
+    with_zeno_measurements,
 )
 from arcwalk import engine
 from arcwalk.circuits import or_inplace_block
@@ -49,8 +49,8 @@ def pauli_channel(state, op, noise, rng):
             state.apply_matrix_1q(PAULIS[rng.integers(3)], q)
 
 
-def oracle_positions(circuit, shots, noise=None, schedule=None, base_seed=0):
-    period = schedule.period if schedule is not None else 0
+def oracle_positions(circuit, shots, noise=None, period=None, base_seed=0):
+    """Per-shot positions, measuring every counter qubit after each ``period``-th step."""
     fires = [
         mark
         for step, mark in enumerate(circuit.steps_marks, start=1)
@@ -87,9 +87,12 @@ def oracle_positions(circuit, shots, noise=None, schedule=None, base_seed=0):
     return np.array(out, dtype=np.int64)
 
 
-def assert_engine_matches_oracle(circuit, shots, noise=None, schedule=None, base_seed=0):
-    got = run_positions(circuit, shots, noise=noise, schedule=schedule, base_seed=base_seed)
-    want = oracle_positions(circuit, shots, noise=noise, schedule=schedule, base_seed=base_seed)
+def assert_engine_matches_oracle(circuit, shots, noise=None, period=None, base_seed=0):
+    """The engine runs ``with_zeno_measurements(circuit, period)`` (``circuit`` itself
+    when ``period`` is None); the oracle inserts the measurements on its own."""
+    zeno = circuit if period is None else with_zeno_measurements(circuit, period)
+    got = run_positions(zeno, shots, noise=noise, base_seed=base_seed)
+    want = oracle_positions(circuit, shots, noise=noise, period=period, base_seed=base_seed)
     assert got.dtype == want.dtype
     assert np.array_equal(got, want)
 
@@ -99,8 +102,7 @@ def assert_engine_matches_oracle(circuit, shots, noise=None, schedule=None, base
 @pytest.mark.parametrize("design", DESIGNS)
 def test_every_design_matches_per_shot_oracle(design, noise, period):
     circuit = build_circuit(WalkConfig(3, 4, design=design, seed=5))
-    schedule = None if period is None else ZenoSchedule(period)
-    assert_engine_matches_oracle(circuit, 24, noise=noise, schedule=schedule, base_seed=101)
+    assert_engine_matches_oracle(circuit, 24, noise=noise, period=period, base_seed=101)
 
 
 def measure_reset_circuit():
@@ -117,16 +119,16 @@ def test_explicit_measure_and_reset_match_per_shot_oracle(noise):
 
 
 @pytest.mark.parametrize(
-    "circuit,schedule",
+    "circuit,period",
     [
         (measure_reset_circuit(), None),
-        (build_circuit(WalkConfig(3, 4, design="arc")), ZenoSchedule(1)),
+        (build_circuit(WalkConfig(3, 4, design="arc")), 1),
     ],
     ids=["measure_reset", "zeno_arc"],
 )
-def test_shot_seeds_across_two_to_the_32_match_per_shot_oracle(circuit, schedule):
+def test_shot_seeds_across_two_to_the_32_match_per_shot_oracle(circuit, period):
     # Shot seeds from 2**32 on enter SeedSequence as two 32-bit words.
-    assert_engine_matches_oracle(circuit, 24, schedule=schedule, base_seed=2**32 - 10)
+    assert_engine_matches_oracle(circuit, 24, period=period, base_seed=2**32 - 10)
 
 
 def test_frozen_positions():
@@ -134,7 +136,7 @@ def test_frozen_positions():
     # above shares the kernels with the engine and follows the same draw
     # order, so these literals are what catches a change to either.
     zeno = build_circuit(WalkConfig(3, 4, design="random_jump_cascading", seed=5))
-    got = run_positions(zeno, 24, noise=NOISY, schedule=ZenoSchedule(1), base_seed=101)
+    got = run_positions(with_zeno_measurements(zeno, 1), 24, noise=NOISY, base_seed=101)
     assert got.tolist() == [
         4, 7, 5, 3, 7, 7, 5, 0, 4, 6, 1, 7, 4, 7, 7, 1, 5, 6, 6, 6, 1, 2, 6, 2,
     ]
@@ -162,17 +164,41 @@ def with_measures_every(circuit, period):
     return out.validate()
 
 
+TRAILING_OPS = """\
+# nqubits 3
+# counter 0 2
+H 0
+# step 1
+CNOT 0 1
+RX 1 0.7
+# step 2
+H 2
+CNOT 2 0
+"""
+
+
 @pytest.mark.parametrize("noise", [None, NOISY], ids=["ideal", "noisy"])
-@pytest.mark.parametrize("design,width,steps", [("arc", 4, 6), ("binary", 3, 4)])
-def test_schedule_equals_explicit_measure_ops(design, width, steps, noise):
-    circuit = build_circuit(WalkConfig(width, steps, design=design))
-    for period in sorted({1, 2, 3, steps}):
-        got = run_positions(circuit, 32, noise=noise, schedule=ZenoSchedule(period), base_seed=9)
-        want = run_positions(with_measures_every(circuit, period), 32, noise=noise, base_seed=9)
+@pytest.mark.parametrize(
+    "circuit",
+    [
+        build_circuit(WalkConfig(4, 6, design="arc")),
+        build_circuit(WalkConfig(3, 4, design="binary")),
+        Circuit.from_text(TRAILING_OPS),
+        measure_reset_circuit(),
+    ],
+    ids=["arc-4-6", "binary-3-4", "ops_after_last_step", "no_step_marks"],
+)
+def test_schedule_equals_explicit_measure_ops(circuit, noise):
+    steps = circuit.n_steps
+    for period in sorted({1, 2, 3, steps} - {0}):
+        got, want = with_zeno_measurements(circuit, period), with_measures_every(circuit, period)
+        assert (got.ops, got.steps_marks) == (want.ops, want.steps_marks), period
+        got = run_positions(got, 32, noise=noise, base_seed=9)
+        want = run_positions(want, 32, noise=noise, base_seed=9)
         assert np.array_equal(got, want), period
-    never = run_positions(circuit, 32, noise=noise, schedule=ZenoSchedule(0), base_seed=9)
-    beyond = run_positions(circuit, 32, noise=noise, schedule=ZenoSchedule(steps + 1), base_seed=9)
-    assert np.array_equal(beyond, never)
+    for period in (0, steps + 1):  # never fires: the same ops and marks
+        same = with_zeno_measurements(circuit, period)
+        assert (same.ops, same.steps_marks) == (circuit.ops, circuit.steps_marks), period
 
 
 def chunk_of(circuit):
@@ -185,9 +211,7 @@ def test_ten_qubits_span_several_chunks_and_end_partial():
     assert circuit.n_qubits == 10
     chunk = chunk_of(circuit)
     shots = 2 * chunk + chunk // 2
-    assert_engine_matches_oracle(
-        circuit, shots, noise=NOISY, schedule=ZenoSchedule(2), base_seed=31
-    )
+    assert_engine_matches_oracle(circuit, shots, noise=NOISY, period=2, base_seed=31)
 
 
 def test_ideal_run_shares_one_row_over_several_chunks():
@@ -245,9 +269,7 @@ def test_shared_rows_split_and_merge_as_the_oracle(case, noise, merges, monkeypa
     config, period = case
     circuit = build_circuit(config)
     shots = 2 * chunk_of(circuit) + 5
-    assert_engine_matches_oracle(
-        circuit, shots, noise=noise, schedule=ZenoSchedule(period), base_seed=17
-    )
+    assert_engine_matches_oracle(circuit, shots, noise=noise, period=period, base_seed=17)
     assert any(pairs > rows for rows, pairs, _ in collapses)  # a shared row parted
     if merges:
         assert any(out < pairs for _, pairs, out in collapses)  # parted rows merged

@@ -345,6 +345,19 @@ class TestCascading:
         assert len(out.ops) == len(base.ops) + 9 * 8
         assert out.n_steps == base.n_steps
 
+    def test_half_rate_skips_steps_on_the_seeded_draws(self):
+        # Per step one random(), then random() and integers() only when it inserts.
+        cfg = WalkConfig(5, 12, design="random_jump_cascading", seed=31)
+        out = with_cascading_disjunctions(random_jump_circuit(cfg), cfg, insertion_rate=0.5)
+        wires = []
+        for start, stop in zip([0] + out.steps_marks, out.steps_marks):
+            ors = [op.targets[:2] for op in out.ops[start:stop] if op.kind == "TOFFOLI"]
+            wires.append(ors[0] if ors else None)
+        assert wires == [
+            (0, 2), (0, 1), None, (1, 3), (1, 2), None, (2, 3), None, None, (0, 2), None, None,
+        ]
+        assert out.steps_marks[-1] == 78
+
     def test_block_wires_ordered_within_counter(self):
         cfg = WalkConfig(6, 20, design="random_jump_cascading", seed=12)
         out = with_cascading_disjunctions(random_jump_circuit(cfg), cfg)

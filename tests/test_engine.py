@@ -14,7 +14,6 @@ from arcwalk import (
     ShotHistogram,
     StateVector,
     WalkConfig,
-    ZenoSchedule,
     arc_expected,
     build_circuit,
     decode,
@@ -27,6 +26,7 @@ from arcwalk import (
     single_qubit_zeno_sampled,
     two_way_distribution,
     walk_step_changes,
+    with_zeno_measurements,
     zeno_experiment,
 )
 
@@ -282,9 +282,15 @@ class TestDistanceTable:
 
 class TestZeno:
     def test_schedule_validation(self):
-        assert ZenoSchedule(0).period == 0
+        circ = build_circuit(WalkConfig(3, 4, design="arc"))
+        never = with_zeno_measurements(circ, 0)
+        assert (never.ops, never.steps_marks) == (circ.ops, circ.steps_marks)
+        with pytest.raises(ConfigError, match="period must be nonnegative, got -1"):
+            with_zeno_measurements(circ, -1)
+        with pytest.raises(TypeError):
+            with_zeno_measurements(circ, 1.5)
         with pytest.raises(ConfigError):
-            ZenoSchedule(-1)
+            zeno_experiment(3, 4, math.pi / 2, [1, -1], 10)
 
     def test_more_frequent_checks_freeze_the_counter(self):
         res = zeno_experiment(4, 8, math.pi / 2, [0, 2, 1], 800, seed=3)
@@ -325,7 +331,7 @@ class TestZeno:
             mu += 2**k * p1
             var += 4**k * p1 * (1 - p1)
         circ = build_circuit(WalkConfig(width, steps, design="arc", base_angle=base_angle))
-        hist = run_shots(circ, shots, schedule=ZenoSchedule(period), base_seed=909)
+        hist = run_shots(with_zeno_measurements(circ, period), shots, base_seed=909)
         assert abs(hist.mean() - mu) <= 4.0 * math.sqrt(var / shots)
 
 

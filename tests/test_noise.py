@@ -17,10 +17,9 @@ from arcwalk import (
     apply_readout_noise,
     census,
     estimate_fidelity,
-    noisy_apply,
     run_positions,
 )
-from arcwalk.noise import ShotStreams, _injection_slots, toffoli_decomposition
+from arcwalk.noise import ShotStreams, _injection_slots, noisy_apply, toffoli_decomposition
 from arcwalk.sim import apply_1q, apply_unitary, index_to_bits
 
 UNIT_NOISE = NoiseModel(fidelity_1q=1.0, fidelity_2q=1.0)
