@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -15,6 +15,7 @@ from .sim import index_to_bits, measure_rows, sample_cdf
 
 RANDOM_JUMP_CIRCUITS = 30
 RANDOM_JUMP_SHOTS = 30
+RANDOM_DESIGNS = ("random_jump", "random_jump_cascading")  # a new circuit per step count
 
 # A chunk holds at most CHUNK_SHOTS shots and, when an op draws, CHUNK_AMPS amplitudes
 # (512 KiB) even if every shot parts to its own row, as under noise. An ideal chunk draws
@@ -262,6 +263,39 @@ def run_positions(
     return _decode_index(_run(circuit, shots, noise, base_seed), circuit.counter)
 
 
+def run_step_positions(
+    circuit: Circuit, shots: int, base_seeds: list[int], noise: NoiseModel | None = None
+) -> list[np.ndarray]:
+    """``run_positions`` of the circuit cut at each step mark, ``n_steps + 1`` arrays:
+    cut 0 has no ops, cut s the first ``steps_marks[s - 1]``, run at ``base_seeds[s]``.
+
+    An ideal shot of a circuit with no MEASURE or RESET draws only its final
+    ``random()``, so such a circuit is evolved once, on one row, and each cut
+    samples the state it has reached: the same bits. Noisy or collapsing shots
+    draw between gates, so each cut then runs on its own.
+    """
+    n, marks = circuit.n_qubits, [0, *circuit.steps_marks]
+    if len(base_seeds) != len(marks):
+        raise ConfigError(f"need {len(marks)} base seeds, one per cut, got {len(base_seeds)}")
+    if shots < 1 or min(base_seeds) < 0:
+        raise ConfigError(f"shots must be positive and seeds nonnegative: {shots=}, {base_seeds=}")
+    if n > MAX_QUBITS:
+        raise OutOfRangeError(f"n_qubits must be in 1..{MAX_QUBITS}, got {n}")
+    if noise is not None or _draws_per_shot(circuit.ops) > 1:
+        cuts = [replace(circuit, ops=circuit.ops[:m], steps_marks=circuit.steps_marks[:s])
+                for s, m in enumerate(marks)]
+        return [run_positions(cut, shots, noise, b) for cut, b in zip(cuts, base_seeds)]
+    amps, out = np.eye(1, 1 << n, dtype=np.complex128), []
+    for prev, m, b in zip([0, *marks], marks, base_seeds):
+        for op in circuit.ops[prev:m]:
+            apply_unitary(amps, op)
+        cdf = np.cumsum(amps.real**2 + amps.imag**2, axis=1)[0]  # as ``_trajectories`` sums it
+        idx = [sample_cdf(cdf, _uniforms(b + start, min(CHUNK_SHOTS, shots - start), 1)[:, 0])
+               for start in range(0, shots, CHUNK_SHOTS)]
+        out.append(_decode_index(np.concatenate(idx), circuit.counter))
+    return out
+
+
 def run_shots(
     circuit: Circuit, shots: int, noise: NoiseModel | None = None, base_seed: int = 0
 ) -> ShotHistogram:
@@ -329,40 +363,44 @@ def distance_table(
     """Mean decoded distance for each design at step counts 0..max_steps.
 
     Random-jump designs average ``random_circuits`` seeded circuits at
-    ``random_shots`` shots each; other designs run ``shots`` shots of their
-    single circuit. Cascading runs stay ideal under noise unless
+    ``random_shots`` shots each, new ones per step count; other designs run
+    ``shots`` shots of the cuts of their ``max_steps`` circuit in one
+    ``run_step_positions`` sweep. Cascading runs stay ideal under noise unless
     ``noisy_cascading`` is set (their resets then measure and noisily flip).
     """
-    for design in designs:
+    for i, design in enumerate(designs):
         if design not in DESIGNS:
             raise ConfigError(f"unknown design {design!r}; expected one of {DESIGNS}")
+        if design in designs[:i]:
+            raise ConfigError(f"design {design!r} is listed more than once")
     if max_steps < 0:
         raise ConfigError(f"max_steps must be nonnegative, got {max_steps}")
     if min(shots, random_circuits, random_shots) < 1:
         raise ConfigError(f"counts must be positive: {shots=}, {random_circuits=}, {random_shots=}")
-    rows = []
-    for steps in range(max_steps + 1):
-        cells = {}
-        for di, design in enumerate(designs):
-            ideal = design == "random_jump_cascading" and not noisy_cascading
-            # Each run is (circuit seed, shots, base seed).
-            if design in ("random_jump", "random_jump_cascading"):
-                runs = [(derive_seed(seed, di, steps, c, 0), random_shots,
-                         derive_seed(seed, di, steps, c, 1)) for c in range(random_circuits)]
-            else:
-                runs = [(seed, shots, derive_seed(seed, di, steps))]
-            pos = np.concatenate([
-                run_positions(
-                    build_circuit(WalkConfig(width, steps, design, base_angle=base_angle, seed=s)),
-                    k, noise=None if ideal else noise, base_seed=b,
-                )
-                for s, k, b in runs
-            ])
-            n = len(pos)
-            stderr = float(pos.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-            cells[design] = DistanceCell(float(pos.mean()), stderr, n)
-        rows.append((steps, cells))
-    return DistanceTable(rows)
+    columns = []  # per design, positions per step count
+    for di, design in enumerate(designs):
+        run_noise = None if design == "random_jump_cascading" and not noisy_cascading else noise
+        if design not in RANDOM_DESIGNS:
+            circuit = build_circuit(WalkConfig(width, max_steps, design, base_angle, seed))
+            seeds = [derive_seed(seed, di, steps) for steps in range(max_steps + 1)]
+            columns.append(run_step_positions(circuit, shots, seeds, run_noise))
+            continue
+        column = []
+        for steps in range(max_steps + 1):
+            runs = [(derive_seed(seed, di, steps, c, 0), derive_seed(seed, di, steps, c, 1))
+                    for c in range(random_circuits)]  # (circuit seed, base seed)
+            column.append(np.concatenate([
+                run_positions(build_circuit(WalkConfig(width, steps, design, base_angle, s)),
+                              random_shots, run_noise, b) for s, b in runs]))
+        columns.append(column)
+
+    def cell(pos: np.ndarray) -> DistanceCell:
+        stderr = float(pos.std(ddof=1) / math.sqrt(len(pos))) if len(pos) > 1 else 0.0
+        return DistanceCell(float(pos.mean()), stderr, len(pos))
+
+    rows = [{design: cell(column[steps]) for design, column in zip(designs, columns)}
+            for steps in range(max_steps + 1)]
+    return DistanceTable(list(enumerate(rows)))
 
 
 def zeno_experiment(
@@ -428,14 +466,15 @@ def walk_step_changes(
 
     Returns the concatenation over s of positions(s+1) - positions(s), with
     independent seeds per step count, for tail diagnostics on walk output.
+    Designs other than random-jump ones run one ``run_step_positions`` sweep.
     """
     if max_steps < 1:
         raise ConfigError(f"max_steps must be at least 1, got {max_steps}")
-    per_step = []
-    for s in range(max_steps + 1):
-        cfg = WalkConfig(width, s, design=design, base_angle=base_angle, seed=derive_seed(seed, 0, s))
-        per_step.append(
-            run_positions(build_circuit(cfg), shots, base_seed=derive_seed(seed, 1, s))
-        )
-    deltas = [per_step[s + 1] - per_step[s] for s in range(max_steps)]
-    return np.concatenate(deltas)
+    steps = range(max_steps + 1)
+    configs = [WalkConfig(width, s, design, base_angle, derive_seed(seed, 0, s)) for s in steps]
+    seeds = [derive_seed(seed, 1, s) for s in steps]
+    if design in RANDOM_DESIGNS:
+        per_step = [run_positions(build_circuit(c), shots, None, b) for c, b in zip(configs, seeds)]
+    else:
+        per_step = run_step_positions(build_circuit(configs[-1]), shots, seeds)
+    return np.diff(per_step, axis=0).ravel()  # positions(s + 1) - positions(s), s = 0, 1, ...

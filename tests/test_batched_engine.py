@@ -11,15 +11,19 @@ import numpy as np
 import pytest
 
 from arcwalk import (
+    DEFAULT_NOISE,
     DESIGNS,
     Circuit,
+    ConfigError,
     GateOp,
     NoiseModel,
+    OutOfRangeError,
     StateVector,
     WalkConfig,
     apply_readout_noise,
     build_circuit,
     decode,
+    derive_seed,
     run_positions,
     with_zeno_measurements,
 )
@@ -27,7 +31,7 @@ from arcwalk import engine
 from arcwalk.circuits import or_inplace_block
 from arcwalk.engine import CHUNK_AMPS, CHUNK_SHOTS
 from arcwalk.noise import _injection_slots
-from arcwalk.sim import index_to_bits, measure_rows, sample_cdf
+from arcwalk.sim import MAX_QUBITS, apply_unitary, index_to_bits, measure_rows, sample_cdf
 
 NOISY = NoiseModel(0.97, 0.9, 0.05)
 
@@ -273,3 +277,80 @@ def test_shared_rows_split_and_merge_as_the_oracle(case, noise, merges, monkeypa
     assert any(pairs > rows for rows, pairs, _ in collapses)  # a shared row parted
     if merges:
         assert any(out < pairs for _, pairs, out in collapses)  # parted rows merged
+
+
+PREFIX_DESIGNS = ["binary", "arc", "arc_walk"]
+
+
+def each_step_count(design, width, steps, shots, seeds, noise=None, period=None):
+    """``run_positions`` of each step count's own circuit, with its Zeno measurements."""
+    out = []
+    for s, base_seed in zip(range(steps + 1), seeds):
+        circuit = build_circuit(WalkConfig(width, s, design=design))
+        if period is not None:
+            circuit = with_zeno_measurements(circuit, period)
+        out.append(run_positions(circuit, shots, noise=noise, base_seed=base_seed))
+    return out
+
+
+def assert_same_arrays(got, want):
+    assert len(got) == len(want)
+    for s, (g, w) in enumerate(zip(got, want)):
+        assert g.dtype == w.dtype and np.array_equal(g, w), s
+
+
+@pytest.mark.parametrize("width", [3, 4])  # binary gains its ancilla at 4
+@pytest.mark.parametrize("design", PREFIX_DESIGNS)
+def test_ideal_step_sweep_evolves_once_and_samples_each_step_count(design, width, monkeypatch):
+    # 40 shots in chunks of 16: two full chunks and a partial one per step count.
+    monkeypatch.setattr(engine, "CHUNK_SHOTS", 16)
+    applied = []
+
+    def spy(amps, op):
+        applied.append(op)
+        apply_unitary(amps, op)
+
+    monkeypatch.setattr(engine, "apply_unitary", spy)
+    full = build_circuit(WalkConfig(width, 6, design=design))
+    seeds = [derive_seed(8, s) for s in range(7)]
+    got = engine.run_step_positions(full, 40, seeds)
+    assert applied == full.ops
+    assert_same_arrays(got, each_step_count(design, width, 6, 40, seeds))
+
+
+@pytest.mark.parametrize(
+    "noise,period",
+    [(DEFAULT_NOISE, None), (None, 2), (DEFAULT_NOISE, 2)],
+    ids=["noisy", "zeno", "noisy_zeno"],
+)
+@pytest.mark.parametrize("design", PREFIX_DESIGNS)
+def test_step_sweep_runs_each_cut_when_shots_draw_between_gates(design, noise, period):
+    full = build_circuit(WalkConfig(3, 4, design=design))
+    if period is not None:
+        full = with_zeno_measurements(full, period)
+    seeds = [derive_seed(9, s) for s in range(5)]
+    got = engine.run_step_positions(full, 24, seeds, noise=noise)
+    assert_same_arrays(got, each_step_count(design, 3, 4, 24, seeds, noise=noise, period=period))
+
+
+def test_step_sweep_validation():
+    full = build_circuit(WalkConfig(3, 2, design="arc"))
+    with pytest.raises(ConfigError, match="need 3 base seeds, one per cut, got 2"):
+        engine.run_step_positions(full, 5, [0, 1])
+    with pytest.raises(ConfigError, match="nonnegative"):
+        engine.run_step_positions(full, 5, [0, -1, 2])
+    with pytest.raises(ConfigError, match="positive"):
+        engine.run_step_positions(full, 0, [0, 1, 2])
+
+
+@pytest.mark.parametrize("n_qubits", [MAX_QUBITS + 1, 64])
+@pytest.mark.parametrize("noise", [None, DEFAULT_NOISE], ids=["ideal", "noisy"])
+def test_step_sweep_rejects_a_wide_register_before_allocating(n_qubits, noise, monkeypatch):
+    # An amplitude array of 2**64 entries cannot be made, so only a check made first
+    # raises OutOfRangeError; at MAX_QUBITS + 1 no op may be applied either.
+    monkeypatch.setattr(engine, "apply_unitary", lambda amps, op: pytest.fail("evolved"))
+    circuit = Circuit(n_qubits=n_qubits, counter=range(0, 3))
+    circuit.add(GateOp.x(n_qubits - 1))
+    circuit.mark_step()
+    with pytest.raises(OutOfRangeError, match=f"got {n_qubits}"):
+        engine.run_step_positions(circuit.validate(), 5, [0, 1], noise=noise)

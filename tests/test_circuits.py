@@ -397,6 +397,36 @@ class TestBuildDispatch:
         assert build_circuit(cfg).ops == want.ops
 
 
+class TestStepPrefix:
+    """An s-step circuit of a repeated-step design is the S-step circuit cut at
+    its s-th step mark, whatever the seed: ``distance_table`` and
+    ``walk_step_changes`` run every step count as one sweep of those cuts."""
+
+    S = 6
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 4, 5])  # binary gains its ancilla at 4
+    @pytest.mark.parametrize("design", ["binary", "arc", "arc_walk"])
+    def test_every_step_count_is_a_cut_of_the_longest(self, design, width):
+        full = build_circuit(WalkConfig(width, self.S, design, seed=0))
+        for s in range(self.S + 1):
+            cut = ([0] + full.steps_marks)[s]
+            for seed in (0, 91):
+                circ = build_circuit(WalkConfig(width, s, design, seed=seed))
+                roles = (circ.n_qubits, circ.counter, circ.coin, circ.ancilla)
+                assert roles == (full.n_qubits, full.counter, full.coin, full.ancilla)
+                assert circ.ops == full.ops[:cut], (s, seed)
+                assert circ.steps_marks == full.steps_marks[:s], (s, seed)
+
+    def test_random_jump_is_not_a_cut_across_seeds(self):
+        full = build_circuit(WalkConfig(4, self.S, "random_jump", seed=0))
+        assert any(
+            build_circuit(WalkConfig(4, s, "random_jump", seed=seed)).ops
+            != full.ops[: full.steps_marks[s - 1]]
+            for s in range(1, self.S + 1)
+            for seed in range(1, 5)
+        )
+
+
 class TestTextRoundTrip:
     @pytest.mark.parametrize(
         "design", ["binary", "arc", "arc_walk", "random_jump", "random_jump_cascading"]

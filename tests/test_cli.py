@@ -545,6 +545,7 @@ BAD_INVOCATIONS = [
     (["distance-table", "--random-shots", "0"], 2),
     (["distance-table", "--designs", "spiral"], 2),
     (["distance-table", "--designs", ","], 2),
+    (["distance-table", "--designs", "arc,arc"], 2),
     (["zeno", "--periods", "0,-1"], 2),
     (["zeno", "--periods", ","], 2),
     (["fidelity", "--count-1q", "-1"], 2),

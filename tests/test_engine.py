@@ -29,6 +29,7 @@ from arcwalk import (
     with_zeno_measurements,
     zeno_experiment,
 )
+from arcwalk import engine
 
 # Mean decoded noisy arc value per step count (width 6, quarter-turn base
 # angle, default noise): the reference drift profile this harness is expected
@@ -235,6 +236,29 @@ class TestDistanceTable:
         with pytest.raises(ConfigError):
             distance_table(["spiral"], 2, 3)
 
+    def test_repeated_design_rejected(self):
+        # A second column of one design would overwrite the first in each row's cells.
+        with pytest.raises(ConfigError, match="design 'arc' is listed more than once"):
+            distance_table(["arc", "binary", "arc"], 2, 3)
+
+    @pytest.mark.parametrize("noise", [None, DEFAULT_NOISE], ids=["ideal", "noisy"])
+    def test_prefix_designs_sweep_one_circuit(self, noise, monkeypatch):
+        # One circuit per design at max_steps; an ideal table evolves each once.
+        built, applied = [], []
+        real_build, real_apply = engine.build_circuit, engine.apply_unitary
+        monkeypatch.setattr(engine, "build_circuit", lambda cfg: built.append(cfg) or real_build(cfg))
+        monkeypatch.setattr(engine, "apply_unitary", lambda a, op: applied.append(op) or real_apply(a, op))
+        designs = ["binary", "arc", "arc_walk"]
+        table = distance_table(designs, 4, 4, shots=30, noise=noise, seed=6)
+        assert [(cfg.design, cfg.steps) for cfg in built] == [(d, 4) for d in designs]
+        if noise is None:
+            assert applied == [op for cfg in built for op in real_build(cfg).ops]
+        for di, design in enumerate(designs):
+            for steps, cells in table.rows:
+                pos = run_positions(real_build(WalkConfig(4, steps, design)), 30, noise=noise,
+                                    base_seed=derive_seed(6, di, steps))
+                assert cells[design].mean == float(pos.mean()), (design, steps)
+
     def test_noisy_binary_overshoots(self):
         # gate noise breaks the exact count and piles extra flips on top
         circ = build_circuit(WalkConfig(6, 10, design="binary"))
@@ -385,3 +409,14 @@ class TestWalkStepChanges:
     def test_validation(self):
         with pytest.raises(ConfigError):
             walk_step_changes("arc_walk", 4, 0, 10)
+
+    @pytest.mark.parametrize("design", ["binary", "arc", "arc_walk", "random_jump"])
+    def test_deltas_of_each_step_count_run_alone(self, design):
+        per_step = [
+            run_positions(build_circuit(WalkConfig(4, s, design, seed=derive_seed(2, 0, s))), 25,
+                          base_seed=derive_seed(2, 1, s))
+            for s in range(4)
+        ]
+        want = np.concatenate([per_step[s + 1] - per_step[s] for s in range(3)])
+        got = walk_step_changes(design, 4, 3, 25, seed=2)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
