@@ -131,16 +131,15 @@ class Circuit:
             lines.append(f"# coin {self.coin}")
         if self.ancilla is not None:
             lines.append(f"# ancilla {self.ancilla}")
-        mark_at = 0
-        for j, op in enumerate(self.ops):
+        body = []
+        for op in self.ops:
             parts = [op.kind] + [str(q) for q in op.targets]
             if op.theta is not None:
                 parts.append(repr(op.theta))
-            lines.append(" ".join(parts))
-            while mark_at < len(self.steps_marks) and self.steps_marks[mark_at] == j + 1:
-                lines.append(f"# step {mark_at + 1}")
-                mark_at += 1
-        return "\n".join(lines) + "\n"
+            body.append(" ".join(parts))
+        for step, mark in reversed(list(enumerate(self.steps_marks, start=1))):
+            body.insert(mark, f"# step {step}")  # after the first ``mark`` ops, even 0
+        return "\n".join(lines + body) + "\n"
 
     @classmethod
     def from_text(cls, text: str) -> "Circuit":

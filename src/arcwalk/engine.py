@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -17,14 +17,15 @@ RANDOM_JUMP_CIRCUITS = 30
 RANDOM_JUMP_SHOTS = 30
 RANDOM_DESIGNS = ("random_jump", "random_jump_cascading")  # a new circuit per step count
 
-# A chunk holds at most CHUNK_SHOTS shots and, when an op draws, CHUNK_AMPS amplitudes
-# (512 KiB) even if every shot parts to its own row, as under noise. An ideal chunk draws
-# at most CHUNK_DRAWS uniforms (2 MiB, and about 11 times that while ``_uniforms``
-# computes them). A noisy chunk holds a PCG64 bit generator per shot and reads their
-# streams through a window of WINDOW_COLUMNS raw outputs per shot, at most CHUNK_DRAWS
-# in all, wider only if one read needs more (a Toffoli's 21 slots, or readout's n). A
-# refill calls ``random_raw`` once per shot, about 1 us plus 3.6 ns per output on a
-# 2 vCPU x86 host, so at 2**10 columns its fixed cost is about 1 ns per output.
+# A chunk holds at most CHUNK_SHOTS shots. A trajectory chunk (noisy, or past a MEASURE
+# or RESET) also holds at most CHUNK_AMPS amplitudes (512 KiB) even if every shot parts
+# to its own row, and an ideal one draws at most CHUNK_DRAWS uniforms (2 MiB, and about
+# 11 times that while ``_uniforms`` computes them). A noisy chunk holds a PCG64 bit
+# generator per shot and reads their streams through a window of WINDOW_COLUMNS raw
+# outputs per shot, at most CHUNK_DRAWS in all, wider only if one read needs more (a
+# Toffoli's 21 slots, or readout's n). A refill calls ``random_raw`` once per shot, about
+# 1 us plus 3.6 ns per output on a 2 vCPU x86 host, so at 2**10 columns its fixed cost is
+# about 1 ns per output. No chunk size changes a draw: shot i draws from base_seed + i.
 CHUNK_SHOTS = 1 << 12
 CHUNK_AMPS = 1 << 15
 CHUNK_DRAWS = 1 << 18
@@ -166,21 +167,15 @@ def _decode_index(index: np.ndarray, counter: range) -> np.ndarray:
     return (index >> counter.start) & ((1 << len(counter)) - 1)
 
 
-def _draws_per_shot(ops: list[GateOp]) -> int:
-    """Uniforms an ideal shot draws running ``ops``: one per collapse, one for the final sample."""
-    return 1 + sum(not op.is_unitary for op in ops)
-
-
-def _trajectories(circuit: Circuit, base_seed: int, shots: int, noise, draws: int) -> np.ndarray:
-    """Final basis index per shot running the circuit from |0...0>, one row every shot
-    holds at first; see ``run_positions``. Shot r draws from
+def _trajectories(n: int, ops: list[GateOp], base_seed: int, shots: int, noise, draws):
+    """Final basis index per shot running ``ops`` on n qubits from |0...0>, one row every
+    shot holds at first; see ``run_positions``. Shot r draws from
     ``default_rng(base_seed + r)``: one ``random()`` per collapse, each noisy
     gate's draws, one ``random()`` for the final sample, and ``random(n)`` for
     readout flips. Ideal shots draw only the ``random()`` calls, ``draws`` each,
     so they take them as columns of one ``_uniforms`` block; noisy shots read
     their streams through one ``ShotStreams`` window, refilled as they reach its end."""
-    n, cls = circuit.n_qubits, np.zeros(shots, np.intp)
-    amps = np.eye(1, 1 << n, dtype=np.complex128)
+    amps, cls = np.eye(1, 1 << n, dtype=np.complex128), np.zeros(shots, np.intp)
     if noise is None:
         uniform = iter(_uniforms(base_seed, shots, draws).T).__next__
     else:
@@ -196,7 +191,7 @@ def _trajectories(circuit: Circuit, base_seed: int, shots: int, noise, draws: in
             return amps, cls
         return noisy_apply(amps, op, noise, streams if held is None else streams.view(held), cls)
 
-    for op in circuit.ops:
+    for op in ops:
         if op.is_unitary:
             amps, cls = gate(amps, op, cls)
             continue
@@ -215,27 +210,45 @@ def _trajectories(circuit: Circuit, base_seed: int, shots: int, noise, draws: in
     return idx
 
 
-def _run(circuit: Circuit, shots: int, noise: NoiseModel | None, seed: int) -> np.ndarray:
-    """Final basis index of each shot, run in chunks of shots that each start on one
-    shared row; the amplitude cap applies when an op draws (a MEASURE or RESET, or
-    any op under noise)."""
-    n = circuit.n_qubits
+def _sweep(circuit: Circuit, cuts: list[int], shots: int, seeds: list[int],
+           noise: NoiseModel | None) -> list[np.ndarray]:
+    """Final basis index per shot after each op-prefix length of the ascending ``cuts``,
+    shot i of cut j drawing from ``default_rng(seeds[j] + i)``. While the run is ideal and
+    no MEASURE or RESET has come, a shot draws only its final ``random()``: one row is
+    evolved once, and each cut samples it. Every later cut, and every cut under noise,
+    runs its prefix through ``_trajectories``."""
+    n, ops = circuit.n_qubits, circuit.ops
+    if shots < 1:
+        raise ConfigError(f"shots must be positive, got {shots}")
+    if min(seeds) < 0:
+        raise ConfigError(f"seed must be nonnegative, got {min(seeds)}")
     if n > MAX_QUBITS:
         raise OutOfRangeError(f"n_qubits must be in 1..{MAX_QUBITS}, got {n}")
-    if seed < 0:
-        raise ConfigError(f"seed must be nonnegative, got {seed}")
-    k = _draws_per_shot(circuit.ops)
-    draws = k > 1 or noise is not None and len(circuit.ops) > 0  # a collapse, or a noisy gate
-    chunk = min(CHUNK_SHOTS, max(1, CHUNK_AMPS >> n)) if draws else CHUNK_SHOTS
-    if noise is None:
-        chunk = min(chunk, max(1, CHUNK_DRAWS // k))
-    return np.concatenate([_trajectories(circuit, seed + start, min(chunk, shots - start), noise, k)
-                           for start in range(0, shots, chunk)])
+    amps, done, shared, out = np.eye(1, 1 << n, dtype=np.complex128), 0, noise is None, []
+    for cut, seed in zip(cuts, seeds):
+        shared = shared and all(op.is_unitary for op in ops[done:cut])
+        if shared:
+            for op in ops[done:cut]:
+                apply_unitary(amps, op)
+            done = cut
+            cdf = np.cumsum(amps.real**2 + amps.imag**2, axis=1)[0]  # as ``_trajectories`` sums it
+            out.append(np.concatenate([
+                sample_cdf(cdf, _uniforms(seed + start, min(CHUNK_SHOTS, shots - start), 1)[:, 0])
+                for start in range(0, shots, CHUNK_SHOTS)]))
+            continue
+        # Uniforms per ideal shot: one per collapse, one to sample; noisy shots read windows.
+        k = 1 + sum(not op.is_unitary for op in ops[:cut]) if noise is None else 1
+        chunk = max(1, min(CHUNK_SHOTS, CHUNK_AMPS >> n, CHUNK_DRAWS // k))
+        out.append(np.concatenate([
+            _trajectories(n, ops[:cut], seed + start, min(chunk, shots - start), noise, k)
+            for start in range(0, shots, chunk)]))
+    return out
 
 
 def run_single_shot(circuit: Circuit, seed: int, noise: NoiseModel | None = None) -> str:
     """One full trajectory: returns the final bitstring."""
-    return index_to_bits(int(_run(circuit, 1, noise, seed)[0]), circuit.n_qubits)
+    idx = _sweep(circuit, [len(circuit.ops)], 1, [seed], noise)[0][0]
+    return index_to_bits(int(idx), circuit.n_qubits)
 
 
 def run_positions(
@@ -244,9 +257,10 @@ def run_positions(
     """Decoded counter value per shot; shot i uses seed ``base_seed + i``.
 
     The engine runs the circuit's ops as they stand: a Zeno schedule is a
-    circuit too, made by ``circuits.with_zeno_measurements``. Every shot of a
-    chunk starts on one row, |0...0>, so the ops before the first one that
-    draws (a MEASURE or RESET, or any gate under noise) run once per chunk.
+    circuit too, made by ``circuits.with_zeno_measurements``. An ideal circuit
+    without MEASURE or RESET is evolved once, on one row that every shot samples;
+    otherwise every shot of a chunk starts on one row, |0...0>, so the ops before
+    the first that draws (a MEASURE or RESET, or any gate under noise) run once per chunk.
     Each distinct state is evolved once and each shot holds its row's index:
     shots part by outcome at a collapse or by kicks at a noisy gate, and rows
     with equal bytes merge after a collapse (exact: equal bytes in give equal
@@ -258,9 +272,8 @@ def run_positions(
     ``random()`` and ``integers(3)`` on them. A noisy gate folds each shot's
     Pauli kicks into one signed permutation of its row.
     """
-    if shots < 1:
-        raise ConfigError(f"shots must be positive, got {shots}")
-    return _decode_index(_run(circuit, shots, noise, base_seed), circuit.counter)
+    idx = _sweep(circuit, [len(circuit.ops)], shots, [base_seed], noise)[0]
+    return _decode_index(idx, circuit.counter)
 
 
 def run_step_positions(
@@ -269,31 +282,15 @@ def run_step_positions(
     """``run_positions`` of the circuit cut at each step mark, ``n_steps + 1`` arrays:
     cut 0 has no ops, cut s the first ``steps_marks[s - 1]``, run at ``base_seeds[s]``.
 
-    An ideal shot of a circuit with no MEASURE or RESET draws only its final
-    ``random()``, so such a circuit is evolved once, on one row, and each cut
-    samples the state it has reached: the same bits. Noisy or collapsing shots
-    draw between gates, so each cut then runs on its own.
+    The cuts share one sweep: an ideal prefix with no MEASURE or RESET is evolved
+    once, on one row, and each cut in it samples the state it has reached, with the
+    same bits; each later cut, and every cut under noise, runs on its own.
     """
-    n, marks = circuit.n_qubits, [0, *circuit.steps_marks]
+    marks = [0, *circuit.steps_marks]
     if len(base_seeds) != len(marks):
         raise ConfigError(f"need {len(marks)} base seeds, one per cut, got {len(base_seeds)}")
-    if shots < 1 or min(base_seeds) < 0:
-        raise ConfigError(f"shots must be positive and seeds nonnegative: {shots=}, {base_seeds=}")
-    if n > MAX_QUBITS:
-        raise OutOfRangeError(f"n_qubits must be in 1..{MAX_QUBITS}, got {n}")
-    if noise is not None or _draws_per_shot(circuit.ops) > 1:
-        cuts = [replace(circuit, ops=circuit.ops[:m], steps_marks=circuit.steps_marks[:s])
-                for s, m in enumerate(marks)]
-        return [run_positions(cut, shots, noise, b) for cut, b in zip(cuts, base_seeds)]
-    amps, out = np.eye(1, 1 << n, dtype=np.complex128), []
-    for prev, m, b in zip([0, *marks], marks, base_seeds):
-        for op in circuit.ops[prev:m]:
-            apply_unitary(amps, op)
-        cdf = np.cumsum(amps.real**2 + amps.imag**2, axis=1)[0]  # as ``_trajectories`` sums it
-        idx = [sample_cdf(cdf, _uniforms(b + start, min(CHUNK_SHOTS, shots - start), 1)[:, 0])
-               for start in range(0, shots, CHUNK_SHOTS)]
-        out.append(_decode_index(np.concatenate(idx), circuit.counter))
-    return out
+    return [_decode_index(idx, circuit.counter)
+            for idx in _sweep(circuit, marks, shots, base_seeds, noise)]
 
 
 def run_shots(

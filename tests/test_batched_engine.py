@@ -218,8 +218,21 @@ def test_ten_qubits_span_several_chunks_and_end_partial():
     assert_engine_matches_oracle(circuit, shots, noise=NOISY, period=2, base_seed=31)
 
 
-def test_ideal_run_shares_one_row_over_several_chunks():
-    # Every shot samples the one evolved row, CHUNK_SHOTS shots per chunk.
+def spy_on_unitaries(monkeypatch):
+    """The ops the engine applies through ``apply_unitary``, in order."""
+    applied = []
+
+    def spy(amps, op):
+        applied.append(op)
+        apply_unitary(amps, op)
+
+    monkeypatch.setattr(engine, "apply_unitary", spy)
+    return applied
+
+
+def test_ideal_run_shares_one_row_over_several_chunks(monkeypatch):
+    # The row is evolved once and every shot samples it, CHUNK_SHOTS shots per chunk.
+    applied = spy_on_unitaries(monkeypatch)
     circuit = build_circuit(WalkConfig(9, 3, design="arc_walk"))
     assert circuit.n_qubits == 10 and all(op.is_unitary for op in circuit.ops)
     shots = CHUNK_SHOTS + CHUNK_SHOTS // 2
@@ -233,6 +246,7 @@ def test_ideal_run_shares_one_row_over_several_chunks():
         for i in range(shots)
     ]
     assert np.array_equal(run_positions(circuit, shots, base_seed=3), np.array(want))
+    assert applied == circuit.ops
 
 
 def test_noisy_circuit_without_ops_shares_one_row():
@@ -304,18 +318,33 @@ def assert_same_arrays(got, want):
 def test_ideal_step_sweep_evolves_once_and_samples_each_step_count(design, width, monkeypatch):
     # 40 shots in chunks of 16: two full chunks and a partial one per step count.
     monkeypatch.setattr(engine, "CHUNK_SHOTS", 16)
-    applied = []
-
-    def spy(amps, op):
-        applied.append(op)
-        apply_unitary(amps, op)
-
-    monkeypatch.setattr(engine, "apply_unitary", spy)
+    applied = spy_on_unitaries(monkeypatch)
     full = build_circuit(WalkConfig(width, 6, design=design))
     seeds = [derive_seed(8, s) for s in range(7)]
     got = engine.run_step_positions(full, 40, seeds)
     assert applied == full.ops
+    # Against the per-shot oracle, which shares no sampling code with the sweep ...
+    for mark, positions, seed in zip([0, *full.steps_marks], got, seeds):
+        cut = Circuit(full.n_qubits, full.counter, ops=full.ops[:mark])
+        assert np.array_equal(positions, oracle_positions(cut, 40, base_seed=seed)), mark
+    # ... and against run_positions of each step count's own circuit.
     assert_same_arrays(got, each_step_count(design, width, 6, 40, seeds))
+
+
+@pytest.mark.parametrize("design", PREFIX_DESIGNS)
+def test_zeno_step_sweep_shares_one_row_until_the_first_measure(design, monkeypatch):
+    # Period 3 measures after step 3, so cuts 0-2 sample one row evolved once, and each
+    # later cut runs its own trajectories: one chunk each at 24 shots.
+    applied = spy_on_unitaries(monkeypatch)
+    full = with_zeno_measurements(build_circuit(WalkConfig(3, 6, design=design)), 3)
+    marks = [0, *full.steps_marks]
+    seeds = [derive_seed(10, s) for s in range(7)]
+    got = engine.run_step_positions(full, 24, seeds)
+    assert all(op.is_unitary for op in full.ops[: marks[2]])
+    assert not all(op.is_unitary for op in full.ops[: marks[3]])
+    trajectories = [op for mark in marks[3:] for op in full.ops[:mark] if op.is_unitary]
+    assert applied == full.ops[: marks[2]] + trajectories
+    assert_same_arrays(got, each_step_count(design, 3, 6, 24, seeds, period=3))
 
 
 @pytest.mark.parametrize(
@@ -347,10 +376,17 @@ def test_step_sweep_validation():
 @pytest.mark.parametrize("noise", [None, DEFAULT_NOISE], ids=["ideal", "noisy"])
 def test_step_sweep_rejects_a_wide_register_before_allocating(n_qubits, noise, monkeypatch):
     # An amplitude array of 2**64 entries cannot be made, so only a check made first
-    # raises OutOfRangeError; at MAX_QUBITS + 1 no op may be applied either.
+    # raises OutOfRangeError; at MAX_QUBITS + 1 no op may be applied either. Every
+    # entry shares the one check.
     monkeypatch.setattr(engine, "apply_unitary", lambda amps, op: pytest.fail("evolved"))
     circuit = Circuit(n_qubits=n_qubits, counter=range(0, 3))
     circuit.add(GateOp.x(n_qubits - 1))
     circuit.mark_step()
-    with pytest.raises(OutOfRangeError, match=f"got {n_qubits}"):
-        engine.run_step_positions(circuit.validate(), 5, [0, 1], noise=noise)
+    circuit.validate()
+    for run in (
+        lambda: engine.run_step_positions(circuit, 5, [0, 1], noise=noise),
+        lambda: run_positions(circuit, 5, noise=noise),
+        lambda: engine.run_single_shot(circuit, 0, noise=noise),
+    ):
+        with pytest.raises(OutOfRangeError, match=f"got {n_qubits}"):
+            run()

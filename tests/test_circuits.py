@@ -436,6 +436,17 @@ class TestTextRoundTrip:
         circ = build_circuit(cfg)
         assert Circuit.from_text(circ.to_text()) == circ
 
+    @pytest.mark.parametrize(
+        "n_ops,marks", [(0, [0]), (3, [0]), (3, [0, 1]), (3, [0, 1, 3]), (3, [1, 3])]
+    )
+    def test_step_marks_round_trip_from_op_zero(self, n_ops, marks):
+        # A mark at op 0 is a '# step 1' line before any op; the marks after it follow.
+        ops = [GateOp.h(0), GateOp.x(1), GateOp.cnot(0, 1)][:n_ops]
+        circ = Circuit(n_qubits=2, counter=range(0, 2), ops=ops, steps_marks=marks).validate()
+        text = circ.to_text()
+        assert Circuit.from_text(text) == circ
+        assert text.count("# step") == len(marks)
+
     def test_missing_header_rejected(self):
         with pytest.raises(CircuitParseError, match="nqubits"):
             Circuit.from_text("H 0\n")

@@ -73,12 +73,16 @@ class TestDeriveSeed:
     "call",
     [
         lambda: run_positions(bell_circuit(), 2, base_seed=-1),
+        lambda: run_single_shot(bell_circuit(), -1),
         lambda: single_qubit_zeno_sampled(1.0, 2, 3, seed=-1),
         lambda: zeno_experiment(3, 2, 1.0, [0], shots=2, seed=-1),
         lambda: walk_step_changes("arc", 3, 1, 2, seed=-1),
         lambda: derive_seed(1, -2),
     ],
-    ids=["run_positions", "zeno_sampled", "zeno_experiment", "walk_step_changes", "derive_seed"],
+    ids=[
+        "run_positions", "run_single_shot", "zeno_sampled", "zeno_experiment",
+        "walk_step_changes", "derive_seed",
+    ],
 )
 def test_negative_seed_is_config_error(call):
     with pytest.raises(ConfigError, match="nonnegative"):
