@@ -168,9 +168,17 @@ class Circuit:
                     elif key == "ancilla":
                         ancilla = int(fields[1])
                     elif key == "step":
-                        marks.append(len(ops))
+                        step = int(fields[1])
                 except (IndexError, ValueError) as exc:
                     raise CircuitParseError(f"line {lineno}: bad header {line!r}") from exc
+                if key == "step":
+                    if step != len(marks) + 1:
+                        raise CircuitParseError(
+                            f"line {lineno}: {line!r} out of order, expected step {len(marks) + 1}"
+                        )
+                    if marks and marks[-1] == len(ops):
+                        raise CircuitParseError(f"line {lineno}: no op completes step {step}")
+                    marks.append(len(ops))
                 continue
             fields = line.split()
             kind = fields[0].upper()

@@ -8,6 +8,8 @@ import math
 import re
 from dataclasses import dataclass
 from datetime import date
+from operator import itemgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -15,7 +17,7 @@ from .sim import ConfigError
 
 logger = logging.getLogger(__name__)
 
-_MONTH_RE = re.compile(r"^\d{4}-(0[1-9]|1[0-2])$")
+_MONTH_RE = re.compile(r"[0-9]{4}-(0[1-9]|1[0-2])")
 
 PRICE_COLUMNS = ("date", "close")
 METRO_COLUMNS = ("metro", "month", "sales_count", "sale_to_list_ratio")
@@ -58,8 +60,7 @@ class PriceSeries:
         return len(self.points)
 
 
-@dataclass(frozen=True)
-class MetroMonthlyRecord:
+class MetroMonthlyRecord(NamedTuple):
     metro: str
     month: str
     sales_count: int
@@ -168,27 +169,37 @@ def housing_correlations(
     )
 
 
-def _require_columns(fieldnames, required, path: str) -> None:
-    have = set(fieldnames or ())
-    missing = [c for c in required if c not in have]
+def _column_positions(reader, required, path: str) -> tuple[list[int], int]:
+    """Read the header row; return each required column's position and the row
+    length that holds them all. A repeated name resolves to its last position."""
+    where = {name: i for i, name in enumerate(next(reader, None) or ())}
+    missing = [c for c in required if c not in where]
     if missing:
         raise SchemaError(f"{path} is missing column(s) {missing}; need {list(required)}")
+    cols = [where[name] for name in required]
+    return cols, max(cols) + 1
 
 
 def ingest_prices(path: str) -> PriceSeries:
-    """Read a ``date,close`` CSV of ISO dates and positive prices.
+    """Read a ``date,close`` CSV of ``YYYY-MM-DD`` dates and positive prices.
 
     Out-of-order rows are sorted ascending with a logged warning count;
     duplicate dates are rejected.
     """
     points: list[tuple[date, float]] = []
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        _require_columns(reader.fieldnames, PRICE_COLUMNS, path)
-        for row_num, row in enumerate(reader, start=2):
-            raw_date = (row.get("date") or "").strip()
-            raw_close = (row.get("close") or "").strip()
+        reader = csv.reader(fh)
+        cols, width = _column_positions(reader, PRICE_COLUMNS, path)
+        fields = itemgetter(*cols)
+        # Blank lines are skipped and not counted: row 2 is the first record.
+        for row_num, row in enumerate(filter(None, reader), start=2):
+            if len(row) < width:
+                row += [""] * (width - len(row))
+            raw_date, raw_close = map(str.strip, fields(row))
             try:
+                # fromisoformat also takes YYYYMMDD and week dates from Python 3.11 on
+                if len(raw_date) != 10 or raw_date[4] != "-" or raw_date[7] != "-":
+                    raise ValueError
                 day = date.fromisoformat(raw_date)
             except ValueError:
                 raise ParseError(f"bad ISO date {raw_date!r}", row=row_num) from None
@@ -218,18 +229,21 @@ def ingest_metro(path: str) -> list[MetroMonthlyRecord]:
     positive. Records come back sorted by (metro, month).
     """
     records: list[MetroMonthlyRecord] = []
+    months: set[str] = set()  # months that passed _MONTH_RE; a file repeats few of them
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        _require_columns(reader.fieldnames, METRO_COLUMNS, path)
-        for row_num, row in enumerate(reader, start=2):
-            metro = (row.get("metro") or "").strip()
-            month = (row.get("month") or "").strip()
-            raw_sales = (row.get("sales_count") or "").strip()
-            raw_ratio = (row.get("sale_to_list_ratio") or "").strip()
+        reader = csv.reader(fh)
+        cols, width = _column_positions(reader, METRO_COLUMNS, path)
+        fields = itemgetter(*cols)
+        for row_num, row in enumerate(filter(None, reader), start=2):
+            if len(row) < width:
+                row += [""] * (width - len(row))
+            metro, month, raw_sales, raw_ratio = map(str.strip, fields(row))
             if not metro:
                 raise ParseError("empty metro name", row=row_num)
-            if not _MONTH_RE.match(month):
-                raise ParseError(f"bad month {month!r}; expected YYYY-MM", row=row_num)
+            if month not in months:
+                if not _MONTH_RE.fullmatch(month):
+                    raise ParseError(f"bad month {month!r}; expected YYYY-MM", row=row_num)
+                months.add(month)
             try:
                 sales = int(raw_sales)
             except ValueError:
@@ -243,5 +257,5 @@ def ingest_metro(path: str) -> list[MetroMonthlyRecord]:
             if not math.isfinite(ratio) or ratio <= 0.0:
                 raise ParseError(f"ratio must be positive, got {raw_ratio}", row=row_num)
             records.append(MetroMonthlyRecord(metro, month, sales, ratio))
-    records.sort(key=lambda r: (r.metro, r.month))
+    records.sort(key=itemgetter(0, 1))
     return records

@@ -1,6 +1,7 @@
 """Circuit builders: adders, increments, counter designs, serialization."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -459,6 +460,19 @@ class TestTextRoundTrip:
     def test_bad_header_reports_line(self):
         with pytest.raises(CircuitParseError, match="line 1"):
             Circuit.from_text("# nqubits x\n")
+
+    @pytest.mark.parametrize(
+        "text,fragment",
+        [
+            ("# nqubits 2\n# step 7\nH 0\n", "line 2: '# step 7' out of order, expected step 1"),
+            ("# nqubits 2\nH 0\n# step 1\n# step 2\n", "line 4: no op completes step 2"),
+            ("# nqubits 2\n# step 1\n# step 2\nH 0\n", "line 3: no op completes step 2"),
+            ("# nqubits 2\nH 0\n# step\n", "line 3: bad header"),
+        ],
+    )
+    def test_step_lines_checked(self, text, fragment):
+        with pytest.raises(CircuitParseError, match=re.escape(fragment)):
+            Circuit.from_text(text)
 
     def test_counter_defaults_to_full_register(self):
         circ = Circuit.from_text("# nqubits 3\nH 0\n")

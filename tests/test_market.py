@@ -1,5 +1,6 @@
 """Return statistics, correlation report, and CSV ingestion."""
 
+import inspect
 import logging
 import math
 from datetime import date
@@ -201,6 +202,15 @@ class TestIngestPrices:
         assert info.value.row == 3
         assert "row 3" in str(info.value)
 
+    @pytest.mark.parametrize("spelling", ["20240102", "2024-W01-1"])
+    def test_only_dashed_dates_accepted(self, tmp_path, spelling):
+        # Python 3.11's date.fromisoformat reads both of these; 3.10 rejects them.
+        f = tmp_path / "prices.csv"
+        f.write_text(f"date,close\n{spelling},100.0\n")
+        with pytest.raises(ParseError, match="bad ISO date") as info:
+            ingest_prices(str(f))
+        assert info.value.row == 2
+
     def test_nonpositive_price_reports_row(self, tmp_path):
         f = tmp_path / "prices.csv"
         f.write_text("date,close\n2024-01-02,-5.0\n")
@@ -247,6 +257,7 @@ class TestIngestMetro:
             (",2024-01,100,0.95", "metro"),
             ("town,2024-13,100,0.95", "month"),
             ("town,202401,100,0.95", "month"),
+            ("town,２０２４-01,100,0.95", "month"),
             ("town,2024-01,many,0.95", "sales"),
             ("town,2024-01,-3,0.95", "sales"),
             ("town,2024-01,100,zero", "ratio"),
@@ -265,3 +276,95 @@ class TestIngestMetro:
         f.write_text("metro,month,sales\nx,2024-01,5\n")
         with pytest.raises(SchemaError):
             ingest_metro(str(f))
+
+
+def _ingested(ingest, path):
+    if ingest is ingest_prices:
+        return list(ingest(path).points)
+    return [(r.metro, r.month, r.sales_count, r.sale_to_list_ratio) for r in ingest(path)]
+
+
+METRO_HEADER = "metro,month,sales_count,sale_to_list_ratio\n"
+
+
+class TestIngestContract:
+    """Row numbering, column lookup and field handling that both ingest functions keep."""
+
+    @pytest.mark.parametrize(
+        "ingest,text,expected",
+        [
+            (ingest_prices, "close,date\n101.5,2024-01-02\n", [(date(2024, 1, 2), 101.5)]),
+            (ingest_prices, "date,close,close\n2024-01-02,1.0,2.0\n", [(date(2024, 1, 2), 2.0)]),
+            (ingest_prices, "date,close\n", []),
+            (ingest_prices, "date,close\n 2024-01-02 , 101.5 \n", [(date(2024, 1, 2), 101.5)]),
+            (ingest_prices, "date,close\n2024-01-02,1_0\n", [(date(2024, 1, 2), 10.0)]),
+            (
+                ingest_metro,
+                METRO_HEADER + "town,2024-01,5,0.9\ntown,2024-01,3,0.8\n",
+                [("town", "2024-01", 5, 0.9), ("town", "2024-01", 3, 0.8)],
+            ),
+            (
+                ingest_metro,
+                METRO_HEADER + " town , 2024-01 , 5 , 0.9 \n",
+                [("town", "2024-01", 5, 0.9)],
+            ),
+        ],
+    )
+    def test_loads(self, tmp_path, ingest, text, expected):
+        f = tmp_path / "in.csv"
+        f.write_text(text)
+        assert _ingested(ingest, str(f)) == expected
+
+    @pytest.mark.parametrize(
+        "ingest,text,error,fragment,row",
+        [
+            (
+                ingest_prices,
+                "date,close\n2024-01-02,1.0\n\nbad,1.0\n",
+                ParseError,
+                "bad ISO date",
+                3,
+            ),
+            (ingest_prices, "date,close\n2024-01-02\n", ParseError, "bad price ''", 2),
+            (ingest_prices, "", SchemaError, "missing column", None),
+            (
+                ingest_prices,
+                "date,close\n2024-01-02,1.0\n2024-01-03,1.0\n2024-01-02,1.0\n",
+                ParseError,
+                "duplicate date 2024-01-02",
+                4,
+            ),
+            (
+                ingest_metro,
+                METRO_HEADER + '"new\nyork",2024-01,5,0.9\ntown,2024,5,0.9\n',
+                ParseError,
+                "bad month",
+                3,
+            ),
+        ],
+    )
+    def test_rejects(self, tmp_path, ingest, text, error, fragment, row):
+        f = tmp_path / "in.csv"
+        f.write_text(text)
+        with pytest.raises(error, match=fragment) as info:
+            ingest(str(f))
+        assert getattr(info.value, "row", None) == row
+
+
+class TestMetroMonthlyRecord:
+    def test_fields_in_order(self):
+        params = list(inspect.signature(MetroMonthlyRecord).parameters)
+        assert params == ["metro", "month", "sales_count", "sale_to_list_ratio"]
+
+    def test_keyword_construction_and_attributes(self):
+        rec = MetroMonthlyRecord(
+            month="2024-01", metro="town", sale_to_list_ratio=0.9, sales_count=5
+        )
+        assert rec == MetroMonthlyRecord("town", "2024-01", 5, 0.9)
+        assert rec.metro == "town" and rec.month == "2024-01"
+        assert rec.sales_count == 5 and rec.sale_to_list_ratio == 0.9
+
+    def test_immutable(self):
+        rec = MetroMonthlyRecord("town", "2024-01", 5, 0.9)
+        with pytest.raises(AttributeError):
+            rec.sales_count = 6
