@@ -143,10 +143,8 @@ class Circuit:
 
     @classmethod
     def from_text(cls, text: str) -> "Circuit":
-        n_qubits = None
-        counter = None
-        coin = None
-        ancilla = None
+        n_qubits = counter = coin = ancilla = None
+        seen: set[str] = set()  # the headers above that have been read
         ops: list[GateOp] = []
         marks: list[int] = []
         for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -158,6 +156,10 @@ class Circuit:
                 if not fields:
                     continue
                 key = fields[0]
+                if key in seen:
+                    raise CircuitParseError(f"line {lineno}: repeated header {line!r}")
+                if key in ("nqubits", "counter", "coin", "ancilla"):
+                    seen.add(key)
                 try:
                     if key == "nqubits":
                         n_qubits = int(fields[1])

@@ -17,12 +17,12 @@ RANDOM_JUMP_CIRCUITS = 30
 RANDOM_JUMP_SHOTS = 30
 RANDOM_DESIGNS = ("random_jump", "random_jump_cascading")  # a new circuit per step count
 
-# A chunk holds at most CHUNK_SHOTS shots. A trajectory chunk (noisy, or past a MEASURE
-# or RESET) also holds at most CHUNK_AMPS amplitudes (512 KiB) even if every shot parts
-# to its own row, and an ideal one draws at most CHUNK_DRAWS uniforms (2 MiB, and about
-# 11 times that while ``_uniforms`` computes them). A noisy chunk holds a PCG64 bit
-# generator per shot and reads their streams through a window of WINDOW_COLUMNS raw
-# outputs per shot, at most CHUNK_DRAWS in all, wider only if one read needs more (a
+# A chunk holds at most CHUNK_SHOTS shots. One whose ops can part its shots (a MEASURE
+# or RESET, or any op under noise) also holds at most CHUNK_AMPS amplitudes (512 KiB) even
+# if every shot parts to its own row. An ideal chunk draws at most CHUNK_DRAWS uniforms
+# (2 MiB, about 11 times that while ``_uniforms`` computes them). A noisy chunk holds a
+# PCG64 bit generator per shot and reads their streams through a window of WINDOW_COLUMNS
+# raw outputs per shot, at most CHUNK_DRAWS in all, wider only if one read needs more (a
 # Toffoli's 21 slots, or readout's n). A refill calls ``random_raw`` once per shot, about
 # 1 us plus 3.6 ns per output on a 2 vCPU x86 host, so at 2**10 columns its fixed cost is
 # about 1 ns per output. No chunk size changes a draw: shot i draws from base_seed + i.
@@ -167,15 +167,17 @@ def _decode_index(index: np.ndarray, counter: range) -> np.ndarray:
     return (index >> counter.start) & ((1 << len(counter)) - 1)
 
 
-def _trajectories(n: int, ops: list[GateOp], base_seed: int, shots: int, noise, draws):
-    """Final basis index per shot running ``ops`` on n qubits from |0...0>, one row every
-    shot holds at first; see ``run_positions``. Shot r draws from
+def _trajectories(start: np.ndarray, ops: list[GateOp], base_seed: int, shots: int, noise, draws):
+    """Final basis index per shot running ``ops`` from the one ``(1, 2**n)`` row
+    ``start``, which every shot holds at first; see ``run_positions``. Shot r draws from
     ``default_rng(base_seed + r)``: one ``random()`` per collapse, each noisy
     gate's draws, one ``random()`` for the final sample, and ``random(n)`` for
     readout flips. Ideal shots draw only the ``random()`` calls, ``draws`` each,
     so they take them as columns of one ``_uniforms`` block; noisy shots read
-    their streams through one ``ShotStreams`` window, refilled as they reach its end."""
-    amps, cls = np.eye(1, 1 << n, dtype=np.complex128), np.zeros(shots, np.intp)
+    their streams through one ``ShotStreams`` window, refilled as they reach its end.
+    This is the one loop that runs shots and the one place a CDF is sampled."""
+    n = start.shape[1].bit_length() - 1
+    amps, cls = start.copy(), np.zeros(shots, np.intp)
     if noise is None:
         uniform = iter(_uniforms(base_seed, shots, draws).T).__next__
     else:
@@ -213,10 +215,10 @@ def _trajectories(n: int, ops: list[GateOp], base_seed: int, shots: int, noise, 
 def _sweep(circuit: Circuit, cuts: list[int], shots: int, seeds: list[int],
            noise: NoiseModel | None) -> list[np.ndarray]:
     """Final basis index per shot after each op-prefix length of the ascending ``cuts``,
-    shot i of cut j drawing from ``default_rng(seeds[j] + i)``. While the run is ideal and
-    no MEASURE or RESET has come, a shot draws only its final ``random()``: one row is
-    evolved once, and each cut samples it. Every later cut, and every cut under noise,
-    runs its prefix through ``_trajectories``."""
+    shot i of cut j drawing from ``default_rng(seeds[j] + i)``. One row is carried over
+    the cuts: while the run is ideal, the unitary ops before the first MEASURE or RESET
+    draw nothing, so they are applied to it once per run, up to each cut as it comes.
+    Each cut then runs the rest of its prefix from that row through ``_trajectories``."""
     n, ops = circuit.n_qubits, circuit.ops
     if shots < 1:
         raise ConfigError(f"shots must be positive, got {shots}")
@@ -224,23 +226,18 @@ def _sweep(circuit: Circuit, cuts: list[int], shots: int, seeds: list[int],
         raise ConfigError(f"seed must be nonnegative, got {min(seeds)}")
     if n > MAX_QUBITS:
         raise OutOfRangeError(f"n_qubits must be in 1..{MAX_QUBITS}, got {n}")
-    amps, done, shared, out = np.eye(1, 1 << n, dtype=np.complex128), 0, noise is None, []
+    row, done, out = np.eye(1, 1 << n, dtype=np.complex128), 0, []
     for cut, seed in zip(cuts, seeds):
-        shared = shared and all(op.is_unitary for op in ops[done:cut])
-        if shared:
-            for op in ops[done:cut]:
-                apply_unitary(amps, op)
-            done = cut
-            cdf = np.cumsum(amps.real**2 + amps.imag**2, axis=1)[0]  # as ``_trajectories`` sums it
-            out.append(np.concatenate([
-                sample_cdf(cdf, _uniforms(seed + start, min(CHUNK_SHOTS, shots - start), 1)[:, 0])
-                for start in range(0, shots, CHUNK_SHOTS)]))
-            continue
+        while noise is None and done < cut and ops[done].is_unitary:
+            apply_unitary(row, ops[done])
+            done += 1
+        rest = ops[done:cut]
         # Uniforms per ideal shot: one per collapse, one to sample; noisy shots read windows.
-        k = 1 + sum(not op.is_unitary for op in ops[:cut]) if noise is None else 1
-        chunk = max(1, min(CHUNK_SHOTS, CHUNK_AMPS >> n, CHUNK_DRAWS // k))
+        k = 1 + sum(not op.is_unitary for op in rest) if noise is None else 1
+        parts = k > 1 if noise is None else bool(rest)  # shots may part onto rows of their own
+        chunk = max(1, min(CHUNK_SHOTS, CHUNK_DRAWS // k, CHUNK_AMPS >> n if parts else shots))
         out.append(np.concatenate([
-            _trajectories(n, ops[:cut], seed + start, min(chunk, shots - start), noise, k)
+            _trajectories(row, rest, seed + start, min(chunk, shots - start), noise, k)
             for start in range(0, shots, chunk)]))
     return out
 
@@ -257,10 +254,10 @@ def run_positions(
     """Decoded counter value per shot; shot i uses seed ``base_seed + i``.
 
     The engine runs the circuit's ops as they stand: a Zeno schedule is a
-    circuit too, made by ``circuits.with_zeno_measurements``. An ideal circuit
-    without MEASURE or RESET is evolved once, on one row that every shot samples;
-    otherwise every shot of a chunk starts on one row, |0...0>, so the ops before
-    the first that draws (a MEASURE or RESET, or any gate under noise) run once per chunk.
+    circuit too, made by ``circuits.with_zeno_measurements``. Every shot starts on
+    one shared row. In an ideal run the ops before the first MEASURE or RESET draw
+    nothing, so they are evolved once per run on that row; under noise every gate
+    draws, and the row is |0...0>. From there each chunk of shots runs the rest.
     Each distinct state is evolved once and each shot holds its row's index:
     shots part by outcome at a collapse or by kicks at a noisy gate, and rows
     with equal bytes merge after a collapse (exact: equal bytes in give equal
@@ -283,8 +280,8 @@ def run_step_positions(
     cut 0 has no ops, cut s the first ``steps_marks[s - 1]``, run at ``base_seeds[s]``.
 
     The cuts share one sweep: an ideal prefix with no MEASURE or RESET is evolved
-    once, on one row, and each cut in it samples the state it has reached, with the
-    same bits; each later cut, and every cut under noise, runs on its own.
+    once, on one row, and each cut starts its shots from the state that row has
+    reached, with the same bits; under noise every cut runs from |0...0>.
     """
     marks = [0, *circuit.steps_marks]
     if len(base_seeds) != len(marks):
@@ -426,29 +423,6 @@ def single_qubit_zeno(theta: float, segments: int) -> float:
     if segments < 1:
         raise ConfigError(f"segments must be positive, got {segments}")
     return (math.cos(theta / segments) ** 2) ** segments
-
-
-def single_qubit_zeno_sampled(theta: float, segments: int, shots: int, seed: int = 0) -> float:
-    """Monte Carlo cross-check of ``single_qubit_zeno`` via RX + measure sequences."""
-    if segments < 1:
-        raise ConfigError(f"segments must be positive, got {segments}")
-    if shots < 1:
-        raise ConfigError(f"shots must be positive, got {shots}")
-    if seed < 0:
-        raise ConfigError(f"seed must be nonnegative, got {seed}")
-    step = GateOp.rx(0, 2.0 * theta / segments)
-    chunk = max(1, min(CHUNK_SHOTS, CHUNK_DRAWS // segments))
-    survived = 0
-    for start in range(0, shots, chunk):
-        u = _uniforms(seed + start, min(chunk, shots - start), segments)  # column j: segment j
-        amps, cls = np.array([[1.0, 0.0]], dtype=np.complex128), np.zeros(len(u), np.intp)
-        flipped = np.zeros(len(u), dtype=bool)
-        for j in range(segments):  # draws after a shot's first 1 cannot revive it
-            apply_unitary(amps, step)
-            amps, cls, ones = measure_rows(amps, 0, u[:, j], cls)
-            flipped |= ones[cls]
-        survived += len(u) - int(flipped.sum())
-    return survived / shots
 
 
 def walk_step_changes(

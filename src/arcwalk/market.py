@@ -181,7 +181,7 @@ def _column_positions(reader, required, path: str) -> tuple[list[int], int]:
 
 
 def ingest_prices(path: str) -> PriceSeries:
-    """Read a ``date,close`` CSV of ``YYYY-MM-DD`` dates and positive prices.
+    """Read a ``date,close`` CSV of ``YYYY-MM-DD`` dates and positive ASCII prices.
 
     Out-of-order rows are sorted ascending with a logged warning count;
     duplicate dates are rejected.
@@ -204,6 +204,8 @@ def ingest_prices(path: str) -> PriceSeries:
             except ValueError:
                 raise ParseError(f"bad ISO date {raw_date!r}", row=row_num) from None
             try:
+                if not raw_close.isascii():  # float also reads other scripts' digits
+                    raise ValueError
                 close = float(raw_close)
             except ValueError:
                 raise ParseError(f"bad price {raw_close!r}", row=row_num) from None
@@ -226,7 +228,7 @@ def ingest_metro(path: str) -> list[MetroMonthlyRecord]:
     """Read a ``metro,month,sales_count,sale_to_list_ratio`` CSV.
 
     Months must be YYYY-MM, sales counts nonnegative integers, ratios
-    positive. Records come back sorted by (metro, month).
+    positive, all in ASCII digits. Records come back sorted by (metro, month).
     """
     records: list[MetroMonthlyRecord] = []
     months: set[str] = set()  # months that passed _MONTH_RE; a file repeats few of them
@@ -245,12 +247,16 @@ def ingest_metro(path: str) -> list[MetroMonthlyRecord]:
                     raise ParseError(f"bad month {month!r}; expected YYYY-MM", row=row_num)
                 months.add(month)
             try:
+                if not raw_sales.isascii():  # int also reads other scripts' digits
+                    raise ValueError
                 sales = int(raw_sales)
             except ValueError:
                 raise ParseError(f"bad sales count {raw_sales!r}", row=row_num) from None
             if sales < 0:
                 raise ParseError(f"sales count must be nonnegative, got {sales}", row=row_num)
             try:
+                if not raw_ratio.isascii():
+                    raise ValueError
                 ratio = float(raw_ratio)
             except ValueError:
                 raise ParseError(f"bad ratio {raw_ratio!r}", row=row_num) from None

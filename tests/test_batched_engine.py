@@ -256,6 +256,40 @@ def test_noisy_circuit_without_ops_shares_one_row():
     assert_engine_matches_oracle(circuit, CHUNK_SHOTS + 3, noise=NOISY, base_seed=11)
 
 
+def spy_on_chunks(monkeypatch):
+    """The shot count of every chunk the engine runs, in order."""
+    chunks, run_chunk = [], engine._trajectories
+
+    def spy(start, ops, base_seed, shots, noise, draws):
+        chunks.append(shots)
+        return run_chunk(start, ops, base_seed, shots, noise, draws)
+
+    monkeypatch.setattr(engine, "_trajectories", spy)
+    return chunks
+
+
+def test_noisy_circuit_without_ops_runs_whole_chunks(monkeypatch):
+    # No op can part the shots, so the CHUNK_AMPS cap (32 shots at 10 qubits) is not applied.
+    chunks = spy_on_chunks(monkeypatch)
+    circuit = Circuit(n_qubits=10, counter=range(0, 10))
+    assert_engine_matches_oracle(circuit, 1000, noise=NOISY, base_seed=5)
+    assert chunks == [1000]
+
+
+def test_ideal_zeno_run_evolves_its_prefix_once_over_several_chunks(monkeypatch):
+    # Three chunks of 8 shots: the ops before the first MEASURE are applied once, and
+    # the ops after it once per chunk.
+    circuit = with_zeno_measurements(build_circuit(WalkConfig(3, 4, design="arc_walk")), 2)
+    monkeypatch.setattr(engine, "CHUNK_AMPS", 8 << circuit.n_qubits)
+    chunks = spy_on_chunks(monkeypatch)
+    applied = spy_on_unitaries(monkeypatch)
+    assert_engine_matches_oracle(circuit, 24, base_seed=13)
+    first = next(i for i, op in enumerate(circuit.ops) if not op.is_unitary)
+    rest = [op for op in circuit.ops[first:] if op.is_unitary]
+    assert chunks == [8, 8, 8]
+    assert first > 0 and applied == circuit.ops[:first] + 3 * rest
+
+
 ZENO_ARC = (WalkConfig(8, 6, design="arc"), 2)
 CASCADING_10Q = (WalkConfig(8, 6, design="random_jump_cascading", seed=1), 0)
 
@@ -333,17 +367,18 @@ def test_ideal_step_sweep_evolves_once_and_samples_each_step_count(design, width
 
 @pytest.mark.parametrize("design", PREFIX_DESIGNS)
 def test_zeno_step_sweep_shares_one_row_until_the_first_measure(design, monkeypatch):
-    # Period 3 measures after step 3, so cuts 0-2 sample one row evolved once, and each
-    # later cut runs its own trajectories: one chunk each at 24 shots.
+    # Period 3 measures after step 3, so the ops before that first MEASURE are evolved
+    # once on the shared row, and each later cut runs the rest of its prefix from that
+    # row: one chunk each at 24 shots.
     applied = spy_on_unitaries(monkeypatch)
     full = with_zeno_measurements(build_circuit(WalkConfig(3, 6, design=design)), 3)
     marks = [0, *full.steps_marks]
     seeds = [derive_seed(10, s) for s in range(7)]
     got = engine.run_step_positions(full, 24, seeds)
-    assert all(op.is_unitary for op in full.ops[: marks[2]])
-    assert not all(op.is_unitary for op in full.ops[: marks[3]])
-    trajectories = [op for mark in marks[3:] for op in full.ops[:mark] if op.is_unitary]
-    assert applied == full.ops[: marks[2]] + trajectories
+    first = next(i for i, op in enumerate(full.ops) if not op.is_unitary)
+    assert marks[2] < first < marks[3]
+    trajectories = [op for mark in marks[3:] for op in full.ops[first:mark] if op.is_unitary]
+    assert applied == full.ops[:first] + trajectories
     assert_same_arrays(got, each_step_count(design, 3, 6, 24, seeds, period=3))
 
 

@@ -474,6 +474,19 @@ class TestTextRoundTrip:
         with pytest.raises(CircuitParseError, match=re.escape(fragment)):
             Circuit.from_text(text)
 
+    @pytest.mark.parametrize(
+        "text,fragment",
+        [
+            ("# nqubits 2\n# nqubits 5\nH 0\n", "line 2: repeated header '# nqubits 5'"),
+            ("# nqubits 3\n# counter 0 2\nH 0\n# counter 0 3\n", "line 4: repeated header"),
+            ("# nqubits 3\n# coin 2\n# coin 2\n", "line 3: repeated header '# coin 2'"),
+            ("# ancilla 2\n# nqubits 3\n# ancilla 1\n", "line 3: repeated header"),
+        ],
+    )
+    def test_repeated_header_rejected(self, text, fragment):
+        with pytest.raises(CircuitParseError, match=re.escape(fragment)):
+            Circuit.from_text(text)
+
     def test_counter_defaults_to_full_register(self):
         circ = Circuit.from_text("# nqubits 3\nH 0\n")
         assert circ.counter == range(0, 3)

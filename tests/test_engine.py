@@ -23,13 +23,13 @@ from arcwalk import (
     run_shots,
     run_single_shot,
     single_qubit_zeno,
-    single_qubit_zeno_sampled,
     two_way_distribution,
     walk_step_changes,
     with_zeno_measurements,
     zeno_experiment,
 )
 from arcwalk import engine
+from arcwalk.circuits import or_inplace_block
 
 # Mean decoded noisy arc value per step count (width 6, quarter-turn base
 # angle, default noise): the reference drift profile this harness is expected
@@ -74,13 +74,12 @@ class TestDeriveSeed:
     [
         lambda: run_positions(bell_circuit(), 2, base_seed=-1),
         lambda: run_single_shot(bell_circuit(), -1),
-        lambda: single_qubit_zeno_sampled(1.0, 2, 3, seed=-1),
         lambda: zeno_experiment(3, 2, 1.0, [0], shots=2, seed=-1),
         lambda: walk_step_changes("arc", 3, 1, 2, seed=-1),
         lambda: derive_seed(1, -2),
     ],
     ids=[
-        "run_positions", "run_single_shot", "zeno_sampled", "zeno_experiment",
+        "run_positions", "run_single_shot", "zeno_experiment",
         "walk_step_changes", "derive_seed",
     ],
 )
@@ -377,30 +376,20 @@ class TestSingleQubitZeno:
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
     def test_sampled_agrees_with_closed_form(self):
-        shots = 4000
-        exact = single_qubit_zeno(math.pi / 2, 10)
-        got = single_qubit_zeno_sampled(math.pi / 2, 10, shots, seed=21)
+        # Qubit 0 turns by 2*theta/10 and is measured ten times; the OR block latches
+        # a read 1 onto counter qubit 1, so the shots at position 0 never flipped.
+        theta, segments, shots = math.pi / 2, 10, 4000
+        circuit = Circuit(n_qubits=3, counter=range(1, 2))
+        for _ in range(segments):
+            circuit.add(GateOp.rx(0, 2.0 * theta / segments), GateOp.measure(0))
+            circuit.add(*or_inplace_block(0, 1, 2).ops)
+        got = float(np.mean(run_positions(circuit.validate(), shots, base_seed=21) == 0))
+        exact = single_qubit_zeno(theta, segments)
         assert abs(got - exact) <= 4.0 * math.sqrt(exact * (1 - exact) / shots)
-
-    @pytest.mark.parametrize(
-        "args,want",
-        [
-            ((math.pi / 2, 10, 4000, 21), 0.78075),
-            ((math.pi / 2, 1, 500, 0), 0.0),
-            ((1.0, 3, 700, 5), 0.7142857142857143),
-            ((math.pi / 4, 25, 300, 9), 0.9766666666666667),
-            ((2.5, 7, 5000, 3), 0.4084),
-        ],
-    )
-    def test_sampled_frozen_values(self, args, want):
-        # Values of the per-shot loop the batched sampler replaced.
-        assert single_qubit_zeno_sampled(*args) == want
 
     def test_validation(self):
         with pytest.raises(ConfigError):
             single_qubit_zeno(1.0, 0)
-        with pytest.raises(ConfigError):
-            single_qubit_zeno_sampled(1.0, 3, 0)
 
 
 class TestWalkStepChanges:

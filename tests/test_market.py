@@ -341,6 +341,9 @@ class TestIngestContract:
                 "bad month",
                 3,
             ),
+            (ingest_prices, "date,close\n2024-01-02,１０１.５\n", ParseError, "bad price", 2),
+            (ingest_metro, METRO_HEADER + "x,2024-01,５,0.9\n", ParseError, "bad sales count", 2),
+            (ingest_metro, METRO_HEADER + "x,2024-01,5,０.９\n", ParseError, "bad ratio", 2),
         ],
     )
     def test_rejects(self, tmp_path, ingest, text, error, fragment, row):
