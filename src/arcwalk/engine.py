@@ -17,19 +17,21 @@ RANDOM_JUMP_CIRCUITS = 30
 RANDOM_JUMP_SHOTS = 30
 RANDOM_DESIGNS = ("random_jump", "random_jump_cascading")  # a new circuit per step count
 
-# A chunk holds at most CHUNK_SHOTS shots. One whose ops can part its shots (a MEASURE
-# or RESET, or any op under noise) also holds at most CHUNK_AMPS amplitudes (512 KiB) even
-# if every shot parts to its own row. An ideal chunk draws at most CHUNK_DRAWS uniforms
-# (2 MiB, about 11 times that while ``_uniforms`` computes them). A noisy chunk holds a
-# PCG64 bit generator per shot and reads their streams through a window of WINDOW_COLUMNS
-# raw outputs per shot, at most CHUNK_DRAWS in all, wider only if one read needs more (a
-# Toffoli's 21 slots, or readout's n). A refill calls ``random_raw`` once per shot, about
-# 1 us plus 3.6 ns per output on a 2 vCPU x86 host, so at 2**10 columns its fixed cost is
-# about 1 ns per output. No chunk size changes a draw: shot i draws from base_seed + i.
+# A batch's shots (every cut's, listed cut-major) run in chunks of at most CHUNK_SHOTS,
+# which may end inside a cut. One whose ops can part its shots (a MEASURE or RESET, or
+# any op under noise) also holds at most CHUNK_AMPS amplitudes (512 KiB) even if every
+# shot parts to its own row. An ideal chunk draws at most CHUNK_DRAWS uniforms (2 MiB,
+# about 11 times that while ``_uniforms`` computes them). A noisy chunk holds a PCG64
+# per shot (about 0.7 KB each) and reads their streams through a window
+# of WINDOW_COLUMNS raw outputs per shot, at most CHUNK_DRAWS in all, wider only if one
+# read needs more (a Toffoli's 21 slots, or readout's n). A refill calls ``random_raw``
+# once per shot, about 1 us plus 3.6 ns per output on a 2 vCPU x86 host, so 2**8 columns
+# cost about 4 ns per output, and a 176-shot batch's window holds 352 KiB.
+# No chunk size changes a draw: shot r of a cut run at seed s draws from s + r.
 CHUNK_SHOTS = 1 << 12
 CHUNK_AMPS = 1 << 15
 CHUNK_DRAWS = 1 << 18
-WINDOW_COLUMNS = 1 << 10
+WINDOW_COLUMNS = 1 << 8
 
 
 def derive_seed(*parts: int) -> int:
@@ -89,22 +91,30 @@ def _mul128(x_hi, x_lo, c_hi, c_lo):
     return hi, x_lo * c_lo
 
 
-def _uniforms(base_seed: int, shots: int, k: int) -> np.ndarray:
-    """(shots, k) array whose row i equals ``default_rng(base_seed + i).random(k)``
+def _shot_seeds(seeds: list[int], shots: int) -> np.ndarray:
+    """Seed of every shot of the cuts run at ``seeds``, cut-major: shot r of cut j draws
+    from ``seeds[j] + r``. uint64, or Python ints if a seed reaches 2**64."""
+    if max(seeds) + shots <= 1 << 64:
+        return (np.array(seeds, np.uint64)[:, None] + np.arange(shots, dtype=np.uint64)).ravel()
+    return np.array([seed + r for seed in seeds for r in range(shots)], dtype=object)
+
+
+def _uniforms(seeds: np.ndarray, k: int) -> np.ndarray:
+    """(len(seeds), k) array whose row i equals ``default_rng(seeds[i]).random(k)``
     bit for bit, computed for every row at once.
 
     It replays numpy's algorithms in wrapping uint32/uint64 arithmetic:
     SeedSequence hashing of each seed as 4 entropy words (a seed's missing
     words act as zeros), ``generate_state(4, np.uint64)`` and PCG64 seeding, a
     jump to each draw's 128-bit LCG state, and the XSL-RR output as
-    ``(x >> 11) * 2**-53``. Seeds at or above 2**64 take ``default_rng`` row by
-    row. tests/test_streams.py checks the rows against numpy.
+    ``(x >> 11) * 2**-53``. Seeds as Python ints (``_shot_seeds`` gives them when one
+    reaches 2**64) take ``default_rng`` row by row. tests/test_streams.py checks the
+    rows against numpy.
     """
-    if base_seed + shots > 1 << 64:
-        return np.array([np.random.default_rng(base_seed + i).random(k) for i in range(shots)])
+    if seeds.dtype == object:
+        return np.array([np.random.default_rng(seed).random(k) for seed in seeds.tolist()])
     u32, u64 = np.uint32, np.uint64
-    seeds = np.arange(shots, dtype=u64) + u64(base_seed)
-    pool = np.zeros((4, shots), u32)
+    pool = np.zeros((4, len(seeds)), u32)
     pool[0], pool[1] = seeds & u64(0xFFFFFFFF), seeds >> u64(32)
     xor, mult = _POOL_HASH
     pool = _hashmix(pool, xor[:4], mult[:4])
@@ -157,35 +167,33 @@ class ShotHistogram:
         return self.sample_std() / math.sqrt(self.total_shots)
 
 
-def decode(bits: str, counter: range) -> int:
-    """Counter value of a qubit-0-first bitstring: sum of 2^k over set counter bits."""
-    window = bits[counter.start : counter.stop]
-    return int(window[::-1], 2)
-
-
 def _decode_index(index: np.ndarray, counter: range) -> np.ndarray:
     return (index >> counter.start) & ((1 << len(counter)) - 1)
 
 
-def _trajectories(start: np.ndarray, ops: list[GateOp], base_seed: int, shots: int, noise, draws):
-    """Final basis index per shot running ``ops`` from the one ``(1, 2**n)`` row
-    ``start``, which every shot holds at first; see ``run_positions``. Shot r draws from
-    ``default_rng(base_seed + r)``: one ``random()`` per collapse, each noisy
-    gate's draws, one ``random()`` for the final sample, and ``random(n)`` for
-    readout flips. Ideal shots draw only the ``random()`` calls, ``draws`` each,
-    so they take them as columns of one ``_uniforms`` block; noisy shots read
-    their streams through one ``ShotStreams`` window, refilled as they reach its end.
-    This is the one loop that runs shots and the one place a CDF is sampled."""
-    n = start.shape[1].bit_length() - 1
-    amps, cls = start.copy(), np.zeros(shots, np.intp)
+def _trajectories(start: np.ndarray, ops: list[GateOp], seeds: np.ndarray, stops: np.ndarray,
+                  noise, draws):
+    """Final basis index per shot, shot i running ``ops[:stops[i]]`` from the one
+    ``(1, 2**n)`` row ``start``, which every shot holds at first; see ``run_positions``.
+    The ``stops`` ascend, so the running shots are a suffix: when the op loop reaches a
+    shot's stop, the shot retires (it samples its row's CDF and, under noise, draws its
+    readout flips), and rows that no running shot holds are dropped. Shot i draws from
+    ``default_rng(seeds[i])``: one ``random()`` per collapse, each noisy gate's draws,
+    one ``random()`` for the final sample, and ``random(n)`` for readout flips. Ideal
+    shots draw only the ``random()`` calls, at most ``draws`` each, so they take them
+    from one ``_uniforms`` block whose column c serves every shot's c-th draw; noisy
+    shots read their streams through one ``ShotStreams`` window, refilled as they reach
+    its end, the running ones through a view of it. This is the one loop that runs
+    shots and the one place a CDF is sampled."""
+    n, shots = start.shape[1].bit_length() - 1, len(seeds)
+    amps, cls, out = start.copy(), np.zeros(shots, np.intp), np.empty(shots, np.intp)
+    # The shots with stops at or before op ``at`` are the first ``ends[at]``.
+    ends = np.searchsorted(stops, np.arange(stops[-1] + 1), side="right").tolist()
     if noise is None:
-        uniform = iter(_uniforms(base_seed, shots, draws).T).__next__
+        block, column = _uniforms(seeds, draws), 0
     else:
-        streams = ShotStreams([np.random.PCG64(base_seed + r) for r in range(shots)],
+        streams = ShotStreams([np.random.PCG64(seed) for seed in seeds.tolist()],
                               min(WINDOW_COLUMNS, CHUNK_DRAWS // shots))
-
-        def uniform():
-            return streams.random(1)[:, 0]
 
     def gate(amps, op, cls, held=None):
         if noise is None:
@@ -193,32 +201,70 @@ def _trajectories(start: np.ndarray, ops: list[GateOp], base_seed: int, shots: i
             return amps, cls
         return noisy_apply(amps, op, noise, streams if held is None else streams.view(held), cls)
 
-    for op in ops:
+    live = 0  # the shots before it have retired; cls and streams cover the rest
+    for at in range(len(ends)):
+        if ends[at] > live:  # the shots that stop here sample their rows and retire
+            end, gone = ends[at], ends[at] - live
+            if noise is None:
+                u = block[live:end, column]
+            else:
+                retired, streams = streams.view(slice(gone)), streams.view(slice(gone, None))
+                u = retired.random(1)[:, 0]
+            cdf = np.cumsum(amps.real**2 + amps.imag**2, axis=1)
+            idx = sample_cdf(cdf[cls[:gone]] if len(cdf) > 1 else cdf[0], u)
+            if noise is not None:  # readout flips: bit k of the mask flips qubit k
+                idx ^= (retired.random(n) < noise.readout_flip) @ (1 << np.arange(n))
+            out[live:end], live, cls = idx, end, cls[gone:]
+            if live == shots:
+                break
+            if len(amps) > 1:  # drop the rows no running shot holds
+                keep, cls = np.unique(cls, return_inverse=True)
+                amps, cls = amps[keep], cls.reshape(-1)
+        op = ops[at]
         if op.is_unitary:
             amps, cls = gate(amps, op, cls)
             continue
+        if noise is None:
+            u, column = block[live:, column], column + 1
+        else:
+            u = streams.random(1)[:, 0]
         q = op.targets[0]
-        amps, cls, ones = measure_rows(amps, q, uniform(), cls)
+        amps, cls, ones = measure_rows(amps, q, u, cls)
         if op.kind == "RESET" and ones.any():  # flip the rows that read 1 back to |0>
             order = np.argsort(ones, kind="stable")  # the rows that read 1 go last
             amps, cls, k = amps[order], np.argsort(order)[cls], len(ones) - int(ones.sum())
             held = np.flatnonzero(cls >= k)
             flipped, sub = gate(amps[k:], GateOp.x(q), cls[held] - k, held)
             amps, cls[held] = np.concatenate([amps[:k], flipped]), sub + k
-    cdf = np.cumsum(amps.real**2 + amps.imag**2, axis=1)
-    idx = sample_cdf(cdf[cls] if len(cdf) > 1 else cdf[0], uniform())
-    if noise is not None:  # readout flips: bit k of the mask flips qubit k
-        idx ^= (streams.random(n) < noise.readout_flip) @ (1 << np.arange(n))
-    return idx
+    return out
+
+
+def _batch(start: np.ndarray, ops: list[GateOp], stops: list[int], seeds: list[int], shots: int,
+           noise: NoiseModel | None) -> list[np.ndarray]:
+    """Final basis index per shot of each cut, cut j running ``shots`` shots of
+    ``ops[:stops[j]]`` from the row ``start`` at ``seeds[j]``: the cuts' shots, listed
+    cut-major, run as one batch of ``_trajectories`` chunks."""
+    n = start.shape[1].bit_length() - 1
+    # Uniforms per ideal shot: one per collapse, one to sample; noisy shots read windows.
+    k = 1 + sum(not op.is_unitary for op in ops) if noise is None else 1
+    parts = k > 1 if noise is None else bool(ops)  # shots may part onto rows of their own
+    total = shots * len(stops)
+    chunk = max(1, min(CHUNK_SHOTS, CHUNK_DRAWS // k, CHUNK_AMPS >> n if parts else total))
+    shot_seeds, shot_stops = _shot_seeds(seeds, shots), np.repeat(stops, shots)
+    return list(np.concatenate([
+        _trajectories(start, ops, shot_seeds[a : a + chunk], shot_stops[a : a + chunk], noise, k)
+        for a in range(0, total, chunk)]).reshape(len(stops), shots))
 
 
 def _sweep(circuit: Circuit, cuts: list[int], shots: int, seeds: list[int],
            noise: NoiseModel | None) -> list[np.ndarray]:
     """Final basis index per shot after each op-prefix length of the ascending ``cuts``,
-    shot i of cut j drawing from ``default_rng(seeds[j] + i)``. One row is carried over
+    shot r of cut j drawing from ``default_rng(seeds[j] + r)``. One row is carried over
     the cuts: while the run is ideal, the unitary ops before the first MEASURE or RESET
-    draw nothing, so they are applied to it once per run, up to each cut as it comes.
-    Each cut then runs the rest of its prefix from that row through ``_trajectories``."""
+    draw nothing, so they are applied to it once per run, up to each cut as it comes,
+    and each cut they reach samples that row. Every later cut, and every cut under
+    noise, joins one ``_batch`` from the row: the rest of the longest prefix runs once,
+    and each shot retires at its own cut."""
     n, ops = circuit.n_qubits, circuit.ops
     if shots < 1:
         raise ConfigError(f"shots must be positive, got {shots}")
@@ -227,18 +273,14 @@ def _sweep(circuit: Circuit, cuts: list[int], shots: int, seeds: list[int],
     if n > MAX_QUBITS:
         raise OutOfRangeError(f"n_qubits must be in 1..{MAX_QUBITS}, got {n}")
     row, done, out = np.eye(1, 1 << n, dtype=np.complex128), 0, []
-    for cut, seed in zip(cuts, seeds):
+    for j, cut in enumerate(cuts):
         while noise is None and done < cut and ops[done].is_unitary:
             apply_unitary(row, ops[done])
             done += 1
-        rest = ops[done:cut]
-        # Uniforms per ideal shot: one per collapse, one to sample; noisy shots read windows.
-        k = 1 + sum(not op.is_unitary for op in rest) if noise is None else 1
-        parts = k > 1 if noise is None else bool(rest)  # shots may part onto rows of their own
-        chunk = max(1, min(CHUNK_SHOTS, CHUNK_DRAWS // k, CHUNK_AMPS >> n if parts else shots))
-        out.append(np.concatenate([
-            _trajectories(row, rest, seed + start, min(chunk, shots - start), noise, k)
-            for start in range(0, shots, chunk)]))
+        if noise is not None or done < cut:
+            stops = [c - done for c in cuts[j:]]
+            return out + _batch(row, ops[done : cuts[-1]], stops, seeds[j:], shots, noise)
+        out += _batch(row, [], [0], [seeds[j]], shots, None)
     return out
 
 
@@ -279,9 +321,10 @@ def run_step_positions(
     """``run_positions`` of the circuit cut at each step mark, ``n_steps + 1`` arrays:
     cut 0 has no ops, cut s the first ``steps_marks[s - 1]``, run at ``base_seeds[s]``.
 
-    The cuts share one sweep: an ideal prefix with no MEASURE or RESET is evolved
-    once, on one row, and each cut starts its shots from the state that row has
-    reached, with the same bits; under noise every cut runs from |0...0>.
+    The cuts share one sweep, with the same bits: an ideal prefix with no MEASURE or
+    RESET is evolved once, on one row, and each cut it reaches samples that row. The
+    other cuts (under noise, every cut, from |0...0>) run their shots together in one
+    batch: each op runs once for all of them, and a cut's shots retire at its mark.
     """
     marks = [0, *circuit.steps_marks]
     if len(base_seeds) != len(marks):

@@ -1,7 +1,7 @@
 """The chunked trajectory engine against a per-shot oracle.
 
 The oracle evolves each shot alone through the public single-state API
-(``StateVector``, ``apply_readout_noise``, ``decode``) and its own Pauli
+(``StateVector``, ``apply_readout_noise``), its own ``decode`` and its own Pauli
 channel, with its own ``default_rng(base_seed + i)``, drawing in the
 documented order. The engine must return the same positions element for
 element: shots in a chunk share each op but never each other's random draws.
@@ -22,7 +22,6 @@ from arcwalk import (
     WalkConfig,
     apply_readout_noise,
     build_circuit,
-    decode,
     derive_seed,
     run_positions,
     with_zeno_measurements,
@@ -32,6 +31,12 @@ from arcwalk.circuits import or_inplace_block
 from arcwalk.engine import CHUNK_AMPS, CHUNK_SHOTS
 from arcwalk.noise import _injection_slots
 from arcwalk.sim import MAX_QUBITS, apply_unitary, index_to_bits, measure_rows, sample_cdf
+
+
+def decode(bits: str, counter: range) -> int:
+    """Counter value of a qubit-0-first bitstring: sum of 2^k over set counter bits."""
+    window = bits[counter.start : counter.stop]
+    return int(window[::-1], 2)
 
 NOISY = NoiseModel(0.97, 0.9, 0.05)
 
@@ -260,9 +265,9 @@ def spy_on_chunks(monkeypatch):
     """The shot count of every chunk the engine runs, in order."""
     chunks, run_chunk = [], engine._trajectories
 
-    def spy(start, ops, base_seed, shots, noise, draws):
-        chunks.append(shots)
-        return run_chunk(start, ops, base_seed, shots, noise, draws)
+    def spy(start, ops, seeds, stops, noise, draws):
+        chunks.append(len(seeds))
+        return run_chunk(start, ops, seeds, stops, noise, draws)
 
     monkeypatch.setattr(engine, "_trajectories", spy)
     return chunks
@@ -368,8 +373,8 @@ def test_ideal_step_sweep_evolves_once_and_samples_each_step_count(design, width
 @pytest.mark.parametrize("design", PREFIX_DESIGNS)
 def test_zeno_step_sweep_shares_one_row_until_the_first_measure(design, monkeypatch):
     # Period 3 measures after step 3, so the ops before that first MEASURE are evolved
-    # once on the shared row, and each later cut runs the rest of its prefix from that
-    # row: one chunk each at 24 shots.
+    # once on the shared row, and the later cuts run the rest of the longest prefix from
+    # that row as one batch, each cut's shots retiring at its mark: one chunk of 96 shots.
     applied = spy_on_unitaries(monkeypatch)
     full = with_zeno_measurements(build_circuit(WalkConfig(3, 6, design=design)), 3)
     marks = [0, *full.steps_marks]
@@ -377,8 +382,8 @@ def test_zeno_step_sweep_shares_one_row_until_the_first_measure(design, monkeypa
     got = engine.run_step_positions(full, 24, seeds)
     first = next(i for i, op in enumerate(full.ops) if not op.is_unitary)
     assert marks[2] < first < marks[3]
-    trajectories = [op for mark in marks[3:] for op in full.ops[first:mark] if op.is_unitary]
-    assert applied == full.ops[:first] + trajectories
+    batch = [op for op in full.ops[first : marks[-1]] if op.is_unitary]
+    assert applied == full.ops[:first] + batch
     assert_same_arrays(got, each_step_count(design, 3, 6, 24, seeds, period=3))
 
 
@@ -395,6 +400,83 @@ def test_step_sweep_runs_each_cut_when_shots_draw_between_gates(design, noise, p
     seeds = [derive_seed(9, s) for s in range(5)]
     got = engine.run_step_positions(full, 24, seeds, noise=noise)
     assert_same_arrays(got, each_step_count(design, 3, 4, 24, seeds, noise=noise, period=period))
+
+
+def spy_on_noisy_gates(monkeypatch):
+    """The ops the engine runs through ``noisy_apply``, in order."""
+    applied, noisy_apply = [], engine.noisy_apply
+
+    def spy(rows, op, model, streams, cls):
+        applied.append(op)
+        return noisy_apply(rows, op, model, streams, cls)
+
+    monkeypatch.setattr(engine, "noisy_apply", spy)
+    return applied
+
+
+def assert_cuts_match_oracle(full, got, shots, seeds, noise):
+    for mark, positions, seed in zip([0, *full.steps_marks], got, seeds):
+        cut = Circuit(full.n_qubits, full.counter, ops=full.ops[:mark])
+        assert np.array_equal(positions, oracle_positions(cut, shots, noise, base_seed=seed)), mark
+
+
+@pytest.mark.parametrize("design", PREFIX_DESIGNS)
+def test_noisy_step_sweep_runs_every_cut_in_one_batch(design, monkeypatch):
+    # Every cut's shots run together: each op of the longest prefix goes through
+    # noisy_apply once, and a cut's shots retire at its mark.
+    chunks, gates = spy_on_chunks(monkeypatch), spy_on_noisy_gates(monkeypatch)
+    full = build_circuit(WalkConfig(3, 4, design=design))
+    marks, seeds = [0, *full.steps_marks], [derive_seed(12, s) for s in range(5)]
+    got = engine.run_step_positions(full, 24, seeds, noise=NOISY)
+    assert chunks == [24 * len(marks)]
+    assert gates == full.ops[: marks[-1]]
+    assert_same_arrays(got, each_step_count(design, 3, 4, 24, seeds, noise=NOISY))
+    assert_cuts_match_oracle(full, got, 24, seeds, NOISY)
+
+
+@pytest.mark.parametrize(
+    "noise,period", [(NOISY, None), (None, 2)], ids=["noisy", "ideal_zeno"]
+)
+def test_step_sweep_chunk_ends_inside_a_cut(noise, period, monkeypatch):
+    # 5 cuts of 24 shots in chunks of 10: chunk boundaries fall inside cuts, and a
+    # chunk's shots of different cuts still retire at their own marks.
+    full = build_circuit(WalkConfig(3, 4, design="arc_walk"))
+    if period is not None:
+        full = with_zeno_measurements(full, period)
+    monkeypatch.setattr(engine, "CHUNK_AMPS", 10 << full.n_qubits)
+    chunks = spy_on_chunks(monkeypatch)
+    seeds = [derive_seed(14, s) for s in range(5)]
+    got = engine.run_step_positions(full, 24, seeds, noise=noise)
+    if period is None:
+        assert chunks == [10] * 12
+    else:  # the cuts before the first MEASURE sample the shared row, one chunk each
+        assert chunks == [24, 24] + [10] * 7 + [2]
+    assert_same_arrays(got, each_step_count("arc_walk", 3, 4, 24, seeds, noise, period))
+    assert_cuts_match_oracle(full, got, 24, seeds, noise)
+
+
+@pytest.mark.parametrize(
+    "noise,period", [(NOISY, None), (None, 1)], ids=["noisy", "ideal_zeno"]
+)
+def test_step_sweep_cut_seeds_may_overlap(noise, period):
+    # Cut j + 1 starts 3 seeds after cut j, so most shot seeds recur across cuts: each
+    # shot still draws from its own cut's seed plus its index.
+    full = build_circuit(WalkConfig(3, 4, design="binary"))
+    if period is not None:
+        full = with_zeno_measurements(full, period)
+    seeds = [40 + 3 * s for s in range(5)]
+    got = engine.run_step_positions(full, 8, seeds, noise=noise)
+    assert_same_arrays(got, each_step_count("binary", 3, 4, 8, seeds, noise, period))
+    assert_cuts_match_oracle(full, got, 8, seeds, noise)
+
+
+def test_noisy_cascading_sweep_retires_shots_between_resets():
+    full = build_circuit(WalkConfig(3, 5, design="random_jump_cascading", seed=3))
+    resets = [i for i, op in enumerate(full.ops) if op.kind == "RESET"]
+    assert any(resets[0] < mark < resets[-1] for mark in full.steps_marks)
+    seeds = [derive_seed(16, s) for s in range(full.n_steps + 1)]
+    got = engine.run_step_positions(full, 24, seeds, noise=NOISY)
+    assert_cuts_match_oracle(full, got, 24, seeds, NOISY)
 
 
 def test_step_sweep_validation():

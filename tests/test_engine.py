@@ -16,7 +16,6 @@ from arcwalk import (
     WalkConfig,
     arc_expected,
     build_circuit,
-    decode,
     derive_seed,
     distance_table,
     run_positions,
@@ -30,6 +29,13 @@ from arcwalk import (
 )
 from arcwalk import engine
 from arcwalk.circuits import or_inplace_block
+
+
+def decode(bits: str, counter: range) -> int:
+    """Counter value of a qubit-0-first bitstring: sum of 2^k over set counter bits."""
+    window = bits[counter.start : counter.stop]
+    return int(window[::-1], 2)
+
 
 # Mean decoded noisy arc value per step count (width 6, quarter-turn base
 # angle, default noise): the reference drift profile this harness is expected

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from arcwalk import NoiseModel, WalkConfig, build_circuit, engine, run_positions
-from arcwalk.engine import CHUNK_DRAWS, CHUNK_SHOTS, WINDOW_COLUMNS, _uniforms
+from arcwalk.engine import CHUNK_DRAWS, CHUNK_SHOTS, WINDOW_COLUMNS, _shot_seeds, _uniforms
 from arcwalk.noise import ShotStreams
 
 
@@ -35,7 +35,7 @@ def numpy_rows(base_seed, shots, k):
 def test_rows_equal_default_rng(base_seed, shots, k):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)  # numpy warns on scalar uint64 overflow
-        got = _uniforms(base_seed, shots, k)
+        got = _uniforms(_shot_seeds([base_seed], shots), k)
     assert got.shape == (shots, k) and got.dtype == np.float64
     assert np.array_equal(got, numpy_rows(base_seed, shots, k))
 
