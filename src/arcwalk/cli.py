@@ -240,7 +240,9 @@ def _apply_config(config: dict[str, str], parsers: list[argparse.ArgumentParser]
     for parser in parsers:
         for action in parser._actions:
             dest = action.dest
-            if dest in ("help", "config", "command", "func") or dest not in config:
+            # Only an optional flag that takes a value, or is store_true, has a config key.
+            flag = action.option_strings and (action.nargs != 0 or action.const is True)
+            if not flag or dest == "config" or dest not in config:
                 continue
             parser.set_defaults(**{dest: _convert_config_value(action, config[dest], dest)})
             consumed.add(dest)

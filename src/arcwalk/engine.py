@@ -17,16 +17,16 @@ RANDOM_JUMP_CIRCUITS = 30
 RANDOM_JUMP_SHOTS = 30
 RANDOM_DESIGNS = ("random_jump", "random_jump_cascading")  # a new circuit per step count
 
-# A batch's shots (every cut's, listed cut-major) run in chunks of at most CHUNK_SHOTS,
-# which may end inside a cut. One whose ops can part its shots (a MEASURE or RESET, or
-# any op under noise) also holds at most CHUNK_AMPS amplitudes (512 KiB) even if every
-# shot parts to its own row. An ideal chunk draws at most CHUNK_DRAWS uniforms (2 MiB,
-# about 11 times that while ``_uniforms`` computes them). A noisy chunk holds a PCG64
-# per shot (about 0.7 KB each) and reads their streams through a window
-# of WINDOW_COLUMNS raw outputs per shot, at most CHUNK_DRAWS in all, wider only if one
-# read needs more (a Toffoli's 21 slots, or readout's n). A refill calls ``random_raw``
-# once per shot, about 1 us plus 3.6 ns per output on a 2 vCPU x86 host, so 2**8 columns
-# cost about 4 ns per output, and a 176-shot batch's window holds 352 KiB.
+# A run's shots (every cut's, listed cut-major) run in chunks, which may end inside a cut.
+# A chunk buffers k draws per shot, at most CHUNK_DRAWS in all (2 MiB): an ideal shot's
+# 1 + collapses uniforms, or a noisy shot's window of WINDOW_COLUMNS raw outputs, so a
+# noisy chunk holds at most 1024 shots. One whose ops can part its shots (a MEASURE or
+# RESET, or any op under noise) also holds at most CHUNK_AMPS amplitudes (512 KiB) even if
+# every shot parts to its own row. ``_uniforms`` computes its rows in passes of CHUNK_SHOTS,
+# with about 11 times a pass's output in temporaries. A noisy shot holds a PCG64 (about
+# 0.7 KB), and its window widens only if one read needs more (a Toffoli's 21 slots, or
+# readout's n). A refill calls ``random_raw`` once per shot, about 1 us plus 3.6 ns per
+# output on a 2 vCPU x86 host, so 2**8 columns cost about 4 ns per output.
 # No chunk size changes a draw: shot r of a cut run at seed s draws from s + r.
 CHUNK_SHOTS = 1 << 12
 CHUNK_AMPS = 1 << 15
@@ -113,6 +113,9 @@ def _uniforms(seeds: np.ndarray, k: int) -> np.ndarray:
     """
     if seeds.dtype == object:
         return np.array([np.random.default_rng(seed).random(k) for seed in seeds.tolist()])
+    if len(seeds) > CHUNK_SHOTS:  # in passes, which bound the temporaries below
+        return np.concatenate([_uniforms(seeds[a : a + CHUNK_SHOTS], k)
+                               for a in range(0, len(seeds), CHUNK_SHOTS)])
     u32, u64 = np.uint32, np.uint64
     pool = np.zeros((4, len(seeds)), u32)
     pool[0], pool[1] = seeds & u64(0xFFFFFFFF), seeds >> u64(32)
@@ -173,18 +176,18 @@ def _decode_index(index: np.ndarray, counter: range) -> np.ndarray:
 
 def _trajectories(start: np.ndarray, ops: list[GateOp], seeds: np.ndarray, stops: np.ndarray,
                   noise, draws):
-    """Final basis index per shot, shot i running ``ops[:stops[i]]`` from the one
-    ``(1, 2**n)`` row ``start``, which every shot holds at first; see ``run_positions``.
-    The ``stops`` ascend, so the running shots are a suffix: when the op loop reaches a
-    shot's stop, the shot retires (it samples its row's CDF and, under noise, draws its
-    readout flips), and rows that no running shot holds are dropped. Shot i draws from
-    ``default_rng(seeds[i])``: one ``random()`` per collapse, each noisy gate's draws,
-    one ``random()`` for the final sample, and ``random(n)`` for readout flips. Ideal
-    shots draw only the ``random()`` calls, at most ``draws`` each, so they take them
-    from one ``_uniforms`` block whose column c serves every shot's c-th draw; noisy
-    shots read their streams through one ``ShotStreams`` window, refilled as they reach
-    its end, the running ones through a view of it. This is the one loop that runs
-    shots and the one place a CDF is sampled."""
+    """Final basis index per shot of one chunk, shot i running ``ops[:stops[i]]`` from
+    the one ``(1, 2**n)`` row ``start``, which every shot holds at first; see
+    ``run_positions``. The ``stops`` ascend, so the running shots are a suffix: when the
+    op loop reaches a shot's stop, the shot retires (it samples its row's CDF and, under
+    noise, draws its readout flips), and rows that no running shot holds are dropped.
+    Shot i draws from ``default_rng(seeds[i])``: one ``random()`` per collapse, each
+    noisy gate's draws, one ``random()`` for the final sample, and ``random(n)`` for
+    readout flips. Ideal shots draw only the ``random()`` calls, at most ``draws`` each,
+    so they take them from one ``_uniforms`` block whose column c serves every shot's
+    c-th draw; noisy shots read their streams through one ``ShotStreams`` window of
+    ``draws`` columns, refilled as they reach its end, the running ones through a view
+    of it. This is the one loop that runs shots and the one place a CDF is sampled."""
     n, shots = start.shape[1].bit_length() - 1, len(seeds)
     amps, cls, out = start.copy(), np.zeros(shots, np.intp), np.empty(shots, np.intp)
     # The shots with stops at or before op ``at`` are the first ``ends[at]``.
@@ -192,8 +195,7 @@ def _trajectories(start: np.ndarray, ops: list[GateOp], seeds: np.ndarray, stops
     if noise is None:
         block, column = _uniforms(seeds, draws), 0
     else:
-        streams = ShotStreams([np.random.PCG64(seed) for seed in seeds.tolist()],
-                              min(WINDOW_COLUMNS, CHUNK_DRAWS // shots))
+        streams = ShotStreams([np.random.PCG64(seed) for seed in seeds.tolist()], draws)
 
     def gate(amps, op, cls, held=None):
         if noise is None:
@@ -239,32 +241,14 @@ def _trajectories(start: np.ndarray, ops: list[GateOp], seeds: np.ndarray, stops
     return out
 
 
-def _batch(start: np.ndarray, ops: list[GateOp], stops: list[int], seeds: list[int], shots: int,
-           noise: NoiseModel | None) -> list[np.ndarray]:
-    """Final basis index per shot of each cut, cut j running ``shots`` shots of
-    ``ops[:stops[j]]`` from the row ``start`` at ``seeds[j]``: the cuts' shots, listed
-    cut-major, run as one batch of ``_trajectories`` chunks."""
-    n = start.shape[1].bit_length() - 1
-    # Uniforms per ideal shot: one per collapse, one to sample; noisy shots read windows.
-    k = 1 + sum(not op.is_unitary for op in ops) if noise is None else 1
-    parts = k > 1 if noise is None else bool(ops)  # shots may part onto rows of their own
-    total = shots * len(stops)
-    chunk = max(1, min(CHUNK_SHOTS, CHUNK_DRAWS // k, CHUNK_AMPS >> n if parts else total))
-    shot_seeds, shot_stops = _shot_seeds(seeds, shots), np.repeat(stops, shots)
-    return list(np.concatenate([
-        _trajectories(start, ops, shot_seeds[a : a + chunk], shot_stops[a : a + chunk], noise, k)
-        for a in range(0, total, chunk)]).reshape(len(stops), shots))
-
-
 def _sweep(circuit: Circuit, cuts: list[int], shots: int, seeds: list[int],
            noise: NoiseModel | None) -> list[np.ndarray]:
     """Final basis index per shot after each op-prefix length of the ascending ``cuts``,
-    shot r of cut j drawing from ``default_rng(seeds[j] + r)``. One row is carried over
-    the cuts: while the run is ideal, the unitary ops before the first MEASURE or RESET
-    draw nothing, so they are applied to it once per run, up to each cut as it comes,
-    and each cut they reach samples that row. Every later cut, and every cut under
-    noise, joins one ``_batch`` from the row: the rest of the longest prefix runs once,
-    and each shot retires at its own cut."""
+    shot r of cut j drawing from ``default_rng(seeds[j] + r)``. While the run is ideal,
+    the unitary ops before the first cut and the first MEASURE or RESET draw nothing, so
+    they are applied once per run to the start row. Every cut's shots, listed cut-major,
+    then run from that row as one batch of ``_trajectories`` chunks: each chunk runs the
+    rest of its longest prefix once, and each shot retires at its own cut."""
     n, ops = circuit.n_qubits, circuit.ops
     if shots < 1:
         raise ConfigError(f"shots must be positive, got {shots}")
@@ -272,16 +256,20 @@ def _sweep(circuit: Circuit, cuts: list[int], shots: int, seeds: list[int],
         raise ConfigError(f"seed must be nonnegative, got {min(seeds)}")
     if n > MAX_QUBITS:
         raise OutOfRangeError(f"n_qubits must be in 1..{MAX_QUBITS}, got {n}")
-    row, done, out = np.eye(1, 1 << n, dtype=np.complex128), 0, []
-    for j, cut in enumerate(cuts):
-        while noise is None and done < cut and ops[done].is_unitary:
-            apply_unitary(row, ops[done])
-            done += 1
-        if noise is not None or done < cut:
-            stops = [c - done for c in cuts[j:]]
-            return out + _batch(row, ops[done : cuts[-1]], stops, seeds[j:], shots, noise)
-        out += _batch(row, [], [0], [seeds[j]], shots, None)
-    return out
+    row, done = np.eye(1, 1 << n, dtype=np.complex128), 0
+    while noise is None and done < cuts[0] and ops[done].is_unitary:
+        apply_unitary(row, ops[done])
+        done += 1
+    ops = ops[done : cuts[-1]]
+    # Draws each shot buffers: ideal, one uniform per collapse and one to sample; noisy, a window.
+    k = 1 + sum(not op.is_unitary for op in ops) if noise is None else WINDOW_COLUMNS
+    parts = k > 1 if noise is None else bool(ops)  # shots may part onto rows of their own
+    total = shots * len(cuts)
+    chunk = max(1, min(CHUNK_DRAWS // k, CHUNK_AMPS >> n if parts else total))
+    shot_seeds, shot_stops = _shot_seeds(seeds, shots), np.repeat([c - done for c in cuts], shots)
+    return list(np.concatenate([
+        _trajectories(row, ops, shot_seeds[a : a + chunk], shot_stops[a : a + chunk], noise, k)
+        for a in range(0, total, chunk)]).reshape(len(cuts), shots))
 
 
 def run_single_shot(circuit: Circuit, seed: int, noise: NoiseModel | None = None) -> str:
@@ -299,7 +287,8 @@ def run_positions(
     circuit too, made by ``circuits.with_zeno_measurements``. Every shot starts on
     one shared row. In an ideal run the ops before the first MEASURE or RESET draw
     nothing, so they are evolved once per run on that row; under noise every gate
-    draws, and the row is |0...0>. From there each chunk of shots runs the rest.
+    draws, and the row is |0...0>. From there the run's one batch runs the rest,
+    chunk by chunk.
     Each distinct state is evolved once and each shot holds its row's index:
     shots part by outcome at a collapse or by kicks at a noisy gate, and rows
     with equal bytes merge after a collapse (exact: equal bytes in give equal
@@ -321,10 +310,10 @@ def run_step_positions(
     """``run_positions`` of the circuit cut at each step mark, ``n_steps + 1`` arrays:
     cut 0 has no ops, cut s the first ``steps_marks[s - 1]``, run at ``base_seeds[s]``.
 
-    The cuts share one sweep, with the same bits: an ideal prefix with no MEASURE or
-    RESET is evolved once, on one row, and each cut it reaches samples that row. The
-    other cuts (under noise, every cut, from |0...0>) run their shots together in one
-    batch: each op runs once for all of them, and a cut's shots retire at its mark.
+    The cuts share one sweep, with the same bits: every cut's shots run from |0...0> as
+    one batch, each op once per chunk for all of them, and a cut's shots retire at its
+    mark. An ideal sweep with no MEASURE or RESET fits one chunk of up to ``2**18``
+    shots, so its ops are evolved once, on the one row every cut samples.
     """
     marks = [0, *circuit.steps_marks]
     if len(base_seeds) != len(marks):

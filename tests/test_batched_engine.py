@@ -211,8 +211,8 @@ def test_schedule_equals_explicit_measure_ops(circuit, noise):
 
 
 def chunk_of(circuit):
-    """Shots per chunk of a circuit whose shots may part."""
-    return min(CHUNK_SHOTS, CHUNK_AMPS >> circuit.n_qubits)
+    """Shots per chunk of a circuit of 8 or more qubits whose shots may part."""
+    return CHUNK_AMPS >> circuit.n_qubits
 
 
 def test_ten_qubits_span_several_chunks_and_end_partial():
@@ -236,11 +236,12 @@ def spy_on_unitaries(monkeypatch):
 
 
 def test_ideal_run_shares_one_row_over_several_chunks(monkeypatch):
-    # The row is evolved once and every shot samples it, CHUNK_SHOTS shots per chunk.
-    applied = spy_on_unitaries(monkeypatch)
+    # The row is evolved once and every shot samples it, 4096 shots per chunk.
+    monkeypatch.setattr(engine, "CHUNK_DRAWS", 4096)
+    applied, chunks = spy_on_unitaries(monkeypatch), spy_on_chunks(monkeypatch)
     circuit = build_circuit(WalkConfig(9, 3, design="arc_walk"))
     assert circuit.n_qubits == 10 and all(op.is_unitary for op in circuit.ops)
-    shots = CHUNK_SHOTS + CHUNK_SHOTS // 2
+    shots = 4096 + 2048
     state = StateVector(circuit.n_qubits)
     for op in circuit.ops:
         state.apply_gate(op)
@@ -251,6 +252,7 @@ def test_ideal_run_shares_one_row_over_several_chunks(monkeypatch):
         for i in range(shots)
     ]
     assert np.array_equal(run_positions(circuit, shots, base_seed=3), np.array(want))
+    assert chunks == [4096, 2048]
     assert applied == circuit.ops
 
 
@@ -355,13 +357,16 @@ def assert_same_arrays(got, want):
 @pytest.mark.parametrize("width", [3, 4])  # binary gains its ancilla at 4
 @pytest.mark.parametrize("design", PREFIX_DESIGNS)
 def test_ideal_step_sweep_evolves_once_and_samples_each_step_count(design, width, monkeypatch):
-    # 40 shots in chunks of 16: two full chunks and a partial one per step count.
-    monkeypatch.setattr(engine, "CHUNK_SHOTS", 16)
-    applied = spy_on_unitaries(monkeypatch)
+    # 7 cuts of 40 shots in chunks of 64 uniforms, one per shot: four full chunks and a
+    # partial one, each applying once the ops up to its furthest cut.
+    monkeypatch.setattr(engine, "CHUNK_DRAWS", 64)
+    applied, chunks = spy_on_unitaries(monkeypatch), spy_on_chunks(monkeypatch)
     full = build_circuit(WalkConfig(width, 6, design=design))
     seeds = [derive_seed(8, s) for s in range(7)]
     got = engine.run_step_positions(full, 40, seeds)
-    assert applied == full.ops
+    assert chunks == [64] * 4 + [24]
+    shot_marks = np.repeat([0, *full.steps_marks], 40)
+    assert applied == [op for end in np.cumsum(chunks) for op in full.ops[: shot_marks[end - 1]]]
     # Against the per-shot oracle, which shares no sampling code with the sweep ...
     for mark, positions, seed in zip([0, *full.steps_marks], got, seeds):
         cut = Circuit(full.n_qubits, full.counter, ops=full.ops[:mark])
@@ -370,16 +375,36 @@ def test_ideal_step_sweep_evolves_once_and_samples_each_step_count(design, width
     assert_same_arrays(got, each_step_count(design, width, 6, 40, seeds))
 
 
+def test_ideal_step_sweep_runs_every_cut_in_one_chunk_and_one_uniform_block(monkeypatch):
+    # No MEASURE or RESET: all 7 cuts' 280 shots retire from one shared row inside one
+    # chunk, whose uniforms come from one vectorized block.
+    chunks, blocks, uniforms = spy_on_chunks(monkeypatch), [], engine._uniforms
+
+    def spy(seeds, k):
+        blocks.append((len(seeds), k))
+        return uniforms(seeds, k)
+
+    monkeypatch.setattr(engine, "_uniforms", spy)
+    full = build_circuit(WalkConfig(3, 6, design="arc_walk"))
+    assert all(op.is_unitary for op in full.ops)
+    seeds = [derive_seed(18, s) for s in range(7)]
+    got = engine.run_step_positions(full, 40, seeds)
+    assert chunks == [280] and blocks == [(280, 1)]
+    assert_cuts_match_oracle(full, got, 40, seeds, None)
+
+
 @pytest.mark.parametrize("design", PREFIX_DESIGNS)
 def test_zeno_step_sweep_shares_one_row_until_the_first_measure(design, monkeypatch):
-    # Period 3 measures after step 3, so the ops before that first MEASURE are evolved
-    # once on the shared row, and the later cuts run the rest of the longest prefix from
-    # that row as one batch, each cut's shots retiring at its mark: one chunk of 96 shots.
-    applied = spy_on_unitaries(monkeypatch)
+    # Period 3 measures after step 3. Every cut's shots run as one chunk of 168 shots
+    # from |0...0>: the ops before that first MEASURE are evolved once on the shared row,
+    # the rest of the longest prefix once on the rows it parts into, and each cut's shots
+    # retire at its mark.
+    applied, chunks = spy_on_unitaries(monkeypatch), spy_on_chunks(monkeypatch)
     full = with_zeno_measurements(build_circuit(WalkConfig(3, 6, design=design)), 3)
     marks = [0, *full.steps_marks]
     seeds = [derive_seed(10, s) for s in range(7)]
     got = engine.run_step_positions(full, 24, seeds)
+    assert chunks == [24 * 7]
     first = next(i for i, op in enumerate(full.ops) if not op.is_unitary)
     assert marks[2] < first < marks[3]
     batch = [op for op in full.ops[first : marks[-1]] if op.is_unitary]
@@ -447,10 +472,7 @@ def test_step_sweep_chunk_ends_inside_a_cut(noise, period, monkeypatch):
     chunks = spy_on_chunks(monkeypatch)
     seeds = [derive_seed(14, s) for s in range(5)]
     got = engine.run_step_positions(full, 24, seeds, noise=noise)
-    if period is None:
-        assert chunks == [10] * 12
-    else:  # the cuts before the first MEASURE sample the shared row, one chunk each
-        assert chunks == [24, 24] + [10] * 7 + [2]
+    assert chunks == [10] * 12
     assert_same_arrays(got, each_step_count("arc_walk", 3, 4, 24, seeds, noise, period))
     assert_cuts_match_oracle(full, got, 24, seeds, noise)
 

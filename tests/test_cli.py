@@ -408,6 +408,14 @@ class TestConfigAndSeeds:
         cfg.write_text("frobnicate=1\n")
         assert main(["distance-table", "--config", str(cfg), "--out", "-"]) == 2
 
+    @pytest.mark.parametrize("line", ["version = 9", "kind = returns", "input = prices.csv"])
+    def test_config_key_of_no_value_taking_flag_is_unknown(self, tmp_path, capsys, line):
+        # --version takes no value, and market's kind and input are positionals.
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(line + "\n")
+        assert main(["--config", str(cfg), "fidelity", "--count-1q", "1", "--out", "-"]) == 2
+        assert f"unknown config key(s): {line.split()[0]}" in capsys.readouterr().err
+
     def test_bad_config_value(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("width=wide\n")
