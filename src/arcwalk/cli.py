@@ -507,28 +507,22 @@ def _cmd_market(args) -> int:
         _emit((args.out if args.out is not None else f"{stem}_returns.csv", content))
         return 0
     _require(args.out is None, "--out applies to the returns kind only; see --out-prefix")
-    records = ingest_metro(args.input)
-    report = housing_correlations(records, bins=args.bins)
+    report = housing_correlations(ingest_metro(args.input), bins=args.bins)
     manifest = {
         "command": "market",
         "kind": "housing",
         "input": os.path.basename(args.input),
         "bins": args.bins,
     }
-    metros = sorted(report.per_metro)
-    csv_rows = [
-        (m, report.per_metro[m].pearson_r, report.per_metro[m].months_used) for m in metros
-    ]
+    # per_metro is in metro-name order
+    csv_rows = [(m, c.pearson_r, c.months_used) for m, c in report.per_metro.items()]
     per_metro_csv = _csv_content(manifest, ["metro", "r", "months_used"], csv_rows)
     report_json = json.dumps(
         {
             "manifest": manifest,
             "per_metro": {
-                m: {
-                    "r": report.per_metro[m].pearson_r,
-                    "months_used": report.per_metro[m].months_used,
-                }
-                for m in metros
+                m: {"r": c.pearson_r, "months_used": c.months_used}
+                for m, c in report.per_metro.items()
             },
             "skipped": report.skipped,
             "histogram": {"bin_edges": report.bin_edges, "bin_counts": report.bin_counts},

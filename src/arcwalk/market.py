@@ -6,6 +6,7 @@ import csv
 import logging
 import math
 import re
+from array import array
 from dataclasses import dataclass
 from datetime import date
 from operator import itemgetter
@@ -47,17 +48,19 @@ class ParseError(ValueError):
         self.row = row
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PriceSeries:
-    """Date-ordered closing prices."""
+    """Date-ordered closing prices as columns: int64 day ordinals
+    (``date.toordinal``) and float64 closes."""
 
-    points: tuple[tuple[date, float], ...]
+    days: np.ndarray
+    prices: np.ndarray
 
     def closes(self) -> np.ndarray:
-        return np.array([c for _, c in self.points], dtype=float)
+        return self.prices
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.days)
 
 
 class MetroMonthlyRecord(NamedTuple):
@@ -65,6 +68,48 @@ class MetroMonthlyRecord(NamedTuple):
     month: str
     sales_count: int
     sale_to_list_ratio: float
+
+
+@dataclass(frozen=True, eq=False)
+class MetroPanel:
+    """Metro rows as columns, sorted by (metro, month) with file order kept for
+    duplicates. ``metro`` and ``month`` are int64 codes into the sorted
+    ``metro_names`` and ``month_names``; ``sales_count`` is int64 and
+    ``sale_to_list_ratio`` float64. Indexing or iterating yields records."""
+
+    metro_names: tuple[str, ...]
+    month_names: tuple[str, ...]
+    metro: np.ndarray
+    month: np.ndarray
+    sales_count: np.ndarray
+    sale_to_list_ratio: np.ndarray
+
+    @classmethod
+    def from_records(cls, records) -> MetroPanel:
+        """Code and sort ``(metro, month, sales_count, sale_to_list_ratio)`` rows."""
+        metro_codes: dict[str, int] = {}
+        month_codes: dict[str, int] = {}
+        metro, month, sales, ratio = array("q"), array("q"), array("q"), array("d")
+        for name, mon, count, r in records:
+            metro.append(metro_codes.setdefault(name, len(metro_codes)))
+            month.append(month_codes.setdefault(mon, len(month_codes)))
+            sales.append(count)
+            ratio.append(r)
+        metro_names, month_names = sorted(metro_codes), sorted(month_codes)
+        # argsort of the codes in name order maps each code to its name's rank
+        metro_col = np.argsort([metro_codes[n] for n in metro_names])[np.frombuffer(metro, "q")]
+        month_col = np.argsort([month_codes[n] for n in month_names])[np.frombuffer(month, "q")]
+        order = np.argsort(metro_col * len(month_names) + month_col, kind="stable")
+        cols = metro_col, month_col, np.frombuffer(sales, "q"), np.frombuffer(ratio, "d")
+        return cls(tuple(metro_names), tuple(month_names), *(col[order] for col in cols))
+
+    def __len__(self) -> int:
+        return len(self.metro)
+
+    def __getitem__(self, i: int) -> MetroMonthlyRecord:
+        metro, month = self.metro_names[self.metro[i]], self.month_names[self.month[i]]
+        sales, ratio = int(self.sales_count[i]), float(self.sale_to_list_ratio[i])
+        return MetroMonthlyRecord(metro, month, sales, ratio)
 
 
 @dataclass(frozen=True)
@@ -131,34 +176,30 @@ def pearson(xs, ys) -> float:
     return max(-1.0, min(1.0, r))
 
 
-def housing_correlations(
-    records: list[MetroMonthlyRecord],
-    bins: int = 20,
-) -> CorrelationReport:
+def housing_correlations(panel: MetroPanel, bins: int = 20) -> CorrelationReport:
     """Correlate monthly sales counts with sale-to-list ratios per metro.
 
     Months with a ratio above 1 are dropped before correlating. Metros left
-    with fewer than two usable months, or with a constant column, are listed
-    as skipped. The histogram spans [-1, 1] in ``bins`` uniform bins.
+    with fewer than two usable months, or with a column that is constant as
+    float64, are listed as skipped. The histogram spans [-1, 1] in ``bins``
+    uniform bins.
     """
     if bins < 1:
         raise ConfigError(f"bins must be positive, got {bins}")
-    groups: dict[str, list[MetroMonthlyRecord]] = {}
-    for rec in records:
-        groups.setdefault(rec.metro, []).append(rec)
     per_metro: dict[str, MetroCorrelation] = {}
     skipped: list[str] = []
-    for metro in sorted(groups):
-        usable = sorted(
-            (r for r in groups[metro] if r.sale_to_list_ratio <= 1.0),
-            key=lambda r: r.month,
-        )
-        xs = [r.sales_count for r in usable]
-        ys = [r.sale_to_list_ratio for r in usable]
-        if len(usable) < 2 or len(set(xs)) < 2 or len(set(ys)) < 2:
+    ends = np.searchsorted(panel.metro, np.arange(len(panel.metro_names)), side="right")
+    start = 0
+    for metro, end in zip(panel.metro_names, ends.tolist()):
+        ratios = panel.sale_to_list_ratio[start:end]
+        usable = ratios <= 1.0
+        xs = panel.sales_count[start:end][usable].astype(float)
+        ys = ratios[usable]
+        start = end
+        if xs.size < 2 or xs.min() == xs.max() or ys.min() == ys.max():
             skipped.append(metro)
             continue
-        per_metro[metro] = MetroCorrelation(metro, pearson(xs, ys), len(usable))
+        per_metro[metro] = MetroCorrelation(metro, pearson(xs, ys), int(xs.size))
     values = [c.pearson_r for c in per_metro.values()]
     counts, edges = np.histogram(values, bins=bins, range=(-1.0, 1.0))
     return CorrelationReport(
@@ -169,15 +210,30 @@ def housing_correlations(
     )
 
 
-def _column_positions(reader, required, path: str) -> tuple[list[int], int]:
-    """Read the header row; return each required column's position and the row
-    length that holds them all. A repeated name resolves to its last position."""
-    where = {name: i for i, name in enumerate(next(reader, None) or ())}
-    missing = [c for c in required if c not in where]
-    if missing:
-        raise SchemaError(f"{path} is missing column(s) {missing}; need {list(required)}")
-    cols = [where[name] for name in required]
-    return cols, max(cols) + 1
+def _records(path: str, required: tuple[str, ...]):
+    """Yield each record's row number and stripped ``required`` fields, found by header
+    name (the last of a repeated name). Blank lines are skipped: row 2 is the first record."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        where = {name: i for i, name in enumerate(next(reader, None) or ())}
+        missing = [c for c in required if c not in where]
+        if missing:
+            raise SchemaError(f"{path} is missing column(s) {missing}; need {list(required)}")
+        cols = [where[name] for name in required]
+        fields, width = itemgetter(*cols), max(cols) + 1
+        for row_num, row in enumerate(filter(None, reader), start=2):
+            if len(row) < width:
+                row += [""] * (width - len(row))
+            yield row_num, map(str.strip, fields(row))
+
+
+def _field(convert, raw: str, what: str, row: int):
+    """``convert(raw)`` or a ParseError. A non-ASCII field converts as "" and fails,
+    since int and float also read other scripts' digits."""
+    try:
+        return convert(raw if raw.isascii() else "")
+    except ValueError:
+        raise ParseError(f"bad {what} {raw!r}", row=row) from None
 
 
 def ingest_prices(path: str) -> PriceSeries:
@@ -186,82 +242,55 @@ def ingest_prices(path: str) -> PriceSeries:
     Out-of-order rows are sorted ascending with a logged warning count;
     duplicate dates are rejected.
     """
-    points: list[tuple[date, float]] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        cols, width = _column_positions(reader, PRICE_COLUMNS, path)
-        fields = itemgetter(*cols)
-        # Blank lines are skipped and not counted: row 2 is the first record.
-        for row_num, row in enumerate(filter(None, reader), start=2):
-            if len(row) < width:
-                row += [""] * (width - len(row))
-            raw_date, raw_close = map(str.strip, fields(row))
-            try:
-                # fromisoformat also takes YYYYMMDD and week dates from Python 3.11 on
-                if len(raw_date) != 10 or raw_date[4] != "-" or raw_date[7] != "-":
-                    raise ValueError
-                day = date.fromisoformat(raw_date)
-            except ValueError:
-                raise ParseError(f"bad ISO date {raw_date!r}", row=row_num) from None
-            try:
-                if not raw_close.isascii():  # float also reads other scripts' digits
-                    raise ValueError
-                close = float(raw_close)
-            except ValueError:
-                raise ParseError(f"bad price {raw_close!r}", row=row_num) from None
-            if not math.isfinite(close) or close <= 0.0:
-                raise ParseError(f"price must be positive, got {raw_close}", row=row_num)
-            points.append((day, close))
-    seen: set[date] = set()
-    for i, (day, _) in enumerate(points):
-        if day in seen:
-            raise ParseError(f"duplicate date {day.isoformat()}", row=i + 2)
-        seen.add(day)
-    inversions = sum(1 for a, b in zip(points, points[1:]) if b[0] < a[0])
+    days, closes = array("q"), array("d")
+    for row_num, (raw_date, raw_close) in _records(path, PRICE_COLUMNS):
+        # fromisoformat also takes YYYYMMDD and week dates from Python 3.11 on
+        if len(raw_date) != 10 or raw_date[4] != "-" or raw_date[7] != "-":
+            raise ParseError(f"bad ISO date {raw_date!r}", row=row_num)
+        day = _field(date.fromisoformat, raw_date, "ISO date", row_num)
+        close = _field(float, raw_close, "price", row_num)
+        if not math.isfinite(close) or close <= 0.0:
+            raise ParseError(f"price must be positive, got {raw_close}", row=row_num)
+        days.append(day.toordinal())
+        closes.append(close)
+    day_col, close_col = np.frombuffer(days, "q"), np.frombuffer(closes, "d")
+    order = np.argsort(day_col, kind="stable")
+    ordered = day_col[order]
+    # A stable sort keeps equal days in file order: each run's later members repeat.
+    repeats = order[1:][ordered[1:] == ordered[:-1]]
+    if repeats.size:
+        first = int(repeats.min())
+        raise ParseError(f"duplicate date {date.fromordinal(day_col[first])}", row=first + 2)
+    inversions = int(np.count_nonzero(day_col[1:] < day_col[:-1]))
     if inversions:
         logger.warning("%s: %d out-of-order date row(s); sorted ascending", path, inversions)
-        points.sort(key=lambda p: p[0])
-    return PriceSeries(tuple(points))
+        day_col, close_col = ordered, close_col[order]
+    return PriceSeries(day_col, close_col)
 
 
-def ingest_metro(path: str) -> list[MetroMonthlyRecord]:
+def ingest_metro(path: str) -> MetroPanel:
     """Read a ``metro,month,sales_count,sale_to_list_ratio`` CSV.
 
-    Months must be YYYY-MM, sales counts nonnegative integers, ratios
-    positive, all in ASCII digits. Records come back sorted by (metro, month).
+    Months must be YYYY-MM, sales counts integers in [0, 2**63), ratios
+    positive, all in ASCII digits. The panel is sorted by (metro, month).
     """
-    records: list[MetroMonthlyRecord] = []
+    return MetroPanel.from_records(_metro_rows(path))
+
+
+def _metro_rows(path: str):
+    """Yield each record of a metro CSV as a validated 4-tuple."""
     months: set[str] = set()  # months that passed _MONTH_RE; a file repeats few of them
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        cols, width = _column_positions(reader, METRO_COLUMNS, path)
-        fields = itemgetter(*cols)
-        for row_num, row in enumerate(filter(None, reader), start=2):
-            if len(row) < width:
-                row += [""] * (width - len(row))
-            metro, month, raw_sales, raw_ratio = map(str.strip, fields(row))
-            if not metro:
-                raise ParseError("empty metro name", row=row_num)
-            if month not in months:
-                if not _MONTH_RE.fullmatch(month):
-                    raise ParseError(f"bad month {month!r}; expected YYYY-MM", row=row_num)
-                months.add(month)
-            try:
-                if not raw_sales.isascii():  # int also reads other scripts' digits
-                    raise ValueError
-                sales = int(raw_sales)
-            except ValueError:
-                raise ParseError(f"bad sales count {raw_sales!r}", row=row_num) from None
-            if sales < 0:
-                raise ParseError(f"sales count must be nonnegative, got {sales}", row=row_num)
-            try:
-                if not raw_ratio.isascii():
-                    raise ValueError
-                ratio = float(raw_ratio)
-            except ValueError:
-                raise ParseError(f"bad ratio {raw_ratio!r}", row=row_num) from None
-            if not math.isfinite(ratio) or ratio <= 0.0:
-                raise ParseError(f"ratio must be positive, got {raw_ratio}", row=row_num)
-            records.append(MetroMonthlyRecord(metro, month, sales, ratio))
-    records.sort(key=itemgetter(0, 1))
-    return records
+    for row_num, (metro, month, raw_sales, raw_ratio) in _records(path, METRO_COLUMNS):
+        if not metro:
+            raise ParseError("empty metro name", row=row_num)
+        if month not in months:
+            if not _MONTH_RE.fullmatch(month):
+                raise ParseError(f"bad month {month!r}; expected YYYY-MM", row=row_num)
+            months.add(month)
+        sales = _field(int, raw_sales, "sales count", row_num)
+        if not 0 <= sales < 2**63:
+            raise ParseError(f"sales count must be in [0, 2**63), got {sales}", row=row_num)
+        ratio = _field(float, raw_ratio, "ratio", row_num)
+        if not math.isfinite(ratio) or ratio <= 0.0:
+            raise ParseError(f"ratio must be positive, got {raw_ratio}", row=row_num)
+        yield metro, month, sales, ratio

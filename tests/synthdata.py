@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from arcwalk import MetroMonthlyRecord
+from arcwalk import MetroMonthlyRecord, MetroPanel
 
 
 def make_housing_records(
@@ -15,8 +15,8 @@ def make_housing_records(
     rho: float = 0.9,
     seed: int = 0,
     over_asking: int = 3,
-) -> list[MetroMonthlyRecord]:
-    """Per-metro (sales, ratio) pairs drawn at generative correlation ``rho``.
+) -> MetroPanel:
+    """A panel of per-metro (sales, ratio) pairs drawn at generative correlation ``rho``.
 
     Each metro also gets ``over_asking`` months with ratio > 1 that the
     pipeline must drop; their sales counts are deliberately extreme so
@@ -37,10 +37,10 @@ def make_housing_records(
             records.append(
                 MetroMonthlyRecord(name, f"2015-{j + 1:02d}", 900 + 50 * j, 1.05 + 0.01 * j)
             )
-    return records
+    return MetroPanel.from_records(records)
 
 
-def records_to_csv(records: list[MetroMonthlyRecord]) -> str:
+def records_to_csv(records) -> str:
     lines = ["metro,month,sales_count,sale_to_list_ratio"]
     for r in records:
         lines.append(f"{r.metro},{r.month},{r.sales_count},{r.sale_to_list_ratio!r}")

@@ -298,8 +298,8 @@ def test_criterion_10_heavy_tails():
 
 
 def test_criterion_11_housing_pipeline():
-    records = make_housing_records(metros=50, months=24, rho=0.9, seed=404)
-    report = housing_correlations(records)
+    panel = make_housing_records(metros=50, months=24, rho=0.9, seed=404)
+    report = housing_correlations(panel)
     rs = [c.pearson_r for c in report.per_metro.values()]
     pos_frac = sum(r > 0 for r in rs) / len(rs)
     total = sum(report.bin_counts)

@@ -316,6 +316,16 @@ class TestMarketHousing:
         assert sum(report["histogram"]["bin_counts"]) == 6
         assert report["skipped"] == []
 
+    def test_sales_counts_equal_as_float64_skip_the_metro(self, tmp_path):
+        # 2**60 and 2**60 + 1 differ as integers but not as float64: a constant column.
+        rows = "".join(f"big,2024-0{m},{2**60 + m % 2},{0.9 + 0.01 * m!r}\n" for m in range(1, 6))
+        src = tmp_path / "metros.csv"
+        src.write_text(records_to_csv(make_housing_records(metros=2, months=6, seed=2)) + rows)
+        assert main(["market", "housing", str(src), "--out-prefix", str(tmp_path / "hp")]) == 0
+        report = json.loads((tmp_path / "hp_report.json").read_text())
+        assert report["skipped"] == ["big"]
+        assert sorted(report["per_metro"]) == ["metro000", "metro001"]
+
     def test_default_prefix_from_input_stem(self, tmp_path):
         src = tmp_path / "metros.csv"
         src.write_text(records_to_csv(make_housing_records(metros=2, months=6, seed=2)))

@@ -3,6 +3,7 @@
 import inspect
 import logging
 import math
+import tracemalloc
 from datetime import date
 
 import numpy as np
@@ -13,6 +14,7 @@ from arcwalk import (
     DegenerateVarianceError,
     LengthMismatchError,
     MetroMonthlyRecord,
+    MetroPanel,
     ParseError,
     PriceSeries,
     SchemaError,
@@ -29,7 +31,8 @@ from synthdata import make_housing_records
 
 
 def series(*closes: float) -> PriceSeries:
-    return PriceSeries(tuple((date(2024, 1, d + 1), c) for d, c in enumerate(closes)))
+    days = date(2024, 1, 1).toordinal() + np.arange(len(closes))
+    return PriceSeries(days, np.array(closes, dtype=float))
 
 
 class TestRelativeChanges:
@@ -145,7 +148,7 @@ class TestHousingCorrelations:
             MetroMonthlyRecord("allover", f"2024-{m:02d}", 100 + m, 1.02) for m in range(1, 6)
         ]
         records += make_housing_records(metros=1, months=12, seed=3)
-        report = housing_correlations(records)
+        report = housing_correlations(MetroPanel.from_records(records))
         assert report.skipped == ["allover"]
         assert "allover" not in report.per_metro
 
@@ -153,8 +156,19 @@ class TestHousingCorrelations:
         records = [
             MetroMonthlyRecord("flat", f"2024-{m:02d}", 100, 0.9 + 0.001 * m) for m in range(1, 6)
         ]
-        report = housing_correlations(records)
+        report = housing_correlations(MetroPanel.from_records(records))
         assert report.skipped == ["flat"]
+
+    def test_sales_counts_equal_as_float64_are_constant(self):
+        # 2**60 and 2**60 + 1 differ as integers, but pearson sees them as one float64.
+        records = [
+            MetroMonthlyRecord("big", f"2024-{m:02d}", 2**60 + m % 2, 0.9 + 0.01 * m)
+            for m in range(1, 6)
+        ]
+        records += make_housing_records(metros=1, months=12, seed=3)
+        report = housing_correlations(MetroPanel.from_records(records))
+        assert report.skipped == ["big"]
+        assert list(report.per_metro) == ["metro000"]
 
     def test_histogram_covers_unit_interval(self):
         report = housing_correlations(make_housing_records(metros=8, months=18, seed=5), bins=10)
@@ -171,7 +185,7 @@ class TestHousingCorrelations:
 
     def test_bins_validated(self):
         with pytest.raises(ConfigError):
-            housing_correlations([], bins=0)
+            housing_correlations(MetroPanel.from_records([]), bins=0)
 
 
 class TestIngestPrices:
@@ -180,7 +194,7 @@ class TestIngestPrices:
         f.write_text("date,close\n2024-01-02,101.5\n2024-01-03,102.25\n")
         got = ingest_prices(str(f))
         assert len(got) == 2
-        assert got.points[0] == (date(2024, 1, 2), 101.5)
+        assert (date.fromordinal(got.days[0]), got.closes()[0]) == (date(2024, 1, 2), 101.5)
         assert got.closes() == pytest.approx([101.5, 102.25])
 
     def test_extra_columns_tolerated(self, tmp_path):
@@ -224,12 +238,39 @@ class TestIngestPrices:
         with pytest.raises(ParseError, match="duplicate"):
             ingest_prices(str(f))
 
+    @pytest.mark.parametrize(
+        "days,repeat,row",
+        [
+            (["2024-01-03", "2024-01-01", "2024-01-02", "2024-01-01"], "2024-01-01", 5),
+            # the first repeat in file order, not the earliest repeated date
+            (["2024-01-05", "2024-01-05", "2024-01-01", "2024-01-01"], "2024-01-05", 3),
+        ],
+    )
+    def test_duplicate_reports_first_repeat_in_file_order(self, tmp_path, days, repeat, row):
+        f = tmp_path / "prices.csv"
+        f.write_text("date,close\n" + "".join(f"{d},1.0\n" for d in days))
+        with pytest.raises(ParseError, match=f"duplicate date {repeat}") as info:
+            ingest_prices(str(f))
+        assert info.value.row == row
+
+    def test_warning_counts_adjacent_inversions(self, tmp_path, caplog):
+        # 5 1 4 2 3 holds 6 inverted pairs but 2 adjacent inversions (5>1, 4>2).
+        f = tmp_path / "prices.csv"
+        f.write_text("date,close\n" + "".join(f"2024-01-0{d},{d}.0\n" for d in (5, 1, 4, 2, 3)))
+        with caplog.at_level(logging.WARNING, logger="arcwalk.market"):
+            got = ingest_prices(str(f))
+        assert [r.getMessage().split(": ", 1)[1] for r in caplog.records] == [
+            "2 out-of-order date row(s); sorted ascending"
+        ]
+        assert [date.fromordinal(d).day for d in got.days] == [1, 2, 3, 4, 5]
+        assert got.closes().tolist() == [1.0, 2.0, 3.0, 4.0, 5.0]
+
     def test_out_of_order_sorted_with_warning(self, tmp_path, caplog):
         f = tmp_path / "prices.csv"
         f.write_text("date,close\n2024-01-03,101.0\n2024-01-02,100.0\n")
         with caplog.at_level(logging.WARNING, logger="arcwalk.market"):
             got = ingest_prices(str(f))
-        assert [d for d, _ in got.points] == [date(2024, 1, 2), date(2024, 1, 3)]
+        assert [date.fromordinal(d) for d in got.days] == [date(2024, 1, 2), date(2024, 1, 3)]
         assert any("out-of-order" in r.message for r in caplog.records)
 
 
@@ -271,6 +312,15 @@ class TestIngestMetro:
             ingest_metro(str(f))
         assert info.value.row == 2
 
+    def test_sales_count_must_fit_int64(self, tmp_path):
+        f = tmp_path / "metro.csv"
+        f.write_text(f"{METRO_HEADER}x,2024-01,{2**63 - 1},0.9\n")
+        assert ingest_metro(str(f))[0].sales_count == 2**63 - 1
+        f.write_text(f"{METRO_HEADER}x,2024-01,{2**63 - 1},0.9\nx,2024-02,{2**63},0.9\n")
+        with pytest.raises(ParseError, match="sales count") as info:
+            ingest_metro(str(f))
+        assert info.value.row == 3
+
     def test_missing_column_rejected(self, tmp_path):
         f = tmp_path / "metro.csv"
         f.write_text("metro,month,sales\nx,2024-01,5\n")
@@ -280,7 +330,8 @@ class TestIngestMetro:
 
 def _ingested(ingest, path):
     if ingest is ingest_prices:
-        return list(ingest(path).points)
+        got = ingest(path)
+        return list(zip(map(date.fromordinal, got.days.tolist()), got.closes().tolist()))
     return [(r.metro, r.month, r.sales_count, r.sale_to_list_ratio) for r in ingest(path)]
 
 
@@ -352,6 +403,43 @@ class TestIngestContract:
         with pytest.raises(error, match=fragment) as info:
             ingest(str(f))
         assert getattr(info.value, "row", None) == row
+
+
+def _price_csv(n: int) -> str:
+    days = [date(1900, 1, 1).toordinal() + i for i in range(n)]
+    days[::100], days[1::100] = days[1::100], days[::100]  # out of order, so the sort runs
+    return "date,close\n" + "".join(f"{date.fromordinal(d)},{100 + d % 97}.25\n" for d in days)
+
+
+def _metro_csv(n: int) -> str:
+    rows = []
+    for i in range(n):  # 100 months for each metro, then the next metro
+        month = f"{2000 + i % 100 // 12}-{i % 100 % 12 + 1:02d}"
+        rows.append(f"metro{i // 100:04d},{month},{400 + i % 37},0.9{i % 89}\n")
+    return METRO_HEADER + "".join(rows)
+
+
+class TestIngestMemory:
+    """Peak traced bytes per row while ingesting 20,000 rows. Row objects (a date
+    and float tuple per price, a record per metro row) take about 250 and 320 B,
+    so the bounds fail on them; typed columns take about 41 and 91 B."""
+
+    ROWS = 20_000
+
+    @pytest.mark.parametrize(
+        "ingest,make_csv,bound", [(ingest_prices, _price_csv, 60), (ingest_metro, _metro_csv, 150)]
+    )
+    def test_peak_bytes_per_row(self, tmp_path, ingest, make_csv, bound):
+        f = tmp_path / "in.csv"
+        f.write_text(make_csv(self.ROWS))
+        tracemalloc.start()
+        try:
+            got = ingest(str(f))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(got) == self.ROWS
+        assert peak / self.ROWS < bound
 
 
 class TestMetroMonthlyRecord:
