@@ -9,6 +9,7 @@ import re
 from array import array
 from dataclasses import dataclass
 from datetime import date
+from itertools import count, islice
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -19,6 +20,12 @@ from .sim import ConfigError
 logger = logging.getLogger(__name__)
 
 _MONTH_RE = re.compile(r"[0-9]{4}-(0[1-9]|1[0-2])")
+_DATE_DIGITS = [0, 1, 2, 3, 5, 6, 8, 9]  # YYYY-MM-DD positions that hold digits
+_MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
+_DAYS_BEFORE = np.cumsum(_MONTH_DAYS) - _MONTH_DAYS  # days of the year before month m
+
+# Records per block of an ingest: each block is checked and converted column by column.
+BLOCK_RECORDS = 2**9
 
 PRICE_COLUMNS = ("date", "close")
 METRO_COLUMNS = ("metro", "month", "sales_count", "sale_to_list_ratio")
@@ -87,14 +94,17 @@ class MetroPanel:
     @classmethod
     def from_records(cls, records) -> MetroPanel:
         """Code and sort ``(metro, month, sales_count, sale_to_list_ratio)`` rows."""
+        names, months, sales, ratios = tuple(zip(*records)) or ((),) * 4
         metro_codes: dict[str, int] = {}
         month_codes: dict[str, int] = {}
-        metro, month, sales, ratio = array("q"), array("q"), array("q"), array("d")
-        for name, mon, count, r in records:
-            metro.append(metro_codes.setdefault(name, len(metro_codes)))
-            month.append(month_codes.setdefault(mon, len(month_codes)))
-            sales.append(count)
-            ratio.append(r)
+        metro, month = _code(metro_codes, names), _code(month_codes, months)
+        return cls._from_codes(
+            metro_codes, month_codes, metro, month, array("q", sales), array("d", ratios)
+        )
+
+    @classmethod
+    def _from_codes(cls, metro_codes, month_codes, metro, month, sales, ratio) -> MetroPanel:
+        """Rank the ``array('q')`` codes by name and sort all four columns."""
         metro_names, month_names = sorted(metro_codes), sorted(month_codes)
         # argsort of the codes in name order maps each code to its name's rank
         metro_col = np.argsort([metro_codes[n] for n in metro_names])[np.frombuffer(metro, "q")]
@@ -110,6 +120,13 @@ class MetroPanel:
         metro, month = self.metro_names[self.metro[i]], self.month_names[self.month[i]]
         sales, ratio = int(self.sales_count[i]), float(self.sale_to_list_ratio[i])
         return MetroMonthlyRecord(metro, month, sales, ratio)
+
+
+def _code(codes: dict[str, int], names) -> array:
+    """Each name's code in ``codes``, which gains the names it did not hold."""
+    for name in set(names).difference(codes):
+        codes[name] = len(codes)
+    return array("q", map(codes.__getitem__, names))
 
 
 @dataclass(frozen=True)
@@ -180,9 +197,10 @@ def housing_correlations(panel: MetroPanel, bins: int = 20) -> CorrelationReport
     """Correlate monthly sales counts with sale-to-list ratios per metro.
 
     Months with a ratio above 1 are dropped before correlating. Metros left
-    with fewer than two usable months, or with a column that is constant as
-    float64, are listed as skipped. The histogram spans [-1, 1] in ``bins``
-    uniform bins.
+    with fewer than two usable months, with a column that is constant as
+    float64, or with a column whose squared deviations sum to 0 (``pearson``
+    raises DegenerateVarianceError) are listed as skipped. The histogram spans
+    [-1, 1] in ``bins`` uniform bins.
     """
     if bins < 1:
         raise ConfigError(f"bins must be positive, got {bins}")
@@ -199,7 +217,12 @@ def housing_correlations(panel: MetroPanel, bins: int = 20) -> CorrelationReport
         if xs.size < 2 or xs.min() == xs.max() or ys.min() == ys.max():
             skipped.append(metro)
             continue
-        per_metro[metro] = MetroCorrelation(metro, pearson(xs, ys), int(xs.size))
+        try:
+            r = pearson(xs, ys)
+        except DegenerateVarianceError:  # deviations too small to square, such as 5e-324
+            skipped.append(metro)
+            continue
+        per_metro[metro] = MetroCorrelation(metro, r, int(xs.size))
     values = [c.pearson_r for c in per_metro.values()]
     counts, edges = np.histogram(values, bins=bins, range=(-1.0, 1.0))
     return CorrelationReport(
@@ -210,9 +233,11 @@ def housing_correlations(panel: MetroPanel, bins: int = 20) -> CorrelationReport
     )
 
 
-def _records(path: str, required: tuple[str, ...]):
-    """Yield each record's row number and stripped ``required`` fields, found by header
-    name (the last of a repeated name). Blank lines are skipped: row 2 is the first record."""
+def _blocks(path: str, required: tuple[str, ...]):
+    """Yield, per block of at most ``BLOCK_RECORDS`` records, the row number of its
+    first record and its stripped ``required`` columns, found by header name (the
+    last of a repeated name). Short rows are padded with "". Blank lines are
+    skipped: row 2 is the first record."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         where = {name: i for i, name in enumerate(next(reader, None) or ())}
@@ -220,11 +245,13 @@ def _records(path: str, required: tuple[str, ...]):
         if missing:
             raise SchemaError(f"{path} is missing column(s) {missing}; need {list(required)}")
         cols = [where[name] for name in required]
-        fields, width = itemgetter(*cols), max(cols) + 1
-        for row_num, row in enumerate(filter(None, reader), start=2):
-            if len(row) < width:
-                row += [""] * (width - len(row))
-            yield row_num, map(str.strip, fields(row))
+        width = max(cols) + 1
+        records, row = filter(None, reader), 2
+        while block := list(islice(records, BLOCK_RECORDS)):
+            if min(map(len, block)) < width:
+                block = [r + [""] * (width - len(r)) for r in block]
+            yield row, [list(map(str.strip, map(itemgetter(c), block))) for c in cols]
+            row += len(block)
 
 
 def _field(convert, raw: str, what: str, row: int):
@@ -236,6 +263,59 @@ def _field(convert, raw: str, what: str, row: int):
         raise ParseError(f"bad {what} {raw!r}", row=row) from None
 
 
+def _iso_days(dates: list[str]) -> np.ndarray | None:
+    """``date.fromisoformat(d).toordinal()`` of each ASCII ``YYYY-MM-DD`` string, or
+    None if any string is not such a date. The strings are checked as one ``(n, 10)``
+    byte matrix; the arithmetic runs in int64, since uint8 digit sums overflow."""
+    text = "".join(dates)
+    if set(map(len, dates)) != {10} or not text.isascii():
+        return None
+    raw = np.frombuffer(text.encode("ascii"), np.uint8).reshape(-1, 10)
+    digits = raw[:, _DATE_DIGITS].astype(np.int64) - ord("0")
+    if not ((digits >= 0) & (digits <= 9)).all() or not (raw[:, [4, 7]] == ord("-")).all():
+        return None
+    year = digits[:, :4] @ np.array([1000, 100, 10, 1])
+    month = digits[:, 4] * 10 + digits[:, 5]
+    day = digits[:, 6] * 10 + digits[:, 7]
+    if not ((year >= 1) & (month >= 1) & (month <= 12) & (day >= 1)).all():
+        return None
+    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
+    if not (day <= _MONTH_DAYS[month] + (leap & (month == 2))).all():
+        return None
+    y = year - 1
+    return y * 365 + y // 4 - y // 100 + y // 400 + _DAYS_BEFORE[month] + (leap & (month > 2)) + day
+
+
+def _price_block(dates: list[str], closes: list[str]):
+    """The block's day ordinals and closes, or None if a column check fails."""
+    days = _iso_days(dates)
+    if days is None or not "".join(closes).isascii():
+        return None
+    try:
+        values = np.fromiter(map(float, closes), float, len(closes))
+    except ValueError:
+        return None
+    if not ((values > 0.0).all() and np.isfinite(values).all()):
+        return None
+    return days, values
+
+
+def _price_records(row: int, dates: list[str], closes: list[str]):
+    """Check a block record by record from row ``row`` on: raise the first bad
+    record's ParseError, or return what ``_price_block`` returns."""
+    days, values = [], []
+    for row_num, raw_date, raw_close in zip(count(row), dates, closes):
+        # fromisoformat also takes YYYYMMDD and week dates from Python 3.11 on
+        if len(raw_date) != 10 or raw_date[4] != "-" or raw_date[7] != "-":
+            raise ParseError(f"bad ISO date {raw_date!r}", row=row_num)
+        days.append(_field(date.fromisoformat, raw_date, "ISO date", row_num).toordinal())
+        close = _field(float, raw_close, "price", row_num)
+        if not math.isfinite(close) or close <= 0.0:
+            raise ParseError(f"price must be positive, got {raw_close}", row=row_num)
+        values.append(close)
+    return np.array(days, np.int64), np.array(values, float)
+
+
 def ingest_prices(path: str) -> PriceSeries:
     """Read a ``date,close`` CSV of ``YYYY-MM-DD`` dates and positive ASCII prices.
 
@@ -243,16 +323,10 @@ def ingest_prices(path: str) -> PriceSeries:
     duplicate dates are rejected.
     """
     days, closes = array("q"), array("d")
-    for row_num, (raw_date, raw_close) in _records(path, PRICE_COLUMNS):
-        # fromisoformat also takes YYYYMMDD and week dates from Python 3.11 on
-        if len(raw_date) != 10 or raw_date[4] != "-" or raw_date[7] != "-":
-            raise ParseError(f"bad ISO date {raw_date!r}", row=row_num)
-        day = _field(date.fromisoformat, raw_date, "ISO date", row_num)
-        close = _field(float, raw_close, "price", row_num)
-        if not math.isfinite(close) or close <= 0.0:
-            raise ParseError(f"price must be positive, got {raw_close}", row=row_num)
-        days.append(day.toordinal())
-        closes.append(close)
+    for row, (dates, raw) in _blocks(path, PRICE_COLUMNS):
+        block_days, block_closes = _price_block(dates, raw) or _price_records(row, dates, raw)
+        days.frombytes(block_days.tobytes())
+        closes.frombytes(block_closes.tobytes())
     day_col, close_col = np.frombuffer(days, "q"), np.frombuffer(closes, "d")
     order = np.argsort(day_col, kind="stable")
     ordered = day_col[order]
@@ -268,29 +342,56 @@ def ingest_prices(path: str) -> PriceSeries:
     return PriceSeries(day_col, close_col)
 
 
-def ingest_metro(path: str) -> MetroPanel:
-    """Read a ``metro,month,sales_count,sale_to_list_ratio`` CSV.
+def _metro_block(names, months, sales, ratios, seen):
+    """The block's sales counts and ratios, or None if a column check fails.
+    Months in ``seen`` have passed ``_MONTH_RE`` already."""
+    if not all(names) or not all(map(_MONTH_RE.fullmatch, set(months).difference(seen))):
+        return None
+    if not ("".join(sales).isascii() and "".join(ratios).isascii()):
+        return None
+    try:
+        counts = np.fromiter(map(int, sales), np.int64, len(sales))
+        values = np.fromiter(map(float, ratios), float, len(ratios))
+    except (ValueError, OverflowError):
+        return None
+    if not ((counts >= 0).all() and (values > 0.0).all() and np.isfinite(values).all()):
+        return None
+    return counts, values
 
-    Months must be YYYY-MM, sales counts integers in [0, 2**63), ratios
-    positive, all in ASCII digits. The panel is sorted by (metro, month).
-    """
-    return MetroPanel.from_records(_metro_rows(path))
 
-
-def _metro_rows(path: str):
-    """Yield each record of a metro CSV as a validated 4-tuple."""
-    months: set[str] = set()  # months that passed _MONTH_RE; a file repeats few of them
-    for row_num, (metro, month, raw_sales, raw_ratio) in _records(path, METRO_COLUMNS):
+def _metro_records(row: int, *cols: list[str]):
+    """Check a block record by record from row ``row`` on: raise the first bad
+    record's ParseError, or return what ``_metro_block`` returns."""
+    counts, values = [], []
+    for row_num, metro, month, raw_sales, raw_ratio in zip(count(row), *cols):
         if not metro:
             raise ParseError("empty metro name", row=row_num)
-        if month not in months:
-            if not _MONTH_RE.fullmatch(month):
-                raise ParseError(f"bad month {month!r}; expected YYYY-MM", row=row_num)
-            months.add(month)
+        if not _MONTH_RE.fullmatch(month):
+            raise ParseError(f"bad month {month!r}; expected YYYY-MM", row=row_num)
         sales = _field(int, raw_sales, "sales count", row_num)
         if not 0 <= sales < 2**63:
             raise ParseError(f"sales count must be in [0, 2**63), got {sales}", row=row_num)
         ratio = _field(float, raw_ratio, "ratio", row_num)
         if not math.isfinite(ratio) or ratio <= 0.0:
             raise ParseError(f"ratio must be positive, got {raw_ratio}", row=row_num)
-        yield metro, month, sales, ratio
+        counts.append(sales)
+        values.append(ratio)
+    return np.array(counts, np.int64), np.array(values, float)
+
+
+def ingest_metro(path: str) -> MetroPanel:
+    """Read a ``metro,month,sales_count,sale_to_list_ratio`` CSV.
+
+    Months must be YYYY-MM, sales counts integers in [0, 2**63), ratios
+    positive, all in ASCII digits. The panel is sorted by (metro, month).
+    """
+    metro_codes: dict[str, int] = {}
+    month_codes: dict[str, int] = {}
+    metro, month, sales, ratio = array("q"), array("q"), array("q"), array("d")
+    for row, cols in _blocks(path, METRO_COLUMNS):
+        counts, values = _metro_block(*cols, month_codes) or _metro_records(row, *cols)
+        metro += _code(metro_codes, cols[0])
+        month += _code(month_codes, cols[1])
+        sales.frombytes(counts.tobytes())
+        ratio.frombytes(values.tobytes())
+    return MetroPanel._from_codes(metro_codes, month_codes, metro, month, sales, ratio)

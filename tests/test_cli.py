@@ -326,6 +326,17 @@ class TestMarketHousing:
         assert report["skipped"] == ["big"]
         assert sorted(report["per_metro"]) == ["metro000", "metro001"]
 
+    def test_ratios_without_squared_spread_skip_the_metro(self, tmp_path):
+        # Not constant, but the deviations of 5e-324 and 1e-323 square to 0 in pearson.
+        rows = "tiny,2024-01,1,5e-324\ntiny,2024-02,2,1e-323\ntiny,2024-03,3,1e-323\n"
+        src = tmp_path / "metros.csv"
+        src.write_text(records_to_csv(make_housing_records(metros=2, months=6, seed=2)) + rows)
+        assert main(["market", "housing", str(src), "--out-prefix", str(tmp_path / "hp")]) == 0
+        assert (tmp_path / "hp_per_metro.csv").exists()
+        report = json.loads((tmp_path / "hp_report.json").read_text())
+        assert report["skipped"] == ["tiny"]
+        assert sorted(report["per_metro"]) == ["metro000", "metro001"]
+
     def test_default_prefix_from_input_stem(self, tmp_path):
         src = tmp_path / "metros.csv"
         src.write_text(records_to_csv(make_housing_records(metros=2, months=6, seed=2)))

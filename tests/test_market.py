@@ -4,11 +4,14 @@ import inspect
 import logging
 import math
 import tracemalloc
-from datetime import date
+from datetime import date, timedelta
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from arcwalk import market
 from arcwalk import (
     ConfigError,
     DegenerateVarianceError,
@@ -403,6 +406,172 @@ class TestIngestContract:
         with pytest.raises(error, match=fragment) as info:
             ingest(str(f))
         assert getattr(info.value, "row", None) == row
+
+
+def _outcome(ingest, path):
+    """An ingest's columns as bytes, or its ParseError's text and row."""
+    try:
+        got = ingest(path)
+    except ParseError as err:
+        return str(err), err.row
+    if ingest is ingest_prices:
+        return [col.tobytes() for col in (got.days, got.prices)]
+    cols = got.metro, got.month, got.sales_count, got.sale_to_list_ratio
+    return got.metro_names, got.month_names, [(c.dtype.str, c.tobytes()) for c in cols]
+
+
+def _by_record(monkeypatch, ingest, path):
+    """``_outcome`` with every block's column checks failing, so each block goes
+    through the per-record checks."""
+    with monkeypatch.context() as m:
+        m.setattr(market, "_price_block", lambda *cols: None)
+        m.setattr(market, "_metro_block", lambda *cols: None)
+        return _outcome(ingest, path)
+
+
+# A header and nine valid records per file kind.
+HEADERS = {ingest_prices: "date,close", ingest_metro: METRO_HEADER.strip()}
+GOOD = {
+    ingest_prices: [f"2024-01-{d:02d},{d}.5" for d in range(1, 10)],
+    ingest_metro: [f"m{d % 2},2024-{d:02d},{d},0.9{d}" for d in range(1, 10)],
+}
+
+
+class TestIngestBlocks:
+    """Files that span several blocks parse, and fail, as they would record by record."""
+
+    @pytest.mark.parametrize("ingest,bad", [
+        (ingest_prices, "2024-02-30,1.0"),
+        (ingest_prices, "2024-02-03,nan"),
+        (ingest_metro, "m0,2024-13,5,0.9"),
+        (ingest_metro, f"m0,2024-10,{2**63},0.9"),
+    ])
+    @pytest.mark.parametrize("at", [2, 3])  # the last record of block 1, the first of block 2
+    def test_bad_field_at_block_edge(self, tmp_path, monkeypatch, ingest, bad, at):
+        rows = GOOD[ingest][:at] + [bad] + GOOD[ingest][at:]
+        f = tmp_path / "in.csv"
+        # blank lines before the bad record are not counted
+        f.write_text("\n".join([HEADERS[ingest], *rows[:at], "", "", *rows[at:]]) + "\n")
+        default = _outcome(ingest, str(f))
+        monkeypatch.setattr(market, "BLOCK_RECORDS", 3)
+        assert _outcome(ingest, str(f)) == default
+        assert default[1] == at + 2
+
+    @pytest.mark.parametrize("ingest,text,expected", [
+        (
+            ingest_prices,
+            "date,close,date\r\nx,1.5,2024-01-01\r\ny,2.5,2024-01-02\r\n"
+            "z,3.5,2024-01-03\r\n\r\nw,4.5,2024-01-04\r\n",
+            [(date(2024, 1, d), d + 0.5) for d in range(1, 5)],
+        ),
+        (
+            ingest_prices,
+            "date,close,note\n2024-01-01,1.0\n2024-01-02\n2024-01-03,3.0,\"a,b\"\n",
+            "bad price ''",
+        ),
+        (
+            ingest_metro,
+            METRO_HEADER + 'a,2024-01,1,0.5\n"b,c",2024-01,2,0.6\n"b,c",2024-02,3\n'
+            '"d\r\ne",2024-01,4,0.7\r\n',
+            "bad ratio ''",
+        ),
+        (
+            ingest_metro,
+            "sales_count,metro,month,sale_to_list_ratio,x\r\n1,a,2024-01,0.5\r\n"
+            '2,"b,c",2024-01,0.6,\r\n3,"b,c",2024-02,0.7\r\n4,"d\r\ne",2024-01,0.8\r\n',
+            [("a", "2024-01", 1, 0.5), ("b,c", "2024-01", 2, 0.6), ("b,c", "2024-02", 3, 0.7),
+             ("d\r\ne", "2024-01", 4, 0.8)],
+        ),
+    ])
+    def test_rows_straddling_block_edges(self, tmp_path, monkeypatch, ingest, text, expected):
+        f = tmp_path / "in.csv"
+        f.write_bytes(text.encode())
+        default = _outcome(ingest, str(f))
+        for size in (1, 2, 3):
+            monkeypatch.setattr(market, "BLOCK_RECORDS", size)
+            assert _outcome(ingest, str(f)) == default
+        if isinstance(expected, str):
+            with pytest.raises(ParseError, match=expected):
+                ingest(str(f))
+        else:
+            assert _ingested(ingest, str(f)) == expected
+
+
+# Field spellings the column checks must treat as the per-record checks do.
+MUTATIONS = [
+    "１０", "1_0", "nan", "inf", "-inf", "0", "-0", "-1", "+5", "1e3", " ", "", str(2**63),
+    str(2**63 - 1), "0000-01-01", "1900-02-29", "2000-02-29", "2024-02-30", "2024-13",
+    "2024-1-01", "2024-00", "２０２４-01", "2024/01/02", "10000-01-01",
+]
+
+
+@st.composite
+def _mutated_file(draw, ingest):
+    """Valid records with at most one field replaced by a ``MUTATIONS`` spelling."""
+    n = draw(st.integers(1, 12))
+    if ingest is ingest_prices:
+        first = draw(st.integers(date(1899, 12, 25).toordinal(), date(2101, 1, 5).toordinal()))
+        days = draw(st.permutations(range(first, first + n)))
+        closes = draw(st.lists(st.floats(1e-300, 1e300), min_size=n, max_size=n))
+        rows = [[str(date.fromordinal(d)), repr(c)] for d, c in zip(days, closes)]
+    else:
+        rows = [
+            [draw(st.sampled_from(["a", "b", "c d"])),
+             f"{draw(st.integers(1, 9999)):04d}-{draw(st.integers(1, 12)):02d}",
+             str(draw(st.integers(0, 2**63 - 1))), repr(draw(st.floats(1e-300, 2.0)))]
+            for _ in range(n)
+        ]
+    if draw(st.integers(0, 3)):
+        row = draw(st.integers(0, n - 1))
+        rows[row][draw(st.integers(0, len(rows[row]) - 1))] = draw(st.sampled_from(MUTATIONS))
+    return "\n".join([HEADERS[ingest], *map(",".join, rows)]) + "\n"
+
+
+class TestIngestEquivalence:
+    """The column checks give the per-record checks' columns or ParseError, bit for bit."""
+
+    @pytest.mark.parametrize("ingest", [ingest_prices, ingest_metro])
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data(), block=st.sampled_from([1, 2, 5, 512]))
+    def test_matches_per_record_checks(self, tmp_path, monkeypatch, ingest, data, block):
+        f = tmp_path / "in.csv"
+        f.write_text(data.draw(_mutated_file(ingest)), encoding="utf-8")
+        with monkeypatch.context() as m:
+            m.setattr(market, "BLOCK_RECORDS", block)
+            assert _outcome(ingest, str(f)) == _by_record(monkeypatch, ingest, str(f))
+
+    @pytest.mark.parametrize("ingest", [ingest_prices, ingest_metro])
+    @pytest.mark.parametrize("mutation", MUTATIONS, ids=ascii)
+    def test_each_mutation_in_each_column(self, tmp_path, monkeypatch, ingest, mutation):
+        monkeypatch.setattr(market, "BLOCK_RECORDS", 3)
+        f = tmp_path / "in.csv"
+        for at in (0, 2, 4):  # first and last of block 1, middle of block 2
+            for col in range(HEADERS[ingest].count(",") + 1):
+                fields = [row.split(",") for row in GOOD[ingest][:6]]
+                fields[at][col] = mutation
+                f.write_text("\n".join([HEADERS[ingest], *map(",".join, fields)]) + "\n")
+                assert _outcome(ingest, str(f)) == _by_record(monkeypatch, ingest, str(f))
+
+    def test_every_day_gives_its_ordinal(self):
+        first, last = date(1899, 12, 25), date(2101, 1, 5)
+        days = [first + timedelta(d) for d in range((last - first).days + 1)]
+        got = market._iso_days([d.isoformat() for d in days])
+        assert got.dtype == np.int64
+        assert got.tolist() == [d.toordinal() for d in days]
+
+    @pytest.mark.parametrize("year", [0, 1, 4, 100, 1900, 1999, 2000, 2023, 2024, 2100, 9999])
+    def test_each_month_and_day_field_as_fromisoformat(self, year):
+        # months 00-13 and days 00-99: every impossible day of every month is rejected
+        for month in range(14):
+            for day in range(100):
+                text = f"{year:04d}-{month:02d}-{day:02d}"
+                try:
+                    expected = [date.fromisoformat(text).toordinal()]
+                except ValueError:
+                    expected = None
+                got = market._iso_days([text])
+                assert (None if got is None else got.tolist()) == expected, text
 
 
 def _price_csv(n: int) -> str:
