@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -364,7 +365,14 @@ def or_inplace_block(low: int, high: int, ancilla: int) -> Circuit:
         raise InvalidTargetError(f"OR wires must be distinct, got {wires}")
     n = max(wires) + 1
     circ = Circuit(n_qubits=n, counter=range(0, n))
-    circ.add(
+    circ.add(*_or_ops(low, high, ancilla))
+    return circ.validate()
+
+
+@lru_cache(maxsize=None)
+def _or_ops(low: int, high: int, ancilla: int) -> tuple[GateOp, ...]:
+    """The ops of ``or_inplace_block`` on three distinct wires, built once per wiring."""
+    return (
         GateOp.x(low),
         GateOp.x(high),
         GateOp.reset(ancilla),
@@ -375,10 +383,9 @@ def or_inplace_block(low: int, high: int, ancilla: int) -> Circuit:
         GateOp.swap(high, ancilla),
         GateOp.reset(ancilla),
     )
-    return circ.validate()
 
 
-def _insert_after_steps(circuit: Circuit, blocks: list[list[GateOp]]) -> Circuit:
+def _insert_after_steps(circuit: Circuit, blocks: list[tuple[GateOp, ...]]) -> Circuit:
     """A copy of ``circuit`` with ``blocks[j]`` after step j+1's ops, inside that step;
     the ops after the last step mark stay last."""
     out = Circuit(circuit.n_qubits, circuit.counter, circuit.coin, circuit.ancilla)
@@ -397,9 +404,9 @@ def with_zeno_measurements(circuit: Circuit, period: int) -> Circuit:
     if period < 0:
         raise ConfigError(f"period must be nonnegative, got {period}")
     fired = range(period - 1, circuit.n_steps, period) if period else range(0)
-    collapse = [GateOp.measure(q) for q in circuit.counter]
+    collapse = tuple(GateOp.measure(q) for q in circuit.counter)
     return _insert_after_steps(
-        circuit, [collapse if j in fired else [] for j in range(circuit.n_steps)]
+        circuit, [collapse if j in fired else () for j in range(circuit.n_steps)]
     )
 
 
@@ -432,9 +439,9 @@ def with_cascading_disjunctions(
         if rng.random() < insertion_rate:
             lower = int(sample_cdf(cdf, rng.random()))
             higher = int(rng.integers(lower + 1, w))
-            blocks.append(or_inplace_block(start + lower, start + higher, circuit.ancilla).ops)
+            blocks.append(_or_ops(start + lower, start + higher, circuit.ancilla))
         else:
-            blocks.append([])
+            blocks.append(())
     return _insert_after_steps(circuit, blocks)
 
 

@@ -10,24 +10,30 @@ import numpy as np
 
 from .circuits import DESIGNS, Circuit, WalkConfig, build_circuit, with_zeno_measurements
 from .noise import NoiseModel, ShotStreams, noisy_apply
-from .sim import MAX_QUBITS, ConfigError, GateOp, OutOfRangeError, apply_unitary
-from .sim import index_to_bits, measure_rows, sample_cdf
+from .sim import MAX_QUBITS, PERMUTATION_KINDS, ConfigError, GateOp, OutOfRangeError, apply_unitary
+from .sim import index_to_bits, measure_rows, permute_rows, sample_cdf
 
 RANDOM_JUMP_CIRCUITS = 30
 RANDOM_JUMP_SHOTS = 30
 RANDOM_DESIGNS = ("random_jump", "random_jump_cascading")  # a new circuit per step count
 
-# A run's shots (every cut's, listed cut-major) run in chunks, which may end inside a cut.
-# A chunk buffers k draws per shot, at most CHUNK_DRAWS in all (2 MiB): an ideal shot's
-# 1 + collapses uniforms, or a noisy shot's window of WINDOW_COLUMNS raw outputs, so a
-# noisy chunk holds at most 1024 shots. One whose ops can part its shots (a MEASURE or
-# RESET, or any op under noise) also holds at most CHUNK_AMPS amplitudes (512 KiB) even if
-# every shot parts to its own row. ``_uniforms`` computes its rows in passes of CHUNK_SHOTS,
-# with about 11 times a pass's output in temporaries. A noisy shot holds a PCG64 (about
-# 0.7 KB), and its window widens only if one read needs more (a Toffoli's 21 slots, or
-# readout's n). A refill calls ``random_raw`` once per shot, about 1 us plus 3.6 ns per
-# output on a 2 vCPU x86 host, so 2**8 columns cost about 4 ns per output.
-# No chunk size changes a draw: shot r of a cut run at seed s draws from s + r.
+# A run's shots (every cut's of every circuit's, sorted by stop) run in chunks, which may
+# end inside a cut. A chunk buffers k draws per shot, at most CHUNK_DRAWS in all (2 MiB):
+# an ideal shot's 1 + collapses uniforms, or a noisy shot's window of WINDOW_COLUMNS raw
+# outputs, so a noisy chunk holds at most 1024 shots. CHUNK_AMPS (512 KiB) caps the rows
+# that run together. A noisy chunk whose ops can part its shots holds at most CHUNK_AMPS
+# amplitudes even if every shot parts to its own row. An ideal chunk may hold more shots:
+# when its circuits (one start row each) or a collapse give more than CHUNK_AMPS >> n
+# rows, its shots split into row-disjoint groups of that many rows, run one after another.
+# A group's start rows are built when it runs; a collapse may double the rows for a
+# moment, and the groups it leaves waiting hold copies of their rows, so a chunk holds at
+# most the cap's rows per collapse on the running group's path, plus that doubling.
+# ``_uniforms`` computes its rows in passes of CHUNK_SHOTS, with about 11 times a pass's
+# output in temporaries. A noisy shot holds a PCG64 (about 0.7 KB), and its window widens
+# only if one read needs more (a Toffoli's 21 slots, or readout's n). A refill calls
+# ``random_raw`` once per shot, about 1 us plus 3.6 ns per output on a 2 vCPU x86 host, so
+# 2**8 columns cost about 4 ns per output.
+# No chunk or group size changes a draw: shot r of a cut run at seed s draws from s + r.
 CHUNK_SHOTS = 1 << 12
 CHUNK_AMPS = 1 << 15
 CHUNK_DRAWS = 1 << 18
@@ -174,107 +180,189 @@ def _decode_index(index: np.ndarray, counter: range) -> np.ndarray:
     return (index >> counter.start) & ((1 << len(counter)) - 1)
 
 
-def _trajectories(start: np.ndarray, ops: list[GateOp], seeds: np.ndarray, stops: np.ndarray,
-                  noise, draws):
-    """Final basis index per shot of one chunk, shot i running ``ops[:stops[i]]`` from
-    the one ``(1, 2**n)`` row ``start``, which every shot holds at first; see
-    ``run_positions``. The ``stops`` ascend, so the running shots are a suffix: when the
-    op loop reaches a shot's stop, the shot retires (it samples its row's CDF and, under
-    noise, draws its readout flips), and rows that no running shot holds are dropped.
+def _trajectories(start: np.ndarray, ops: list[GateOp], variants: dict, seeds: np.ndarray,
+                  stops: np.ndarray, circs: np.ndarray, noise, draws):
+    """Final basis index per shot of one chunk of a family's shots, shot i running op
+    positions ``[0, stops[i])`` of circuit ``circs[i]`` from the ``(1, 2**n)`` row
+    ``start``; see ``_sweep``. ``ops`` is the family's longest circuit, and
+    ``variants[j] = (distinct ops, each circuit's index into them)`` at each position j
+    where the circuits' ops differ (none for a family of one). Every row holds one
+    circuit's shots: each circuit starts on a ``start`` row of its own, and rows merge
+    after a collapse only within one circuit. The ``stops`` ascend, so the running
+    shots are a suffix: when the op loop reaches a shot's stop, the shot retires (it
+    samples its row's CDF and, under noise, draws its readout flips), and rows that no
+    running shot holds are dropped.
     Shot i draws from ``default_rng(seeds[i])``: one ``random()`` per collapse, each
     noisy gate's draws, one ``random()`` for the final sample, and ``random(n)`` for
     readout flips. Ideal shots draw only the ``random()`` calls, at most ``draws`` each,
     so they take them from one ``_uniforms`` block whose column c serves every shot's
-    c-th draw; noisy shots read their streams through one ``ShotStreams`` window of
+    c-th draw (a family's MEASURE and RESET ops are shared, so c is a function of the
+    position); noisy shots read their streams through one ``ShotStreams`` window of
     ``draws`` columns, refilled as they reach its end, the running ones through a view
-    of it. This is the one loop that runs shots and the one place a CDF is sampled."""
+    of it. When more than ``CHUNK_AMPS >> n`` rows would run together (at the start or
+    after a collapse), the running shots split into row-disjoint groups of at most that
+    many rows, and each group runs the rest on its own; a waiting group holds a copy of
+    its rows, or none before its start rows are built (a noisy chunk holds no more
+    shots than that, so it never splits).
+    This is the one loop that runs shots and the one place a CDF is sampled."""
     n, shots = start.shape[1].bit_length() - 1, len(seeds)
-    amps, cls, out = start.copy(), np.zeros(shots, np.intp), np.empty(shots, np.intp)
-    # The shots with stops at or before op ``at`` are the first ``ends[at]``.
-    ends = np.searchsorted(stops, np.arange(stops[-1] + 1), side="right").tolist()
+    cap, out, pending = max(1, CHUNK_AMPS >> n), np.empty(shots, np.intp), []
     if noise is None:
-        block, column = _uniforms(seeds, draws), 0
+        block = _uniforms(seeds, draws)
     else:
         streams = ShotStreams([np.random.PCG64(seed) for seed in seeds.tolist()], draws)
 
     def gate(amps, op, cls, held=None):
+        if op is None:
+            return amps, cls
         if noise is None:
             apply_unitary(amps, op)
             return amps, cls
         return noisy_apply(amps, op, noise, streams if held is None else streams.view(held), cls)
 
-    live = 0  # the shots before it have retired; cls and streams cover the rest
-    for at in range(len(ends)):
-        if ends[at] > live:  # the shots that stop here sample their rows and retire
-            end, gone = ends[at], ends[at] - live
-            if noise is None:
-                u = block[live:end, column]
-            else:
-                retired, streams = streams.view(slice(gone)), streams.view(slice(gone, None))
-                u = retired.random(1)[:, 0]
-            cdf = np.cumsum(amps.real**2 + amps.imag**2, axis=1)
-            idx = sample_cdf(cdf[cls[:gone]] if len(cdf) > 1 else cdf[0], u)
-            if noise is not None:  # readout flips: bit k of the mask flips qubit k
-                idx ^= (retired.random(n) < noise.readout_flip) @ (1 << np.arange(n))
-            out[live:end], live, cls = idx, end, cls[gone:]
-            if live == shots:
+    def owner(amps, cls, idx):
+        """The circuit of each row."""
+        rows = np.empty(len(amps), np.intp)
+        rows[cls] = circs[idx]
+        return rows
+
+    def each_variant(amps, cls, var, vops):
+        """Rows of variant v (``var`` per row) take ``vops[v]`` (None: none); returns
+        the rows, variant by variant, and each running shot's row."""
+        parts, out_cls = [], np.empty_like(cls)
+        for v, vop in enumerate(vops):
+            rows = np.flatnonzero(var == v)
+            if len(rows):
+                held = np.flatnonzero(var[cls] == v)
+                sub, sub_cls = gate(amps[rows], vop, np.searchsorted(rows, cls[held]), held)
+                out_cls[held] = sub_cls + sum(map(len, parts))
+                parts.append(sub)
+        return np.concatenate(parts), out_cls
+
+    def push(at, column, amps, cls, idx):
+        """Queue the shots ``idx`` (shot i on row ``cls[i]``) in row-disjoint groups of
+        at most cap rows, the first on top. ``amps`` None stands for one ``start`` row
+        per row, built when the group runs."""
+        for lo in reversed(range(0, int(cls.max()) + 1, cap)):
+            held = np.flatnonzero((cls >= lo) & (cls < lo + cap))
+            rows = None if amps is None else amps[lo : lo + cap].copy()
+            pending.append((at, column, rows, cls[held] - lo, idx[held]))
+
+    # Each group: (next op position, uniform column, rows, each shot's row, chunk shots).
+    push(0, 0, None, np.unique(circs, return_inverse=True)[1].reshape(-1), np.arange(shots))
+    while pending:
+        at, column, amps, cls, idx = pending.pop()
+        if amps is None:
+            amps = start.repeat(int(cls.max()) + 1, axis=0)
+        if noise is None:  # the group's uniforms, row i for shot idx[i]
+            uniforms = block if len(idx) == shots else block[idx]
+        # The group's shots with stops at or before op ``at`` are its first ``ends[at]``.
+        ends = np.searchsorted(stops[idx], np.arange(stops[idx[-1]] + 1), side="right").tolist()
+        live = 0  # the shots before it have retired; cls (and streams) cover the rest
+        while True:
+            if ends[at] > live:  # the shots that stop here sample their rows and retire
+                end, gone = ends[at], ends[at] - live
+                if noise is None:
+                    u = uniforms[live:end, column]
+                else:
+                    retired, streams = streams.view(slice(gone)), streams.view(slice(gone, None))
+                    u = retired.random(1)[:, 0]
+                cdf = np.cumsum(amps.real**2 + amps.imag**2, axis=1)
+                sampled = sample_cdf(cdf[cls[:gone]] if len(cdf) > 1 else cdf[0], u)
+                if noise is not None:  # readout flips: bit k of the mask flips qubit k
+                    sampled ^= (retired.random(n) < noise.readout_flip) @ (1 << np.arange(n))
+                out[idx[live:end]], live, cls = sampled, end, cls[gone:]
+                if live == len(idx):
+                    break
+                if len(amps) > 1:  # drop the rows no running shot holds
+                    keep, cls = np.unique(cls, return_inverse=True)
+                    amps, cls = amps[keep], cls.reshape(-1)
+            if len(amps) > cap:  # a collapse parted the rows beyond the cap
+                push(at, column, amps, cls, idx[live:])
                 break
-            if len(amps) > 1:  # drop the rows no running shot holds
-                keep, cls = np.unique(cls, return_inverse=True)
-                amps, cls = amps[keep], cls.reshape(-1)
-        op = ops[at]
-        if op.is_unitary:
-            amps, cls = gate(amps, op, cls)
-            continue
-        if noise is None:
-            u, column = block[live:, column], column + 1
-        else:
-            u = streams.random(1)[:, 0]
-        q = op.targets[0]
-        amps, cls, ones = measure_rows(amps, q, u, cls)
-        if op.kind == "RESET" and ones.any():  # flip the rows that read 1 back to |0>
-            order = np.argsort(ones, kind="stable")  # the rows that read 1 go last
-            amps, cls, k = amps[order], np.argsort(order)[cls], len(ones) - int(ones.sum())
-            held = np.flatnonzero(cls >= k)
-            flipped, sub = gate(amps[k:], GateOp.x(q), cls[held] - k, held)
-            amps, cls[held] = np.concatenate([amps[:k], flipped]), sub + k
+            op, diff = ops[at], variants.get(at)
+            at += 1
+            if diff is not None:
+                vops, which = diff
+                var = which[owner(amps, cls, idx[live:])]
+                if noise is None and op.kind in PERMUTATION_KINDS:
+                    permute_rows(amps, vops, var)
+                else:
+                    amps, cls = each_variant(amps, cls, var, vops)
+                continue
+            if op.is_unitary:
+                amps, cls = gate(amps, op, cls)
+                continue
+            if noise is None:
+                u, column = uniforms[live:, column], column + 1
+            else:
+                u = streams.random(1)[:, 0]
+            rows_of = owner(amps, cls, idx[live:]) if variants else None
+            amps, cls, ones = measure_rows(amps, op.targets[0], u, cls, rows_of)
+            if op.kind == "RESET" and ones.any():  # flip the rows that read 1 back to |0>
+                flip = (None, GateOp.x(op.targets[0]))
+                amps, cls = each_variant(amps, cls, ones.astype(np.intp), flip)
     return out
 
 
-def _sweep(circuit: Circuit, cuts: list[int], shots: int, seeds: list[int],
-           noise: NoiseModel | None) -> list[np.ndarray]:
-    """Final basis index per shot after each op-prefix length of the ascending ``cuts``,
-    shot r of cut j drawing from ``default_rng(seeds[j] + r)``. While the run is ideal,
-    the unitary ops before the first cut and the first MEASURE or RESET draw nothing, so
-    they are applied once per run to the start row. Every cut's shots, listed cut-major,
-    then run from that row as one batch of ``_trajectories`` chunks: each chunk runs the
-    rest of its longest prefix once, and each shot retires at its own cut."""
-    n, ops = circuit.n_qubits, circuit.ops
+def _sweep(circuits: list[Circuit], cuts: list[list[int]], shots: int,
+           seeds: list[list[int]], noise: NoiseModel | None) -> list[np.ndarray]:
+    """Final basis index per shot after each op-prefix length ``cuts[c]`` (ascending) of
+    each circuit c, shot r of ``cuts[c][j]`` drawing from ``default_rng(seeds[c][j] + r)``;
+    listed circuit by circuit, cut by cut. The circuits form a family: at each op
+    position they hold ops of one kind, and the same MEASURE or RESET op (a circuit
+    may end early). One circuit is a family of one. While the run is ideal, the shared
+    unitary ops before the first cut and the first MEASURE or RESET draw nothing, so
+    they are applied once per run to the start row. Every shot, sorted by stop, then
+    runs from a copy of that row per circuit in one batch of ``_trajectories`` chunks:
+    each chunk runs the rest of its longest prefix once, and each shot retires at its
+    own cut."""
+    n = circuits[0].n_qubits
     if shots < 1:
         raise ConfigError(f"shots must be positive, got {shots}")
-    if min(seeds) < 0:
-        raise ConfigError(f"seed must be nonnegative, got {min(seeds)}")
+    if min(map(min, seeds)) < 0:
+        raise ConfigError(f"seed must be nonnegative, got {min(map(min, seeds))}")
     if n > MAX_QUBITS:
         raise OutOfRangeError(f"n_qubits must be in 1..{MAX_QUBITS}, got {n}")
+    if any(c.n_qubits != n for c in circuits):
+        raise ConfigError("a family's circuits must have one register width")
+    runs = [c.ops[: last[-1]] for c, last in zip(circuits, cuts)]
+    ops, variants = max(runs, key=len), {}  # position -> (distinct ops, each circuit's index)
+    for j in range(len(ops) if len(runs) > 1 else 0):
+        seen: dict[GateOp, int] = {}
+        which = [seen.setdefault(run[j], len(seen)) if j < len(run) else 0 for run in runs]
+        if len(seen) > 1:
+            if len({op.kind for op in seen}) > 1 or not ops[j].is_unitary:
+                raise ConfigError(f"op {j} of a family's circuits differs beyond targets or angle")
+            variants[j] = (tuple(seen), np.array(which))
     row, done = np.eye(1, 1 << n, dtype=np.complex128), 0
-    while noise is None and done < cuts[0] and ops[done].is_unitary:
+    shared = min(min(variants, default=len(ops)), *(run[0] for run in cuts))
+    while noise is None and done < shared and ops[done].is_unitary:
         apply_unitary(row, ops[done])
         done += 1
-    ops = ops[done : cuts[-1]]
+    ops, variants = ops[done:], {j - done: v for j, v in variants.items()}
     # Draws each shot buffers: ideal, one uniform per collapse and one to sample; noisy, a window.
     k = 1 + sum(not op.is_unitary for op in ops) if noise is None else WINDOW_COLUMNS
-    parts = k > 1 if noise is None else bool(ops)  # shots may part onto rows of their own
-    total = shots * len(cuts)
-    chunk = max(1, min(CHUNK_DRAWS // k, CHUNK_AMPS >> n if parts else total))
-    shot_seeds, shot_stops = _shot_seeds(seeds, shots), np.repeat([c - done for c in cuts], shots)
-    return list(np.concatenate([
-        _trajectories(row, ops, shot_seeds[a : a + chunk], shot_stops[a : a + chunk], noise, k)
-        for a in range(0, total, chunk)]).reshape(len(cuts), shots))
+    chunk = max(1, CHUNK_DRAWS // k if noise is None or not ops else
+                min(CHUNK_DRAWS // k, CHUNK_AMPS >> n))
+    stops = np.repeat([c - done for run in cuts for c in run], shots)
+    order = np.argsort(stops, kind="stable")
+    shot_seeds = _shot_seeds([s for run in seeds for s in run], shots)[order]
+    shot_stops = stops[order]
+    # The circuit of each shot; circuits that never differ run as one.
+    shot_circs = np.repeat([c if variants else 0 for c, run in enumerate(cuts) for _ in run],
+                           shots)[order]
+    out = np.empty(len(order), np.intp)
+    out[order] = np.concatenate([
+        _trajectories(row, ops, variants, shot_seeds[a : a + chunk], shot_stops[a : a + chunk],
+                      shot_circs[a : a + chunk], noise, k)
+        for a in range(0, len(order), chunk)])
+    return list(out.reshape(-1, shots))
 
 
 def run_single_shot(circuit: Circuit, seed: int, noise: NoiseModel | None = None) -> str:
     """One full trajectory: returns the final bitstring."""
-    idx = _sweep(circuit, [len(circuit.ops)], 1, [seed], noise)[0][0]
+    idx = _sweep([circuit], [[len(circuit.ops)]], 1, [[seed]], noise)[0][0]
     return index_to_bits(int(idx), circuit.n_qubits)
 
 
@@ -288,20 +376,43 @@ def run_positions(
     one shared row. In an ideal run the ops before the first MEASURE or RESET draw
     nothing, so they are evolved once per run on that row; under noise every gate
     draws, and the row is |0...0>. From there the run's one batch runs the rest,
-    chunk by chunk.
-    Each distinct state is evolved once and each shot holds its row's index:
+    chunk by chunk: an ideal chunk holds up to ``2**18 // k`` shots (k uniforms each)
+    and splits into groups of at most ``2**15 // 2**n`` rows when its rows part
+    beyond that; a noisy chunk whose ops can part its shots holds at most that many
+    shots. Each distinct state is evolved once and each shot holds its row's index:
     shots part by outcome at a collapse or by kicks at a noisy gate, and rows
     with equal bytes merge after a collapse (exact: equal bytes in give equal
-    bytes out). Each shot draws what
-    ``default_rng(base_seed + i)`` would give it alone, in the same order:
+    bytes out). A run is a family of one circuit (see ``run_family``). Each shot
+    draws what ``default_rng(base_seed + i)`` would give it alone, in the same order:
     ideal shots, which draw only ``random()``, take their uniforms from one
     vectorized block per chunk, and noisy shots read raw PCG64 outputs
     through one window per chunk (``ShotStreams``), which replays numpy's
     ``random()`` and ``integers(3)`` on them. A noisy gate folds each shot's
     Pauli kicks into one signed permutation of its row.
     """
-    idx = _sweep(circuit, [len(circuit.ops)], shots, [base_seed], noise)[0]
-    return _decode_index(idx, circuit.counter)
+    return run_family([circuit], shots, [base_seed], noise)[0]
+
+
+def run_family(
+    circuits: list[Circuit], shots: int, base_seeds: list[int], noise: NoiseModel | None = None
+) -> list[np.ndarray]:
+    """``run_positions`` of each circuit at its base seed, with the same bits, as one
+    batch. The circuits form a family: one register width, an op of one kind at each
+    position (targets and angles may differ, and a circuit may end early), and the
+    same MEASURE and RESET ops. Each circuit's shots start on a row of their own, and
+    rows merge after a collapse only within one circuit; a position where the circuits
+    differ runs as one call per distinct op (one per-row gather for X, CNOT, SWAP and
+    TOFFOLI when ideal). The random-jump designs' circuits at every step count form
+    one family.
+    """
+    if len(base_seeds) != len(circuits):
+        raise ConfigError(f"need {len(circuits)} base seeds, one per circuit, "
+                          f"got {len(base_seeds)}")
+    if not circuits:
+        return []
+    cuts, seeds = [[len(c.ops)] for c in circuits], [[b] for b in base_seeds]
+    return [_decode_index(idx, c.counter)
+            for idx, c in zip(_sweep(circuits, cuts, shots, seeds, noise), circuits)]
 
 
 def run_step_positions(
@@ -319,7 +430,7 @@ def run_step_positions(
     if len(base_seeds) != len(marks):
         raise ConfigError(f"need {len(marks)} base seeds, one per cut, got {len(base_seeds)}")
     return [_decode_index(idx, circuit.counter)
-            for idx in _sweep(circuit, marks, shots, base_seeds, noise)]
+            for idx in _sweep([circuit], [marks], shots, [base_seeds], noise)]
 
 
 def run_shots(
@@ -389,10 +500,11 @@ def distance_table(
     """Mean decoded distance for each design at step counts 0..max_steps.
 
     Random-jump designs average ``random_circuits`` seeded circuits at
-    ``random_shots`` shots each, new ones per step count; other designs run
-    ``shots`` shots of the cuts of their ``max_steps`` circuit in one
-    ``run_step_positions`` sweep. Cascading runs stay ideal under noise unless
-    ``noisy_cascading`` is set (their resets then measure and noisily flip).
+    ``random_shots`` shots each, new ones per step count, and every circuit of the
+    column runs in one ``run_family`` batch; other designs run ``shots`` shots of the
+    cuts of their ``max_steps`` circuit in one ``run_step_positions`` sweep.
+    Cascading runs stay ideal under noise unless ``noisy_cascading`` is set (their
+    resets then measure and noisily flip).
     """
     for i, design in enumerate(designs):
         if design not in DESIGNS:
@@ -403,29 +515,28 @@ def distance_table(
         raise ConfigError(f"max_steps must be nonnegative, got {max_steps}")
     if min(shots, random_circuits, random_shots) < 1:
         raise ConfigError(f"counts must be positive: {shots=}, {random_circuits=}, {random_shots=}")
-    columns = []  # per design, positions per step count
+    columns, counts = [], range(max_steps + 1)  # per design, positions per step count
     for di, design in enumerate(designs):
         run_noise = None if design == "random_jump_cascading" and not noisy_cascading else noise
         if design not in RANDOM_DESIGNS:
             circuit = build_circuit(WalkConfig(width, max_steps, design, base_angle, seed))
-            seeds = [derive_seed(seed, di, steps) for steps in range(max_steps + 1)]
+            seeds = [derive_seed(seed, di, steps) for steps in counts]
             columns.append(run_step_positions(circuit, shots, seeds, run_noise))
             continue
-        column = []
-        for steps in range(max_steps + 1):
-            runs = [(derive_seed(seed, di, steps, c, 0), derive_seed(seed, di, steps, c, 1))
-                    for c in range(random_circuits)]  # (circuit seed, base seed)
-            column.append(np.concatenate([
-                run_positions(build_circuit(WalkConfig(width, steps, design, base_angle, s)),
-                              random_shots, run_noise, b) for s, b in runs]))
-        columns.append(column)
+        runs = [(steps, derive_seed(seed, di, steps, c, 0), derive_seed(seed, di, steps, c, 1))
+                for steps in counts for c in range(random_circuits)]  # (steps, circuit, base seed)
+        family = [build_circuit(WalkConfig(width, steps, design, base_angle, s))
+                  for steps, s, _ in runs]
+        pos = run_family(family, random_shots, [b for *_, b in runs], run_noise)
+        columns.append([np.concatenate(pos[s * random_circuits : (s + 1) * random_circuits])
+                        for s in counts])
 
     def cell(pos: np.ndarray) -> DistanceCell:
         stderr = float(pos.std(ddof=1) / math.sqrt(len(pos))) if len(pos) > 1 else 0.0
         return DistanceCell(float(pos.mean()), stderr, len(pos))
 
     rows = [{design: cell(column[steps]) for design, column in zip(designs, columns)}
-            for steps in range(max_steps + 1)]
+            for steps in counts]
     return DistanceTable(list(enumerate(rows)))
 
 
@@ -469,7 +580,8 @@ def walk_step_changes(
 
     Returns the concatenation over s of positions(s+1) - positions(s), with
     independent seeds per step count, for tail diagnostics on walk output.
-    Designs other than random-jump ones run one ``run_step_positions`` sweep.
+    Random-jump designs build one circuit per step count and run them as one
+    ``run_family`` batch; other designs run one ``run_step_positions`` sweep.
     """
     if max_steps < 1:
         raise ConfigError(f"max_steps must be at least 1, got {max_steps}")
@@ -477,7 +589,7 @@ def walk_step_changes(
     configs = [WalkConfig(width, s, design, base_angle, derive_seed(seed, 0, s)) for s in steps]
     seeds = [derive_seed(seed, 1, s) for s in steps]
     if design in RANDOM_DESIGNS:
-        per_step = [run_positions(build_circuit(c), shots, None, b) for c, b in zip(configs, seeds)]
+        per_step = run_family([build_circuit(c) for c in configs], shots, seeds)
     else:
         per_step = run_step_positions(build_circuit(configs[-1]), shots, seeds)
     return np.diff(per_step, axis=0).ravel()  # positions(s + 1) - positions(s), s = 0, 1, ...

@@ -256,8 +256,6 @@ def noisy_apply(rows: np.ndarray, op: GateOp, model: NoiseModel, streams, cls: n
     """
     apply_unitary(rows, op)
     slots = _injection_slots(op)
-    if not slots:
-        return rows, cls
     shots, hits = np.nonzero(streams.random(len(slots)) < _slot_probs(op, model))
     if not len(shots):
         return rows, cls

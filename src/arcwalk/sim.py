@@ -51,6 +51,7 @@ _ARITY = {
 
 ROTATION_KINDS = frozenset({"RX", "CRX"})
 NONUNITARY_KINDS = frozenset({"MEASURE", "RESET"})
+PERMUTATION_KINDS = frozenset({"X", "CNOT", "SWAP", "TOFFOLI"})
 
 
 @dataclass(frozen=True)
@@ -157,8 +158,12 @@ def index_to_bits(index: int, n_qubits: int) -> str:
 
 
 @lru_cache(maxsize=None)
-def _pair_indices(n_qubits: int, controls: tuple[int, ...], target: int, flip: int):
-    """Basis indices with every control set and the target clear, and ``lo ^ flip``."""
+def _pair_indices(n_qubits: int, targets: tuple[int, ...], swap: bool):
+    """The (lo, hi) basis-index pairs a two-level op on ``targets`` acts on: lo has
+    every control set and the target (the last) clear, and hi flips the target too,
+    and for SWAP also its one control, the first target."""
+    *controls, target = targets
+    flip = (1 << target) | (1 << controls[0] if swap else 0)
     basis = np.arange(1 << n_qubits)
     keep = (basis >> target) & 1 == 0
     for c in controls:
@@ -198,10 +203,23 @@ def apply_unitary(amps: np.ndarray, op: GateOp) -> None:
         return apply_1q(amps, MATRICES_1Q[kind], op.targets[0])
     if kind in NONUNITARY_KINDS:
         raise ValueError(f"{kind} is not unitary; use measure_qubit or reset_qubit")
-    *controls, t = op.targets
-    flip = (1 << t) | (1 << controls[0] if kind == "SWAP" else 0)
+    lo, hi = _pair_indices(amps.shape[-1].bit_length() - 1, op.targets, kind == "SWAP")
+    _pair_update(amps, lo, hi, rx_matrix(op.theta) if kind == "CRX" else None)
+
+
+def permute_rows(amps: np.ndarray, ops, which: np.ndarray) -> None:
+    """Apply ``ops[which[r]]`` to row r of a ``(B, 2**n)`` chunk in place, for ops of
+    one kind in ``PERMUTATION_KINDS``: their pair tables have one length, so one
+    ``(B, pairs)`` table serves every row in one gather and one scatter."""
     n = amps.shape[-1].bit_length() - 1
-    lo, hi = _pair_indices(n, tuple(sorted(controls)), t, flip)
+    tables = [_pair_indices(n, ops[v].targets, ops[v].kind == "SWAP") for v in which.tolist()]
+    lo, hi = (np.stack(half) for half in zip(*tables))
+    _pair_update(amps, lo, hi, None)
+
+
+def _pair_update(amps: np.ndarray, lo: np.ndarray, hi: np.ndarray, u) -> None:
+    """Swap (``u`` None) or rotate by the 2x2 ``u`` each pair (lo, hi) of every row,
+    with one table for all rows or one per row."""
     # Gather through one flat view: 1-D fancy indexing is several times
     # cheaper per call than indexing the last axis of a 2-D chunk.
     flat = amps.reshape(-1)
@@ -210,22 +228,22 @@ def apply_unitary(amps: np.ndarray, op: GateOp) -> None:
         lo, hi = lo + offsets, hi + offsets
     a_lo = flat[lo]
     a_hi = flat[hi]
-    if kind == "CRX":
-        u = rx_matrix(op.theta)
-        flat[lo] = u[0, 0] * a_lo + u[0, 1] * a_hi
-        flat[hi] = u[1, 0] * a_lo + u[1, 1] * a_hi
-    else:
+    if u is None:
         flat[lo] = a_hi
         flat[hi] = a_lo
+    else:
+        flat[lo] = u[0, 0] * a_lo + u[0, 1] * a_hi
+        flat[hi] = u[1, 0] * a_lo + u[1, 1] * a_hi
 
 
-def measure_rows(amps: np.ndarray, q: int, u: np.ndarray, cls: np.ndarray):
+def measure_rows(amps: np.ndarray, q: int, u: np.ndarray, cls: np.ndarray, owner=None):
     """Measure qubit ``q`` per shot: shot s holds row ``cls[s]`` of ``amps`` (every
     row is held) and reads 1 if its uniform ``u[s] * total >= p0`` for its row.
 
     Returns one collapsed row per realized (row, outcome), in place if no row
     was read both ways, with rows of equal bytes merged (exact: equal bytes in
-    give equal bytes out); each shot's row; and True for the rows that read 1.
+    give equal bytes out) if they come from rows of one ``owner`` (when given,
+    one int per row); each shot's row; and True for the rows that read 1.
     """
     rows = len(amps)
     v = amps.reshape(rows, -1, 2, 1 << q)
@@ -247,8 +265,11 @@ def measure_rows(amps: np.ndarray, q: int, u: np.ndarray, cls: np.ndarray):
     np.copyto(v[:, :, 0, :], 0.0, where=ones[:, None, None])
     np.copyto(v[:, :, 1, :], 0.0, where=~ones[:, None, None])
     v /= np.sqrt(branch)[:, None, None, None]
-    seen: dict[bytes, int] = {}
-    ids = np.array([seen.setdefault(row.tobytes(), len(seen)) for row in amps])
+    seen: dict = {}
+    keys = [row.tobytes() for row in amps]
+    if owner is not None:
+        keys = zip(owner[parent].tolist(), keys)
+    ids = np.array([seen.setdefault(key, len(seen)) for key in keys])
     if len(seen) < len(amps):
         first = np.unique(ids, return_index=True)[1]
         amps, ones, cls = amps[first], ones[first], ids[cls]

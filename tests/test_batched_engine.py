@@ -211,7 +211,8 @@ def test_schedule_equals_explicit_measure_ops(circuit, noise):
 
 
 def chunk_of(circuit):
-    """Shots per chunk of a circuit of 8 or more qubits whose shots may part."""
+    """Shots per noisy chunk, and rows per ideal chunk or group, of a circuit of 8 or
+    more qubits whose shots may part."""
     return CHUNK_AMPS >> circuit.n_qubits
 
 
@@ -267,9 +268,9 @@ def spy_on_chunks(monkeypatch):
     """The shot count of every chunk the engine runs, in order."""
     chunks, run_chunk = [], engine._trajectories
 
-    def spy(start, ops, seeds, stops, noise, draws):
+    def spy(start, ops, variants, seeds, *rest):
         chunks.append(len(seeds))
-        return run_chunk(start, ops, seeds, stops, noise, draws)
+        return run_chunk(start, ops, variants, seeds, *rest)
 
     monkeypatch.setattr(engine, "_trajectories", spy)
     return chunks
@@ -283,11 +284,16 @@ def test_noisy_circuit_without_ops_runs_whole_chunks(monkeypatch):
     assert chunks == [1000]
 
 
+def uniforms_per_shot(circuit):
+    """An ideal shot's uniforms: one per MEASURE or RESET, and one to sample."""
+    return 1 + sum(not op.is_unitary for op in circuit.ops)
+
+
 def test_ideal_zeno_run_evolves_its_prefix_once_over_several_chunks(monkeypatch):
     # Three chunks of 8 shots: the ops before the first MEASURE are applied once, and
     # the ops after it once per chunk.
     circuit = with_zeno_measurements(build_circuit(WalkConfig(3, 4, design="arc_walk")), 2)
-    monkeypatch.setattr(engine, "CHUNK_AMPS", 8 << circuit.n_qubits)
+    monkeypatch.setattr(engine, "CHUNK_DRAWS", 8 * uniforms_per_shot(circuit))
     chunks = spy_on_chunks(monkeypatch)
     applied = spy_on_unitaries(monkeypatch)
     assert_engine_matches_oracle(circuit, 24, base_seed=13)
@@ -317,9 +323,9 @@ def test_shared_rows_split_and_merge_as_the_oracle(case, noise, merges, monkeypa
     # (row, outcome) rows, and rows with equal bytes merge again.
     collapses = []
 
-    def spy(amps, q, u, cls):
+    def spy(amps, q, u, cls, owner=None):
         before = cls.tolist()
-        out, cls, ones = measure_rows(amps, q, u, cls)
+        out, cls, ones = measure_rows(amps, q, u, cls, owner)
         pairs = len(set(zip(before, ones[cls].tolist())))
         collapses.append((len(amps), pairs, len(out)))
         return out, cls, ones
@@ -464,11 +470,15 @@ def test_noisy_step_sweep_runs_every_cut_in_one_batch(design, monkeypatch):
 )
 def test_step_sweep_chunk_ends_inside_a_cut(noise, period, monkeypatch):
     # 5 cuts of 24 shots in chunks of 10: chunk boundaries fall inside cuts, and a
-    # chunk's shots of different cuts still retire at their own marks.
+    # chunk's shots of different cuts still retire at their own marks. A noisy chunk
+    # is capped by CHUNK_AMPS, an ideal one by CHUNK_DRAWS.
     full = build_circuit(WalkConfig(3, 4, design="arc_walk"))
     if period is not None:
         full = with_zeno_measurements(full, period)
-    monkeypatch.setattr(engine, "CHUNK_AMPS", 10 << full.n_qubits)
+    if noise is None:
+        monkeypatch.setattr(engine, "CHUNK_DRAWS", 10 * uniforms_per_shot(full))
+    else:
+        monkeypatch.setattr(engine, "CHUNK_AMPS", 10 << full.n_qubits)
     chunks = spy_on_chunks(monkeypatch)
     seeds = [derive_seed(14, s) for s in range(5)]
     got = engine.run_step_positions(full, 24, seeds, noise=noise)

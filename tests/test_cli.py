@@ -239,6 +239,25 @@ class TestFidelity:
             "--out", str(tmp_path / "f.csv"),
         ]) == 2
 
+    @pytest.mark.parametrize("text,message", [
+        ("# nqubits 2\n# counter 0 3\nX 0\n", "counter range(0, 3) outside register of 2"),
+        ("# nqubits 2\nX 7\n", "op X targets qubit 7 outside register of 2"),
+        ("# nqubits 3\n# counter 0 2\n# coin 5\n", "role qubit 5 outside register of 3"),
+        ("# nqubits 3\n# coin 1\n", "role qubit 1 overlaps the counter range"),
+        ("# nqubits 4\n# counter 0 2\n# coin 2\n# ancilla 2\n", "coin and ancilla must be distinct"),
+        ("# nqubits 2\nCNOT 0\n", "CNOT takes 2 target(s), got 1"),
+        ("# nqubits 2\nCNOT 1 1\n", "CNOT targets must be distinct, got (1, 1)"),
+        ("# nqubits 2\nX -1\n", "negative qubit index in (-1,)"),
+        ("# nqubits 2\nRX 0 nan\n", "RX needs a finite angle, got nan"),
+    ], ids=["counter", "op_target", "role_outside", "role_overlap", "coin_is_ancilla",
+            "arity", "repeated_target", "negative", "angle"])
+    def test_invalid_circuit_file_names_its_fault(self, text, message, tmp_path, capsys):
+        circ_file, out = tmp_path / "circ.txt", tmp_path / "f.csv"
+        circ_file.write_text(text)
+        assert main(["fidelity", "--census-from", str(circ_file), "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_custom_fidelities(self, tmp_path):
         out = tmp_path / "fid.csv"
         assert main([

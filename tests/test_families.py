@@ -1,0 +1,198 @@
+"""Circuit families against the per-shot oracle.
+
+A family is a list of circuits with one op-kind skeleton: at each position every
+circuit holds an op of one kind, unitary targets and angles may differ, MEASURE and
+RESET ops are shared, and a circuit may end early. The engine runs a family as one
+batch, with a start row per circuit, and its chunks are capped by the rows they
+hold. Each member's positions must equal those of the oracle, which
+runs every shot of that circuit alone.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from arcwalk import Circuit, ConfigError, GateOp, WalkConfig, build_circuit, engine
+from arcwalk.engine import run_family, run_positions
+from arcwalk.sim import apply_unitary, measure_rows, permute_rows
+from test_batched_engine import NOISY, oracle_positions
+
+ARITY = {"X": 1, "H": 1, "RX": 1, "T": 1, "TDG": 1, "MEASURE": 1, "RESET": 1,
+         "CNOT": 2, "CRX": 2, "SWAP": 2, "TOFFOLI": 3}
+# Seeds near 2**32 enter SeedSequence as two words; shot seeds past 2**64 take the
+# engine's per-shot path.
+SEED_BASES = (0, 2**32 - 6, 2**64 - 6)
+
+
+@st.composite
+def families(draw):
+    """(circuits, cuts, seeds, shots): 1-4 circuits of one skeleton on 1-6 qubits, each
+    cut at 1-3 ascending prefix lengths, with one base seed per cut."""
+    n = draw(st.integers(1, 6))
+    kinds = sorted(kind for kind, arity in ARITY.items() if arity <= n)
+    skeleton = draw(st.lists(st.sampled_from(kinds), max_size=10))
+    members = [[] for _ in range(draw(st.integers(1, 4)))]
+    for kind in skeleton:
+        shared = None
+        if kind in ("MEASURE", "RESET"):
+            shared = GateOp(kind, (draw(st.integers(0, n - 1)),))
+        for ops in members:
+            if shared is None:
+                targets = draw(st.permutations(range(n)))[: ARITY[kind]]
+                theta = draw(st.sampled_from([0.3, 1.1, 2.5])) if kind in ("RX", "CRX") else None
+                ops.append(GateOp(kind, tuple(targets), theta))
+            else:
+                ops.append(shared)
+    circuits, cuts, seeds = [], [], []
+    base = draw(st.sampled_from(SEED_BASES))
+    for ops in members:
+        length = draw(st.integers(0, len(ops)))
+        circuit = Circuit(n, range(0, n))
+        circuit.add(*ops[:length])
+        circuits.append(circuit.validate())
+        cuts.append(sorted(draw(st.sets(st.integers(0, length), min_size=1, max_size=3))))
+        seeds.append([base + draw(st.integers(0, 20)) for _ in cuts[-1]])
+    return circuits, cuts, seeds, draw(st.integers(1, 6))
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=families(), noisy=st.booleans(), rows=st.integers(1, 3),
+       draws=st.integers(1, 40), window=st.integers(1, 8))
+def test_every_member_matches_the_per_shot_oracle(case, noisy, rows, draws, window):
+    circuits, cuts, seeds, shots = case
+    noise = NOISY if noisy else None
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "CHUNK_AMPS", rows << circuits[0].n_qubits)
+        mp.setattr(engine, "CHUNK_DRAWS", draws)
+        mp.setattr(engine, "WINDOW_COLUMNS", window)
+        got = engine._sweep(circuits, cuts, shots, seeds, noise)
+    want = [
+        oracle_positions(Circuit(c.n_qubits, c.counter, ops=c.ops[:cut]), shots, noise,
+                         base_seed=seed)
+        for c, run, run_seeds in zip(circuits, cuts, seeds)
+        for cut, seed in zip(run, run_seeds)
+    ]
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("noise", [None, NOISY], ids=["ideal", "noisy"])
+def test_rows_start_apart_by_circuit_and_merge_only_within_one(noise):
+    # Each circuit starts on a row of its own. After the resets and the MEASURE both
+    # circuits' rows are |000>, byte for byte, but they stay apart, since their last
+    # ops differ.
+    a, b = Circuit(3, range(0, 3)), Circuit(3, range(0, 3))
+    a.add(GateOp.x(1), GateOp.reset(1), GateOp.reset(2), GateOp.measure(0), GateOp.x(0))
+    b.add(GateOp.x(2), GateOp.reset(1), GateOp.reset(2), GateOp.measure(0), GateOp.x(1))
+    got = run_family([a.validate(), b.validate()], 40, [0, 50], noise)
+    if noise is None:
+        assert got[0].tolist() == [1] * 40 and got[1].tolist() == [2] * 40
+    assert np.array_equal(got[0], oracle_positions(a, 40, noise, base_seed=0))
+    assert np.array_equal(got[1], oracle_positions(b, 40, noise, base_seed=50))
+
+
+def spy_on_rows(monkeypatch):
+    """The row count of every chunk or group each kernel call runs on."""
+    held = []
+
+    def spy(kernel):
+        def call(amps, *args):
+            held.append(len(amps))
+            return kernel(amps, *args)
+        return call
+
+    for name, kernel in [("apply_unitary", apply_unitary), ("measure_rows", measure_rows),
+                         ("permute_rows", permute_rows)]:
+        monkeypatch.setattr(engine, name, spy(kernel))
+    return held
+
+
+def parting(n, lead=None):
+    """H on every qubit, then a MEASURE of each: every shot may part onto its own row."""
+    circuit = Circuit(n, range(0, n))
+    if lead is not None:
+        circuit.add(lead)
+    circuit.add(*(GateOp.h(q) for q in range(n)), *(GateOp.measure(q) for q in range(n)))
+    return circuit.validate()
+
+
+@pytest.mark.parametrize("members", [1, 6], ids=["one", "six"])
+def test_row_parting_family_keeps_every_group_within_the_cap(members, monkeypatch):
+    # 4 rows of 5 qubits per chunk or group: the first MEASUREs part the rows beyond it,
+    # and a six-circuit family starts on six rows, one per circuit.
+    n, cap, shots = 5, 4, 60
+    monkeypatch.setattr(engine, "CHUNK_AMPS", cap << n)
+    circuits = [parting(n)] if members == 1 else [parting(n, GateOp.x(c % n)) for c in range(6)]
+    held = spy_on_rows(monkeypatch)
+    got = run_family(circuits, shots, [7 + 100 * c for c in range(members)])
+    assert held and max(held) <= cap
+    for c, (circuit, positions) in enumerate(zip(circuits, got)):
+        assert np.array_equal(positions, oracle_positions(circuit, shots, base_seed=7 + 100 * c))
+
+
+def test_a_wide_family_builds_its_rows_group_by_group(monkeypatch):
+    # 48 circuits of 12 qubits (64 KiB a row) under a cap of 2 rows: each group's start
+    # rows are built when it runs, and a collapse's groups are copies, so the run never
+    # holds the 48 rows, one per circuit, at once (3 MiB). Its peak, temporaries and all,
+    # stays under 24 rows; the first run fills the pair-table caches.
+    n, cap, shots = 12, 2, 3
+    circuits = []
+    for c in range(48):
+        circuit = Circuit(n, range(0, n))
+        circuit.add(GateOp.h(0), GateOp.cnot(0, 1 + c % (n - 1)), GateOp.measure(0), GateOp.h(0))
+        circuits.append(circuit.validate())
+    seeds = [11 * c for c in range(48)]
+    monkeypatch.setattr(engine, "CHUNK_AMPS", cap << n)
+    run_family(circuits, shots, seeds)
+    tracemalloc.start()
+    try:
+        got = run_family(circuits, shots, seeds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * cap * (16 << n)
+    for circuit, seed, positions in zip(circuits, seeds, got):
+        assert np.array_equal(positions, oracle_positions(circuit, shots, base_seed=seed))
+
+
+def test_family_of_one_builds_no_variant_tables(monkeypatch):
+    # The same ops in every member is a family with no differing position, run like one
+    # circuit; so is one circuit.
+    tables = []
+    monkeypatch.setattr(engine, "permute_rows", lambda *args: tables.append(args))
+    circuit = build_circuit(WalkConfig(4, 3, design="random_jump_cascading", seed=3))
+    alone = run_positions(circuit, 20, base_seed=5)
+    twice = run_family([circuit, circuit], 20, [5, 5])
+    assert not tables
+    assert np.array_equal(twice[0], alone) and np.array_equal(twice[1], alone)
+
+
+@pytest.mark.parametrize("noisy", [False, True], ids=["ideal", "noisy"])
+def test_random_design_column_is_one_engine_call(noisy, monkeypatch):
+    # Every circuit of every step count runs in one sweep.
+    sweeps, real = [], engine._sweep
+    monkeypatch.setattr(engine, "_sweep", lambda *args: sweeps.append(args) or real(*args))
+    table = engine.distance_table(["random_jump_cascading"], 3, 3, seed=4, random_circuits=2,
+                                  random_shots=5, noise=NOISY if noisy else None,
+                                  noisy_cascading=True)
+    assert len(sweeps) == 1 and len(sweeps[0][0]) == 4 * 2
+    assert [cells["random_jump_cascading"].shots for _, cells in table.rows] == [10] * 4
+
+
+def test_a_family_must_share_its_skeleton():
+    a, b = Circuit(2, range(0, 2)), Circuit(2, range(0, 2))
+    a.add(GateOp.x(0))
+    b.add(GateOp.h(0))
+    with pytest.raises(ConfigError, match="op 0 of a family's circuits differs"):
+        run_family([a, b], 3, [0, 1])
+    a.ops[0], b.ops[0] = GateOp.measure(0), GateOp.measure(1)
+    with pytest.raises(ConfigError, match="op 0 of a family's circuits differs"):
+        run_family([a, b], 3, [0, 1])
+    with pytest.raises(ConfigError, match="one register width"):
+        run_family([a, Circuit(3, range(0, 2))], 3, [0, 1])
+    with pytest.raises(ConfigError, match="need 2 base seeds, one per circuit, got 1"):
+        run_family([a, b], 3, [0])
