@@ -9,8 +9,8 @@ import re
 from array import array
 from dataclasses import dataclass
 from datetime import date
-from itertools import count, islice
-from operator import itemgetter
+from itertools import islice
+from operator import itemgetter, not_
 from typing import NamedTuple
 
 import numpy as np
@@ -254,66 +254,73 @@ def _blocks(path: str, required: tuple[str, ...]):
             row += len(block)
 
 
-def _field(convert, raw: str, what: str, row: int):
-    """``convert(raw)`` or a ParseError. A non-ASCII field converts as "" and fails,
-    since int and float also read other scripts' digits."""
-    try:
-        return convert(raw if raw.isascii() else "")
-    except ValueError:
-        raise ParseError(f"bad {what} {raw!r}", row=row) from None
-
-
-def _iso_days(dates: list[str]) -> np.ndarray | None:
-    """``date.fromisoformat(d).toordinal()`` of each ASCII ``YYYY-MM-DD`` string, or
-    None if any string is not such a date. The strings are checked as one ``(n, 10)``
-    byte matrix; the arithmetic runs in int64, since uint8 digit sums overflow."""
-    text = "".join(dates)
+def _iso_days(dates: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """``date.fromisoformat(d).toordinal()`` of each ASCII ``YYYY-MM-DD`` string, and a
+    mask of the strings that are not such dates, whose ordinals mean nothing. The strings
+    are checked as one ``(n, 10)`` byte matrix, in which a placeholder stands for each
+    string of another length or not ASCII. The arithmetic runs in int64, since uint8
+    digit sums overflow."""
+    text, bad = "".join(dates), np.zeros(len(dates), bool)
     if set(map(len, dates)) != {10} or not text.isascii():
-        return None
+        bad = np.fromiter((len(d) != 10 or not d.isascii() for d in dates), bool, len(dates))
+        text = "".join("0000-00-00" if b else d for d, b in zip(dates, bad.tolist()))
     raw = np.frombuffer(text.encode("ascii"), np.uint8).reshape(-1, 10)
     digits = raw[:, _DATE_DIGITS].astype(np.int64) - ord("0")
-    if not ((digits >= 0) & (digits <= 9)).all() or not (raw[:, [4, 7]] == ord("-")).all():
-        return None
     year = digits[:, :4] @ np.array([1000, 100, 10, 1])
     month = digits[:, 4] * 10 + digits[:, 5]
     day = digits[:, 6] * 10 + digits[:, 7]
-    if not ((year >= 1) & (month >= 1) & (month <= 12) & (day >= 1)).all():
-        return None
     leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
-    if not (day <= _MONTH_DAYS[month] + (leap & (month == 2))).all():
-        return None
+    bad |= ((digits < 0) | (digits > 9)).any(axis=1) | (raw[:, [4, 7]] != ord("-")).any(axis=1)
+    bad |= (year < 1) | (month < 1) | (month > 12) | (day < 1)
+    # mode="clip" clips the month to 0-12 first, since bad rows are summed too
+    bad |= day > _MONTH_DAYS.take(month, mode="clip") + (leap & (month == 2))
     y = year - 1
-    return y * 365 + y // 4 - y // 100 + y // 400 + _DAYS_BEFORE[month] + (leap & (month > 2)) + day
+    before = _DAYS_BEFORE.take(month, mode="clip") + (leap & (month > 2))
+    return y * 365 + y // 4 - y // 100 + y // 400 + before + day, bad
 
 
-def _price_block(dates: list[str], closes: list[str]):
-    """The block's day ordinals and closes, or None if a column check fails."""
-    days = _iso_days(dates)
-    if days is None or not "".join(closes).isascii():
-        return None
+def _numbers(col: list[str], convert, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """``col`` converted by ``convert`` (``float`` or ``int``) into ``dtype``, and a mask
+    of the fields it rejects, which hold 0. A non-ASCII field is rejected, since int and
+    float also read other scripts' digits. An int past int64 holds -1, so that it fails
+    the sales count range check."""
     try:
-        values = np.fromiter(map(float, closes), float, len(closes))
-    except ValueError:
-        return None
-    if not ((values > 0.0).all() and np.isfinite(values).all()):
-        return None
+        if "".join(col).isascii():
+            return np.fromiter(map(convert, col), dtype, len(col)), np.zeros(len(col), bool)
+    except (ValueError, OverflowError):
+        pass
+    values, bad = np.zeros(len(col), dtype), np.zeros(len(col), bool)
+    for i, raw in enumerate(col):
+        try:
+            values[i] = convert(raw if raw.isascii() else "")
+        except ValueError:
+            bad[i] = True
+        except OverflowError:
+            values[i] = -1
+    return values, bad
+
+
+def _reject(row: int, checks) -> None:
+    """Raise the ParseError of the first rejected record of a block that starts at
+    row ``row``. ``checks`` lists, in field order, each check's mask of rejected
+    records and the function that gives a record's message from its index."""
+    hits = np.array([mask for mask, _ in checks])
+    if hits.any():
+        i = int(hits.any(axis=0).argmax())
+        raise ParseError(checks[int(hits[:, i].argmax())][1](i), row=row + i)
+
+
+def _price_block(row: int, dates: list[str], closes: list[str]):
+    """The day ordinals and closes of a block that starts at row ``row``."""
+    days, bad_date = _iso_days(dates)
+    values, bad_close = _numbers(closes, float, np.float64)
+    _reject(row, [
+        (bad_date, lambda i: f"bad ISO date {dates[i]!r}"),
+        (bad_close, lambda i: f"bad price {closes[i]!r}"),
+        (~((values > 0.0) & np.isfinite(values)),
+         lambda i: f"price must be positive, got {closes[i]}"),
+    ])
     return days, values
-
-
-def _price_records(row: int, dates: list[str], closes: list[str]):
-    """Check a block record by record from row ``row`` on: raise the first bad
-    record's ParseError, or return what ``_price_block`` returns."""
-    days, values = [], []
-    for row_num, raw_date, raw_close in zip(count(row), dates, closes):
-        # fromisoformat also takes YYYYMMDD and week dates from Python 3.11 on
-        if len(raw_date) != 10 or raw_date[4] != "-" or raw_date[7] != "-":
-            raise ParseError(f"bad ISO date {raw_date!r}", row=row_num)
-        days.append(_field(date.fromisoformat, raw_date, "ISO date", row_num).toordinal())
-        close = _field(float, raw_close, "price", row_num)
-        if not math.isfinite(close) or close <= 0.0:
-            raise ParseError(f"price must be positive, got {raw_close}", row=row_num)
-        values.append(close)
-    return np.array(days, np.int64), np.array(values, float)
 
 
 def ingest_prices(path: str) -> PriceSeries:
@@ -324,7 +331,7 @@ def ingest_prices(path: str) -> PriceSeries:
     """
     days, closes = array("q"), array("d")
     for row, (dates, raw) in _blocks(path, PRICE_COLUMNS):
-        block_days, block_closes = _price_block(dates, raw) or _price_records(row, dates, raw)
+        block_days, block_closes = _price_block(row, dates, raw)
         days.frombytes(block_days.tobytes())
         closes.frombytes(block_closes.tobytes())
     day_col, close_col = np.frombuffer(days, "q"), np.frombuffer(closes, "d")
@@ -342,41 +349,24 @@ def ingest_prices(path: str) -> PriceSeries:
     return PriceSeries(day_col, close_col)
 
 
-def _metro_block(names, months, sales, ratios, seen):
-    """The block's sales counts and ratios, or None if a column check fails.
-    Months in ``seen`` have passed ``_MONTH_RE`` already."""
-    if not all(names) or not all(map(_MONTH_RE.fullmatch, set(months).difference(seen))):
-        return None
-    if not ("".join(sales).isascii() and "".join(ratios).isascii()):
-        return None
-    try:
-        counts = np.fromiter(map(int, sales), np.int64, len(sales))
-        values = np.fromiter(map(float, ratios), float, len(ratios))
-    except (ValueError, OverflowError):
-        return None
-    if not ((counts >= 0).all() and (values > 0.0).all() and np.isfinite(values).all()):
-        return None
+def _metro_block(row: int, names, months, sales, ratios, seen):
+    """The sales counts and ratios of a block that starts at row ``row``. Months in
+    ``seen`` have passed ``_MONTH_RE`` already."""
+    n = len(names)
+    bad_months = {m for m in set(months).difference(seen) if not _MONTH_RE.fullmatch(m)}
+    counts, bad_count = _numbers(sales, int, np.int64)
+    values, bad_ratio = _numbers(ratios, float, np.float64)
+    _reject(row, [
+        (np.fromiter(map(not_, names), bool, n), lambda i: "empty metro name"),
+        (np.fromiter(map(bad_months.__contains__, months), bool, n) if bad_months
+         else np.zeros(n, bool), lambda i: f"bad month {months[i]!r}; expected YYYY-MM"),
+        (bad_count, lambda i: f"bad sales count {sales[i]!r}"),
+        (counts < 0, lambda i: f"sales count must be in [0, 2**63), got {int(sales[i])}"),
+        (bad_ratio, lambda i: f"bad ratio {ratios[i]!r}"),
+        (~((values > 0.0) & np.isfinite(values)),
+         lambda i: f"ratio must be positive, got {ratios[i]}"),
+    ])
     return counts, values
-
-
-def _metro_records(row: int, *cols: list[str]):
-    """Check a block record by record from row ``row`` on: raise the first bad
-    record's ParseError, or return what ``_metro_block`` returns."""
-    counts, values = [], []
-    for row_num, metro, month, raw_sales, raw_ratio in zip(count(row), *cols):
-        if not metro:
-            raise ParseError("empty metro name", row=row_num)
-        if not _MONTH_RE.fullmatch(month):
-            raise ParseError(f"bad month {month!r}; expected YYYY-MM", row=row_num)
-        sales = _field(int, raw_sales, "sales count", row_num)
-        if not 0 <= sales < 2**63:
-            raise ParseError(f"sales count must be in [0, 2**63), got {sales}", row=row_num)
-        ratio = _field(float, raw_ratio, "ratio", row_num)
-        if not math.isfinite(ratio) or ratio <= 0.0:
-            raise ParseError(f"ratio must be positive, got {raw_ratio}", row=row_num)
-        counts.append(sales)
-        values.append(ratio)
-    return np.array(counts, np.int64), np.array(values, float)
 
 
 def ingest_metro(path: str) -> MetroPanel:
@@ -389,7 +379,7 @@ def ingest_metro(path: str) -> MetroPanel:
     month_codes: dict[str, int] = {}
     metro, month, sales, ratio = array("q"), array("q"), array("q"), array("d")
     for row, cols in _blocks(path, METRO_COLUMNS):
-        counts, values = _metro_block(*cols, month_codes) or _metro_records(row, *cols)
+        counts, values = _metro_block(row, *cols, month_codes)
         metro += _code(metro_codes, cols[0])
         month += _code(month_codes, cols[1])
         sales.frombytes(counts.tobytes())

@@ -3,8 +3,10 @@
 import inspect
 import logging
 import math
+import re
 import tracemalloc
 from datetime import date, timedelta
+from itertools import count
 
 import numpy as np
 import pytest
@@ -420,12 +422,60 @@ def _outcome(ingest, path):
     return got.metro_names, got.month_names, [(c.dtype.str, c.tobytes()) for c in cols]
 
 
+def _field(convert, raw: str, what: str, row: int):
+    """``convert(raw)`` or a ParseError. A non-ASCII field converts as "" and fails,
+    since int and float also read other scripts' digits."""
+    try:
+        return convert(raw if raw.isascii() else "")
+    except ValueError:
+        raise ParseError(f"bad {what} {raw!r}", row=row) from None
+
+
+def _price_records(row: int, dates: list[str], closes: list[str]):
+    """Check a block record by record from row ``row`` on: raise the first bad
+    record's ParseError, or return the block's day ordinals and closes."""
+    days, values = [], []
+    for row_num, raw_date, raw_close in zip(count(row), dates, closes):
+        # fromisoformat also takes YYYYMMDD and week dates from Python 3.11 on
+        if len(raw_date) != 10 or raw_date[4] != "-" or raw_date[7] != "-":
+            raise ParseError(f"bad ISO date {raw_date!r}", row=row_num)
+        days.append(_field(date.fromisoformat, raw_date, "ISO date", row_num).toordinal())
+        close = _field(float, raw_close, "price", row_num)
+        if not math.isfinite(close) or close <= 0.0:
+            raise ParseError(f"price must be positive, got {raw_close}", row=row_num)
+        values.append(close)
+    return np.array(days, np.int64), np.array(values, float)
+
+
+MONTH_RE = re.compile(r"[0-9]{4}-(0[1-9]|1[0-2])")
+
+
+def _metro_records(row: int, *cols: list[str]):
+    """Check a block record by record from row ``row`` on: raise the first bad
+    record's ParseError, or return the block's sales counts and ratios."""
+    counts, values = [], []
+    for row_num, metro, month, raw_sales, raw_ratio in zip(count(row), *cols):
+        if not metro:
+            raise ParseError("empty metro name", row=row_num)
+        if not MONTH_RE.fullmatch(month):
+            raise ParseError(f"bad month {month!r}; expected YYYY-MM", row=row_num)
+        sales = _field(int, raw_sales, "sales count", row_num)
+        if not 0 <= sales < 2**63:
+            raise ParseError(f"sales count must be in [0, 2**63), got {sales}", row=row_num)
+        ratio = _field(float, raw_ratio, "ratio", row_num)
+        if not math.isfinite(ratio) or ratio <= 0.0:
+            raise ParseError(f"ratio must be positive, got {raw_ratio}", row=row_num)
+        counts.append(sales)
+        values.append(ratio)
+    return np.array(counts, np.int64), np.array(values, float)
+
+
 def _by_record(monkeypatch, ingest, path):
-    """``_outcome`` with every block's column checks failing, so each block goes
-    through the per-record checks."""
+    """``_outcome`` with every block checked by the per-record oracle above in place
+    of the column checks."""
     with monkeypatch.context() as m:
-        m.setattr(market, "_price_block", lambda *cols: None)
-        m.setattr(market, "_metro_block", lambda *cols: None)
+        m.setattr(market, "_price_block", _price_records)
+        m.setattr(market, "_metro_block", lambda row, *cols: _metro_records(row, *cols[:4]))
         return _outcome(ingest, path)
 
 
@@ -438,7 +488,7 @@ GOOD = {
 
 
 class TestIngestBlocks:
-    """Files that span several blocks parse, and fail, as they would record by record."""
+    """Files that span several blocks parse, and fail, as one block would."""
 
     @pytest.mark.parametrize("ingest,bad", [
         (ingest_prices, "2024-02-30,1.0"),
@@ -500,14 +550,15 @@ class TestIngestBlocks:
 # Field spellings the column checks must treat as the per-record checks do.
 MUTATIONS = [
     "１０", "1_0", "nan", "inf", "-inf", "0", "-0", "-1", "+5", "1e3", " ", "", str(2**63),
-    str(2**63 - 1), "0000-01-01", "1900-02-29", "2000-02-29", "2024-02-30", "2024-13",
-    "2024-1-01", "2024-00", "２０２４-01", "2024/01/02", "10000-01-01",
+    str(2**63 - 1), str(2**64), str(-(2**63) - 1), "0000-01-01", "1900-02-29", "2000-02-29",
+    "2024-02-30", "2024-13", "2024-1-01", "2024-00", "２０２４-01", "2024/01/02", "10000-01-01",
 ]
 
 
 @st.composite
 def _mutated_file(draw, ingest):
-    """Valid records with at most one field replaced by a ``MUTATIONS`` spelling."""
+    """Valid records with up to three fields, in any rows and columns, replaced by a
+    ``MUTATIONS`` spelling."""
     n = draw(st.integers(1, 12))
     if ingest is ingest_prices:
         first = draw(st.integers(date(1899, 12, 25).toordinal(), date(2101, 1, 5).toordinal()))
@@ -521,14 +572,14 @@ def _mutated_file(draw, ingest):
              str(draw(st.integers(0, 2**63 - 1))), repr(draw(st.floats(1e-300, 2.0)))]
             for _ in range(n)
         ]
-    if draw(st.integers(0, 3)):
+    for _ in range(draw(st.integers(0, 3))):
         row = draw(st.integers(0, n - 1))
         rows[row][draw(st.integers(0, len(rows[row]) - 1))] = draw(st.sampled_from(MUTATIONS))
     return "\n".join([HEADERS[ingest], *map(",".join, rows)]) + "\n"
 
 
 class TestIngestEquivalence:
-    """The column checks give the per-record checks' columns or ParseError, bit for bit."""
+    """The column checks give the per-record oracle's columns or ParseError, bit for bit."""
 
     @pytest.mark.parametrize("ingest", [ingest_prices, ingest_metro])
     @settings(max_examples=150, deadline=None,
@@ -553,25 +604,57 @@ class TestIngestEquivalence:
                 f.write_text("\n".join([HEADERS[ingest], *map(",".join, fields)]) + "\n")
                 assert _outcome(ingest, str(f)) == _by_record(monkeypatch, ingest, str(f))
 
+    @pytest.mark.parametrize("ingest,text,error,row", [
+        # a later column fails on an earlier row than an earlier column does
+        (ingest_prices, "2024-01-01,abc\nbad,1.0", "bad price 'abc'", 2),
+        (ingest_prices, "2024-01-01,1.0\n2024-01-02,-2\n2024-13-01,1.0",
+         "price must be positive, got -2", 3),
+        (ingest_metro, "x,2024-01,5,zero\n,2024-02,5,0.9", "bad ratio 'zero'", 2),
+        (ingest_metro, f"x,2024-01,{2**64},0.9\nx,2024-00,5,0.9",
+         f"sales count must be in [0, 2**63), got {2**64}", 2),
+        # on one row, the first failing check in field order
+        (ingest_prices, "bad,abc", "bad ISO date 'bad'", 2),
+        (ingest_metro, "x,2024-01,5,0.9\n,2024-13,many,0", "empty metro name", 3),
+        (ingest_metro, "x,2024-13,many,0", "bad month '2024-13'", 2),
+        (ingest_metro, "x,2024-01,-1,zero", "sales count must be in [0, 2**63), got -1", 2),
+    ])
+    @pytest.mark.parametrize("block", [1, 3, 512])
+    def test_first_rejected_row_wins(self, tmp_path, monkeypatch, ingest, text, error, row, block):
+        monkeypatch.setattr(market, "BLOCK_RECORDS", block)
+        f = tmp_path / "in.csv"
+        f.write_text(f"{HEADERS[ingest]}\n{text}\n")
+        assert _outcome(ingest, str(f)) == _by_record(monkeypatch, ingest, str(f))
+        with pytest.raises(ParseError, match=re.escape(error)) as info:
+            ingest(str(f))
+        assert info.value.row == row
+
     def test_every_day_gives_its_ordinal(self):
         first, last = date(1899, 12, 25), date(2101, 1, 5)
         days = [first + timedelta(d) for d in range((last - first).days + 1)]
-        got = market._iso_days([d.isoformat() for d in days])
+        got, bad = market._iso_days([d.isoformat() for d in days])
         assert got.dtype == np.int64
+        assert not bad.any()
         assert got.tolist() == [d.toordinal() for d in days]
 
     @pytest.mark.parametrize("year", [0, 1, 4, 100, 1900, 1999, 2000, 2023, 2024, 2100, 9999])
     def test_each_month_and_day_field_as_fromisoformat(self, year):
         # months 00-13 and days 00-99: every impossible day of every month is rejected
-        for month in range(14):
-            for day in range(100):
-                text = f"{year:04d}-{month:02d}-{day:02d}"
-                try:
-                    expected = [date.fromisoformat(text).toordinal()]
-                except ValueError:
-                    expected = None
-                got = market._iso_days([text])
-                assert (None if got is None else got.tolist()) == expected, text
+        texts = [f"{year:04d}-{month:02d}-{day:02d}" for month in range(14) for day in range(100)]
+        got, bad = market._iso_days(texts)
+        for text, ordinal, rejected in zip(texts, got.tolist(), bad.tolist()):
+            try:
+                expected = date.fromisoformat(text).toordinal()
+            except ValueError:
+                expected = None
+            assert (None if rejected else ordinal) == expected, text
+
+    def test_bad_dates_among_good_ones(self):
+        good = [date(1999, 12, 31), date(2000, 2, 29), date(2024, 1, 1), date(2024, 12, 31)]
+        texts = [good[0].isoformat(), "2024-1-01", good[1].isoformat(), "２０２４-01-01",
+                 "2024-02-30", good[2].isoformat(), "2024-13-01", good[3].isoformat()]
+        got, bad = market._iso_days(texts)
+        assert bad.tolist() == [False, True, False, True, True, False, True, False]
+        assert got[~bad].tolist() == [d.toordinal() for d in good]
 
 
 def _price_csv(n: int) -> str:
@@ -609,6 +692,25 @@ class TestIngestMemory:
             tracemalloc.stop()
         assert len(got) == self.ROWS
         assert peak / self.ROWS < bound
+
+    @pytest.mark.parametrize(
+        "ingest,make_csv", [(ingest_prices, _price_csv), (ingest_metro, _metro_csv)]
+    )
+    def test_one_wide_record(self, tmp_path, ingest, make_csv):
+        """A record of 10**5 extra fields costs about its own 0.8 MB of field pointers. A
+        block transposed out to its widest record holds 10**5 tuples of 100 fields, 86 MB."""
+        lines = make_csv(100).splitlines(keepends=True)
+        lines[50] = lines[50].rstrip("\n") + "," * 10**5 + "\n"
+        f = tmp_path / "in.csv"
+        f.write_text("".join(lines))
+        tracemalloc.start()
+        try:
+            got = ingest(str(f))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(got) == 100
+        assert peak < 4 * 10**6
 
 
 class TestMetroMonthlyRecord:
