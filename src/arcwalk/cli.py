@@ -20,6 +20,7 @@ import math
 import os
 import stat
 import sys
+from functools import lru_cache
 
 import numpy as np
 
@@ -558,12 +559,20 @@ def _cmd_emit_circuit(args) -> int:
     return 0
 
 
+@lru_cache(maxsize=1)
+def _plain_parser() -> argparse.ArgumentParser:
+    """The parser of every call without ``--config``, built once per process."""
+    return build_parser()[0]
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser, all_parsers = build_parser()
     try:
         config_path = _prescan_config_path(argv)
-        if config_path is not None:
+        if config_path is None:
+            parser = _plain_parser()
+        else:  # config values become defaults of a parser of this call's own
+            parser, all_parsers = build_parser()
             _apply_config(_load_config(config_path), all_parsers)
     except ConfigError as exc:
         print(f"arcwalk: error: {exc}", file=sys.stderr)

@@ -9,7 +9,7 @@ from functools import lru_cache
 import numpy as np
 
 from .circuits import DESIGNS, Circuit, WalkConfig, build_circuit, with_zeno_measurements
-from .noise import NoiseModel, ShotStreams, noisy_apply
+from .noise import KickTape, NoiseModel, noisy_apply
 from .sim import MAX_QUBITS, PERMUTATION_KINDS, ConfigError, GateOp, OutOfRangeError, apply_unitary
 from .sim import index_to_bits, measure_rows, permute_rows, sample_cdf
 
@@ -19,20 +19,24 @@ RANDOM_DESIGNS = ("random_jump", "random_jump_cascading")  # a new circuit per s
 
 # A run's shots (every cut's of every circuit's, sorted by stop) run in chunks, which may
 # end inside a cut. A chunk buffers k draws per shot, at most CHUNK_DRAWS in all (2 MiB):
-# an ideal shot's 1 + collapses uniforms, or a noisy shot's window of WINDOW_COLUMNS raw
-# outputs, so a noisy chunk holds at most 1024 shots. CHUNK_AMPS (512 KiB) caps the rows
-# that run together. A noisy chunk whose ops can part its shots holds at most CHUNK_AMPS
-# amplitudes even if every shot parts to its own row. An ideal chunk may hold more shots:
-# when its circuits (one start row each) or a collapse give more than CHUNK_AMPS >> n
-# rows, its shots split into row-disjoint groups of that many rows, run one after another.
+# an ideal shot's 1 + collapses uniforms, or a noisy shot's WINDOW_COLUMNS spare raw
+# outputs, which it reads past each piece of its kick tape for its picks and holds until
+# its next piece, so a noisy chunk holds at most 1024 shots. CHUNK_AMPS (512 KiB) caps
+# the rows that run together. A noisy chunk whose ops can part its shots holds at most
+# CHUNK_AMPS amplitudes even if every shot parts to its own row. An ideal chunk may hold
+# more shots: when its circuits (one start row each) or a collapse give more than
+# CHUNK_AMPS >> n rows, its shots split into row-disjoint groups of that many rows, run
+# one after another.
 # A group's start rows are built when it runs; a collapse may double the rows for a
 # moment, and the groups it leaves waiting hold copies of their rows, so a chunk holds at
 # most the cap's rows per collapse on the running group's path, plus that doubling.
 # ``_uniforms`` computes its rows in passes of CHUNK_SHOTS, with about 11 times a pass's
-# output in temporaries. A noisy shot holds a PCG64 (about 0.7 KB), and its window widens
-# only if one read needs more (a Toffoli's 21 slots, or readout's n). A refill calls
-# ``random_raw`` once per shot, about 1 us plus 3.6 ns per output on a 2 vCPU x86 host, so
-# 2**8 columns cost about 4 ns per output.
+# output in temporaries. A noisy shot holds a PCG64 (about 0.7 KB). Its tape reads raw
+# outputs into blocks of at most CHUNK_DRAWS // 4 (a block and the reads that fill it take
+# 1 MiB), one ``random_raw`` call per shot that runs short (about 1 us plus 3.6 ns per
+# output on a 2 vCPU x86 host); a piece ends before one shot's read would pass that (it
+# holds at least one op), and at each noisy RESET. The tape holds a piece's folded kicks
+# and its uniforms: one per MEASURE or RESET and 1 + n to retire, per shot.
 # No chunk or group size changes a draw: shot r of a cut run at seed s draws from s + r.
 CHUNK_SHOTS = 1 << 12
 CHUNK_AMPS = 1 << 15
@@ -197,28 +201,32 @@ def _trajectories(start: np.ndarray, ops: list[GateOp], variants: dict, seeds: n
     readout flips. Ideal shots draw only the ``random()`` calls, at most ``draws`` each,
     so they take them from one ``_uniforms`` block whose column c serves every shot's
     c-th draw (a family's MEASURE and RESET ops are shared, so c is a function of the
-    position); noisy shots read their streams through one ``ShotStreams`` window of
-    ``draws`` columns, refilled as they reach its end, the running ones through a view
-    of it. When more than ``CHUNK_AMPS >> n`` rows would run together (at the start or
-    after a collapse), the running shots split into row-disjoint groups of at most that
-    many rows, and each group runs the rest on its own; a waiting group holds a copy of
-    its rows, or none before its start rows are built (a noisy chunk holds no more
-    shots than that, so it never splits).
+    position); noisy shots take theirs from a ``KickTape``, which resolves them piece
+    by piece (``draws`` is each shot's spare): at the start, where a piece ends, and
+    after each noisy RESET, whose X only the shots that read 1 draw. When more than
+    ``CHUNK_AMPS >> n`` rows would run together (at the start or after a collapse), the
+    running shots split into row-disjoint groups of at most that many rows, and each
+    group runs the rest on its own; a waiting group holds a copy of its rows, or none
+    before its start rows are built (a noisy chunk holds no more shots than that, so it
+    never splits, and its shots are the chunk's in order).
     This is the one loop that runs shots and the one place a CDF is sampled."""
     n, shots = start.shape[1].bit_length() - 1, len(seeds)
     cap, out, pending = max(1, CHUNK_AMPS >> n), np.empty(shots, np.intp), []
     if noise is None:
         block = _uniforms(seeds, draws)
     else:
-        streams = ShotStreams([np.random.PCG64(seed) for seed in seeds.tolist()], draws)
+        tape = KickTape([np.random.PCG64(seed) for seed in seeds.tolist()], ops, variants, circs,
+                        stops, noise, n, CHUNK_DRAWS // 4, draws)
 
     def gate(amps, op, cls, held=None):
+        """Apply op at position ``at - 1`` to the running shots (or the running shots
+        ``held``)."""
         if op is None:
             return amps, cls
         if noise is None:
             apply_unitary(amps, op)
             return amps, cls
-        return noisy_apply(amps, op, noise, streams if held is None else streams.view(held), cls)
+        return noisy_apply(amps, op, cls, tape.kicks(at - 1, live, held))
 
     def owner(amps, cls, idx):
         """The circuit of each row."""
@@ -258,19 +266,21 @@ def _trajectories(start: np.ndarray, ops: list[GateOp], variants: dict, seeds: n
             uniforms = block if len(idx) == shots else block[idx]
         # The group's shots with stops at or before op ``at`` are its first ``ends[at]``.
         ends = np.searchsorted(stops[idx], np.arange(stops[idx[-1]] + 1), side="right").tolist()
-        live = 0  # the shots before it have retired; cls (and streams) cover the rest
+        live = 0  # the shots before it have retired; cls covers the rest
         while True:
+            if noise is not None and at == tape.next:
+                tape.resolve(at, live)
             if ends[at] > live:  # the shots that stop here sample their rows and retire
                 end, gone = ends[at], ends[at] - live
                 if noise is None:
                     u = uniforms[live:end, column]
                 else:
-                    retired, streams = streams.view(slice(gone)), streams.view(slice(gone, None))
-                    u = retired.random(1)[:, 0]
+                    retired = tape.retire(live, end)
+                    u = retired[:, 0]
                 cdf = np.cumsum(amps.real**2 + amps.imag**2, axis=1)
                 sampled = sample_cdf(cdf[cls[:gone]] if len(cdf) > 1 else cdf[0], u)
                 if noise is not None:  # readout flips: bit k of the mask flips qubit k
-                    sampled ^= (retired.random(n) < noise.readout_flip) @ (1 << np.arange(n))
+                    sampled ^= (retired[:, 1:] < noise.readout_flip) @ (1 << np.arange(n))
                 out[idx[live:end]], live, cls = sampled, end, cls[gone:]
                 if live == len(idx):
                     break
@@ -296,9 +306,11 @@ def _trajectories(start: np.ndarray, ops: list[GateOp], variants: dict, seeds: n
             if noise is None:
                 u, column = uniforms[live:, column], column + 1
             else:
-                u = streams.random(1)[:, 0]
+                u = tape.measure(at - 1, live)
             rows_of = owner(amps, cls, idx[live:]) if variants else None
             amps, cls, ones = measure_rows(amps, op.targets[0], u, cls, rows_of)
+            if op.kind == "RESET" and noise is not None:  # the X's draws hang on the outcome
+                tape.resolve(at, live, ones[cls])
             if op.kind == "RESET" and ones.any():  # flip the rows that read 1 back to |0>
                 flip = (None, GateOp.x(op.targets[0]))
                 amps, cls = each_variant(amps, cls, ones.astype(np.intp), flip)
@@ -341,7 +353,7 @@ def _sweep(circuits: list[Circuit], cuts: list[list[int]], shots: int,
         apply_unitary(row, ops[done])
         done += 1
     ops, variants = ops[done:], {j - done: v for j, v in variants.items()}
-    # Draws each shot buffers: ideal, one uniform per collapse and one to sample; noisy, a window.
+    # Draws each shot buffers: ideal, one uniform per collapse and one to sample; noisy, a spare.
     k = 1 + sum(not op.is_unitary for op in ops) if noise is None else WINDOW_COLUMNS
     chunk = max(1, CHUNK_DRAWS // k if noise is None or not ops else
                 min(CHUNK_DRAWS // k, CHUNK_AMPS >> n))
@@ -385,10 +397,11 @@ def run_positions(
     bytes out). A run is a family of one circuit (see ``run_family``). Each shot
     draws what ``default_rng(base_seed + i)`` would give it alone, in the same order:
     ideal shots, which draw only ``random()``, take their uniforms from one
-    vectorized block per chunk, and noisy shots read raw PCG64 outputs
-    through one window per chunk (``ShotStreams``), which replays numpy's
-    ``random()`` and ``integers(3)`` on them. A noisy gate folds each shot's
-    Pauli kicks into one signed permutation of its row.
+    vectorized block per chunk, and noisy shots take theirs from a kick tape
+    (``KickTape``), resolved before the state runs: it reads each shot's raw
+    PCG64 outputs and replays numpy's ``random()`` and ``integers(3)`` on them,
+    folding each shot's Pauli kicks at a gate into one signed permutation of
+    its row.
     """
     return run_family([circuit], shots, [base_seed], noise)[0]
 

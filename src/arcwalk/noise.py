@@ -6,13 +6,18 @@ phase-gate expansion, SWAP as 3 CNOT, and the controlled rotation as
 2 CNOT plus 2 single-qubit rotations.
 
 The two accountings differ for 2q constituents. ``estimate_fidelity``
-charges each one ``fidelity_2q`` once, but ``noisy_apply`` kicks each of
+charges each one ``fidelity_2q`` once, but the Pauli channel kicks each of
 its two qubits on its own with probability ``1 - fidelity_2q``: an isolated
 CNOT is error-free with probability ``fidelity_2q**2``.
+
+A noisy shot's draws do not depend on its amplitudes, so ``KickTape``
+resolves them from each shot's PCG64 stream before its state runs, and
+``noisy_apply`` applies a gate and the kicks the tape folded for it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -23,91 +28,8 @@ from .sim import ConfigError, GateOp, apply_unitary
 # A Pauli kick is a signed permutation: out[i] = 1j**phase * (-1)**parity(z & src) * a[src]
 # with src = i ^ x. Pick 0, 1, 2 is X, Y up to global phase ([[0, 1j], [-1j, 0]]), Z; on
 # qubit bit b it is (phase, x, z) = (0, b, 0), (3, b, b), (0, 0, b).
-_PICKS = ((0, 1, 0), (3, 1, 1), (0, 0, 1))  # (phase, x / b, z / b)
+_PICKS = np.array([(0, 3, 0), (1, 1, 0), (0, 1, 1)])  # rows: phase, x / b, z / b of each pick
 _PHASES = np.array([1, 1j, -1, -1j] * 2)  # 1j**phase, for phase 0 .. 7
-
-
-class _Window:
-    """Row s of a (streams, width) block holds raw outputs of bit generator s, and
-    ``pos[s]`` is the column of its next unread one."""
-
-    def __init__(self, bit_generators, width: int):
-        self.gens = bit_generators
-        self.raw = np.empty((len(bit_generators), max(1, width)), np.uint64)
-        self.pos = np.full(len(bit_generators), self.raw.shape[1])  # the first read fills
-        self.half = [None] * len(bit_generators)  # the kept high half of each stream, if any
-
-    def take(self, ids, k):
-        """(len(ids), k) next raw outputs of the distinct streams ``ids``."""
-        pos = self.pos[ids]
-        if pos.max() > self.raw.shape[1] - k:
-            self.refill(ids[pos > self.raw.shape[1] - k], k)
-            pos = self.pos[ids]
-        self.pos[ids] = pos + k
-        w = self.raw.shape[1]
-        return self.raw.reshape(-1)[(ids * w + pos)[:, None] + np.arange(k)]
-
-    def take_one(self, s: int) -> int:
-        """The next raw output of stream ``s``."""
-        pos = self.pos.item(s)
-        if pos == self.raw.shape[1]:
-            self.refill((s,), 1)
-            pos = 0
-        self.pos[s] = pos + 1
-        return self.raw.item(s, pos)
-
-    def refill(self, ids, k):
-        """Move the unread outputs of streams ``ids`` to the front and fill the rest."""
-        raw, pos = self.raw, self.pos
-        if k > raw.shape[1]:  # a wider window: every stream moves into it
-            self.raw, ids = np.empty((len(raw), k), np.uint64), range(len(raw))
-        for s in ids:
-            rest = raw[s, pos[s] :]
-            self.raw[s, : len(rest)] = rest
-            self.raw[s, len(rest) :] = self.gens[s].random_raw(self.raw.shape[1] - len(rest))
-            pos[s] = 0
-
-
-class ShotStreams:
-    """Per-shot PCG64 streams, read through a window of raw outputs.
-
-    Stream s draws exactly what ``np.random.Generator(bit_generators[s])``
-    would, in the same order. Its raw 64-bit outputs are read ``width`` at a
-    time with ``random_raw`` into row s of a (shots, width) block, where a
-    cursor per shot marks the next unread output. ``random(k)`` reads k
-    outputs as ``(x >> 11) * 2**-53``; ``integers3`` replays
-    ``Generator.integers(3)``, which draws by Lemire's method on 32-bit
-    values: the low half of a fresh output, with the high half kept for the
-    next 32-bit draw (``random`` leaves it kept), and the value redrawn while
-    it is 0. The window widens only when one read needs more columns.
-    ``view(held)`` reads the streams ``held`` through the same block.
-    """
-
-    def __init__(self, bit_generators, width: int):
-        self._window, self.ids = _Window(bit_generators, width), np.arange(len(bit_generators))
-
-    def view(self, held: np.ndarray) -> "ShotStreams":
-        """The streams ``held`` (indices into this view), sharing its window."""
-        out = object.__new__(ShotStreams)
-        out._window, out.ids = self._window, self.ids[held]
-        return out
-
-    def random(self, k: int) -> np.ndarray:
-        """(shots, k) uniforms in [0, 1): each stream's next ``random(k)``."""
-        return (self._window.take(self.ids, k) >> np.uint64(11)) * (1.0 / (1 << 53))
-
-    def integers3(self, at: np.ndarray) -> list[int]:
-        """One ``integers(3)`` draw from stream ``at[i]`` for each i, in order."""
-        window, out = self._window, []
-        for s in self.ids[at].tolist():
-            v = 0
-            while not v:  # Lemire redraws while 3 * v mod 2**32 < 1, that is v == 0
-                v, window.half[s] = window.half[s], None
-                if v is None:
-                    x = window.take_one(s)
-                    v, window.half[s] = x & 0xFFFFFFFF, x >> 32
-            out.append(v * 3 >> 32)
-        return out
 
 
 @dataclass(frozen=True)
@@ -203,12 +125,19 @@ def _injection_slots(op: GateOp) -> tuple[tuple[bool, int], ...]:
 
 
 @lru_cache(maxsize=8192)
-def _slot_probs(op: GateOp, model: NoiseModel) -> np.ndarray:
-    """Read-only error probability of each of the op's noise slots under ``model``."""
+def _slot_thresholds(op: GateOp, model: NoiseModel) -> tuple[int, ...]:
+    """Per noise slot of the op under ``model``, the raw output below which the slot errs:
+    with error probability p < 1, ``random() < p`` reads ``(x >> 11) * 2**-53 < p``, that
+    is ``x < ceil(p * 2**53) << 11``."""
     p1, p2 = 1.0 - model.fidelity_1q, 1.0 - model.fidelity_2q
-    probs = np.array([p2 if is_2q else p1 for is_2q, _ in _injection_slots(op)])
-    probs.setflags(write=False)
-    return probs
+    return tuple(math.ceil((p2 if is_2q else p1) * 2.0**53) << 11
+                 for is_2q, _ in _injection_slots(op))
+
+
+@lru_cache(maxsize=8192)
+def _slot_bits(op: GateOp) -> tuple[int, ...]:
+    """``1 << qubit`` of each of the op's noise slots."""
+    return tuple(1 << q for _, q in _injection_slots(op))
 
 
 @lru_cache(maxsize=None)
@@ -240,32 +169,277 @@ def estimate_fidelity(counts: GateCensus, model: NoiseModel) -> float:
     return model.fidelity_1q**counts.count_1q * model.fidelity_2q**counts.count_2q
 
 
-def noisy_apply(rows: np.ndarray, op: GateOp, model: NoiseModel, streams, cls: np.ndarray):
-    """Apply the ideal gate, then inject Pauli errors per constituent gate qubit.
+class KickTape:
+    """Every draw of a chunk's noisy shots, resolved from their streams before the state
+    runs, one piece of ops at a time.
 
-    ``rows`` is a (U, 2**n) array of distinct states; shot s holds row
-    ``cls[s]`` and draws from stream s of ``streams`` (a ``ShotStreams``).
-    Returns the rows and each shot's row. Each constituent (after
-    decomposition) exposes its qubits to an independent error of probability
-    1 - fidelity of its class; a realized error applies one of X, Y (up to
-    phase), or Z chosen uniformly. Each shot draws ``random(len(slots))``,
-    then ``integers(3)`` per realized error in slot order. A shot's kicks, in
-    slot order, fold into one signed permutation; rows take theirs in place if
-    no row's shots were kicked apart, else first part into one row per
+    Shot s draws what ``np.random.Generator(bit_generators[s])`` would, in the engine's
+    order: per noisy gate ``random(len(slots))``, then ``integers(3)`` per realized slot;
+    one ``random()`` per MEASURE or RESET; and when it retires (at op position
+    ``stops[s]``), ``random(1)`` and ``random(n)``. No draw depends on the amplitudes
+    except a noisy RESET's X, which only the shots that read 1 draw. So a piece ends
+    with the next RESET, and the engine resolves the piece after it once that RESET's
+    outcomes are known. A piece also ends before a shot would read more than ``draws``
+    raw outputs for it (it holds at least one op), and a shot keeps at most ``spare``
+    unread outputs for its next piece.
+
+    ``resolve`` reads the shots' raw outputs into blocks of at most ``draws`` (or one
+    shot's, if more): each shot's outputs left unread by its last piece, then, if those
+    fall short of its columns, one ``random_raw`` call for the rest plus ``spare`` for its
+    picks. A slot errs when its output is below the slot's threshold (see
+    ``_slot_thresholds``), so a block is searched once for the outputs below the piece's
+    largest threshold. A shot with none at its slots keeps its alignment; the others are
+    walked one at a time over those outputs. The picks of a gate replay ``integers(3)``,
+    Lemire's method on 32-bit values: the kept high half of the shot's last fresh output
+    first, then fresh outputs right after the gate's slots, each giving its low half and
+    keeping its high half, and a value of 0 is redrawn. Each fresh output moves the
+    shot's later columns one output on. Last, every (shot, gate)'s kicks fold into one
+    signed permutation, for all of them at once (see ``_fold``).
+    """
+
+    def __init__(self, bit_generators, ops, variants, circs, stops, model, n, draws, spare):
+        self.gens, self.ops, self.variants, self.circs = bit_generators, ops, variants, circs
+        self.stops, self.model, self.n, self.draws = stops, model, n, draws
+        self.spare = max(1, spare)
+        # The outputs each shot left unread, in shot order: shot s's are held[held_at[s]:]
+        # up to held_at[s] + held_len[s].
+        self.held = np.empty(0, np.uint64)
+        self.held_at = np.zeros(len(bit_generators), np.intp)
+        self.held_len = np.zeros(len(bit_generators), np.intp)
+        self.half = [None] * len(bit_generators)  # the kept high half, if any
+        self.next = 0  # the op position whose piece comes next, or -1: after a RESET
+
+    def resolve(self, at: int, live: int, ones: np.ndarray | None = None) -> None:
+        """Resolve the piece that starts at op position ``at`` for the shots ``live`` on;
+        after a RESET, shot ``live + i`` read 1 there if ``ones[i]``."""
+        ops, model, retire = self.ops, self.model, 1 + self.n
+        thresh, ends, where, bits = [], [], [], []  # per column: slot 0 is a uniform
+        measured, mcols, varied = {}, [], []  # MEASURE/RESET: uniform index, column; variants
+
+        def gate(j, op):
+            first = len(thresh)
+            thresh.extend(_slot_thresholds(op, model))
+            ends.extend([len(thresh)] * (len(thresh) - first))
+            where.extend([j] * (len(thresh) - first))
+            bits.extend(_slot_bits(op))
+
+        if ones is not None:  # column 0: the RESET's X, read by the shots that read 1
+            gate(at - 1, GateOp.x(ops[at - 1].targets[0]))
+        starts, end, reset = [], at, False
+        while end < len(ops) and not reset:
+            op = ops[end]
+            width = len(_injection_slots(op)) if op.is_unitary else 1
+            if end > at and len(thresh) + width + retire + self.spare > self.draws:
+                break
+            starts.append(len(thresh))
+            if op.is_unitary:
+                if end in self.variants:
+                    varied.append((end, len(thresh)))
+                gate(end, op)
+            else:
+                measured[end] = len(mcols)
+                mcols.append(len(thresh))
+                thresh.append(0), ends.append(len(thresh)), where.append(end), bits.append(0)
+            end, reset = end + 1, op.kind == "RESET"
+        starts.append(len(thresh))
+        last = end == len(ops) and not reset  # the shots that stop at the end retire here
+        self.next = -1 if last or reset else end
+        # Shot live + i reads columns [off[i], lim[i]), then its retiring draws if it stops here.
+        stops = self.stops[live:]
+        lim = np.array(starts)[np.minimum(stops, end) - at]
+        top = lim + retire * ((stops < end) | last)
+        off = np.zeros(len(stops), np.intp) if ones is None else (~ones).astype(np.intp)
+        self.first, self.at, self.measured = live, at, measured
+        self.uniforms = np.empty((len(stops), len(measured) + retire))
+        layout = (thresh, ends, np.array(thresh + [0], np.uint64), np.array(mcols + [0]),
+                  len(mcols), np.uint64(max(thresh, default=0)), len(thresh) + retire + 1, not last)
+        hits, picks, owner, kept = [], [], [], []
+        batch = max(1, self.draws // int((top - off).max(initial=0) + self.spare))
+        for a in range(0, len(stops), batch):
+            b = slice(a, a + batch)
+            self._batch(live + a, off[b], lim[b], top[b], layout, hits, picks, owner, kept)
+        if not last:
+            self.held = np.concatenate(kept)
+            self.held_at[live:] = np.cumsum(self.held_len[live:]) - self.held_len[live:]
+        hits, picks, owner = (np.array(v, np.intp) for v in (hits, picks, owner))
+        pos, bit = np.array(where, np.intp)[hits], np.array(bits, np.intp)[hits]
+        for j, first in varied:  # the kicked qubits come from each shot's own op
+            on = np.flatnonzero(pos == j)
+            if len(on):
+                vops, which = self.variants[j]
+                vbits = np.array([_slot_bits(vop) for vop in vops])
+                bit[on] = vbits[which[self.circs[owner[on]]], hits[on] - first]
+        first, phase, x, z = _fold(owner * (end - at + 2) + pos, bit, picks)
+        kshot, kpos = owner[first], pos[first]
+        order = np.lexsort((kshot, kpos))
+        self.kshot, self.kphase, self.kx, self.kz = kshot[order], phase[order], x[order], z[order]
+        self.kstart = np.searchsorted(kpos[order], np.arange(at - 1, end + 1)).tolist()
+
+    def _batch(self, s0, off, lim, top, layout, hits, picks, owner, kept):
+        """Resolve the shots ``s0`` on (one per entry of ``off``) from one block of their
+        raw outputs: each shot's unread ones, then, if those fall short of its columns,
+        the shortfall and ``spare`` more. Column c of shot s0 + w reads output c + d[w]
+        of its part of the block. Only the shots with an error at that first alignment
+        are walked; the others kick nowhere, so it holds throughout.
+        """
+        thresh, ends, thr, mcols, measures, tmax, span, keep = layout
+        shots, need = slice(s0, s0 + len(off)), top - off
+        size, held = self.held_len[shots].copy(), self.held_at[shots] + self.held_len[shots]
+        parts, at = [], self.held_at[s0]  # the shots' unread outputs lie in order from at
+        for w in np.flatnonzero(size < need).tolist():
+            parts += [self.held[at : held[w]], self.gens[s0 + w].random_raw(
+                need[w] + self.spare - size[w])]
+            at, size[w] = held[w], need[w] + self.spare
+        flat, stop = np.concatenate([*parts, self.held[at : held[-1]]]), np.cumsum(size)
+        base = stop - size
+        cand = np.flatnonzero(flat < tmax)  # only these outputs can err
+        who = np.searchsorted(stop, cand, side="right")
+        col = cand - base[who] + off[who]
+        first = (col < lim[who]) & (flat[cand] < thr[np.minimum(col, len(thr) - 1)])
+        bounds = np.searchsorted(cand, np.stack([base, stop])).T.tolist()
+        cand, vals, d = (cand - base[who]).tolist(), flat[cand].tolist(), -off
+        end = top - off  # where each shot's reads end in its part
+        moved, shifts, at = [0], [0], [-1]  # per shift: the column from which d holds, d, shot
+        grown = {}  # the parts of the shots whose picks ran past them, read on
+        walk = np.zeros(len(off), bool)
+        walk[who[first]] = True
+        for w in np.flatnonzero(walk).tolist():
+            s, raw = s0 + w, flat[base[w] : stop[w]]
+            args = int(d[w]), int(lim[w]), int(top[w]), thresh, ends
+            got = self._walk(s, raw, cand[slice(*bounds[w])], vals[slice(*bounds[w])], *args)
+            while got is None:  # its picks ran past its part (rare): read on, walk it again
+                raw = grown[w] = np.concatenate([raw, self.gens[s].random_raw(self.spare)])
+                new = np.flatnonzero(raw < tmax)
+                got = self._walk(s, raw, new.tolist(), raw[new].tolist(), *args)
+            shot_hits, shot_picks, shot_moved, shot_shifts, self.half[s] = got
+            hits += shot_hits
+            picks += shot_picks
+            owner += [s] * len(shot_hits)
+            moved += shot_moved
+            shifts += shot_shifts
+            at += [w] * len(shot_moved)
+            end[w] = top[w] + (shot_shifts[-1] if shot_shifts else d[w])
+        if grown:  # put the grown parts in place
+            flat = np.concatenate([grown.get(w, flat[a:b]) for w, (a, b)
+                                   in enumerate(zip(base.tolist(), stop.tolist()))])
+            size[list(grown)] = [len(raw) for raw in grown.values()]
+            stop = np.cumsum(size)
+            base = stop - size
+        # Each shot's uniforms: its MEASUREs before its stop, then its retiring draws.
+        q = np.searchsorted(mcols[:measures], lim)
+        count = q + top - lim
+        u_shot = np.repeat(np.arange(len(off)), count)
+        j = np.arange(len(u_shot)) - np.repeat(np.cumsum(count) - count, count)
+        early = j < q[u_shot]
+        u_col = np.where(early, mcols[np.minimum(j, measures)], lim[u_shot] + j - q[u_shot])
+        at, shifts = np.array(at), np.array(shifts)
+        i = np.searchsorted(at * span + np.array(moved), u_shot * span + u_col, side="right") - 1
+        u_at = base[u_shot] + u_col + np.where(at[i] == u_shot, shifts[i], d[u_shot])
+        self.uniforms[s0 - self.first + u_shot, np.where(early, j, measures + j - q[u_shot])] = (
+            (flat[u_at] >> np.uint64(11)) * (1.0 / (1 << 53)))
+        if keep:  # the outputs each shot leaves unread, for its next piece
+            kept.append(flat[np.repeat(np.tile([False, True], len(off)),
+                                       np.stack([end, size - end], axis=1).ravel())])
+            self.held_len[shots] = size - end
+
+    def _walk(self, s, raw, cand, vals, d, lim, top, thresh, ends):
+        """Walk shot s from its first candidate: ``cand`` are the indices into ``raw`` of
+        its outputs below the largest threshold, ``vals`` those outputs, and its column c
+        reads ``raw[c + d]`` until a pick moves it on. Returns its hit columns, picks, the
+        columns from which d grew and d from each on, and its kept half; or None if it
+        would read past the end of ``raw``."""
+        half, floor, k, stop = self.half[s], 0, 0, len(raw)
+        hits, picks, moved, shifts = [], [], [], []
+        while k < len(cand):
+            i, k = cand[k], k + 1
+            c = i - d
+            if i < floor or c >= lim or vals[k - 1] >= thresh[c]:
+                continue
+            e = ends[c]  # the gate's slots end at column e: find its other errors
+            if e + d > stop:
+                return None
+            hits.append(c)
+            count = 1
+            while k < len(cand) and cand[k] < e + d:
+                if vals[k] < thresh[cand[k] - d]:
+                    hits.append(cand[k] - d)
+                    count += 1
+                k += 1
+            r = e + d
+            for _ in range(count):
+                v = 0
+                while not v:  # Lemire redraws while 3 * v mod 2**32 < 1, that is v == 0
+                    if half is None:
+                        if r == stop:
+                            return None
+                        word, r = raw.item(r), r + 1
+                        v, half = word & 0xFFFFFFFF, word >> 32
+                    else:
+                        v, half = half, None
+                picks.append(v * 3 >> 32)
+            if r > e + d:
+                d, floor = r - e, r
+                moved.append(e)
+                shifts.append(d)
+        if top + d > stop:
+            return None
+        return hits, picks, moved, shifts, half
+
+    def kicks(self, j: int, live: int, held: np.ndarray | None = None):
+        """(shots, phase, x, z) of the kicks at op position ``j``, shot i being
+        ``live + i`` (or the live shot ``held[i]``)."""
+        at = slice(*self.kstart[j - self.at + 1 : j - self.at + 3])
+        shots = self.kshot[at] - live
+        if held is None:
+            return shots, self.kphase[at], self.kx[at], self.kz[at]
+        i = np.searchsorted(held, shots)
+        mine = held[np.minimum(i, len(held) - 1)] == shots
+        return i[mine], self.kphase[at][mine], self.kx[at][mine], self.kz[at][mine]
+
+    def measure(self, j: int, live: int) -> np.ndarray:
+        """The uniforms of the shots ``live`` on at the MEASURE or RESET at position ``j``."""
+        return self.uniforms[live - self.first :, self.measured[j]]
+
+    def retire(self, live: int, end: int) -> np.ndarray:
+        """(end - live, 1 + n) uniforms of the shots ``live`` to ``end`` as they retire:
+        the final sample's, then the readout flips'."""
+        return self.uniforms[live - self.first : end - self.first, len(self.measured) :]
+
+
+def _fold(keys, bits, picks):
+    """Fold kicks, in order, into one signed permutation per run of equal ``keys``: kick
+    i is Pauli ``picks[i]`` (X, Y, Z) on the qubit ``bits[i]``. Returns each run's first
+    kick and its (phase, x, z), composed as ``_kick`` applies them."""
+    dp, dx, dz = _PICKS[:, picks]
+    xb, zb = bits * dx, bits * dz
+    new = np.ones(len(keys), bool)
+    new[1:] = keys[1:] != keys[:-1]
+    first = np.flatnonzero(new)
+    if not len(first):
+        return first, first, first, first
+    before = np.bitwise_xor.accumulate(xb) ^ xb  # the x of all earlier kicks, then of the run's
+    before ^= before[first][np.cumsum(new) - 1]
+    phase = np.add.reduceat(dp + 2 * ((before & zb) != 0), first) & 3
+    return first, phase, np.bitwise_xor.reduceat(xb, first), np.bitwise_xor.reduceat(zb, first)
+
+
+def noisy_apply(rows: np.ndarray, op: GateOp, cls: np.ndarray, kicks):
+    """Apply the ideal gate, then each shot's Pauli errors, resolved ahead by a
+    ``KickTape``.
+
+    ``rows`` is a (U, 2**n) array of distinct states and shot s holds row ``cls[s]``.
+    Each constituent of the op (after decomposition) exposes its qubits to an
+    independent error of probability 1 - fidelity of its class; a realized error
+    applies one of X, Y (up to phase), or Z chosen uniformly. ``kicks`` is (shots,
+    phase, x, z): shot ``shots[i]``'s errors at this gate, in slot order, folded into
+    one signed permutation. Returns the rows and each shot's row: rows take their kicks
+    in place if no row's shots were kicked apart, else first part into one row per
     realized (row, kicks).
     """
     apply_unitary(rows, op)
-    slots = _injection_slots(op)
-    shots, hits = np.nonzero(streams.random(len(slots)) < _slot_probs(op, model))
-    if not len(shots):
+    if not len(kicks[0]):
         return rows, cls
-    kicks: dict[int, tuple[int, int, int]] = {}  # shot -> its kicks so far, composed
-    for s, j, pick in zip(shots.tolist(), hits.tolist(), streams.integers3(shots)):
-        b, (dp, dx, dz) = 1 << slots[j][1], _PICKS[pick]
-        phase, x, z = kicks.get(s, (0, 0, 0))
-        kicks[s] = (phase + dp + (2 if x & b * dz else 0), x ^ b * dx, z ^ b * dz)
-    phase, x, z = np.array(list(kicks.values())).T
-    return _kick(rows, cls, np.array(list(kicks)), phase & 3, x, z)
+    return _kick(rows, cls, *kicks)
 
 
 def _kick(state, cls, shots, phase, x, z):

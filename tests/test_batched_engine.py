@@ -437,9 +437,9 @@ def spy_on_noisy_gates(monkeypatch):
     """The ops the engine runs through ``noisy_apply``, in order."""
     applied, noisy_apply = [], engine.noisy_apply
 
-    def spy(rows, op, model, streams, cls):
+    def spy(rows, op, cls, kicks):
         applied.append(op)
-        return noisy_apply(rows, op, model, streams, cls)
+        return noisy_apply(rows, op, cls, kicks)
 
     monkeypatch.setattr(engine, "noisy_apply", spy)
     return applied

@@ -432,6 +432,18 @@ class TestConfigAndSeeds:
         assert manifest2["steps"] == 1
         assert manifest2["width"] == 4
 
+    def test_config_defaults_stay_with_their_call(self, tmp_path):
+        # A plain call reuses one parser per process; a --config call builds its own, so
+        # the config's defaults never reach the next plain call.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("width=4\nsteps=2\ndesigns=arc\nshots=25\n")
+        assert main(["distance-table", "--config", str(cfg), "--out", str(tmp_path / "a.csv")]) == 0
+        out = tmp_path / "b.csv"
+        assert main(["distance-table", "--designs", "arc", "--out", str(out)]) == 0
+        manifest, _, _, rows = read_annotated_csv(out)
+        assert (manifest["width"], manifest["steps"], manifest["shots"]) == (6, 10, 1000)
+        assert len(rows) == 11
+
     def test_hyphenated_config_keys(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("base-angle=1.0\n")

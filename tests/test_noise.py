@@ -19,7 +19,7 @@ from arcwalk import (
     estimate_fidelity,
     run_positions,
 )
-from arcwalk.noise import ShotStreams, _injection_slots, noisy_apply, toffoli_decomposition
+from arcwalk.noise import _fold, _injection_slots, noisy_apply, toffoli_decomposition
 from arcwalk.sim import apply_1q, apply_unitary, index_to_bits
 
 UNIT_NOISE = NoiseModel(fidelity_1q=1.0, fidelity_2q=1.0)
@@ -159,15 +159,30 @@ class TestNoiseModel:
             NoiseModel(**kwargs)
 
 
-def noisy_apply_one(state, op, model, streams):
-    """``noisy_apply`` on ``state`` as the one row of the one shot of ``streams``."""
-    rows, cls = noisy_apply(state.amps.reshape(1, -1), op, model, streams, np.zeros(1, np.intp))
+def shot_kicks(shots, slots, errors, picks):
+    """``noisy_apply``'s kicks: shot ``shots[i]`` errs on the slots ``errors[i]`` (a mask),
+    taking the next of ``picks`` (X, Y, Z) for each, in slot order."""
+    owner = np.repeat(shots, [int(e.sum()) for e in errors]).astype(np.intp)
+    bits = np.array([1 << slots[j][1] for e in errors for j in np.flatnonzero(e)], np.intp)
+    first, phase, x, z = _fold(owner, bits, np.array(picks, np.intp))
+    return owner[first], phase, x, z
+
+
+def noisy_apply_one(state, op, model, rng):
+    """``noisy_apply`` on ``state`` as the one row of one shot, which draws its errors
+    from ``rng`` in the documented order."""
+    slots = _injection_slots(op)
+    p = [1.0 - (model.fidelity_2q if is_2q else model.fidelity_1q) for is_2q, _ in slots]
+    errors = rng.random(len(slots)) < p
+    picks = [int(rng.integers(3)) for _ in range(errors.sum())]
+    kicks = shot_kicks([0], slots, [errors], picks)
+    rows, cls = noisy_apply(state.amps.reshape(1, -1), op, np.zeros(1, np.intp), kicks)
     state.amps = rows[cls[0]]
 
 
 def one_stream(seed):
-    """One shot's stream, drawing what ``default_rng(seed)`` would."""
-    return ShotStreams([np.random.PCG64(seed)], 1)
+    """One shot's draws, as ``default_rng(seed)`` gives them."""
+    return np.random.default_rng(seed)
 
 
 class TestNoisyApply:
@@ -217,21 +232,6 @@ PAULI_MATRICES = (
 )
 
 
-class ScriptedStreams:
-    """Streams whose ``random`` reads 0 (an error) on the masked slots and 0.75 on
-    the others, and whose ``integers3`` returns the scripted picks in order."""
-
-    def __init__(self, errors, picks):
-        self.errors, self.picks = errors, iter(picks)
-
-    def random(self, k):
-        assert self.errors.shape[1] == k
-        return np.where(self.errors, 0.0, 0.75)
-
-    def integers3(self, at):
-        return [next(self.picks) for _ in at]
-
-
 class TestKickPermutation:
     """Each shot's kicks, folded into one signed permutation of its row, against
     the 2x2 products applied one by one to a lone copy of that row."""
@@ -268,8 +268,8 @@ class TestKickPermutation:
         want = np.array(want)
         errors = np.array([mask for mask, _ in chosen])
         picks = [int(pattern[j]) for mask, pattern in chosen for j in np.flatnonzero(mask)]
-        got_rows, got_cls = noisy_apply(amps.copy(), op, NoiseModel(0.5, 0.5),
-                                        ScriptedStreams(errors, picks), cls)
+        kicks = shot_kicks(np.arange(len(cls)), slots, errors, picks)
+        got_rows, got_cls = noisy_apply(amps.copy(), op, cls, kicks)
         got = got_rows[got_cls]
         assert np.array_equal(got, want)  # equal up to the sign of zeros
         assert np.array_equal(got.real**2 + got.imag**2, want.real**2 + want.imag**2)

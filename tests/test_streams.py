@@ -1,9 +1,9 @@
 """Vectorized per-shot streams against numpy's own generators.
 
 ``_uniforms`` replays SeedSequence, PCG64 and ``random()`` in numpy integer
-arithmetic, and ``ShotStreams`` replays ``random(k)`` and ``integers(3)`` on
-raw PCG64 outputs. If numpy changes any of them, these tests fail, so seeded
-outputs cannot change without notice.
+arithmetic, and ``KickTape`` replays ``random(k)`` and ``integers(3)`` on raw
+PCG64 outputs, ahead of the state. If numpy changes any of them, these tests
+fail, so seeded outputs cannot change without notice.
 """
 
 import warnings
@@ -11,9 +11,10 @@ import warnings
 import numpy as np
 import pytest
 
-from arcwalk import NoiseModel, WalkConfig, build_circuit, engine, run_positions
+from arcwalk import Circuit, GateOp, NoiseModel, WalkConfig, build_circuit, engine, run_positions
 from arcwalk.engine import CHUNK_DRAWS, CHUNK_SHOTS, WINDOW_COLUMNS, _shot_seeds, _uniforms
-from arcwalk.noise import ShotStreams
+from arcwalk.noise import KickTape, _injection_slots
+from test_batched_engine import oracle_positions
 
 
 def numpy_rows(base_seed, shots, k):
@@ -40,37 +41,104 @@ def test_rows_equal_default_rng(base_seed, shots, k):
     assert np.array_equal(got, numpy_rows(base_seed, shots, k))
 
 
+PICKS = ((0, 1, 0), (3, 1, 1), (0, 0, 1))  # X, Y, Z as (phase, x / b, z / b)
 
-def replay(streams, gens, steps, rng):
-    """Random interleaved reads, each checked against the streams' own Generators."""
-    shots, widest = len(gens), 0
-    for _ in range(steps):
-        held = np.arange(shots)
-        view = streams
-        if rng.random() < 0.25:  # a view reads a subset through the same window
-            held = np.sort(rng.choice(shots, size=int(rng.integers(1, shots)), replace=False))
-            view = streams.view(held)
-        if rng.random() < 0.5:
-            k = int(rng.choice([1, 2, 3, 7, 21, 40]))
-            widest = max(widest, k)
-            want = np.array([gens[s].random(k) for s in held]).reshape(len(held), k)
-            assert np.array_equal(view.random(k), want)
-        else:  # odd and repeated draws per stream carry a kept half across reads
-            at = rng.integers(0, len(held), size=int(rng.integers(0, 2 * shots + 2)))
-            assert view.integers3(at) == [int(gens[held[i]].integers(3)) for i in at]
-    return widest
+
+def generator_draws(bit_generator, ops, model, stop, n, ones):
+    """What ``np.random.Generator(bit_generator)`` gives one shot that runs ``ops[:stop]``,
+    read in the engine's order: {position: (phase, x, z)} of its kicks, folded in slot
+    order; {position: uniform} of its MEASUREs and RESETs; and its retiring uniforms.
+    The shot reads 1 at its i-th RESET if ``ones[i]``, and then draws the X's noise."""
+    gen, kicks, uniforms, resets = np.random.Generator(bit_generator), {}, {}, iter(ones)
+
+    def noisy(j, op):
+        slots = _injection_slots(op)
+        p = [1.0 - (model.fidelity_2q if is_2q else model.fidelity_1q) for is_2q, _ in slots]
+        errs = gen.random(len(slots)) < p
+        phase = x = z = 0
+        for (_, q), err in zip(slots, errs):
+            if err:
+                b, (dp, dx, dz) = 1 << q, PICKS[int(gen.integers(3))]
+                phase, x, z = phase + dp + (2 if x & b * dz else 0), x ^ b * dx, z ^ b * dz
+        if errs.any():  # kicks that compose to the identity still count
+            kicks[j] = (phase & 3, x, z)
+
+    for j, op in enumerate(ops[:stop]):
+        if op.is_unitary:
+            noisy(j, op)
+            continue
+        uniforms[j] = gen.random()
+        if op.kind == "RESET" and next(resets):
+            noisy(j, GateOp.x(op.targets[0]))
+    return kicks, uniforms, gen.random(1 + n)
+
+
+def tape_draws(tape, ops, stops, ones):
+    """The same, for every shot, read from ``tape`` as the engine reads it (``stops``
+    ascending; shot s reads 1 at its i-th RESET if ``ones[s][i]``)."""
+    shots, live = len(stops), 0
+    kicks, uniforms, retired = [{} for _ in stops], [{} for _ in stops], [None] * shots
+    resets = 0
+    for j in range(len(ops) + 1):
+        if j == tape.next:
+            tape.resolve(j, live)
+        end = int(np.searchsorted(stops, j, side="right"))
+        if end > live:
+            for s, row in zip(range(live, end), tape.retire(live, end)):
+                retired[s] = row
+            live = end
+        if live == shots:
+            break
+        if ops[j].is_unitary:
+            for s, phase, x, z in zip(*tape.kicks(j, live)):
+                kicks[live + s][j] = (phase, x, z)
+            continue
+        for s, u in enumerate(tape.measure(j, live), start=live):
+            uniforms[s][j] = u
+        if ops[j].kind == "RESET":
+            read = np.array([ones[s][resets] for s in range(live, shots)], bool)
+            tape.resolve(j + 1, live, read)
+            resets += 1
+            for s, phase, x, z in zip(*tape.kicks(j, live)):
+                kicks[live + s][j] = (phase, x, z)
+    return kicks, uniforms, retired
+
+
+def assert_tape_matches_generators(bit_generators, twins, ops, model, stops, n, ones,
+                                   draws, spare):
+    """The tape over ``bit_generators`` against numpy Generators over ``twins``, equal
+    bit generators."""
+    tape = KickTape(bit_generators, ops, {}, np.zeros(len(stops), np.intp), stops, model, n,
+                    draws, spare)
+    got = tape_draws(tape, ops, stops, ones)
+    for s, twin in enumerate(twins):
+        kicks, uniforms, retired = generator_draws(twin, ops, model, stops[s], n, ones[s])
+        assert got[0][s] == kicks, s
+        assert got[1][s] == uniforms, s
+        assert np.array_equal(got[2][s], retired), s
+        assert tape.held_len[s] <= spare  # what a shot holds between pieces
+    return got
+
+
+KINDS = (GateOp.x(0), GateOp.h(1), GateOp.cnot(0, 2), GateOp.swap(1, 2),
+         GateOp.crx(2, 0, 0.4), GateOp.toffoli(0, 1, 2), GateOp.measure(1), GateOp.reset(2))
 
 
 @pytest.mark.parametrize("width", [1, 2, 5, 64])
 @pytest.mark.parametrize("base_seed", [0, 97, 2**32 - 3, 2**63 + 11])
 def test_windows_replay_generator_draws(base_seed, width):
-    shots = 6
-    streams = ShotStreams([np.random.PCG64(base_seed + i) for i in range(shots)], width)
-    gens = [np.random.default_rng(base_seed + i) for i in range(shots)]
-    rng = np.random.default_rng(base_seed % 1000 + width)
-    widest = replay(streams, gens, 150, rng)
-    # Refills keep the width; it grows only to the largest single read.
-    assert streams._window.raw.shape[1] == max(width, widest)
+    # Random op lists, with kick-heavy noise so that odd pick counts carry a kept half
+    # across gates, pieces cut by a small draw budget and spares of ``width`` outputs.
+    shots, rng = 6, np.random.default_rng(base_seed % 1000 + width)
+    for _ in range(4):
+        ops = [KINDS[i] for i in rng.integers(0, len(KINDS), size=int(rng.integers(0, 30)))]
+        stops = np.sort(rng.integers(0, len(ops) + 1, size=shots))
+        ones = rng.random((shots, len(ops))) < 0.5
+        model = NoiseModel(*rng.choice([0.5, 0.9, 1.0], size=2), 0.0)
+        draws = int(rng.choice([1, 30, 100, CHUNK_DRAWS]))
+        gens = [np.random.PCG64(base_seed + i) for i in range(shots)]
+        twins = [np.random.PCG64(base_seed + i) for i in range(shots)]
+        assert_tape_matches_generators(gens, twins, ops, model, stops, 3, ones, draws, width)
 
 
 PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
@@ -106,13 +174,69 @@ def primed(outputs_next: int, inc: int = 0xDA3E39CB94B95BDB) -> np.random.PCG64:
 def test_lemire_rejection_matches_generator(raw, reads):
     probe = primed(raw)
     assert int(probe.random_raw()) == raw
-    streams = ShotStreams([primed(raw)], 2)
-    gen = np.random.Generator(primed(raw))
-    for read in reads:
-        if read == "int":
-            assert streams.integers3(np.zeros(1, np.intp)) == [int(gen.integers(3))]
-        else:
-            assert np.array_equal(streams.random(3), gen.random((1, 3)))
+    # "int" is an X gate whose slot errs (its fidelity is about 0): a uniform, then a
+    # pick; "random" is three MEASUREs. The primed word is the second output: the first
+    # pick, or the first "random"'s second uniform.
+    ops = [op for read in reads for op in
+           ([GateOp.x(0)] if read == "int" else [GateOp.measure(0)] * 3)]
+
+    def rewound():
+        bit_generator = primed(raw)
+        bit_generator.advance((1 << 128) - 1)  # one output back
+        return bit_generator
+
+    stops = np.array([len(ops)])
+    model = NoiseModel(fidelity_1q=1e-12)
+    kicks, uniforms, _ = assert_tape_matches_generators(
+        [rewound()], [rewound()], ops, model, stops, 2, [[]], CHUNK_DRAWS, 1)
+    assert len(kicks[0]) == reads.count("int")
+    if reads[0] == "random":
+        assert uniforms[0][1] == 0.0
+
+
+def test_kick_heavy_toffolis_match_the_oracle():
+    # Half of all 21 slots of each Toffoli err, so most gates kick an odd number of
+    # times and the kept half crosses gates.
+    circuit = Circuit(3, range(0, 3))
+    circuit.add(GateOp.h(0), *[GateOp.toffoli(i % 3, (i + 1) % 3, (i + 2) % 3) for i in range(12)])
+    noise = NoiseModel(0.5, 0.5, 0.1)
+    got = run_positions(circuit.validate(), 40, noise=noise, base_seed=31)
+    assert np.array_equal(got, oracle_positions(circuit, 40, noise, base_seed=31))
+
+
+@pytest.mark.parametrize("base_seed", [7, 2**64 - 3])  # the second crosses 2**64
+def test_noisy_measure_and_reset_match_the_oracle(base_seed):
+    circuit = Circuit(3, range(0, 3))
+    circuit.add(GateOp.h(0), GateOp.cnot(0, 1), GateOp.measure(1), GateOp.rx(2, 1.2),
+                GateOp.reset(0), GateOp.toffoli(1, 2, 0), GateOp.reset(2), GateOp.h(2))
+    noise = NoiseModel(0.6, 0.5, 0.05)
+    got = run_positions(circuit.validate(), 6, noise=noise, base_seed=base_seed)
+    assert np.array_equal(got, oracle_positions(circuit, 6, noise, base_seed=base_seed))
+
+
+class CountedReads:
+    """A bit generator that records the size of each ``random_raw`` read."""
+
+    def __init__(self, bit_generator, reads):
+        self.bit_generator, self.reads = bit_generator, reads
+
+    def random_raw(self, size):
+        self.reads.append(size)
+        return self.bit_generator.random_raw(size)
+
+
+def spy_on_tapes(monkeypatch):
+    """(shots, spare, raw read sizes) of every tape the engine opens."""
+    opened = []
+
+    class Spy(KickTape):
+        def __init__(self, bit_generators, *args):
+            reads = []
+            super().__init__([CountedReads(g, reads) for g in bit_generators], *args)
+            opened.append((len(bit_generators), self.spare, reads))
+
+    monkeypatch.setattr(engine, "KickTape", Spy)
+    return opened
 
 
 @pytest.mark.parametrize(
@@ -124,18 +248,26 @@ def test_lemire_rejection_matches_generator(raw, reads):
     ],
 )
 def test_noisy_window_memory_is_bounded(config, shots, monkeypatch):
-    opened = []
-
-    class Spy(ShotStreams):
-        def __init__(self, bit_generators, width):
-            super().__init__(bit_generators, width)
-            opened.append((len(bit_generators), width, self))
-
-    monkeypatch.setattr(engine, "ShotStreams", Spy)
+    # A chunk's shots hold at most WINDOW_COLUMNS unread outputs each between pieces,
+    # and the tape reads blocks of at most CHUNK_DRAWS // 4 raw outputs.
+    opened = spy_on_tapes(monkeypatch)
     circuit = build_circuit(config)
     run_positions(circuit, shots, noise=NoiseModel(0.99, 0.97, 0.01), base_seed=5)
     assert opened
-    for streams_shots, width, streams in opened:
-        assert streams_shots * width <= CHUNK_DRAWS and width <= WINDOW_COLUMNS
-        widest_read = max(width, circuit.n_qubits, 21)  # readout, or a Toffoli's slots
-        assert streams._window.raw.shape[1] <= widest_read
+    for tape_shots, spare, reads in opened:
+        assert tape_shots * spare <= CHUNK_DRAWS and spare <= WINDOW_COLUMNS
+        assert max(reads) <= CHUNK_DRAWS // 4
+
+
+def test_pieces_keep_reads_within_a_small_draw_budget(monkeypatch):
+    # 2,700 columns per shot in pieces that each read at most 256 raw outputs, with the
+    # outputs still those the oracle draws.
+    monkeypatch.setattr(engine, "CHUNK_DRAWS", 1 << 10)
+    monkeypatch.setattr(engine, "WINDOW_COLUMNS", 1 << 4)
+    opened = spy_on_tapes(monkeypatch)
+    circuit = build_circuit(WalkConfig(6, 4, design="binary"))
+    got = run_positions(circuit, 12, noise=NoiseModel(0.99, 0.97, 0.01), base_seed=5)
+    assert len(opened) == 1 and max(opened[0][2]) <= 1 << 8
+    assert len(opened[0][2]) >= 3 * 12  # at least three pieces per shot
+    assert np.array_equal(got, oracle_positions(circuit, 12, NoiseModel(0.99, 0.97, 0.01),
+                                                base_seed=5))
