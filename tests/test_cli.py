@@ -437,7 +437,8 @@ class TestConfigAndSeeds:
         # the config's defaults never reach the next plain call.
         cfg = tmp_path / "run.cfg"
         cfg.write_text("width=4\nsteps=2\ndesigns=arc\nshots=25\n")
-        assert main(["distance-table", "--config", str(cfg), "--out", str(tmp_path / "a.csv")]) == 0
+        first = tmp_path / "a.csv"
+        assert main(["distance-table", "--config", str(cfg), "--out", str(first)]) == 0
         out = tmp_path / "b.csv"
         assert main(["distance-table", "--designs", "arc", "--out", str(out)]) == 0
         manifest, _, _, rows = read_annotated_csv(out)
