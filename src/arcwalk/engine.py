@@ -18,25 +18,27 @@ RANDOM_JUMP_SHOTS = 30
 RANDOM_DESIGNS = ("random_jump", "random_jump_cascading")  # a new circuit per step count
 
 # A run's shots (every cut's of every circuit's, sorted by stop) run in chunks, which may
-# end inside a cut. A chunk buffers k draws per shot, at most CHUNK_DRAWS in all (2 MiB):
-# an ideal shot's 1 + collapses uniforms, or a noisy shot's WINDOW_COLUMNS spare raw
-# outputs, which it reads past each piece of its kick tape for its picks and holds until
-# its next piece, so a noisy chunk holds at most 1024 shots. CHUNK_AMPS (512 KiB) caps
-# the rows that run together. A noisy chunk whose ops can part its shots holds at most
-# CHUNK_AMPS amplitudes even if every shot parts to its own row. An ideal chunk may hold
-# more shots: when its circuits (one start row each) or a collapse give more than
+# end inside a cut. A chunk buffers at most CHUNK_DRAWS draws in all (2 MiB): an ideal
+# shot k = 1 + collapses uniforms; a noisy shot up to WINDOW_COLUMNS raw outputs, which
+# it reads past each piece of its kick tape for its picks and holds until its next
+# piece, beside one block of at most CHUNK_DRAWS // 4 that the tape reads the next piece
+# into, so a noisy chunk holds at most 768 shots (one without ops reads one piece and
+# holds nothing, so it may hold 1024). CHUNK_AMPS (512 KiB) caps the rows that run
+# together. A noisy chunk whose ops can part its shots holds at most CHUNK_AMPS
+# amplitudes even if every shot parts to its own row. An ideal chunk may hold more
+# shots: when its circuits (one start row each) or a collapse give more than
 # CHUNK_AMPS >> n rows, its shots split into row-disjoint groups of that many rows, run
 # one after another.
 # A group's start rows are built when it runs; a collapse may double the rows for a
 # moment, and the groups it leaves waiting hold copies of their rows, so a chunk holds at
 # most the cap's rows per collapse on the running group's path, plus that doubling.
 # ``_uniforms`` computes its rows in passes of CHUNK_SHOTS, with about 11 times a pass's
-# output in temporaries. A noisy shot holds a PCG64 (about 0.7 KB). Its tape reads raw
-# outputs into blocks of at most CHUNK_DRAWS // 4 (a block and the reads that fill it take
-# 1 MiB), one ``random_raw`` call per shot that runs short (about 1 us plus 3.6 ns per
-# output on a 2 vCPU x86 host); a piece ends before one shot's read would pass that (it
-# holds at least one op), and at each noisy RESET. The tape holds a piece's folded kicks
-# and its uniforms: one per MEASURE or RESET and 1 + n to retire, per shot.
+# output in temporaries. A noisy shot holds a PCG64 (about 0.7 KB). Its tape fills a
+# block row by row, one ``random_raw`` call per shot that runs short (about 1 us plus
+# 3.6 ns per output on a 2 vCPU x86 host), and while it resolves a block its temporaries
+# take about as much again. A piece ends before one shot's row would pass the block (it
+# holds at least one op), and at each noisy RESET. The tape also holds a piece's
+# folded kicks and its uniforms: one per MEASURE or RESET and 1 + n to retire, per shot.
 # No chunk or group size changes a draw: shot r of a cut run at seed s draws from s + r.
 CHUNK_SHOTS = 1 << 12
 CHUNK_AMPS = 1 << 15
@@ -353,10 +355,11 @@ def _sweep(circuits: list[Circuit], cuts: list[list[int]], shots: int,
         apply_unitary(row, ops[done])
         done += 1
     ops, variants = ops[done:], {j - done: v for j, v in variants.items()}
-    # Draws each shot buffers: ideal, one uniform per collapse and one to sample; noisy, a spare.
+    # Draws each shot buffers: ideal, one uniform per collapse and one to sample; noisy, a
+    # spare, beside the kick tape's block of CHUNK_DRAWS // 4 if ops follow.
     k = 1 + sum(not op.is_unitary for op in ops) if noise is None else WINDOW_COLUMNS
     chunk = max(1, CHUNK_DRAWS // k if noise is None or not ops else
-                min(CHUNK_DRAWS // k, CHUNK_AMPS >> n))
+                min((CHUNK_DRAWS - CHUNK_DRAWS // 4) // k, CHUNK_AMPS >> n))
     stops = np.repeat([c - done for run in cuts for c in run], shots)
     order = np.argsort(stops, kind="stable")
     shot_seeds = _shot_seeds([s for run in seeds for s in run], shots)[order]

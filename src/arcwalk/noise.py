@@ -127,8 +127,8 @@ def _injection_slots(op: GateOp) -> tuple[tuple[bool, int], ...]:
 @lru_cache(maxsize=8192)
 def _slot_thresholds(op: GateOp, model: NoiseModel) -> tuple[int, ...]:
     """Per noise slot of the op under ``model``, the raw output below which the slot errs:
-    with error probability p < 1, ``random() < p`` reads ``(x >> 11) * 2**-53 < p``, that
-    is ``x < ceil(p * 2**53) << 11``."""
+    with error probability p, ``random() < p`` reads ``(x >> 11) * 2**-53 < p``, that is
+    ``x < ceil(p * 2**53) << 11``, which is 2**64 (every output) when p rounds to 1."""
     p1, p2 = 1.0 - model.fidelity_1q, 1.0 - model.fidelity_2q
     return tuple(math.ceil((p2 if is_2q else p1) * 2.0**53) << 11
                  for is_2q, _ in _injection_slots(op))
@@ -179,32 +179,30 @@ class KickTape:
     ``stops[s]``), ``random(1)`` and ``random(n)``. No draw depends on the amplitudes
     except a noisy RESET's X, which only the shots that read 1 draw. So a piece ends
     with the next RESET, and the engine resolves the piece after it once that RESET's
-    outcomes are known. A piece also ends before a shot would read more than ``draws``
-    raw outputs for it (it holds at least one op), and a shot keeps at most ``spare``
-    unread outputs for its next piece.
+    outcomes are known.
 
-    ``resolve`` reads the shots' raw outputs into blocks of at most ``draws`` (or one
-    shot's, if more): each shot's outputs left unread by its last piece, then, if those
-    fall short of its columns, one ``random_raw`` call for the rest plus ``spare`` for its
-    picks. A slot errs when its output is below the slot's threshold (see
-    ``_slot_thresholds``), so a block is searched once for the outputs below the piece's
-    largest threshold. A shot with none at its slots keeps its alignment; the others are
-    walked one at a time over those outputs. The picks of a gate replay ``integers(3)``,
-    Lemire's method on 32-bit values: the kept high half of the shot's last fresh output
-    first, then fresh outputs right after the gate's slots, each giving its low half and
-    keeping its high half, and a value of 0 is redrawn. Each fresh output moves the
-    shot's later columns one output on. Last, every (shot, gate)'s kicks fold into one
-    signed permutation, for all of them at once (see ``_fold``).
+    Raw outputs live in two buffers: ``held``, where each shot keeps at most ``spare``
+    unread outputs for its next piece (made when a piece leaves any), and one block of
+    at most ``draws`` words per batch of shots that ``resolve`` reads. A block row holds
+    a shot's unread outputs, then, if those fall short of its columns, one
+    ``random_raw`` read of the rest plus ``spare`` for its picks; a piece ends before
+    one shot's row would not fit (it holds at least one op). A slot errs when its output
+    is below the slot's threshold (see ``_slot_thresholds``), so a block is searched
+    once for the outputs below the piece's largest threshold. A shot with none at its
+    slots keeps its alignment; the others are walked one at a time over those outputs.
+    The picks of a gate replay ``integers(3)``, Lemire's method on 32-bit values: the
+    kept high half of the shot's last fresh output first, then fresh outputs right after
+    the gate's slots, each giving its low half and keeping its high half, and a value of
+    0 is redrawn. Each fresh output moves the shot's later columns one output on. Last,
+    every (shot, gate)'s kicks fold into one signed permutation, for all of them at once
+    (see ``_fold``).
     """
 
     def __init__(self, bit_generators, ops, variants, circs, stops, model, n, draws, spare):
         self.gens, self.ops, self.variants, self.circs = bit_generators, ops, variants, circs
         self.stops, self.model, self.n, self.draws = stops, model, n, draws
         self.spare = max(1, spare)
-        # The outputs each shot left unread, in shot order: shot s's are held[held_at[s]:]
-        # up to held_at[s] + held_len[s].
-        self.held = np.empty(0, np.uint64)
-        self.held_at = np.zeros(len(bit_generators), np.intp)
+        self.held = None  # shot s's unread outputs are held[s, :held_len[s]]
         self.held_len = np.zeros(len(bit_generators), np.intp)
         self.half = [None] * len(bit_generators)  # the kept high half, if any
         self.next = 0  # the op position whose piece comes next, or -1: after a RESET
@@ -223,13 +221,14 @@ class KickTape:
             where.extend([j] * (len(thresh) - first))
             bits.extend(_slot_bits(op))
 
-        if ones is not None:  # column 0: the RESET's X, read by the shots that read 1
+        if ones is not None:  # the RESET's X, read by the shots that read 1
             gate(at - 1, GateOp.x(ops[at - 1].targets[0]))
+        skip = len(thresh)  # the columns the shots that read 0 skip
         starts, end, reset = [], at, False
         while end < len(ops) and not reset:
             op = ops[end]
             width = len(_injection_slots(op)) if op.is_unitary else 1
-            if end > at and len(thresh) + width + retire + self.spare > self.draws:
+            if end > at and len(thresh) + width + retire + 2 * self.spare > self.draws:
                 break
             starts.append(len(thresh))
             if op.is_unitary:
@@ -248,19 +247,28 @@ class KickTape:
         stops = self.stops[live:]
         lim = np.array(starts)[np.minimum(stops, end) - at]
         top = lim + retire * ((stops < end) | last)
-        off = np.zeros(len(stops), np.intp) if ones is None else (~ones).astype(np.intp)
-        self.first, self.at, self.measured = live, at, measured
+        off = np.zeros(len(stops), np.intp) if ones is None else np.where(ones, 0, skip)
+        self.first, self.at, self.measured, self.keep = live, at, measured, not last
         self.uniforms = np.empty((len(stops), len(measured) + retire))
-        layout = (thresh, ends, np.array(thresh + [0], np.uint64), np.array(mcols + [0]),
-                  len(mcols), np.uint64(max(thresh, default=0)), len(thresh) + retire + 1, not last)
-        hits, picks, owner, kept = [], [], [], []
-        batch = max(1, self.draws // int((top - off).max(initial=0) + self.spare))
+        # The piece's columns as _batch and _walk read them. Numpy compares outputs with
+        # ``<=`` a threshold less 1, which stays below 2**64 (a slot with p = 1 errs on
+        # every output); a slot that never errs then passes an output of 0, which the
+        # walk's exact ``<`` turns down.
+        self.thresh, self.ends, self.mcols, self.span = thresh, ends, np.array(mcols + [0]), (
+            len(thresh) + retire + 1)
+        self.below = np.array([max(t, 1) - 1 for t in thresh] + [0], np.uint64)
+        self.below_max = np.uint64(max(max(thresh, default=0), 1) - 1)
+        if self.keep and self.held is None:
+            self.held = np.empty((len(self.gens), self.spare), np.uint64)
+        hits, picks, owner = [], [], []
+        widest = int((top - off).max(initial=0)) + self.spare  # a block row, at most
+        batch = max(1, (self.draws - self.spare) // widest)
         for a in range(0, len(stops), batch):
             b = slice(a, a + batch)
-            self._batch(live + a, off[b], lim[b], top[b], layout, hits, picks, owner, kept)
-        if not last:
-            self.held = np.concatenate(kept)
-            self.held_at[live:] = np.cumsum(self.held_len[live:]) - self.held_len[live:]
+            batch_hits, batch_picks, batch_owner = self._batch(live + a, off[b], lim[b], top[b])
+            hits += batch_hits
+            picks += batch_picks
+            owner += batch_owner
         hits, picks, owner = (np.array(v, np.intp) for v in (hits, picks, owner))
         pos, bit = np.array(where, np.intp)[hits], np.array(bits, np.intp)[hits]
         for j, first in varied:  # the kicked qubits come from each shot's own op
@@ -275,80 +283,98 @@ class KickTape:
         self.kshot, self.kphase, self.kx, self.kz = kshot[order], phase[order], x[order], z[order]
         self.kstart = np.searchsorted(kpos[order], np.arange(at - 1, end + 1)).tolist()
 
-    def _batch(self, s0, off, lim, top, layout, hits, picks, owner, kept):
+    def _read(self, s0: int, need: np.ndarray) -> tuple[np.ndarray, int, np.ndarray]:
+        """A block of the raw outputs of the shots ``s0`` on, row w for shot s0 + w, which
+        needs ``need[w]``: its unread outputs, then, if those fall short, the shortfall
+        and ``spare`` more. Returns the block's buffer, its row width and each row's
+        length; the buffer ends ``spare`` words past the last row, so that the ``spare``
+        words from any place in a row lie inside it."""
+        count, spare, had = len(need), self.spare, self.held_len[s0 : s0 + len(need)]
+        size = np.where(had < need, need + spare, had)
+        width = max(1, int(size.max()))
+        buffer = np.empty(count * width + spare, np.uint64)
+        block = buffer[: count * width].reshape(count, width)
+        if self.held is not None:
+            kept = min(width, spare)
+            block[:, :kept] = self.held[s0 : s0 + count, :kept]
+        for w in np.flatnonzero(had < need).tolist():
+            block[w, had[w] : size[w]] = self.gens[s0 + w].random_raw(int(size[w] - had[w]))
+        return buffer, width, size
+
+    def _batch(self, s0, off, lim, top):
         """Resolve the shots ``s0`` on (one per entry of ``off``) from one block of their
-        raw outputs: each shot's unread ones, then, if those fall short of its columns,
-        the shortfall and ``spare`` more. Column c of shot s0 + w reads output c + d[w]
-        of its part of the block. Only the shots with an error at that first alignment
-        are walked; the others kick nowhere, so it holds throughout.
+        raw outputs (see ``_read``). Column c of shot s0 + w reads ``block[w, c + d]``,
+        with d = -off[w] until a pick moves it on. Only the shots with an error at that
+        first alignment are walked; the others kick nowhere, so it holds throughout.
+        Returns the hit columns, their picks and their shots.
         """
-        thresh, ends, thr, mcols, measures, tmax, span, keep = layout
-        shots, need = slice(s0, s0 + len(off)), top - off
-        size, held = self.held_len[shots].copy(), self.held_at[shots] + self.held_len[shots]
-        parts, at = [], self.held_at[s0]  # the shots' unread outputs lie in order from at
-        for w in np.flatnonzero(size < need).tolist():
-            parts += [self.held[at : held[w]], self.gens[s0 + w].random_raw(
-                need[w] + self.spare - size[w])]
-            at, size[w] = held[w], need[w] + self.spare
-        flat, stop = np.concatenate([*parts, self.held[at : held[-1]]]), np.cumsum(size)
-        base = stop - size
-        cand = np.flatnonzero(flat < tmax)  # only these outputs can err
-        who = np.searchsorted(stop, cand, side="right")
-        col = cand - base[who] + off[who]
-        first = (col < lim[who]) & (flat[cand] < thr[np.minimum(col, len(thr) - 1)])
-        bounds = np.searchsorted(cand, np.stack([base, stop])).T.tolist()
-        cand, vals, d = (cand - base[who]).tolist(), flat[cand].tolist(), -off
-        end = top - off  # where each shot's reads end in its part
-        moved, shifts, at = [0], [0], [-1]  # per shift: the column from which d holds, d, shot
-        grown = {}  # the parts of the shots whose picks ran past them, read on
-        walk = np.zeros(len(off), bool)
-        walk[who[first]] = True
-        for w in np.flatnonzero(walk).tolist():
-            s, raw = s0 + w, flat[base[w] : stop[w]]
-            args = int(d[w]), int(lim[w]), int(top[w]), thresh, ends
-            got = self._walk(s, raw, cand[slice(*bounds[w])], vals[slice(*bounds[w])], *args)
-            while got is None:  # its picks ran past its part (rare): read on, walk it again
-                raw = grown[w] = np.concatenate([raw, self.gens[s].random_raw(self.spare)])
-                new = np.flatnonzero(raw < tmax)
-                got = self._walk(s, raw, new.tolist(), raw[new].tolist(), *args)
-            shot_hits, shot_picks, shot_moved, shot_shifts, self.half[s] = got
+        spare, below = self.spare, self.below
+        buffer, width, size = self._read(s0, top - off)
+        block = buffer[: len(off) * width].reshape(len(off), width)
+        cand = np.flatnonzero(block <= self.below_max)  # only these outputs can err
+        who, pos = np.divmod(cand, width)
+        real = pos < size[who]
+        cand, who, pos = cand[real], who[real], pos[real]
+        vals, col = block.ravel()[cand], pos + off[who]
+        first = (col < lim[who]) & (vals <= below[np.minimum(col, len(below) - 1)])
+        bounds = np.searchsorted(who, np.arange(len(off) + 1)).tolist()
+        pos, vals, d = pos.tolist(), vals.tolist(), -off
+        end = top - off  # where each shot's reads end in its row
+        hits, picks, owner, grown = [], [], [], {}  # grown: the rows walks read on past
+        # Per shift of a shot's columns: the shot, the column from which it holds, its d.
+        shift_shot, shift_col, shift_d = [-1], [0], [0]
+        for w in np.unique(who[first]).tolist():
+            s, row, mine = s0 + w, block[w, : size[w]], slice(bounds[w], bounds[w + 1])
+            args = int(d[w]), int(lim[w]), int(top[w])
+            got = self._walk(s, row, pos[mine], vals[mine], *args)
+            while got is None:  # its picks ran past its row (rare): read on, walk it again
+                row = grown[w] = np.concatenate([row, self.gens[s].random_raw(spare)])
+                new = np.flatnonzero(row <= self.below_max)
+                got = self._walk(s, row, new.tolist(), row[new].tolist(), *args)
+            shot_hits, shot_picks, cols, ds, self.half[s] = got
             hits += shot_hits
             picks += shot_picks
             owner += [s] * len(shot_hits)
-            moved += shot_moved
-            shifts += shot_shifts
-            at += [w] * len(shot_moved)
-            end[w] = top[w] + (shot_shifts[-1] if shot_shifts else d[w])
-        if grown:  # put the grown parts in place
-            flat = np.concatenate([grown.get(w, flat[a:b]) for w, (a, b)
-                                   in enumerate(zip(base.tolist(), stop.tolist()))])
-            size[list(grown)] = [len(raw) for raw in grown.values()]
-            stop = np.cumsum(size)
-            base = stop - size
+            shift_shot += [w] * len(cols)
+            shift_col += cols
+            shift_d += ds
+            if ds:
+                end[w] = top[w] + ds[-1]
         # Each shot's uniforms: its MEASUREs before its stop, then its retiring draws.
+        mcols, measures = self.mcols, len(self.measured)
         q = np.searchsorted(mcols[:measures], lim)
         count = q + top - lim
         u_shot = np.repeat(np.arange(len(off)), count)
         j = np.arange(len(u_shot)) - np.repeat(np.cumsum(count) - count, count)
         early = j < q[u_shot]
         u_col = np.where(early, mcols[np.minimum(j, measures)], lim[u_shot] + j - q[u_shot])
-        at, shifts = np.array(at), np.array(shifts)
-        i = np.searchsorted(at * span + np.array(moved), u_shot * span + u_col, side="right") - 1
-        u_at = base[u_shot] + u_col + np.where(at[i] == u_shot, shifts[i], d[u_shot])
+        shift_shot, shift_d = np.array(shift_shot), np.array(shift_d)
+        i = np.searchsorted(shift_shot * self.span + np.array(shift_col),
+                            u_shot * self.span + u_col, side="right") - 1
+        u_pos = u_col + np.where(shift_shot[i] == u_shot, shift_d[i], d[u_shot])
+        raw = block[u_shot, np.minimum(u_pos, width - 1)]
+        for w, row in grown.items():
+            mine = u_shot == w
+            raw[mine] = row[u_pos[mine]]
         self.uniforms[s0 - self.first + u_shot, np.where(early, j, measures + j - q[u_shot])] = (
-            (flat[u_at] >> np.uint64(11)) * (1.0 / (1 << 53)))
-        if keep:  # the outputs each shot leaves unread, for its next piece
-            kept.append(flat[np.repeat(np.tile([False, True], len(off)),
-                                       np.stack([end, size - end], axis=1).ravel())])
-            self.held_len[shots] = size - end
+            (raw >> np.uint64(11)) * (1.0 / (1 << 53)))
+        if self.keep:  # the outputs each shot leaves unread, for its next piece
+            rows, at = slice(s0, s0 + len(off)), np.arange(len(off)) * width
+            windows = np.lib.stride_tricks.sliding_window_view(buffer, spare)
+            self.held[rows] = windows[at + np.minimum(end, width)]
+            for w, row in grown.items():
+                size[w] = len(row)
+                self.held[s0 + w, : size[w] - end[w]] = row[end[w] :]
+            self.held_len[rows] = size - end
+        return hits, picks, owner
 
-    def _walk(self, s, raw, cand, vals, d, lim, top, thresh, ends):
+    def _walk(self, s, raw, cand, vals, d, lim, top):
         """Walk shot s from its first candidate: ``cand`` are the indices into ``raw`` of
         its outputs below the largest threshold, ``vals`` those outputs, and its column c
         reads ``raw[c + d]`` until a pick moves it on. Returns its hit columns, picks, the
         columns from which d grew and d from each on, and its kept half; or None if it
         would read past the end of ``raw``."""
-        half, floor, k, stop = self.half[s], 0, 0, len(raw)
+        thresh, ends, half, floor, k, stop = self.thresh, self.ends, self.half[s], 0, 0, len(raw)
         hits, picks, moved, shifts = [], [], [], []
         while k < len(cand):
             i, k = cand[k], k + 1

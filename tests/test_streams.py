@@ -214,6 +214,17 @@ def test_noisy_measure_and_reset_match_the_oracle(base_seed):
     assert np.array_equal(got, oracle_positions(circuit, 6, noise, base_seed=base_seed))
 
 
+@pytest.mark.parametrize("fidelity", [1e-17, 2.0**-54])
+def test_slots_that_always_err_match_the_oracle(fidelity):
+    # 1 - fidelity rounds to 1, so every 1q slot errs: its threshold is 2**64. The noisy
+    # RESETs carry each shot's unread outputs and kept half across pieces.
+    circuit = build_circuit(WalkConfig(2, 3, design="random_jump_cascading"))
+    noise = NoiseModel(fidelity, 0.9, 0.02)
+    assert 1.0 - noise.fidelity_1q == 1.0
+    got = run_positions(circuit, 30, noise=noise, base_seed=3)
+    assert np.array_equal(got, oracle_positions(circuit, 30, noise, base_seed=3))
+
+
 class CountedReads:
     """A bit generator that records the size of each ``random_raw`` read."""
 
@@ -226,14 +237,20 @@ class CountedReads:
 
 
 def spy_on_tapes(monkeypatch):
-    """(shots, spare, raw read sizes) of every tape the engine opens."""
+    """Every tape the engine opens, with the size of each raw read (``reads``) and of
+    each block it reads into (``blocks``)."""
     opened = []
 
     class Spy(KickTape):
         def __init__(self, bit_generators, *args):
-            reads = []
-            super().__init__([CountedReads(g, reads) for g in bit_generators], *args)
-            opened.append((len(bit_generators), self.spare, reads))
+            self.reads, self.blocks = [], []
+            super().__init__([CountedReads(g, self.reads) for g in bit_generators], *args)
+            opened.append(self)
+
+        def _read(self, s0, need):
+            buffer, width, size = super()._read(s0, need)
+            self.blocks.append(buffer.size)
+            return buffer, width, size
 
     monkeypatch.setattr(engine, "KickTape", Spy)
     return opened
@@ -245,18 +262,25 @@ def spy_on_tapes(monkeypatch):
         (WalkConfig(1, 100, design="arc"), CHUNK_SHOTS),  # many shots: CHUNK_DRAWS binds
         (WalkConfig(6, 4, design="binary"), 16),  # long draws: WINDOW_COLUMNS binds
         (WalkConfig(3, 0, design="arc"), 8),  # only readout draws
+        # Noisy RESETs: every shot of a full chunk holds outputs between pieces.
+        (WalkConfig(3, 2, design="random_jump_cascading"), 800),
     ],
 )
 def test_noisy_window_memory_is_bounded(config, shots, monkeypatch):
-    # A chunk's shots hold at most WINDOW_COLUMNS unread outputs each between pieces,
-    # and the tape reads blocks of at most CHUNK_DRAWS // 4 raw outputs.
+    # A chunk buffers at most CHUNK_DRAWS raw outputs: its shots' WINDOW_COLUMNS unread
+    # outputs each between pieces, beside the one block the tape reads a batch into.
     opened = spy_on_tapes(monkeypatch)
     circuit = build_circuit(config)
     run_positions(circuit, shots, noise=NoiseModel(0.99, 0.97, 0.01), base_seed=5)
     assert opened
-    for tape_shots, spare, reads in opened:
-        assert tape_shots * spare <= CHUNK_DRAWS and spare <= WINDOW_COLUMNS
-        assert max(reads) <= CHUNK_DRAWS // 4
+    for tape in opened:
+        held = 0 if tape.held is None else tape.held.size
+        assert held in (0, len(tape.gens) * tape.spare)
+        assert tape.spare <= WINDOW_COLUMNS and max(tape.reads) <= CHUNK_DRAWS // 4
+        assert held + max(tape.blocks) <= CHUNK_DRAWS
+        assert max(tape.blocks) <= CHUNK_DRAWS // 4
+    if config.design == "random_jump_cascading":
+        assert max(len(tape.gens) for tape in opened if tape.held is not None) == 768
 
 
 def test_pieces_keep_reads_within_a_small_draw_budget(monkeypatch):
@@ -267,7 +291,7 @@ def test_pieces_keep_reads_within_a_small_draw_budget(monkeypatch):
     opened = spy_on_tapes(monkeypatch)
     circuit = build_circuit(WalkConfig(6, 4, design="binary"))
     got = run_positions(circuit, 12, noise=NoiseModel(0.99, 0.97, 0.01), base_seed=5)
-    assert len(opened) == 1 and max(opened[0][2]) <= 1 << 8
-    assert len(opened[0][2]) >= 3 * 12  # at least three pieces per shot
+    assert len(opened) == 1 and max(opened[0].reads) <= 1 << 8
+    assert len(opened[0].reads) >= 3 * 12  # at least three pieces per shot
     assert np.array_equal(got, oracle_positions(circuit, 12, NoiseModel(0.99, 0.97, 0.01),
                                                 base_seed=5))
