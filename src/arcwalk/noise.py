@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -135,6 +136,12 @@ def _slot_thresholds(op: GateOp, model: NoiseModel) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=8192)
+def _slot_below(op: GateOp, model: NoiseModel) -> tuple[int, ...]:
+    """``max(t, 1) - 1`` of each of the op's thresholds t, which fits a uint64."""
+    return tuple(max(t, 1) - 1 for t in _slot_thresholds(op, model))
+
+
+@lru_cache(maxsize=8192)
 def _slot_bits(op: GateOp) -> tuple[int, ...]:
     """``1 << qubit`` of each of the op's noise slots."""
     return tuple(1 << q for _, q in _injection_slots(op))
@@ -167,6 +174,21 @@ def census(circuit) -> GateCensus:
 def estimate_fidelity(counts: GateCensus, model: NoiseModel) -> float:
     """Compound circuit fidelity: fidelity_1q^count_1q * fidelity_2q^count_2q."""
     return model.fidelity_1q**counts.count_1q * model.fidelity_2q**counts.count_2q
+
+
+class _Piece(NamedTuple):
+    """A piece's columns as ``KickTape._batch`` and ``KickTape._walk`` read them. Numpy
+    compares outputs with ``<=`` a threshold less 1, which stays below 2**64 (a slot with
+    p = 1 errs on every output); a slot that never errs then passes an output of 0,
+    which the walk's exact ``<`` turns down."""
+
+    thresh: list[int]  # per column, its threshold (see _slot_thresholds); 0 for a uniform
+    ends: list[int]  # per column, the end of its gate's slots
+    below: np.ndarray  # per column, max(thresh, 1) - 1 as uint64, then a 0
+    below_max: np.uint64  # the largest of them
+    mcols: np.ndarray  # the MEASURE and RESET columns, then a 0
+    span: int  # more than any column a shot reads
+    keep: bool  # whether the shots keep their unread outputs for a next piece
 
 
 class KickTape:
@@ -211,12 +233,13 @@ class KickTape:
         """Resolve the piece that starts at op position ``at`` for the shots ``live`` on;
         after a RESET, shot ``live + i`` read 1 there if ``ones[i]``."""
         ops, model, retire = self.ops, self.model, 1 + self.n
-        thresh, ends, where, bits = [], [], [], []  # per column: slot 0 is a uniform
+        thresh, below, ends, where, bits = [], [], [], [], []  # per column; a uniform: 0
         measured, mcols, varied = {}, [], []  # MEASURE/RESET: uniform index, column; variants
 
         def gate(j, op):
             first = len(thresh)
             thresh.extend(_slot_thresholds(op, model))
+            below.extend(_slot_below(op, model))
             ends.extend([len(thresh)] * (len(thresh) - first))
             where.extend([j] * (len(thresh) - first))
             bits.extend(_slot_bits(op))
@@ -238,7 +261,8 @@ class KickTape:
             else:
                 measured[end] = len(mcols)
                 mcols.append(len(thresh))
-                thresh.append(0), ends.append(len(thresh)), where.append(end), bits.append(0)
+                thresh.append(0), below.append(0), ends.append(len(thresh))
+                where.append(end), bits.append(0)
             end, reset = end + 1, op.kind == "RESET"
         starts.append(len(thresh))
         last = end == len(ops) and not reset  # the shots that stop at the end retire here
@@ -248,27 +272,22 @@ class KickTape:
         lim = np.array(starts)[np.minimum(stops, end) - at]
         top = lim + retire * ((stops < end) | last)
         off = np.zeros(len(stops), np.intp) if ones is None else np.where(ones, 0, skip)
-        self.first, self.at, self.measured, self.keep = live, at, measured, not last
+        self.first, self.at, self.measured = live, at, measured
         self.uniforms = np.empty((len(stops), len(measured) + retire))
-        # The piece's columns as _batch and _walk read them. Numpy compares outputs with
-        # ``<=`` a threshold less 1, which stays below 2**64 (a slot with p = 1 errs on
-        # every output); a slot that never errs then passes an output of 0, which the
-        # walk's exact ``<`` turns down.
-        self.thresh, self.ends, self.mcols, self.span = thresh, ends, np.array(mcols + [0]), (
-            len(thresh) + retire + 1)
-        self.below = np.array([max(t, 1) - 1 for t in thresh] + [0], np.uint64)
-        self.below_max = np.uint64(max(max(thresh, default=0), 1) - 1)
-        if self.keep and self.held is None:
+        piece = _Piece(thresh, ends, np.array(below + [0], np.uint64),
+                       np.uint64(max(below, default=0)), np.array(mcols + [0]),
+                       len(thresh) + retire + 1, not last)
+        if piece.keep and self.held is None:
             self.held = np.empty((len(self.gens), self.spare), np.uint64)
         hits, picks, owner = [], [], []
         widest = int((top - off).max(initial=0)) + self.spare  # a block row, at most
         batch = max(1, (self.draws - self.spare) // widest)
         for a in range(0, len(stops), batch):
             b = slice(a, a + batch)
-            batch_hits, batch_picks, batch_owner = self._batch(live + a, off[b], lim[b], top[b])
-            hits += batch_hits
-            picks += batch_picks
-            owner += batch_owner
+            got = self._batch(piece, live + a, off[b], lim[b], top[b])
+            hits += got[0]
+            picks += got[1]
+            owner += got[2]
         hits, picks, owner = (np.array(v, np.intp) for v in (hits, picks, owner))
         pos, bit = np.array(where, np.intp)[hits], np.array(bits, np.intp)[hits]
         for j, first in varied:  # the kicked qubits come from each shot's own op
@@ -301,17 +320,17 @@ class KickTape:
             block[w, had[w] : size[w]] = self.gens[s0 + w].random_raw(int(size[w] - had[w]))
         return buffer, width, size
 
-    def _batch(self, s0, off, lim, top):
+    def _batch(self, piece, s0, off, lim, top):
         """Resolve the shots ``s0`` on (one per entry of ``off``) from one block of their
         raw outputs (see ``_read``). Column c of shot s0 + w reads ``block[w, c + d]``,
         with d = -off[w] until a pick moves it on. Only the shots with an error at that
         first alignment are walked; the others kick nowhere, so it holds throughout.
         Returns the hit columns, their picks and their shots.
         """
-        spare, below = self.spare, self.below
+        spare, below = self.spare, piece.below
         buffer, width, size = self._read(s0, top - off)
         block = buffer[: len(off) * width].reshape(len(off), width)
-        cand = np.flatnonzero(block <= self.below_max)  # only these outputs can err
+        cand = np.flatnonzero(block <= piece.below_max)  # only these outputs can err
         who, pos = np.divmod(cand, width)
         real = pos < size[who]
         cand, who, pos = cand[real], who[real], pos[real]
@@ -323,14 +342,14 @@ class KickTape:
         hits, picks, owner, grown = [], [], [], {}  # grown: the rows walks read on past
         # Per shift of a shot's columns: the shot, the column from which it holds, its d.
         shift_shot, shift_col, shift_d = [-1], [0], [0]
-        for w in np.unique(who[first]).tolist():
+        for w in np.flatnonzero(np.bincount(who[first], minlength=len(off))).tolist():
             s, row, mine = s0 + w, block[w, : size[w]], slice(bounds[w], bounds[w + 1])
             args = int(d[w]), int(lim[w]), int(top[w])
-            got = self._walk(s, row, pos[mine], vals[mine], *args)
+            got = self._walk(piece, s, row, pos[mine], vals[mine], *args)
             while got is None:  # its picks ran past its row (rare): read on, walk it again
                 row = grown[w] = np.concatenate([row, self.gens[s].random_raw(spare)])
-                new = np.flatnonzero(row <= self.below_max)
-                got = self._walk(s, row, new.tolist(), row[new].tolist(), *args)
+                new = np.flatnonzero(row <= piece.below_max)
+                got = self._walk(piece, s, row, new.tolist(), row[new].tolist(), *args)
             shot_hits, shot_picks, cols, ds, self.half[s] = got
             hits += shot_hits
             picks += shot_picks
@@ -341,7 +360,7 @@ class KickTape:
             if ds:
                 end[w] = top[w] + ds[-1]
         # Each shot's uniforms: its MEASUREs before its stop, then its retiring draws.
-        mcols, measures = self.mcols, len(self.measured)
+        mcols, measures, span = piece.mcols, len(piece.mcols) - 1, piece.span
         q = np.searchsorted(mcols[:measures], lim)
         count = q + top - lim
         u_shot = np.repeat(np.arange(len(off)), count)
@@ -349,8 +368,8 @@ class KickTape:
         early = j < q[u_shot]
         u_col = np.where(early, mcols[np.minimum(j, measures)], lim[u_shot] + j - q[u_shot])
         shift_shot, shift_d = np.array(shift_shot), np.array(shift_d)
-        i = np.searchsorted(shift_shot * self.span + np.array(shift_col),
-                            u_shot * self.span + u_col, side="right") - 1
+        i = np.searchsorted(shift_shot * span + np.array(shift_col), u_shot * span + u_col,
+                            side="right") - 1
         u_pos = u_col + np.where(shift_shot[i] == u_shot, shift_d[i], d[u_shot])
         raw = block[u_shot, np.minimum(u_pos, width - 1)]
         for w, row in grown.items():
@@ -358,7 +377,7 @@ class KickTape:
             raw[mine] = row[u_pos[mine]]
         self.uniforms[s0 - self.first + u_shot, np.where(early, j, measures + j - q[u_shot])] = (
             (raw >> np.uint64(11)) * (1.0 / (1 << 53)))
-        if self.keep:  # the outputs each shot leaves unread, for its next piece
+        if piece.keep:  # the outputs each shot leaves unread, for its next piece
             rows, at = slice(s0, s0 + len(off)), np.arange(len(off)) * width
             windows = np.lib.stride_tricks.sliding_window_view(buffer, spare)
             self.held[rows] = windows[at + np.minimum(end, width)]
@@ -368,13 +387,14 @@ class KickTape:
             self.held_len[rows] = size - end
         return hits, picks, owner
 
-    def _walk(self, s, raw, cand, vals, d, lim, top):
+    def _walk(self, piece, s, raw, cand, vals, d, lim, top):
         """Walk shot s from its first candidate: ``cand`` are the indices into ``raw`` of
         its outputs below the largest threshold, ``vals`` those outputs, and its column c
         reads ``raw[c + d]`` until a pick moves it on. Returns its hit columns, picks, the
         columns from which d grew and d from each on, and its kept half; or None if it
         would read past the end of ``raw``."""
-        thresh, ends, half, floor, k, stop = self.thresh, self.ends, self.half[s], 0, 0, len(raw)
+        thresh, ends, half = piece.thresh, piece.ends, self.half[s]
+        floor, k, stop = 0, 0, len(raw)
         hits, picks, moved, shifts = [], [], [], []
         while k < len(cand):
             i, k = cand[k], k + 1
