@@ -394,7 +394,8 @@ def run_positions(
     chunk by chunk: an ideal chunk holds up to ``2**18 // k`` shots (k uniforms each)
     and splits into groups of at most ``2**15 // 2**n`` rows when its rows part
     beyond that; a noisy chunk whose ops can part its shots holds at most that many
-    shots. Each distinct state is evolved once and each shot holds its row's index:
+    shots, and at most 768, so that the raw outputs its kick tape buffers stay within
+    ``2**18`` words. Each distinct state is evolved once and each shot holds its row's index:
     shots part by outcome at a collapse or by kicks at a noisy gate, and rows
     with equal bytes merge after a collapse (exact: equal bytes in give equal
     bytes out). A run is a family of one circuit (see ``run_family``). Each shot
