@@ -197,7 +197,10 @@ def _trajectories(start: np.ndarray, ops: list[GateOp], variants: dict, seeds: n
     after a collapse only within one circuit. The ``stops`` ascend, so the running
     shots are a suffix: when the op loop reaches a shot's stop, the shot retires (it
     samples its row's CDF and, under noise, draws its readout flips), and rows that no
-    running shot holds are dropped.
+    running shot holds are dropped. Each op runs as in an ideal run: a shared unitary on
+    every row, a differing position in one per-row gather (``permute_rows``) if its kind
+    permutes, else one distinct op at a time on its rows, in place, and after a RESET an
+    X on the rows that read 1; under noise, ``noisy_apply`` then applies the op's kicks.
     Shot i draws from ``default_rng(seeds[i])``: one ``random()`` per collapse, each
     noisy gate's draws, one ``random()`` for the final sample, and ``random(n)`` for
     readout flips. Ideal shots draw only the ``random()`` calls, at most ``draws`` each,
@@ -216,19 +219,11 @@ def _trajectories(start: np.ndarray, ops: list[GateOp], variants: dict, seeds: n
     cap, out, pending = max(1, CHUNK_AMPS >> n), np.empty(shots, np.intp), []
     if noise is None:
         block = _uniforms(seeds, draws)
+        # An ideal shot's uniform column at position j: the MEASURE and RESET ops before j.
+        measured = np.cumsum([0] + [not op.is_unitary for op in ops]).tolist()
     else:
         tape = KickTape([np.random.PCG64(seed) for seed in seeds.tolist()], ops, variants, circs,
                         stops, noise, n, CHUNK_DRAWS // 4, draws)
-
-    def gate(amps, op, cls, held=None):
-        """Apply op at position ``at - 1`` to the running shots (or the running shots
-        ``held``)."""
-        if op is None:
-            return amps, cls
-        if noise is None:
-            apply_unitary(amps, op)
-            return amps, cls
-        return noisy_apply(amps, op, cls, tape.kicks(at - 1, live, held))
 
     def owner(amps, cls, idx):
         """The circuit of each row."""
@@ -236,32 +231,28 @@ def _trajectories(start: np.ndarray, ops: list[GateOp], variants: dict, seeds: n
         rows[cls] = circs[idx]
         return rows
 
-    def each_variant(amps, cls, var, vops):
-        """Rows of variant v (``var`` per row) take ``vops[v]`` (None: none); returns
-        the rows, variant by variant, and each running shot's row."""
-        parts, out_cls = [], np.empty_like(cls)
+    def each_variant(amps, var, vops):
+        """Rows of variant v (``var`` per row) take ``vops[v]`` (None: none), in place."""
         for v, vop in enumerate(vops):
             rows = np.flatnonzero(var == v)
-            if len(rows):
-                held = np.flatnonzero(var[cls] == v)
-                sub, sub_cls = gate(amps[rows], vop, np.searchsorted(rows, cls[held]), held)
-                out_cls[held] = sub_cls + sum(map(len, parts))
-                parts.append(sub)
-        return np.concatenate(parts), out_cls
+            if vop is not None and len(rows):
+                sub = amps[rows]
+                apply_unitary(sub, vop)
+                amps[rows] = sub
 
-    def push(at, column, amps, cls, idx):
+    def push(at, amps, cls, idx):
         """Queue the shots ``idx`` (shot i on row ``cls[i]``) in row-disjoint groups of
         at most cap rows, the first on top. ``amps`` None stands for one ``start`` row
         per row, built when the group runs."""
         for lo in reversed(range(0, int(cls.max()) + 1, cap)):
             held = np.flatnonzero((cls >= lo) & (cls < lo + cap))
             rows = None if amps is None else amps[lo : lo + cap].copy()
-            pending.append((at, column, rows, cls[held] - lo, idx[held]))
+            pending.append((at, rows, cls[held] - lo, idx[held]))
 
-    # Each group: (next op position, uniform column, rows, each shot's row, chunk shots).
-    push(0, 0, None, np.unique(circs, return_inverse=True)[1].reshape(-1), np.arange(shots))
+    # Each group: (next op position, rows, each shot's row, chunk shots).
+    push(0, None, np.unique(circs, return_inverse=True)[1].reshape(-1), np.arange(shots))
     while pending:
-        at, column, amps, cls, idx = pending.pop()
+        at, amps, cls, idx = pending.pop()
         if amps is None:
             amps = start.repeat(int(cls.max()) + 1, axis=0)
         if noise is None:  # the group's uniforms, row i for shot idx[i]
@@ -275,7 +266,7 @@ def _trajectories(start: np.ndarray, ops: list[GateOp], variants: dict, seeds: n
             if ends[at] > live:  # the shots that stop here sample their rows and retire
                 end, gone = ends[at], ends[at] - live
                 if noise is None:
-                    u = uniforms[live:end, column]
+                    u = uniforms[live:end, measured[at]]
                 else:
                     retired = tape.retire(live, end)
                     u = retired[:, 0]
@@ -290,32 +281,32 @@ def _trajectories(start: np.ndarray, ops: list[GateOp], variants: dict, seeds: n
                     keep, cls = np.unique(cls, return_inverse=True)
                     amps, cls = amps[keep], cls.reshape(-1)
             if len(amps) > cap:  # a collapse parted the rows beyond the cap
-                push(at, column, amps, cls, idx[live:])
+                push(at, amps, cls, idx[live:])
                 break
             op, diff = ops[at], variants.get(at)
             at += 1
             if diff is not None:
                 vops, which = diff
                 var = which[owner(amps, cls, idx[live:])]
-                if noise is None and op.kind in PERMUTATION_KINDS:
+                if op.kind in PERMUTATION_KINDS:
                     permute_rows(amps, vops, var)
                 else:
-                    amps, cls = each_variant(amps, cls, var, vops)
-                continue
-            if op.is_unitary:
-                amps, cls = gate(amps, op, cls)
-                continue
-            if noise is None:
-                u, column = uniforms[live:, column], column + 1
+                    each_variant(amps, var, vops)
+            elif op.is_unitary:
+                apply_unitary(amps, op)
             else:
-                u = tape.measure(at - 1, live)
-            rows_of = owner(amps, cls, idx[live:]) if variants else None
-            amps, cls, ones = measure_rows(amps, op.targets[0], u, cls, rows_of)
-            if op.kind == "RESET" and noise is not None:  # the X's draws hang on the outcome
-                tape.resolve(at, live, ones[cls])
-            if op.kind == "RESET" and ones.any():  # flip the rows that read 1 back to |0>
-                flip = (None, GateOp.x(op.targets[0]))
-                amps, cls = each_variant(amps, cls, ones.astype(np.intp), flip)
+                if noise is None:
+                    u = uniforms[live:, measured[at - 1]]
+                else:
+                    u = tape.measure(at - 1, live)
+                rows_of = owner(amps, cls, idx[live:]) if variants else None
+                amps, cls, ones = measure_rows(amps, op.targets[0], u, cls, rows_of)
+                if op.kind == "RESET":  # flip the rows that read 1 back to |0>
+                    if noise is not None:  # the X's draws hang on the outcome
+                        tape.resolve(at, live, ones[cls])
+                    each_variant(amps, ones, (None, GateOp.x(op.targets[0])))
+            if noise is not None:  # then each shot's Pauli kicks at the op
+                amps, cls = noisy_apply(amps, cls, tape.kicks(at - 1, live))
     return out
 
 
@@ -418,9 +409,9 @@ def run_family(
     position (targets and angles may differ, and a circuit may end early), and the
     same MEASURE and RESET ops. Each circuit's shots start on a row of their own, and
     rows merge after a collapse only within one circuit; a position where the circuits
-    differ runs as one call per distinct op (one per-row gather for X, CNOT, SWAP and
-    TOFFOLI when ideal). The random-jump designs' circuits at every step count form
-    one family.
+    differ runs as one per-row gather for X, CNOT, SWAP and TOFFOLI, else as one call
+    per distinct op, and under noise the kicks follow. The random-jump designs'
+    circuits at every step count form one family.
     """
     if len(base_seeds) != len(circuits):
         raise ConfigError(f"need {len(circuits)} base seeds, one per circuit, "

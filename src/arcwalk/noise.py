@@ -10,9 +10,10 @@ charges each one ``fidelity_2q`` once, but the Pauli channel kicks each of
 its two qubits on its own with probability ``1 - fidelity_2q``: an isolated
 CNOT is error-free with probability ``fidelity_2q**2``.
 
-A noisy shot's draws do not depend on its amplitudes, so ``KickTape``
-resolves them from each shot's PCG64 stream before its state runs, and
-``noisy_apply`` applies a gate and the kicks the tape folded for it.
+Noise is one step after each op: the engine applies every op as in an ideal run,
+then ``noisy_apply`` applies the kicks its shots drew there. A noisy shot's draws do
+not depend on its amplitudes, so ``KickTape`` resolves them from each shot's PCG64
+stream before its state runs.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .sim import ConfigError, GateOp, apply_unitary
+from .sim import ConfigError, GateOp
 
 # A Pauli kick is a signed permutation: out[i] = 1j**phase * (-1)**parity(z & src) * a[src]
 # with src = i ^ x. Pick 0, 1, 2 is X, Y up to global phase ([[0, 1j], [-1j, 0]]), Z; on
@@ -431,16 +432,11 @@ class KickTape:
             return None
         return hits, picks, moved, shifts, half
 
-    def kicks(self, j: int, live: int, held: np.ndarray | None = None):
-        """(shots, phase, x, z) of the kicks at op position ``j``, shot i being
-        ``live + i`` (or the live shot ``held[i]``)."""
+    def kicks(self, j: int, live: int):
+        """(shots, phase, x, z) of the kicks at op position ``j``, shot i being ``live + i``:
+        what ``noisy_apply`` applies after the op."""
         at = slice(*self.kstart[j - self.at + 1 : j - self.at + 3])
-        shots = self.kshot[at] - live
-        if held is None:
-            return shots, self.kphase[at], self.kx[at], self.kz[at]
-        i = np.searchsorted(held, shots)
-        mine = held[np.minimum(i, len(held) - 1)] == shots
-        return i[mine], self.kphase[at][mine], self.kx[at][mine], self.kz[at][mine]
+        return self.kshot[at] - live, self.kphase[at], self.kx[at], self.kz[at]
 
     def measure(self, j: int, live: int) -> np.ndarray:
         """The uniforms of the shots ``live`` on at the MEASURE or RESET at position ``j``."""
@@ -455,7 +451,7 @@ class KickTape:
 def _fold(keys, bits, picks):
     """Fold kicks, in order, into one signed permutation per run of equal ``keys``: kick
     i is Pauli ``picks[i]`` (X, Y, Z) on the qubit ``bits[i]``. Returns each run's first
-    kick and its (phase, x, z), composed as ``_kick`` applies them."""
+    kick and its (phase, x, z), composed as ``noisy_apply`` applies them."""
     dp, dx, dz = _PICKS[:, picks]
     xb, zb = bits * dx, bits * dz
     new = np.ones(len(keys), bool)
@@ -469,29 +465,23 @@ def _fold(keys, bits, picks):
     return first, phase, np.bitwise_xor.reduceat(xb, first), np.bitwise_xor.reduceat(zb, first)
 
 
-def noisy_apply(rows: np.ndarray, op: GateOp, cls: np.ndarray, kicks):
-    """Apply the ideal gate, then each shot's Pauli errors, resolved ahead by a
-    ``KickTape``.
+def noisy_apply(state: np.ndarray, cls: np.ndarray, kicks):
+    """Apply each shot's Pauli errors at one op, resolved ahead by a ``KickTape``, after
+    the engine has applied the op ideally.
 
-    ``rows`` is a (U, 2**n) array of distinct states and shot s holds row ``cls[s]``.
+    ``state`` is a (U, 2**n) array of distinct states and shot s holds row ``cls[s]``.
     Each constituent of the op (after decomposition) exposes its qubits to an
     independent error of probability 1 - fidelity of its class; a realized error
     applies one of X, Y (up to phase), or Z chosen uniformly. ``kicks`` is (shots,
-    phase, x, z): shot ``shots[i]``'s errors at this gate, in slot order, folded into
-    one signed permutation. Returns the rows and each shot's row: rows take their kicks
-    in place if no row's shots were kicked apart, else first part into one row per
-    realized (row, kicks).
+    phase, x, z): shot ``shots[i]``'s errors at the op, in slot order, folded into one
+    signed permutation ``(phase[i], x[i], z[i])``, which its row takes in one gather and
+    one multiply. Returns the rows and each shot's row: rows take their kicks in place
+    if no row's shots were kicked apart, else first part into one row per realized
+    (row, kicks).
     """
-    apply_unitary(rows, op)
-    if not len(kicks[0]):
-        return rows, cls
-    return _kick(rows, cls, *kicks)
-
-
-def _kick(state, cls, shots, phase, x, z):
-    """Apply to the row of shot ``shots[i]`` the signed permutation
-    (``phase[i]``, ``x[i]``, ``z[i]``) in one gather and one multiply; returns
-    the rows and each shot's row."""
+    shots, phase, x, z = kicks
+    if not len(shots):
+        return state, cls
     size = state.shape[1]
     if len(state) < len(cls):  # shared rows part: one row per realized (row, kicks)
         key = cls * (4 * size * size)

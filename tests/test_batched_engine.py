@@ -433,15 +433,24 @@ def test_step_sweep_runs_each_cut_when_shots_draw_between_gates(design, noise, p
     assert_same_arrays(got, each_step_count(design, 3, 4, 24, seeds, noise=noise, period=period))
 
 
+KICKS = "kicks"  # a noisy_apply call in the list spy_on_noisy_gates returns
+
+
 def spy_on_noisy_gates(monkeypatch):
-    """The ops the engine runs through ``noisy_apply``, in order."""
-    applied, noisy_apply = [], engine.noisy_apply
+    """The ops the engine runs through ``apply_unitary`` and its ``noisy_apply`` calls
+    (``KICKS``), in order."""
+    applied, apply_unitary, noisy_apply = [], engine.apply_unitary, engine.noisy_apply
 
-    def spy(rows, op, cls, kicks):
+    def spy_gate(rows, op):
         applied.append(op)
-        return noisy_apply(rows, op, cls, kicks)
+        return apply_unitary(rows, op)
 
-    monkeypatch.setattr(engine, "noisy_apply", spy)
+    def spy_kicks(rows, cls, kicks):
+        applied.append(KICKS)
+        return noisy_apply(rows, cls, kicks)
+
+    monkeypatch.setattr(engine, "apply_unitary", spy_gate)
+    monkeypatch.setattr(engine, "noisy_apply", spy_kicks)
     return applied
 
 
@@ -453,14 +462,14 @@ def assert_cuts_match_oracle(full, got, shots, seeds, noise):
 
 @pytest.mark.parametrize("design", PREFIX_DESIGNS)
 def test_noisy_step_sweep_runs_every_cut_in_one_batch(design, monkeypatch):
-    # Every cut's shots run together: each op of the longest prefix goes through
+    # Every cut's shots run together: each op of the longest prefix runs once, then
     # noisy_apply once, and a cut's shots retire at its mark.
     chunks, gates = spy_on_chunks(monkeypatch), spy_on_noisy_gates(monkeypatch)
     full = build_circuit(WalkConfig(3, 4, design=design))
     marks, seeds = [0, *full.steps_marks], [derive_seed(12, s) for s in range(5)]
     got = engine.run_step_positions(full, 24, seeds, noise=NOISY)
     assert chunks == [24 * len(marks)]
-    assert gates == full.ops[: marks[-1]]
+    assert gates == [step for op in full.ops[: marks[-1]] for step in (op, KICKS)]
     assert_same_arrays(got, each_step_count(design, 3, 4, 24, seeds, noise=NOISY))
     assert_cuts_match_oracle(full, got, 24, seeds, NOISY)
 

@@ -171,6 +171,22 @@ def test_family_of_one_builds_no_variant_tables(monkeypatch):
     assert np.array_equal(twice[0], alone) and np.array_equal(twice[1], alone)
 
 
+def test_noisy_family_permutes_its_differing_positions_in_one_call(monkeypatch):
+    # Noise is a step after each op: a differing CNOT position of a noisy family runs
+    # as one per-row gather, as when ideal, and the kicks follow.
+    tables, real = [], permute_rows
+    monkeypatch.setattr(engine, "permute_rows",
+                        lambda amps, ops, which: tables.append(ops) or real(amps, ops, which))
+    circuits = [build_circuit(WalkConfig(3, 6, design="random_jump", seed=s)) for s in range(4)]
+    differ = [j for j in range(6 * 2) if len({c.ops[j] for c in circuits}) > 1]
+    seeds = [13 * c for c in range(len(circuits))]
+    got = run_family(circuits, 25, seeds, NOISY)
+    assert differ and len(tables) == len(differ)
+    assert all(op.kind == "CNOT" for ops in tables for op in ops)
+    for circuit, seed, positions in zip(circuits, seeds, got):
+        assert np.array_equal(positions, oracle_positions(circuit, 25, NOISY, base_seed=seed))
+
+
 @pytest.mark.parametrize("noisy", [False, True], ids=["ideal", "noisy"])
 def test_random_design_column_is_one_engine_call(noisy, monkeypatch):
     # Every circuit of every step count runs in one sweep.

@@ -169,14 +169,16 @@ def shot_kicks(shots, slots, errors, picks):
 
 
 def noisy_apply_one(state, op, model, rng):
-    """``noisy_apply`` on ``state`` as the one row of one shot, which draws its errors
-    from ``rng`` in the documented order."""
+    """``op`` applied ideally to ``state``, then ``noisy_apply`` on it as the one row of
+    one shot, which draws its errors from ``rng`` in the documented order."""
     slots = _injection_slots(op)
     p = [1.0 - (model.fidelity_2q if is_2q else model.fidelity_1q) for is_2q, _ in slots]
     errors = rng.random(len(slots)) < p
     picks = [int(rng.integers(3)) for _ in range(errors.sum())]
     kicks = shot_kicks([0], slots, [errors], picks)
-    rows, cls = noisy_apply(state.amps.reshape(1, -1), op, np.zeros(1, np.intp), kicks)
+    rows = state.amps.reshape(1, -1)
+    apply_unitary(rows, op)
+    rows, cls = noisy_apply(rows, np.zeros(1, np.intp), kicks)
     state.amps = rows[cls[0]]
 
 
@@ -269,7 +271,9 @@ class TestKickPermutation:
         errors = np.array([mask for mask, _ in chosen])
         picks = [int(pattern[j]) for mask, pattern in chosen for j in np.flatnonzero(mask)]
         kicks = shot_kicks(np.arange(len(cls)), slots, errors, picks)
-        got_rows, got_cls = noisy_apply(amps.copy(), op, cls, kicks)
+        got_rows = amps.copy()
+        apply_unitary(got_rows, op)
+        got_rows, got_cls = noisy_apply(got_rows, cls, kicks)
         got = got_rows[got_cls]
         assert np.array_equal(got, want)  # equal up to the sign of zeros
         assert np.array_equal(got.real**2 + got.imag**2, want.real**2 + want.imag**2)
