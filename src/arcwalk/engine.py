@@ -10,8 +10,8 @@ import numpy as np
 
 from .circuits import DESIGNS, Circuit, WalkConfig, build_circuit, with_zeno_measurements
 from .noise import KickTape, NoiseModel, noisy_apply
-from .sim import MAX_QUBITS, PERMUTATION_KINDS, ConfigError, GateOp, OutOfRangeError, apply_unitary
-from .sim import index_to_bits, measure_rows, permute_rows, sample_cdf
+from .sim import MAX_QUBITS, ConfigError, GateOp, OutOfRangeError, apply_rows, apply_unitary
+from .sim import index_to_bits, measure_rows, sample_cdf
 
 RANDOM_JUMP_CIRCUITS = 30
 RANDOM_JUMP_SHOTS = 30
@@ -197,10 +197,11 @@ def _trajectories(start: np.ndarray, ops: list[GateOp], variants: dict, seeds: n
     after a collapse only within one circuit. The ``stops`` ascend, so the running
     shots are a suffix: when the op loop reaches a shot's stop, the shot retires (it
     samples its row's CDF and, under noise, draws its readout flips), and rows that no
-    running shot holds are dropped. Each op runs as in an ideal run: a shared unitary on
-    every row, a differing position in one per-row gather (``permute_rows``) if its kind
-    permutes, else one distinct op at a time on its rows, in place, and after a RESET an
-    X on the rows that read 1; under noise, ``noisy_apply`` then applies the op's kicks.
+    running shot holds are dropped. Each op position is one kernel call, as in an ideal
+    run: a shared unitary runs on every row (``apply_unitary``), a differing position
+    gives each row its circuit's op in one gather (``apply_rows``), and a MEASURE or
+    RESET collapses the rows per shot (``measure_rows``, which also flips a RESET's rows
+    that read 1 back to |0>); under noise, ``noisy_apply`` then applies the op's kicks.
     Shot i draws from ``default_rng(seeds[i])``: one ``random()`` per collapse, each
     noisy gate's draws, one ``random()`` for the final sample, and ``random(n)`` for
     readout flips. Ideal shots draw only the ``random()`` calls, at most ``draws`` each,
@@ -230,15 +231,6 @@ def _trajectories(start: np.ndarray, ops: list[GateOp], variants: dict, seeds: n
         rows = np.empty(len(amps), np.intp)
         rows[cls] = circs[idx]
         return rows
-
-    def each_variant(amps, var, vops):
-        """Rows of variant v (``var`` per row) take ``vops[v]`` (None: none), in place."""
-        for v, vop in enumerate(vops):
-            rows = np.flatnonzero(var == v)
-            if vop is not None and len(rows):
-                sub = amps[rows]
-                apply_unitary(sub, vop)
-                amps[rows] = sub
 
     def push(at, amps, cls, idx):
         """Queue the shots ``idx`` (shot i on row ``cls[i]``) in row-disjoint groups of
@@ -287,11 +279,7 @@ def _trajectories(start: np.ndarray, ops: list[GateOp], variants: dict, seeds: n
             at += 1
             if diff is not None:
                 vops, which = diff
-                var = which[owner(amps, cls, idx[live:])]
-                if op.kind in PERMUTATION_KINDS:
-                    permute_rows(amps, vops, var)
-                else:
-                    each_variant(amps, var, vops)
+                apply_rows(amps, vops, which[owner(amps, cls, idx[live:])])
             elif op.is_unitary:
                 apply_unitary(amps, op)
             else:
@@ -300,11 +288,9 @@ def _trajectories(start: np.ndarray, ops: list[GateOp], variants: dict, seeds: n
                 else:
                     u = tape.measure(at - 1, live)
                 rows_of = owner(amps, cls, idx[live:]) if variants else None
-                amps, cls, ones = measure_rows(amps, op.targets[0], u, cls, rows_of)
-                if op.kind == "RESET":  # flip the rows that read 1 back to |0>
-                    if noise is not None:  # the X's draws hang on the outcome
-                        tape.resolve(at, live, ones[cls])
-                    each_variant(amps, ones, (None, GateOp.x(op.targets[0])))
+                amps, cls, ones = measure_rows(amps, op, u, cls, rows_of)
+                if op.kind == "RESET" and noise is not None:  # the X's draws hang on the outcome
+                    tape.resolve(at, live, ones[cls])
             if noise is not None:  # then each shot's Pauli kicks at the op
                 amps, cls = noisy_apply(amps, cls, tape.kicks(at - 1, live))
     return out
@@ -409,9 +395,9 @@ def run_family(
     position (targets and angles may differ, and a circuit may end early), and the
     same MEASURE and RESET ops. Each circuit's shots start on a row of their own, and
     rows merge after a collapse only within one circuit; a position where the circuits
-    differ runs as one per-row gather for X, CNOT, SWAP and TOFFOLI, else as one call
-    per distinct op, and under noise the kicks follow. The random-jump designs'
-    circuits at every step count form one family.
+    differ runs as one per-row kernel call (``apply_rows``), whatever its kind, and under
+    noise the kicks follow. The random-jump designs' circuits at every step count form
+    one family.
     """
     if len(base_seeds) != len(circuits):
         raise ConfigError(f"need {len(circuits)} base seeds, one per circuit, "

@@ -51,7 +51,6 @@ _ARITY = {
 
 ROTATION_KINDS = frozenset({"RX", "CRX"})
 NONUNITARY_KINDS = frozenset({"MEASURE", "RESET"})
-PERMUTATION_KINDS = frozenset({"X", "CNOT", "SWAP", "TOFFOLI"})
 
 
 @dataclass(frozen=True)
@@ -189,6 +188,13 @@ def apply_1q(amps: np.ndarray, matrix: np.ndarray, q: int) -> None:
     v[:, 0, :], v[:, 1, :] = b0, b1
 
 
+def _matrix(op: GateOp):
+    """A unitary op's 2x2 matrix; None for X, CNOT, SWAP and TOFFOLI, which swap pairs."""
+    if op.kind in ROTATION_KINDS:
+        return rx_matrix(op.theta)
+    return MATRICES_1Q.get(op.kind)
+
+
 def apply_unitary(amps: np.ndarray, op: GateOp) -> None:
     """Apply one unitary op to every row in place; targets are not checked.
 
@@ -196,30 +202,30 @@ def apply_unitary(amps: np.ndarray, op: GateOp) -> None:
     (X has none) and the target clear with their target-set partners; SWAP
     pairs (first set, second clear) with (first clear, second set).
     """
-    kind = op.kind
-    if kind == "RX":
-        return apply_1q(amps, rx_matrix(op.theta), op.targets[0])
-    if kind in MATRICES_1Q:
-        return apply_1q(amps, MATRICES_1Q[kind], op.targets[0])
-    if kind in NONUNITARY_KINDS:
-        raise ValueError(f"{kind} is not unitary; use measure_qubit or reset_qubit")
-    lo, hi = _pair_indices(amps.shape[-1].bit_length() - 1, op.targets, kind == "SWAP")
-    _pair_update(amps, lo, hi, rx_matrix(op.theta) if kind == "CRX" else None)
+    if op.kind in NONUNITARY_KINDS:
+        raise ValueError(f"{op.kind} is not unitary; use measure_qubit or reset_qubit")
+    u = _matrix(op)
+    if u is not None and len(op.targets) == 1:
+        return apply_1q(amps, u, op.targets[0])
+    lo, hi = _pair_indices(amps.shape[-1].bit_length() - 1, op.targets, op.kind == "SWAP")
+    _pair_update(amps, lo, hi, u)
 
 
-def permute_rows(amps: np.ndarray, ops, which: np.ndarray) -> None:
-    """Apply ``ops[which[r]]`` to row r of a ``(B, 2**n)`` chunk in place, for ops of
-    one kind in ``PERMUTATION_KINDS``: their pair tables have one length, so one
-    ``(B, pairs)`` table serves every row in one gather and one scatter."""
+def apply_rows(amps: np.ndarray, ops, which: np.ndarray) -> None:
+    """Apply ``ops[which[r]]`` to row r of a ``(B, 2**n)`` chunk in place, for unitary ops
+    of one kind: their pair tables (a 1q op's has no controls) have one length, so one
+    ``(B, pairs)`` table, and a ``(2, 2, B, 1)`` stack if they have matrices, serve every row."""
     n = amps.shape[-1].bit_length() - 1
-    tables = [_pair_indices(n, ops[v].targets, ops[v].kind == "SWAP") for v in which.tolist()]
-    lo, hi = (np.stack(half) for half in zip(*tables))
-    _pair_update(amps, lo, hi, None)
+    tables = [_pair_indices(n, op.targets, op.kind == "SWAP") for op in ops]
+    lo, hi = (np.stack(half)[which] for half in zip(*tables))
+    matrices = [_matrix(op) for op in ops]
+    u = None if matrices[0] is None else np.stack(matrices, axis=-1)[:, :, which, None]
+    _pair_update(amps, lo, hi, u)
 
 
 def _pair_update(amps: np.ndarray, lo: np.ndarray, hi: np.ndarray, u) -> None:
-    """Swap (``u`` None) or rotate by the 2x2 ``u`` each pair (lo, hi) of every row,
-    with one table for all rows or one per row."""
+    """Swap (``u`` None) or rotate by ``u`` each pair (lo, hi) of every row: one table and
+    2x2 ``u`` for all rows, or a ``(B, pairs)`` table and a ``(2, 2, B, 1)`` ``u`` per row."""
     # Gather through one flat view: 1-D fancy indexing is several times
     # cheaper per call than indexing the last axis of a 2-D chunk.
     flat = amps.reshape(-1)
@@ -236,16 +242,18 @@ def _pair_update(amps: np.ndarray, lo: np.ndarray, hi: np.ndarray, u) -> None:
         flat[hi] = u[1, 0] * a_lo + u[1, 1] * a_hi
 
 
-def measure_rows(amps: np.ndarray, q: int, u: np.ndarray, cls: np.ndarray, owner=None):
-    """Measure qubit ``q`` per shot: shot s holds row ``cls[s]`` of ``amps`` (every
-    row is held) and reads 1 if its uniform ``u[s] * total >= p0`` for its row.
+def measure_rows(amps: np.ndarray, op: GateOp, u: np.ndarray, cls: np.ndarray, owner=None):
+    """Measure the qubit of a MEASURE or RESET ``op`` per shot: shot s holds row ``cls[s]``
+    of ``amps`` (every row is held) and reads 1 if its uniform ``u[s] * total >= p0`` for its row.
 
     Returns one collapsed row per realized (row, outcome), in place if no row
     was read both ways, with rows of equal bytes merged (exact: equal bytes in
     give equal bytes out) if they come from rows of one ``owner`` (when given,
-    one int per row); each shot's row; and True for the rows that read 1.
+    one int per row); each shot's row; and True for the rows that read 1. A RESET
+    then moves each such row's 1-half into its 0-half, after the merge, so a row that
+    read 1 never merges with one that read 0 and ``ones[cls]`` is each shot's outcome.
     """
-    rows = len(amps)
+    rows, q = len(amps), op.targets[0]
     v = amps.reshape(rows, -1, 2, 1 << q)
     sq = v.real**2 + v.imag**2
     # Contiguous copies, so each row sums pairwise in the order a lone state does.
@@ -273,6 +281,10 @@ def measure_rows(amps: np.ndarray, q: int, u: np.ndarray, cls: np.ndarray, owner
     if len(seen) < len(amps):
         first = np.unique(ids, return_index=True)[1]
         amps, ones, cls = amps[first], ones[first], ids[cls]
+    if op.kind == "RESET":
+        v = amps.reshape(len(amps), -1, 2, 1 << q)
+        np.copyto(v[:, :, 0, :], v[:, :, 1, :], where=ones[:, None, None])
+        np.copyto(v[:, :, 1, :], 0.0, where=ones[:, None, None])
     return amps, cls, ones
 
 
@@ -348,7 +360,8 @@ class StateVector:
         """Sample one qubit from its marginal, collapse, and renormalize."""
         self._check_target(q)
         u = np.array([rng.random()])
-        _, _, ones = measure_rows(self.amps.reshape(1, -1), q, u, np.zeros(1, np.intp))
+        _, _, ones = measure_rows(self.amps.reshape(1, -1), GateOp.measure(q), u,
+                                  np.zeros(1, np.intp))
         return int(ones[0])
 
     def reset_qubit(self, q: int, rng: np.random.Generator) -> None:

@@ -323,9 +323,9 @@ def test_shared_rows_split_and_merge_as_the_oracle(case, noise, merges, monkeypa
     # (row, outcome) rows, and rows with equal bytes merge again.
     collapses = []
 
-    def spy(amps, q, u, cls, owner=None):
+    def spy(amps, op, u, cls, owner=None):
         before = cls.tolist()
-        out, cls, ones = measure_rows(amps, q, u, cls, owner)
+        out, cls, ones = measure_rows(amps, op, u, cls, owner)
         pairs = len(set(zip(before, ones[cls].tolist())))
         collapses.append((len(amps), pairs, len(out)))
         return out, cls, ones

@@ -16,8 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arcwalk import Circuit, ConfigError, GateOp, WalkConfig, build_circuit, engine
+from arcwalk.circuits import with_zeno_measurements
 from arcwalk.engine import run_family, run_positions
-from arcwalk.sim import apply_unitary, measure_rows, permute_rows
+from arcwalk.sim import apply_rows, apply_unitary, measure_rows
 from test_batched_engine import NOISY, oracle_positions
 
 ARITY = {"X": 1, "H": 1, "RX": 1, "T": 1, "TDG": 1, "MEASURE": 1, "RESET": 1,
@@ -106,7 +107,7 @@ def spy_on_rows(monkeypatch):
         return call
 
     for name, kernel in [("apply_unitary", apply_unitary), ("measure_rows", measure_rows),
-                         ("permute_rows", permute_rows)]:
+                         ("apply_rows", apply_rows)]:
         monkeypatch.setattr(engine, name, spy(kernel))
     return held
 
@@ -163,7 +164,7 @@ def test_family_of_one_builds_no_variant_tables(monkeypatch):
     # The same ops in every member is a family with no differing position, run like one
     # circuit; so is one circuit.
     tables = []
-    monkeypatch.setattr(engine, "permute_rows", lambda *args: tables.append(args))
+    monkeypatch.setattr(engine, "apply_rows", lambda *args: tables.append(args))
     circuit = build_circuit(WalkConfig(4, 3, design="random_jump_cascading", seed=3))
     alone = run_positions(circuit, 20, base_seed=5)
     twice = run_family([circuit, circuit], 20, [5, 5])
@@ -174,8 +175,8 @@ def test_family_of_one_builds_no_variant_tables(monkeypatch):
 def test_noisy_family_permutes_its_differing_positions_in_one_call(monkeypatch):
     # Noise is a step after each op: a differing CNOT position of a noisy family runs
     # as one per-row gather, as when ideal, and the kicks follow.
-    tables, real = [], permute_rows
-    monkeypatch.setattr(engine, "permute_rows",
+    tables, real = [], apply_rows
+    monkeypatch.setattr(engine, "apply_rows",
                         lambda amps, ops, which: tables.append(ops) or real(amps, ops, which))
     circuits = [build_circuit(WalkConfig(3, 6, design="random_jump", seed=s)) for s in range(4)]
     differ = [j for j in range(6 * 2) if len({c.ops[j] for c in circuits}) > 1]
@@ -185,6 +186,33 @@ def test_noisy_family_permutes_its_differing_positions_in_one_call(monkeypatch):
     assert all(op.kind == "CNOT" for ops in tables for op in ops)
     for circuit, seed, positions in zip(circuits, seeds, got):
         assert np.array_equal(positions, oracle_positions(circuit, 25, NOISY, base_seed=seed))
+
+
+def angle_family():
+    """Members differing only in angles: arc at two base angles, and arc_walk at four
+    angles with a Zeno MEASURE of every counter qubit after each step."""
+    arc = [build_circuit(WalkConfig(3, 4, design="arc", base_angle=a)) for a in (0.7, 2.1)]
+    walk = [with_zeno_measurements(build_circuit(WalkConfig(3, 3, design="arc_walk",
+                                                            base_angle=a)), 1)
+            for a in (0.4, 1.3, 2.2, 3.0)]
+    return [arc, walk]
+
+
+@pytest.mark.parametrize("circuits", angle_family(), ids=["arc", "zeno_arc_walk"])
+@pytest.mark.parametrize("noise", [None, NOISY], ids=["ideal", "noisy"])
+def test_angle_family_applies_each_differing_position_in_one_call(circuits, noise, monkeypatch):
+    # RX and CRX positions whose angles differ run as one per-row kernel call each,
+    # beside the shared MEASUREs.
+    calls, real = [], apply_rows
+    monkeypatch.setattr(engine, "apply_rows",
+                        lambda amps, ops, which: calls.append(ops) or real(amps, ops, which))
+    differ = [j for j in range(len(circuits[0].ops)) if len({c.ops[j] for c in circuits}) > 1]
+    seeds = [31 * c for c in range(len(circuits))]
+    got = run_family(circuits, 20, seeds, noise)
+    assert differ and len(calls) == len(differ)
+    assert {op.kind for ops in calls for op in ops} <= {"RX", "CRX"}
+    for circuit, seed, positions in zip(circuits, seeds, got):
+        assert np.array_equal(positions, oracle_positions(circuit, 20, noise, base_seed=seed))
 
 
 @pytest.mark.parametrize("noisy", [False, True], ids=["ideal", "noisy"])

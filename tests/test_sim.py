@@ -12,7 +12,7 @@ from arcwalk import (
     OutOfRangeError,
     StateVector,
 )
-from arcwalk.sim import apply_1q, apply_unitary
+from arcwalk.sim import apply_1q, apply_rows, apply_unitary, measure_rows
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -139,6 +139,64 @@ class TestGates:
             want = chunk.copy()
             apply_1q(want, matrix, q)
             assert np.array_equal(got, want), q
+
+
+def random_rows(rng, rows: int, n_qubits: int) -> np.ndarray:
+    v = rng.standard_normal((rows, 1 << n_qubits)) + 1j * rng.standard_normal((rows, 1 << n_qubits))
+    return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+
+UNITARY_ARITY = {"X": 1, "H": 1, "RX": 1, "T": 1, "TDG": 1,
+                 "CNOT": 2, "CRX": 2, "SWAP": 2, "TOFFOLI": 3}
+
+
+class TestRowKernels:
+    @pytest.mark.parametrize("kind", sorted(UNITARY_ARITY))
+    def test_apply_rows_equals_each_row_alone(self, kind):
+        # Row r takes ops[which[r]]; the bytes must equal apply_unitary on that row alone.
+        rng = np.random.default_rng(len(kind))
+        for n in range(UNITARY_ARITY[kind], 7):
+            for distinct in (1, 2, 3):
+                ops = [GateOp(kind, tuple(rng.permutation(n)[: UNITARY_ARITY[kind]]),
+                              float(rng.uniform(0, 7)) if kind in ("RX", "CRX") else None)
+                       for _ in range(distinct)]
+                which = np.arange(5) % distinct
+                chunk = random_rows(rng, 5, n)
+                got = chunk.copy()
+                apply_rows(got, ops, which)
+                for r, v in enumerate(which.tolist()):
+                    want = chunk[r].copy()
+                    apply_unitary(want, ops[v])
+                    assert got[r].tobytes() == want.tobytes(), (n, distinct, r)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_reset_rows_equal_measure_then_x_on_the_ones(self, n):
+        # Row 3 is row 0 with qubit q flipped, so after the RESET the two hold equal bytes
+        # when row 0 reads 0 and row 3 reads 1; they must stay apart, as after a MEASURE
+        # and an X. Row 4 equals row 2, and both read 0 under one owner, so the two merge.
+        rng = np.random.default_rng(n)
+        for q in range(n):
+            chunk = random_rows(rng, 5, n)
+            chunk[3] = chunk[0]
+            apply_unitary(chunk[3:4], GateOp.x(q))
+            chunk[4] = chunk[2]
+            cls = np.concatenate([np.arange(5), rng.integers(0, 5, 9)])
+            u = rng.random(len(cls))
+            u[np.isin(cls, [0, 2, 4])], u[cls == 3] = 0.0, 1.0 - 2.0**-53
+            owner = np.array([0, 0, 1, 0, 1])
+            got, got_cls, got_ones = measure_rows(chunk.copy(), GateOp.reset(q), u, cls, owner)
+            want, want_cls, want_ones = measure_rows(chunk.copy(), GateOp.measure(q), u, cls,
+                                                     owner)
+            flip = np.flatnonzero(want_ones)
+            rows = want[flip]
+            apply_unitary(rows, GateOp.x(q))
+            want[flip] = rows
+            assert got.tobytes() == want.tobytes(), q
+            assert np.array_equal(got_cls, want_cls) and np.array_equal(got_ones, want_ones)
+            assert not got_ones[got_cls[cls == 0]].any() and got_ones[got_cls[cls == 3]].all()
+            zero, one = got_cls[cls == 0][0], got_cls[cls == 3][0]
+            assert zero != one and got[zero].tobytes() == got[one].tobytes()
+            assert got_cls[cls == 2][0] == got_cls[cls == 4][0]
 
 
 class TestProbabilities:
