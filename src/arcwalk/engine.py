@@ -5,13 +5,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import groupby
 
 import numpy as np
 
 from .circuits import DESIGNS, Circuit, WalkConfig, build_circuit, with_zeno_measurements
 from .noise import KickTape, NoiseModel, noisy_apply
 from .sim import MAX_QUBITS, ConfigError, GateOp, OutOfRangeError, apply_rows, apply_unitary
-from .sim import index_to_bits, measure_rows, sample_cdf
+from .sim import gather, gather_index, index_to_bits, is_permutation, measure_rows, sample_cdf
 
 RANDOM_JUMP_CIRCUITS = 30
 RANDOM_JUMP_SHOTS = 30
@@ -187,7 +188,7 @@ def _decode_index(index: np.ndarray, counter: range) -> np.ndarray:
 
 
 def _trajectories(start: np.ndarray, ops: list[GateOp], variants: dict, seeds: np.ndarray,
-                  stops: np.ndarray, circs: np.ndarray, noise, draws):
+                  stops: np.ndarray, circs: np.ndarray, noise, draws, gathers: dict):
     """Final basis index per shot of one chunk of a family's shots, shot i running op
     positions ``[0, stops[i])`` of circuit ``circs[i]`` from the ``(1, 2**n)`` row
     ``start``; see ``_sweep``. ``ops`` is the family's longest circuit, and
@@ -197,11 +198,13 @@ def _trajectories(start: np.ndarray, ops: list[GateOp], variants: dict, seeds: n
     after a collapse only within one circuit. The ``stops`` ascend, so the running
     shots are a suffix: when the op loop reaches a shot's stop, the shot retires (it
     samples its row's CDF and, under noise, draws its readout flips), and rows that no
-    running shot holds are dropped. Each op position is one kernel call, as in an ideal
-    run: a shared unitary runs on every row (``apply_unitary``), a differing position
-    gives each row its circuit's op in one gather (``apply_rows``), and a MEASURE or
-    RESET collapses the rows per shot (``measure_rows``, which also flips a RESET's rows
-    that read 1 back to |0>); under noise, ``noisy_apply`` then applies the op's kicks.
+    running shot holds are dropped. An ideal run's ``gathers[j] = (end, index)`` spans
+    positions ``[j, end)`` of shared permutation ops, run as one ``gather`` of every row;
+    every other op position is one kernel call: a shared unitary runs on every row
+    (``apply_unitary``), a differing position gives each row its circuit's op in one
+    gather (``apply_rows``), and a MEASURE or RESET collapses the rows per shot
+    (``measure_rows``, which also flips a RESET's rows that read 1 back to |0>); under
+    noise, which has no spans, ``noisy_apply`` then applies the op's kicks.
     Shot i draws from ``default_rng(seeds[i])``: one ``random()`` per collapse, each
     noisy gate's draws, one ``random()`` for the final sample, and ``random(n)`` for
     readout flips. Ideal shots draw only the ``random()`` calls, at most ``draws`` each,
@@ -275,6 +278,10 @@ def _trajectories(start: np.ndarray, ops: list[GateOp], variants: dict, seeds: n
             if len(amps) > cap:  # a collapse parted the rows beyond the cap
                 push(at, amps, cls, idx[live:])
                 break
+            if at in gathers:
+                at, g = gathers[at]
+                amps = gather(amps, g)
+                continue
             op, diff = ops[at], variants.get(at)
             at += 1
             if diff is not None:
@@ -302,7 +309,8 @@ def _sweep(circuits: list[Circuit], cuts: list[list[int]], shots: int,
     each circuit c, shot r of ``cuts[c][j]`` drawing from ``default_rng(seeds[c][j] + r)``;
     listed circuit by circuit, cut by cut. The circuits form a family: at each op
     position they hold ops of one kind, and the same MEASURE or RESET op (a circuit
-    may end early). One circuit is a family of one. While the run is ideal, the shared
+    may end early). One circuit is a family of one. While the run is ideal, each span of
+    two or more shared permutation ops that no cut parts is one gather, and the shared
     unitary ops before the first cut and the first MEASURE or RESET draw nothing, so
     they are applied once per run to the start row. Every shot, sorted by stop, then
     runs from a copy of that row per circuit in one batch of ``_trajectories`` chunks:
@@ -326,12 +334,32 @@ def _sweep(circuits: list[Circuit], cuts: list[list[int]], shots: int,
             if len({op.kind for op in seen}) > 1 or not ops[j].is_unitary:
                 raise ConfigError(f"op {j} of a family's circuits differs beyond targets or angle")
             variants[j] = (tuple(seen), np.array(which))
+    # Ideal spans of shared permutation ops (X, CNOT, SWAP, TOFFOLI; under noise each op
+    # draws its kicks): start -> (end, gather index), equal spans sharing one index.
+    gathers, composed = {}, {}
+    permutes = [noise is None and j not in variants and is_permutation(op)
+                for j, op in enumerate(ops)]
+    edges = sorted({0, *(c for run in cuts for c in run)})
+    for a, b in zip(edges, edges[1:]):
+        for permute, span in groupby(range(a, b), permutes.__getitem__):
+            span = list(span)
+            if permute and len(span) > 1:
+                key = tuple(ops[span[0] : span[-1] + 1])
+                g = composed.get(key)  # a tuple does not cache its hash: hash it once
+                if g is None:
+                    g = composed[key] = gather_index(n, key)
+                gathers[span[0]] = (span[-1] + 1, g)
     row, done = np.eye(1, 1 << n, dtype=np.complex128), 0
     shared = min(min(variants, default=len(ops)), *(run[0] for run in cuts))
     while noise is None and done < shared and ops[done].is_unitary:
-        apply_unitary(row, ops[done])
-        done += 1
+        if done in gathers:
+            done, g = gathers[done]
+            row = gather(row, g)
+        else:
+            apply_unitary(row, ops[done])
+            done += 1
     ops, variants = ops[done:], {j - done: v for j, v in variants.items()}
+    gathers = {j - done: (end - done, g) for j, (end, g) in gathers.items() if j >= done}
     # Draws each shot buffers: ideal, one uniform per collapse and one to sample; noisy, a
     # spare, beside the kick tape's block of CHUNK_DRAWS // 4 if ops follow.
     k = 1 + sum(not op.is_unitary for op in ops) if noise is None else WINDOW_COLUMNS
@@ -347,7 +375,7 @@ def _sweep(circuits: list[Circuit], cuts: list[list[int]], shots: int,
     out = np.empty(len(order), np.intp)
     out[order] = np.concatenate([
         _trajectories(row, ops, variants, shot_seeds[a : a + chunk], shot_stops[a : a + chunk],
-                      shot_circs[a : a + chunk], noise, k)
+                      shot_circs[a : a + chunk], noise, k, gathers)
         for a in range(0, len(order), chunk)])
     return list(out.reshape(-1, shots))
 
@@ -418,7 +446,8 @@ def run_step_positions(
     The cuts share one sweep, with the same bits: every cut's shots run from |0...0> as
     one batch, each op once per chunk for all of them, and a cut's shots retire at its
     mark. An ideal sweep with no MEASURE or RESET fits one chunk of up to ``2**18``
-    shots, so its ops are evolved once, on the one row every cut samples.
+    shots, so its ops are evolved once, on the one row every cut samples; there each
+    step of a ``binary`` circuit, whose ops all permute basis states, is one gather.
     """
     marks = [0, *circuit.steps_marks]
     if len(base_seeds) != len(marks):

@@ -174,14 +174,36 @@ def _pair_indices(n_qubits: int, targets: tuple[int, ...], swap: bool):
     return lo, hi
 
 
+def gather_index(n_qubits: int, ops) -> np.ndarray:
+    """The index ``g`` for which ``np.take(amps, g, axis=-1)`` equals applying the
+    permutation ops (X, CNOT, SWAP, TOFFOLI) in order, composed from their pair tables."""
+    g = np.arange(1 << n_qubits)
+    for op in ops:
+        lo, hi = _pair_indices(n_qubits, op.targets, op.kind == "SWAP")
+        g[lo], g[hi] = g[hi], g[lo]
+    return g
+
+
+def gather(amps: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Each row of ``amps`` gathered by ``g``, C-contiguous (``amps[:, g]`` is F-ordered)."""
+    return np.take(amps, g, axis=-1)
+
+
 # Batch-aware kernels. ``amps`` is one state of shape (2**n,) or a chunk of
 # trajectories of shape (B, 2**n), C-contiguous; every row gets the same
 # elementwise arithmetic as a lone state, so results agree bit for bit.
 
 
+def _view(amps: np.ndarray, *shape: int) -> np.ndarray:
+    """``amps`` reshaped as a view: ``reshape`` copies one that is not C-contiguous."""
+    if not amps.flags.c_contiguous:
+        raise ValueError("amplitude kernels need a C-contiguous array")
+    return amps.reshape(shape)
+
+
 def apply_1q(amps: np.ndarray, matrix: np.ndarray, q: int) -> None:
     """Apply a 2x2 matrix to qubit ``q`` of every row in place."""
-    v = amps.reshape(-1, 2, 1 << q)  # a 2**(q+1) block never straddles two rows
+    v = _view(amps, -1, 2, 1 << q)  # a 2**(q+1) block never straddles two rows
     a0, a1 = v[:, 0, :], v[:, 1, :]
     b0 = matrix[0, 0] * a0 + matrix[0, 1] * a1
     b1 = matrix[1, 0] * a0 + matrix[1, 1] * a1
@@ -193,6 +215,11 @@ def _matrix(op: GateOp):
     if op.kind in ROTATION_KINDS:
         return rx_matrix(op.theta)
     return MATRICES_1Q.get(op.kind)
+
+
+def is_permutation(op: GateOp) -> bool:
+    """True for X, CNOT, SWAP and TOFFOLI, the unitary ops whose ``_matrix`` is None."""
+    return op.kind in {"X", "CNOT", "SWAP", "TOFFOLI"}
 
 
 def apply_unitary(amps: np.ndarray, op: GateOp) -> None:
@@ -228,7 +255,7 @@ def _pair_update(amps: np.ndarray, lo: np.ndarray, hi: np.ndarray, u) -> None:
     2x2 ``u`` for all rows, or a ``(B, pairs)`` table and a ``(2, 2, B, 1)`` ``u`` per row."""
     # Gather through one flat view: 1-D fancy indexing is several times
     # cheaper per call than indexing the last axis of a 2-D chunk.
-    flat = amps.reshape(-1)
+    flat = _view(amps, -1)
     if flat.size > amps.shape[-1]:
         offsets = np.arange(0, flat.size, amps.shape[-1])[:, None]
         lo, hi = lo + offsets, hi + offsets
@@ -254,7 +281,7 @@ def measure_rows(amps: np.ndarray, op: GateOp, u: np.ndarray, cls: np.ndarray, o
     read 1 never merges with one that read 0 and ``ones[cls]`` is each shot's outcome.
     """
     rows, q = len(amps), op.targets[0]
-    v = amps.reshape(rows, -1, 2, 1 << q)
+    v = _view(amps, rows, -1, 2, 1 << q)
     sq = v.real**2 + v.imag**2
     # Contiguous copies, so each row sums pairwise in the order a lone state does.
     p0 = sq[:, :, 0, :].reshape(rows, -1).sum(axis=1)

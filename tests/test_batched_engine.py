@@ -30,7 +30,8 @@ from arcwalk import engine
 from arcwalk.circuits import or_inplace_block
 from arcwalk.engine import CHUNK_AMPS, CHUNK_SHOTS
 from arcwalk.noise import _injection_slots
-from arcwalk.sim import MAX_QUBITS, apply_unitary, index_to_bits, measure_rows, sample_cdf
+from arcwalk.sim import MAX_QUBITS, apply_unitary, gather, gather_index, index_to_bits
+from arcwalk.sim import measure_rows, sample_cdf
 
 
 def decode(bits: str, counter: range) -> int:
@@ -225,14 +226,26 @@ def test_ten_qubits_span_several_chunks_and_end_partial():
 
 
 def spy_on_unitaries(monkeypatch):
-    """The ops the engine applies through ``apply_unitary``, in order."""
-    applied = []
+    """The ops the engine applies through ``apply_unitary``, in order; a span of
+    permutation ops applied as one gather counts as its ops."""
+    applied, spans = [], {}
 
     def spy(amps, op):
         applied.append(op)
         apply_unitary(amps, op)
 
+    def compose(n, ops):
+        g = gather_index(n, ops)
+        spans[id(g)] = (g, list(ops))
+        return g
+
+    def take(amps, g):
+        applied.extend(spans[id(g)][1])
+        return gather(amps, g)
+
     monkeypatch.setattr(engine, "apply_unitary", spy)
+    monkeypatch.setattr(engine, "gather_index", compose)
+    monkeypatch.setattr(engine, "gather", take)
     return applied
 
 
@@ -379,6 +392,24 @@ def test_ideal_step_sweep_evolves_once_and_samples_each_step_count(design, width
         assert np.array_equal(positions, oracle_positions(cut, 40, base_seed=seed)), mark
     # ... and against run_positions of each step count's own circuit.
     assert_same_arrays(got, each_step_count(design, width, 6, 40, seeds))
+
+
+@pytest.mark.parametrize("width", [3, 5])
+def test_ideal_binary_sweep_gathers_each_step_once(width, monkeypatch):
+    # Every binary step is the same span of X, CNOT and TOFFOLI ops, which no cut parts:
+    # one gather index is composed, and the one chunk takes one gather per step.
+    applied, composed, gathered = [], [], []
+    monkeypatch.setattr(engine, "apply_unitary", lambda amps, op: applied.append(op))
+    monkeypatch.setattr(engine, "gather_index",
+                        lambda n, ops: composed.append(ops) or gather_index(n, ops))
+    monkeypatch.setattr(engine, "gather", lambda amps, g: gathered.append(g) or gather(amps, g))
+    full = build_circuit(WalkConfig(width, 6, design="binary"))
+    seeds = [derive_seed(19, s) for s in range(7)]
+    got = engine.run_step_positions(full, 40, seeds)
+    step = full.ops[: full.steps_marks[0]]
+    assert len(step) > 1 and full.ops == 6 * step
+    assert applied == [] and composed == [tuple(step)] and len(gathered) == 6
+    assert_cuts_match_oracle(full, got, 40, seeds, None)
 
 
 def test_ideal_step_sweep_runs_every_cut_in_one_chunk_and_one_uniform_block(monkeypatch):

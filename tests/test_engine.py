@@ -29,6 +29,7 @@ from arcwalk import (
 )
 from arcwalk import engine
 from arcwalk.circuits import or_inplace_block
+from test_batched_engine import spy_on_unitaries
 
 
 def decode(bits: str, counter: range) -> int:
@@ -253,10 +254,8 @@ class TestDistanceTable:
     @pytest.mark.parametrize("noise", [None, DEFAULT_NOISE], ids=["ideal", "noisy"])
     def test_prefix_designs_sweep_one_circuit(self, noise, monkeypatch):
         # One circuit per design at max_steps; an ideal table evolves each once.
-        built, applied = [], []
-        real_build, real_apply = engine.build_circuit, engine.apply_unitary
+        built, applied, real_build = [], spy_on_unitaries(monkeypatch), engine.build_circuit
         monkeypatch.setattr(engine, "build_circuit", lambda cfg: built.append(cfg) or real_build(cfg))
-        monkeypatch.setattr(engine, "apply_unitary", lambda a, op: applied.append(op) or real_apply(a, op))
         designs = ["binary", "arc", "arc_walk"]
         table = distance_table(designs, 4, 4, shots=30, noise=noise, seed=6)
         assert [(cfg.design, cfg.steps) for cfg in built] == [(d, 4) for d in designs]

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from arcwalk import Circuit, ConfigError, GateOp, WalkConfig, build_circuit, engine
 from arcwalk.circuits import with_zeno_measurements
 from arcwalk.engine import run_family, run_positions
-from arcwalk.sim import apply_rows, apply_unitary, measure_rows
+from arcwalk.sim import apply_rows, apply_unitary, gather_index, measure_rows
 from test_batched_engine import NOISY, oracle_positions
 
 ARITY = {"X": 1, "H": 1, "RX": 1, "T": 1, "TDG": 1, "MEASURE": 1, "RESET": 1,
@@ -186,6 +186,22 @@ def test_noisy_family_permutes_its_differing_positions_in_one_call(monkeypatch):
     assert all(op.kind == "CNOT" for ops in tables for op in ops)
     for circuit, seed, positions in zip(circuits, seeds, got):
         assert np.array_equal(positions, oracle_positions(circuit, 25, NOISY, base_seed=seed))
+
+
+def test_a_differing_position_ends_a_span_of_shared_permutations(monkeypatch):
+    # X(0) X(1), a CNOT that differs, then X(0) X(1) again: two equal spans of shared
+    # ops, one gather index for both, and the CNOT runs per row between them.
+    composed = []
+    monkeypatch.setattr(engine, "gather_index",
+                        lambda n, ops: composed.append(ops) or gather_index(n, ops))
+    circuits = [Circuit(3, range(0, 3), ops=[GateOp.x(0), GateOp.x(1), cnot, GateOp.x(0),
+                                             GateOp.x(1)]).validate()
+                for cnot in (GateOp.cnot(0, 2), GateOp.cnot(2, 0))]
+    got = run_family(circuits, 20, [3, 40])
+    assert composed == [(GateOp.x(0), GateOp.x(1))]
+    assert got[0].tolist() == [4] * 20 and got[1].tolist() == [0] * 20
+    for circuit, seed, positions in zip(circuits, [3, 40], got):
+        assert np.array_equal(positions, oracle_positions(circuit, 20, base_seed=seed))
 
 
 def angle_family():

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arcwalk import (
     DegenerateStateError,
@@ -12,7 +14,8 @@ from arcwalk import (
     OutOfRangeError,
     StateVector,
 )
-from arcwalk.sim import apply_1q, apply_rows, apply_unitary, measure_rows
+from arcwalk.sim import MATRICES_1Q, apply_1q, apply_rows, apply_unitary, gather, gather_index
+from arcwalk.sim import measure_rows
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -197,6 +200,53 @@ class TestRowKernels:
             zero, one = got_cls[cls == 0][0], got_cls[cls == 3][0]
             assert zero != one and got[zero].tobytes() == got[one].tobytes()
             assert got_cls[cls == 2][0] == got_cls[cls == 4][0]
+
+
+PERMUTATION_ARITY = {"X": 1, "CNOT": 2, "SWAP": 2, "TOFFOLI": 3}
+
+
+@st.composite
+def permutation_spans(draw):
+    """(n, rows, ops): 1-6 qubits, 1-4 rows and 1-12 X, CNOT, SWAP and TOFFOLI ops."""
+    n = draw(st.integers(1, 6))
+    kinds = sorted(kind for kind, arity in PERMUTATION_ARITY.items() if arity <= n)
+    ops = [GateOp(kind, tuple(draw(st.permutations(range(n)))[: PERMUTATION_ARITY[kind]]))
+           for kind in draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=12))]
+    return n, draw(st.integers(1, 4)), ops
+
+
+class TestGather:
+    @settings(max_examples=200, deadline=None)
+    @given(case=permutation_spans(), seed=st.integers(0, 2**32 - 1))
+    def test_composed_gather_equals_each_op_in_turn(self, case, seed):
+        n, rows, ops = case
+        chunk = random_rows(np.random.default_rng(seed), rows, n)
+        got = gather(chunk, gather_index(n, ops))
+        want = chunk.copy()
+        for op in ops:
+            apply_unitary(want, op)
+        assert got.flags.c_contiguous and got.tobytes() == want.tobytes()
+
+    def test_kernels_reject_a_chunk_that_is_not_c_contiguous(self):
+        # reshape copies such a chunk, so an in-place write would be lost without a word.
+        chunk = random_rows(np.random.default_rng(3), 4, 3)
+        g = gather_index(3, [GateOp.swap(0, 2)])
+        u, cls = np.full(4, 0.5), np.arange(4)
+        kernels = [
+            lambda a: apply_1q(a, MATRICES_1Q["H"], 1),
+            lambda a: apply_unitary(a, GateOp.x(0)),
+            lambda a: apply_unitary(a, GateOp.cnot(0, 1)),
+            lambda a: apply_unitary(a, GateOp.rx(2, 0.3)),
+            lambda a: apply_rows(a, [GateOp.x(0), GateOp.x(1)], np.arange(4) % 2),
+            lambda a: measure_rows(a, GateOp.measure(1), u, cls),
+        ]
+        for bad in (np.asfortranarray(chunk), chunk[:, g]):
+            assert not bad.flags.c_contiguous
+            before = bad.copy()
+            for kernel in kernels:
+                with pytest.raises(ValueError, match="C-contiguous"):
+                    kernel(bad)
+            assert bad.tobytes() == before.tobytes()
 
 
 class TestProbabilities:
