@@ -12,7 +12,8 @@ import numpy as np
 from .circuits import DESIGNS, Circuit, WalkConfig, build_circuit, with_zeno_measurements
 from .noise import KickTape, NoiseModel, noisy_apply
 from .sim import MAX_QUBITS, ConfigError, GateOp, OutOfRangeError, apply_rows, apply_unitary
-from .sim import gather, gather_index, index_to_bits, is_permutation, measure_rows, sample_cdf
+from .sim import gather, gather_index, index_to_bits, is_permutation, measure_rows, permute_basis
+from .sim import sample_cdf
 
 RANDOM_JUMP_CIRCUITS = 30
 RANDOM_JUMP_SHOTS = 30
@@ -204,7 +205,12 @@ def _trajectories(start: np.ndarray, ops: list[GateOp], variants: dict, seeds: n
     (``apply_unitary``), a differing position gives each row its circuit's op in one
     gather (``apply_rows``), and a MEASURE or RESET collapses the rows per shot
     (``measure_rows``, which also flips a RESET's rows that read 1 back to |0>); under
-    noise, which has no spans, ``noisy_apply`` then applies the op's kicks.
+    noise, which has no spans, ``noisy_apply`` then applies the op's kicks. A noisy
+    chunk whose ops up to its last stop are all X, CNOT, SWAP or TOFFOLI holds no rows
+    (``basis``): each shot holds the index of the one basis state it stays on, up to a
+    phase of 1, -1, 1j or -1j (see ``noise``), from 0. ``permute_basis`` moves it
+    through each op (per shot at a differing position), each kick XORs in its x, and
+    the shot retires with its index, which its row's CDF gives for every u in [0, 1).
     Shot i draws from ``default_rng(seeds[i])``: one ``random()`` per collapse, each
     noisy gate's draws, one ``random()`` for the final sample, and ``random(n)`` for
     readout flips. Ideal shots draw only the ``random()`` calls, at most ``draws`` each,
@@ -221,6 +227,7 @@ def _trajectories(start: np.ndarray, ops: list[GateOp], variants: dict, seeds: n
     This is the one loop that runs shots and the one place a CDF is sampled."""
     n, shots = start.shape[1].bit_length() - 1, len(seeds)
     cap, out, pending = max(1, CHUNK_AMPS >> n), np.empty(shots, np.intp), []
+    basis = noise is not None and all(map(is_permutation, ops[: stops[-1]]))
     if noise is None:
         block = _uniforms(seeds, draws)
         # An ideal shot's uniform column at position j: the MEASURE and RESET ops before j.
@@ -248,7 +255,9 @@ def _trajectories(start: np.ndarray, ops: list[GateOp], variants: dict, seeds: n
     push(0, None, np.unique(circs, return_inverse=True)[1].reshape(-1), np.arange(shots))
     while pending:
         at, amps, cls, idx = pending.pop()
-        if amps is None:
+        if amps is None and basis:  # the basis index of each running shot
+            amps = np.zeros(len(idx), np.intp)
+        elif amps is None:
             amps = start.repeat(int(cls.max()) + 1, axis=0)
         if noise is None:  # the group's uniforms, row i for shot idx[i]
             uniforms = block if len(idx) == shots else block[idx]
@@ -265,14 +274,19 @@ def _trajectories(start: np.ndarray, ops: list[GateOp], variants: dict, seeds: n
                 else:
                     retired = tape.retire(live, end)
                     u = retired[:, 0]
-                cdf = np.cumsum(amps.real**2 + amps.imag**2, axis=1)
-                sampled = sample_cdf(cdf[cls[:gone]] if len(cdf) > 1 else cdf[0], u)
+                if basis:  # |amp|**2 is exactly 1.0 at the index: the CDF gives it for every u
+                    sampled = amps[:gone]
+                else:
+                    cdf = np.cumsum(amps.real**2 + amps.imag**2, axis=1)
+                    sampled = sample_cdf(cdf[cls[:gone]] if len(cdf) > 1 else cdf[0], u)
                 if noise is not None:  # readout flips: bit k of the mask flips qubit k
                     sampled ^= (retired[:, 1:] < noise.readout_flip) @ (1 << np.arange(n))
                 out[idx[live:end]], live, cls = sampled, end, cls[gone:]
                 if live == len(idx):
                     break
-                if len(amps) > 1:  # drop the rows no running shot holds
+                if basis:
+                    amps = amps[gone:]
+                elif len(amps) > 1:  # drop the rows no running shot holds
                     keep, cls = np.unique(cls, return_inverse=True)
                     amps, cls = amps[keep], cls.reshape(-1)
             if len(amps) > cap:  # a collapse parted the rows beyond the cap
@@ -284,7 +298,11 @@ def _trajectories(start: np.ndarray, ops: list[GateOp], variants: dict, seeds: n
                 continue
             op, diff = ops[at], variants.get(at)
             at += 1
-            if diff is not None:
+            if basis:  # a differing position's targets come per shot, from its circuit
+                targets = op.targets if diff is None else (
+                    np.array([vop.targets for vop in diff[0]]).T[:, diff[1][circs[idx[live:]]]])
+                amps = permute_basis(amps, op.kind, targets)
+            elif diff is not None:
                 vops, which = diff
                 apply_rows(amps, vops, which[owner(amps, cls, idx[live:])])
             elif op.is_unitary:
@@ -298,7 +316,10 @@ def _trajectories(start: np.ndarray, ops: list[GateOp], variants: dict, seeds: n
                 amps, cls, ones = measure_rows(amps, op, u, cls, rows_of)
                 if op.kind == "RESET" and noise is not None:  # the X's draws hang on the outcome
                     tape.resolve(at, live, ones[cls])
-            if noise is not None:  # then each shot's Pauli kicks at the op
+            if basis:  # a kick moves the index by its x; its phase and z leave |amp| at 1
+                kicked, _, x, _ = tape.kicks(at - 1, live)
+                amps[kicked] ^= x
+            elif noise is not None:  # then each shot's Pauli kicks at the op
                 amps, cls = noisy_apply(amps, cls, tape.kicks(at - 1, live))
     return out
 
@@ -410,7 +431,9 @@ def run_positions(
     (``KickTape``), resolved before the state runs: it reads each shot's raw
     PCG64 outputs and replays numpy's ``random()`` and ``integers(3)`` on them,
     folding each shot's Pauli kicks at a gate into one signed permutation of
-    its row.
+    its row. A noisy chunk of X, CNOT, SWAP and TOFFOLI ops alone (a ``binary``
+    circuit's) keeps each shot on one basis state up to phase, so it holds just
+    that state's index, moved by bit arithmetic per op and by each kick's x.
     """
     return run_family([circuit], shots, [base_seed], noise)[0]
 

@@ -14,6 +14,13 @@ Noise is one step after each op: the engine applies every op as in an ideal run,
 then ``noisy_apply`` applies the kicks its shots drew there. A noisy shot's draws do
 not depend on its amplitudes, so ``KickTape`` resolves them from each shot's PCG64
 stream before its state runs.
+
+Every folded kick is a signed permutation, so where a chunk's ops are X, CNOT, SWAP
+and TOFFOLI alone, each shot stays 1, -1, 1j or -1j times one basis state and the
+engine tracks only its index: a kick XORs in its x and drops its phase and z. That is
+exact: the final sample reads |amplitude|**2, 1.0 at the index and 0.0 elsewhere,
+whatever the phase. It needs a composite op's kicks to follow the whole op; kicks
+inside a Toffoli's H and T constituents would make TOFFOLI no longer qualify.
 """
 
 from __future__ import annotations
@@ -467,7 +474,8 @@ def _fold(keys, bits, picks):
 
 def noisy_apply(state: np.ndarray, cls: np.ndarray, kicks):
     """Apply each shot's Pauli errors at one op, resolved ahead by a ``KickTape``, after
-    the engine has applied the op ideally.
+    the engine has applied the op ideally (a chunk that tracks basis indices instead
+    applies only each kick's x).
 
     ``state`` is a (U, 2**n) array of distinct states and shot s holds row ``cls[s]``.
     Each constituent of the op (after decomposition) exposes its qubits to an

@@ -189,6 +189,21 @@ def gather(amps: np.ndarray, g: np.ndarray) -> np.ndarray:
     return np.take(amps, g, axis=-1)
 
 
+def permute_basis(idx: np.ndarray, kind: str, targets) -> np.ndarray:
+    """Each basis index of ``idx`` (intp) moved by a permutation op of ``kind`` (X, CNOT,
+    SWAP, TOFFOLI) on ``targets``: ints, or one array per target with an entry per index.
+    X, CNOT and TOFFOLI flip the target (the last) where every control is set; SWAP
+    flips both of its qubits where they differ."""
+    *controls, target = targets
+    if kind == "SWAP":
+        differ = ((idx >> controls[0]) ^ (idx >> target)) & 1
+        return idx ^ ((differ << controls[0]) | (differ << target))
+    flip = 1
+    for c in controls:
+        flip = flip & (idx >> c)
+    return idx ^ ((flip & 1) << target)
+
+
 # Batch-aware kernels. ``amps`` is one state of shape (2**n,) or a chunk of
 # trajectories of shape (B, 2**n), C-contiguous; every row gets the same
 # elementwise arithmetic as a lone state, so results agree bit for bit.

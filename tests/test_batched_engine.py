@@ -485,6 +485,18 @@ def spy_on_noisy_gates(monkeypatch):
     return applied
 
 
+def spy_on_basis(monkeypatch):
+    """The (kind, targets) of every ``permute_basis`` call the engine makes, in order."""
+    moved, real = [], engine.permute_basis
+
+    def spy(idx, kind, targets):
+        moved.append((kind, targets))
+        return real(idx, kind, targets)
+
+    monkeypatch.setattr(engine, "permute_basis", spy)
+    return moved
+
+
 def assert_cuts_match_oracle(full, got, shots, seeds, noise):
     for mark, positions, seed in zip([0, *full.steps_marks], got, seeds):
         cut = Circuit(full.n_qubits, full.counter, ops=full.ops[:mark])
@@ -493,14 +505,22 @@ def assert_cuts_match_oracle(full, got, shots, seeds, noise):
 
 @pytest.mark.parametrize("design", PREFIX_DESIGNS)
 def test_noisy_step_sweep_runs_every_cut_in_one_batch(design, monkeypatch):
-    # Every cut's shots run together: each op of the longest prefix runs once, then
-    # noisy_apply once, and a cut's shots retire at its mark.
+    # Every cut's shots run together: each op of the longest prefix runs once, and a
+    # cut's shots retire at its mark. A binary circuit's ops all permute basis states,
+    # so each moves the shots' basis indices in one permute_basis call and no dense
+    # kernel runs; on the other designs each op runs, then noisy_apply once.
     chunks, gates = spy_on_chunks(monkeypatch), spy_on_noisy_gates(monkeypatch)
+    moved = spy_on_basis(monkeypatch)
     full = build_circuit(WalkConfig(3, 4, design=design))
     marks, seeds = [0, *full.steps_marks], [derive_seed(12, s) for s in range(5)]
     got = engine.run_step_positions(full, 24, seeds, noise=NOISY)
     assert chunks == [24 * len(marks)]
-    assert gates == [step for op in full.ops[: marks[-1]] for step in (op, KICKS)]
+    if design == "binary":
+        assert moved == [(op.kind, op.targets) for op in full.ops[: marks[-1]]]
+        assert gates == []
+    else:
+        assert gates == [step for op in full.ops[: marks[-1]] for step in (op, KICKS)]
+        assert moved == []
     assert_same_arrays(got, each_step_count(design, 3, 4, 24, seeds, noise=NOISY))
     assert_cuts_match_oracle(full, got, 24, seeds, NOISY)
 

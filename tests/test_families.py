@@ -19,57 +19,59 @@ from arcwalk import Circuit, ConfigError, GateOp, WalkConfig, build_circuit, eng
 from arcwalk.circuits import with_zeno_measurements
 from arcwalk.engine import run_family, run_positions
 from arcwalk.sim import apply_rows, apply_unitary, gather_index, measure_rows
-from test_batched_engine import NOISY, oracle_positions
+from test_batched_engine import NOISY, oracle_positions, spy_on_basis
 
 ARITY = {"X": 1, "H": 1, "RX": 1, "T": 1, "TDG": 1, "MEASURE": 1, "RESET": 1,
          "CNOT": 2, "CRX": 2, "SWAP": 2, "TOFFOLI": 3}
 # Seeds near 2**32 enter SeedSequence as two words; shot seeds past 2**64 take the
 # engine's per-shot path.
 SEED_BASES = (0, 2**32 - 6, 2**64 - 6)
+PERMUTATIONS = ("X", "CNOT", "SWAP", "TOFFOLI")
 
 
 @st.composite
-def families(draw):
-    """(circuits, cuts, seeds, shots): 1-4 circuits of one skeleton on 1-6 qubits, each
-    cut at 1-3 ascending prefix lengths, with one base seed per cut."""
+def families(draw, kinds=tuple(ARITY)):
+    """(circuits, cuts, seeds, shots): 1-4 circuits of one skeleton of ``kinds`` on 1-6
+    qubits, each cut at 1-3 ascending prefix lengths, with one base seed per cut. A
+    MEASURE or RESET is shared, and so is a drawn share of the other positions, so that
+    shared ops sit next to differing ones. A member's length, and then its top cut, is
+    the whole of what it may hold about half the time, so that few cuts part its ops."""
     n = draw(st.integers(1, 6))
-    kinds = sorted(kind for kind, arity in ARITY.items() if arity <= n)
+    kinds = sorted(kind for kind in kinds if ARITY[kind] <= n)
     skeleton = draw(st.lists(st.sampled_from(kinds), max_size=10))
     members = [[] for _ in range(draw(st.integers(1, 4)))]
+
+    def op(kind):
+        targets = draw(st.permutations(range(n)))[: ARITY[kind]]
+        theta = draw(st.sampled_from([0.3, 1.1, 2.5])) if kind in ("RX", "CRX") else None
+        return GateOp(kind, tuple(targets), theta)
+
     for kind in skeleton:
         shared = None
-        if kind in ("MEASURE", "RESET"):
-            shared = GateOp(kind, (draw(st.integers(0, n - 1)),))
+        if kind in ("MEASURE", "RESET") or draw(st.booleans()):
+            shared = op(kind)
         for ops in members:
-            if shared is None:
-                targets = draw(st.permutations(range(n)))[: ARITY[kind]]
-                theta = draw(st.sampled_from([0.3, 1.1, 2.5])) if kind in ("RX", "CRX") else None
-                ops.append(GateOp(kind, tuple(targets), theta))
-            else:
-                ops.append(shared)
+            ops.append(op(kind) if shared is None else shared)
     circuits, cuts, seeds = [], [], []
     base = draw(st.sampled_from(SEED_BASES))
     for ops in members:
-        length = draw(st.integers(0, len(ops)))
+        length = draw(st.sampled_from([len(ops), draw(st.integers(0, len(ops)))]))
         circuit = Circuit(n, range(0, n))
         circuit.add(*ops[:length])
         circuits.append(circuit.validate())
-        cuts.append(sorted(draw(st.sets(st.integers(0, length), min_size=1, max_size=3))))
+        top = draw(st.sampled_from([length, draw(st.integers(0, length))]))
+        cuts.append(sorted({top, *draw(st.sets(st.integers(0, top), max_size=2))}))
         seeds.append([base + draw(st.integers(0, 20)) for _ in cuts[-1]])
     return circuits, cuts, seeds, draw(st.integers(1, 6))
 
 
-@settings(max_examples=120, deadline=None)
-@given(case=families(), noisy=st.booleans(), rows=st.integers(1, 3),
-       draws=st.integers(1, 40), window=st.integers(1, 8))
-def test_every_member_matches_the_per_shot_oracle(case, noisy, rows, draws, window):
-    circuits, cuts, seeds, shots = case
-    noise = NOISY if noisy else None
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(engine, "CHUNK_AMPS", rows << circuits[0].n_qubits)
-        mp.setattr(engine, "CHUNK_DRAWS", draws)
-        mp.setattr(engine, "WINDOW_COLUMNS", window)
-        got = engine._sweep(circuits, cuts, shots, seeds, noise)
+def small_chunks(mp, n, rows, draws, window):
+    mp.setattr(engine, "CHUNK_AMPS", rows << n)
+    mp.setattr(engine, "CHUNK_DRAWS", draws)
+    mp.setattr(engine, "WINDOW_COLUMNS", window)
+
+
+def assert_members_match_oracle(got, circuits, cuts, seeds, shots, noise):
     want = [
         oracle_positions(Circuit(c.n_qubits, c.counter, ops=c.ops[:cut]), shots, noise,
                          base_seed=seed)
@@ -79,6 +81,84 @@ def test_every_member_matches_the_per_shot_oracle(case, noisy, rows, draws, wind
     assert len(got) == len(want)
     for g, w in zip(got, want):
         assert np.array_equal(g, w)
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=families(), noisy=st.booleans(), rows=st.integers(1, 3),
+       draws=st.integers(1, 40), window=st.integers(1, 8))
+def test_every_member_matches_the_per_shot_oracle(case, noisy, rows, draws, window):
+    circuits, cuts, seeds, shots = case
+    noise = NOISY if noisy else None
+    with pytest.MonkeyPatch.context() as mp:
+        small_chunks(mp, circuits[0].n_qubits, rows, draws, window)
+        got = engine._sweep(circuits, cuts, shots, seeds, noise)
+    assert_members_match_oracle(got, circuits, cuts, seeds, shots, noise)
+
+
+def no_dense_kernel(mp):
+    """Make every dense kernel of the engine fail the test if it is called."""
+    for name in ("apply_unitary", "apply_rows", "noisy_apply", "measure_rows", "gather"):
+        mp.setattr(engine, name, lambda *args, name=name: pytest.fail(f"{name} was called"))
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=families(PERMUTATIONS), rows=st.integers(1, 3), draws=st.integers(1, 40),
+       window=st.integers(1, 8))
+def test_noisy_permutation_family_runs_on_basis_indices(case, rows, draws, window):
+    # Every op is X, CNOT, SWAP or TOFFOLI, and every Pauli kick a signed permutation,
+    # so each noisy shot stays on one basis state up to a phase: its index alone runs,
+    # with no amplitude row, and its readout flips (0.05) still apply.
+    circuits, cuts, seeds, shots = case
+    with pytest.MonkeyPatch.context() as mp:
+        small_chunks(mp, circuits[0].n_qubits, rows, draws, window)
+        no_dense_kernel(mp)
+        got = engine._sweep(circuits, cuts, shots, seeds, NOISY)
+    assert_members_match_oracle(got, circuits, cuts, seeds, shots, NOISY)
+
+
+def permutation_family(extra=None):
+    """Two 3-qubit circuits of X, CNOT, SWAP and TOFFOLI ops that differ at their CNOT
+    and SWAP positions, with ``extra`` spliced in after the CNOT when given."""
+    circuits = []
+    for cnot, swap in [(GateOp.cnot(0, 1), GateOp.swap(1, 2)),
+                       (GateOp.cnot(0, 2), GateOp.swap(0, 1))]:
+        ops = [GateOp.x(0), cnot, GateOp.toffoli(0, 1, 2), swap, GateOp.x(1),
+               GateOp.toffoli(2, 1, 0)]
+        if extra is not None:
+            ops.insert(2, extra)
+        circuits.append(Circuit(3, range(0, 3), ops=ops * 2).validate())
+    return circuits
+
+
+def test_noisy_permutation_family_moves_indices_once_per_position(monkeypatch):
+    # One permute_basis call per position, with per-shot target arrays where the
+    # members differ, and no dense kernel call.
+    circuits = permutation_family()
+    moved = spy_on_basis(monkeypatch)
+    no_dense_kernel(monkeypatch)
+    got = run_family(circuits, 30, [5, 2**64 - 40], NOISY)
+    assert [kind for kind, _ in moved] == [op.kind for op in circuits[0].ops]
+    for (_, targets), a, b in zip(moved, circuits[0].ops, circuits[1].ops):
+        if a == b:
+            assert targets == a.targets
+        else:  # one array per target, one entry per shot: 30 of each circuit
+            assert [t.tolist() for t in targets] == [[ta] * 30 + [tb] * 30
+                                                     for ta, tb in zip(a.targets, b.targets)]
+    for circuit, seed, positions in zip(circuits, [5, 2**64 - 40], got):
+        assert np.array_equal(positions, oracle_positions(circuit, 30, NOISY, base_seed=seed))
+
+
+@pytest.mark.parametrize("extra", [GateOp.h(1), GateOp.rx(2, 1.1), GateOp.measure(0)],
+                         ids=["H", "RX", "MEASURE"])
+def test_one_dense_op_keeps_a_noisy_permutation_family_on_rows(extra, monkeypatch):
+    # An H, RX or MEASURE among the permutation ops can leave a shot in a superposition,
+    # so the chunk runs on amplitude rows, and still matches the oracle.
+    circuits = permutation_family(extra)
+    moved, rows = spy_on_basis(monkeypatch), spy_on_rows(monkeypatch)
+    got = run_family(circuits, 30, [9, 2**32 - 3], NOISY)
+    assert moved == [] and rows
+    for circuit, seed, positions in zip(circuits, [9, 2**32 - 3], got):
+        assert np.array_equal(positions, oracle_positions(circuit, 30, NOISY, base_seed=seed))
 
 
 @pytest.mark.parametrize("noise", [None, NOISY], ids=["ideal", "noisy"])
