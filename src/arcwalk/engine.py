@@ -39,8 +39,8 @@ RANDOM_DESIGNS = ("random_jump", "random_jump_cascading")  # a new circuit per s
 # block row by row, one ``random_raw`` call per shot that runs short (about 1 us plus
 # 3.6 ns per output on a 2 vCPU x86 host), and while it resolves a block its temporaries
 # take about as much again. A piece ends before one shot's row would pass the block (it
-# holds at least one op), and at each noisy RESET. The tape also holds a piece's
-# folded kicks and its uniforms: one per MEASURE or RESET and 1 + n to retire, per shot.
+# holds at least one op). The tape also holds a piece's folded kicks and its uniforms:
+# one per MEASURE or RESET and 1 + n to retire, per shot.
 # No chunk or group size changes a draw: shot r of a cut run at seed s draws from s + r.
 CHUNK_SHOTS = 1 << 12
 CHUNK_AMPS = 1 << 15
@@ -217,13 +217,13 @@ def _trajectories(start: np.ndarray, ops: list[GateOp], variants: dict, seeds: n
     so they take them from one ``_uniforms`` block whose column c serves every shot's
     c-th draw (a family's MEASURE and RESET ops are shared, so c is a function of the
     position); noisy shots take theirs from a ``KickTape``, which resolves them piece
-    by piece (``draws`` is each shot's spare): at the start, where a piece ends, and
-    after each noisy RESET, whose X only the shots that read 1 draw. When more than
-    ``CHUNK_AMPS >> n`` rows would run together (at the start or after a collapse), the
-    running shots split into row-disjoint groups of at most that many rows, and each
-    group runs the rest on its own; a waiting group holds a copy of its rows, or none
-    before its start rows are built (a noisy chunk holds no more shots than that, so it
-    never splits, and its shots are the chunk's in order).
+    by piece (``draws`` is each shot's spare): at the start and where a piece ends.
+    Every shot draws a noisy RESET's X; only the shots that read 1 take its kicks. When
+    more than ``CHUNK_AMPS >> n`` rows would run together (at the start or after a
+    collapse), the running shots split into row-disjoint groups of at most that many
+    rows, and each group runs the rest on its own; a waiting group holds a copy of its
+    rows, or none before its start rows are built (a noisy chunk holds no more shots
+    than that, so it never splits, and its shots are the chunk's in order).
     This is the one loop that runs shots and the one place a CDF is sampled."""
     n, shots = start.shape[1].bit_length() - 1, len(seeds)
     cap, out, pending = max(1, CHUNK_AMPS >> n), np.empty(shots, np.intp), []
@@ -314,13 +314,14 @@ def _trajectories(start: np.ndarray, ops: list[GateOp], variants: dict, seeds: n
                     u = tape.measure(at - 1, live)
                 rows_of = owner(amps, cls, idx[live:]) if variants else None
                 amps, cls, ones = measure_rows(amps, op, u, cls, rows_of)
-                if op.kind == "RESET" and noise is not None:  # the X's draws hang on the outcome
-                    tape.resolve(at, live, ones[cls])
             if basis:  # a kick moves the index by its x; its phase and z leave |amp| at 1
                 kicked, _, x, _ = tape.kicks(at - 1, live)
                 amps[kicked] ^= x
             elif noise is not None:  # then each shot's Pauli kicks at the op
-                amps, cls = noisy_apply(amps, cls, tape.kicks(at - 1, live))
+                kicks = tape.kicks(at - 1, live)
+                if op.kind == "RESET":  # every shot drew the X's kicks; those that read 1 take them
+                    kicks = tuple(k[ones[cls[kicks[0]]]] for k in kicks)
+                amps, cls = noisy_apply(amps, cls, kicks)
     return out
 
 

@@ -12,8 +12,8 @@ CNOT is error-free with probability ``fidelity_2q**2``.
 
 Noise is one step after each op: the engine applies every op as in an ideal run,
 then ``noisy_apply`` applies the kicks its shots drew there. A noisy shot's draws do
-not depend on its amplitudes, so ``KickTape`` resolves them from each shot's PCG64
-stream before its state runs.
+not depend on its amplitudes (every shot draws a RESET's X, whatever it reads), so
+``KickTape`` resolves them from each shot's PCG64 stream before its state runs.
 
 Every folded kick is a signed permutation, so where a chunk's ops are X, CNOT, SWAP
 and TOFFOLI alone, each shot stays 1, -1, 1j or -1j times one basis state and the
@@ -206,10 +206,10 @@ class KickTape:
     Shot s draws what ``np.random.Generator(bit_generators[s])`` would, in the engine's
     order: per noisy gate ``random(len(slots))``, then ``integers(3)`` per realized slot;
     one ``random()`` per MEASURE or RESET; and when it retires (at op position
-    ``stops[s]``), ``random(1)`` and ``random(n)``. No draw depends on the amplitudes
-    except a noisy RESET's X, which only the shots that read 1 draw. So a piece ends
-    with the next RESET, and the engine resolves the piece after it once that RESET's
-    outcomes are known.
+    ``stops[s]``), ``random(1)`` and ``random(n)``. A RESET's X draws as a noisy gate
+    right after the RESET's ``random()``, whatever the shot reads, and its kicks are
+    listed at the RESET for every shot: only the shots that read 1 take them. So no draw
+    depends on the amplitudes, and a piece ends only where a row would not fit a block.
 
     Raw outputs live in two buffers: ``held``, where each shot keeps at most ``spare``
     unread outputs for its next piece (made when a piece leaves any), and one block of
@@ -235,11 +235,10 @@ class KickTape:
         self.held = None  # shot s's unread outputs are held[s, :held_len[s]]
         self.held_len = np.zeros(len(bit_generators), np.intp)
         self.half = [None] * len(bit_generators)  # the kept high half, if any
-        self.next = 0  # the op position whose piece comes next, or -1: after a RESET
+        self.next = 0  # the op position whose piece comes next, or -1: none
 
-    def resolve(self, at: int, live: int, ones: np.ndarray | None = None) -> None:
-        """Resolve the piece that starts at op position ``at`` for the shots ``live`` on;
-        after a RESET, shot ``live + i`` read 1 there if ``ones[i]``."""
+    def resolve(self, at: int, live: int) -> None:
+        """Resolve the piece that starts at op position ``at`` for the shots ``live`` on."""
         ops, model, retire = self.ops, self.model, 1 + self.n
         thresh, below, ends, where, bits = [], [], [], [], []  # per column; a uniform: 0
         measured, mcols, varied = {}, [], []  # MEASURE/RESET: uniform index, column; variants
@@ -252,13 +251,10 @@ class KickTape:
             where.extend([j] * (len(thresh) - first))
             bits.extend(_slot_bits(op))
 
-        if ones is not None:  # the RESET's X, read by the shots that read 1
-            gate(at - 1, GateOp.x(ops[at - 1].targets[0]))
-        skip = len(thresh)  # the columns the shots that read 0 skip
-        starts, end, reset = [], at, False
-        while end < len(ops) and not reset:
+        starts, end = [], at
+        while end < len(ops):
             op = ops[end]
-            width = len(_injection_slots(op)) if op.is_unitary else 1
+            width = len(_injection_slots(op)) if op.is_unitary else 1 + (op.kind == "RESET")
             if end > at and len(thresh) + width + retire + 2 * self.spare > self.draws:
                 break
             starts.append(len(thresh))
@@ -271,15 +267,16 @@ class KickTape:
                 mcols.append(len(thresh))
                 thresh.append(0), below.append(0), ends.append(len(thresh))
                 where.append(end), bits.append(0)
-            end, reset = end + 1, op.kind == "RESET"
+                if op.kind == "RESET":
+                    gate(end, GateOp.x(op.targets[0]))
+            end += 1
         starts.append(len(thresh))
-        last = end == len(ops) and not reset  # the shots that stop at the end retire here
-        self.next = -1 if last or reset else end
-        # Shot live + i reads columns [off[i], lim[i]), then its retiring draws if it stops here.
+        last = end == len(ops)  # the shots that stop at the end retire here
+        self.next = -1 if last else end
+        # Shot live + i reads columns [0, lim[i]), then its retiring draws if it stops here.
         stops = self.stops[live:]
         lim = np.array(starts)[np.minimum(stops, end) - at]
         top = lim + retire * ((stops < end) | last)
-        off = np.zeros(len(stops), np.intp) if ones is None else np.where(ones, 0, skip)
         self.first, self.at, self.measured = live, at, measured
         self.uniforms = np.empty((len(stops), len(measured) + retire))
         piece = _Piece(thresh, ends, np.array(below + [0], np.uint64),
@@ -288,11 +285,11 @@ class KickTape:
         if piece.keep and self.held is None:
             self.held = np.empty((len(self.gens), self.spare), np.uint64)
         hits, picks, owner = [], [], []
-        widest = int((top - off).max(initial=0)) + self.spare  # a block row, at most
+        widest = int(top.max(initial=0)) + self.spare  # a block row, at most
         batch = max(1, (self.draws - self.spare) // widest)
         for a in range(0, len(stops), batch):
             b = slice(a, a + batch)
-            got = self._batch(piece, live + a, off[b], lim[b], top[b])
+            got = self._batch(piece, live + a, lim[b], top[b])
             hits += got[0]
             picks += got[1]
             owner += got[2]
@@ -304,11 +301,11 @@ class KickTape:
                 vops, which = self.variants[j]
                 vbits = np.array([_slot_bits(vop) for vop in vops])
                 bit[on] = vbits[which[self.circs[owner[on]]], hits[on] - first]
-        first, phase, x, z = _fold(owner * (end - at + 2) + pos, bit, picks)
+        first, phase, x, z = _fold(owner * (end - at) + pos, bit, picks)
         kshot, kpos = owner[first], pos[first]
         order = np.lexsort((kshot, kpos))
         self.kshot, self.kphase, self.kx, self.kz = kshot[order], phase[order], x[order], z[order]
-        self.kstart = np.searchsorted(kpos[order], np.arange(at - 1, end + 1)).tolist()
+        self.kstart = np.searchsorted(kpos[order], np.arange(at, end + 1)).tolist()
 
     def _read(self, s0: int, need: np.ndarray) -> tuple[np.ndarray, int, np.ndarray]:
         """A block of the raw outputs of the shots ``s0`` on, row w for shot s0 + w, which
@@ -328,31 +325,31 @@ class KickTape:
             block[w, had[w] : size[w]] = self.gens[s0 + w].random_raw(int(size[w] - had[w]))
         return buffer, width, size
 
-    def _batch(self, piece, s0, off, lim, top):
-        """Resolve the shots ``s0`` on (one per entry of ``off``) from one block of their
-        raw outputs (see ``_read``). Column c of shot s0 + w reads ``block[w, c + d]``,
-        with d = -off[w] until a pick moves it on. Only the shots with an error at that
-        first alignment are walked; the others kick nowhere, so it holds throughout.
-        Returns the hit columns, their picks and their shots.
+    def _batch(self, piece, s0, lim, top):
+        """Resolve the shots ``s0`` on (one per entry of ``lim``) from one block of their
+        raw outputs (see ``_read``). Column c of shot s0 + w reads ``block[w, c]`` until a
+        pick moves it on. Only the shots with an error at that first alignment are
+        walked; the others kick nowhere, so it holds throughout. Returns the hit
+        columns, their picks and their shots.
         """
-        spare, below = self.spare, piece.below
-        buffer, width, size = self._read(s0, top - off)
-        block = buffer[: len(off) * width].reshape(len(off), width)
+        spare, below, shots = self.spare, piece.below, len(lim)
+        buffer, width, size = self._read(s0, top)
+        block = buffer[: shots * width].reshape(shots, width)
         cand = np.flatnonzero(block <= piece.below_max)  # only these outputs can err
         who, pos = np.divmod(cand, width)
         real = pos < size[who]
         cand, who, pos = cand[real], who[real], pos[real]
-        vals, col = block.ravel()[cand], pos + off[who]
-        first = (col < lim[who]) & (vals <= below[np.minimum(col, len(below) - 1)])
-        bounds = np.searchsorted(who, np.arange(len(off) + 1)).tolist()
-        pos, vals, d = pos.tolist(), vals.tolist(), -off
-        end = top - off  # where each shot's reads end in its row
+        vals = block.ravel()[cand]
+        first = (pos < lim[who]) & (vals <= below[np.minimum(pos, len(below) - 1)])
+        bounds = np.searchsorted(who, np.arange(shots + 1)).tolist()
+        pos, vals = pos.tolist(), vals.tolist()
+        end = top.copy()  # where each shot's reads end in its row
         hits, picks, owner, grown = [], [], [], {}  # grown: the rows walks read on past
         # Per shift of a shot's columns: the shot, the column from which it holds, its d.
         shift_shot, shift_col, shift_d = [-1], [0], [0]
-        for w in np.flatnonzero(np.bincount(who[first], minlength=len(off))).tolist():
+        for w in np.flatnonzero(np.bincount(who[first], minlength=shots)).tolist():
             s, row, mine = s0 + w, block[w, : size[w]], slice(bounds[w], bounds[w + 1])
-            args = int(d[w]), int(lim[w]), int(top[w])
+            args = int(lim[w]), int(top[w])
             got = self._walk(piece, s, row, pos[mine], vals[mine], *args)
             while got is None:  # its picks ran past its row (rare): read on, walk it again
                 row = grown[w] = np.concatenate([row, self.gens[s].random_raw(spare)])
@@ -371,14 +368,14 @@ class KickTape:
         mcols, measures, span = piece.mcols, len(piece.mcols) - 1, piece.span
         q = np.searchsorted(mcols[:measures], lim)
         count = q + top - lim
-        u_shot = np.repeat(np.arange(len(off)), count)
+        u_shot = np.repeat(np.arange(shots), count)
         j = np.arange(len(u_shot)) - np.repeat(np.cumsum(count) - count, count)
         early = j < q[u_shot]
         u_col = np.where(early, mcols[np.minimum(j, measures)], lim[u_shot] + j - q[u_shot])
         shift_shot, shift_d = np.array(shift_shot), np.array(shift_d)
         i = np.searchsorted(shift_shot * span + np.array(shift_col), u_shot * span + u_col,
                             side="right") - 1
-        u_pos = u_col + np.where(shift_shot[i] == u_shot, shift_d[i], d[u_shot])
+        u_pos = u_col + np.where(shift_shot[i] == u_shot, shift_d[i], 0)
         raw = block[u_shot, np.minimum(u_pos, width - 1)]
         for w, row in grown.items():
             mine = u_shot == w
@@ -386,7 +383,7 @@ class KickTape:
         self.uniforms[s0 - self.first + u_shot, np.where(early, j, measures + j - q[u_shot])] = (
             (raw >> np.uint64(11)) * (1.0 / (1 << 53)))
         if piece.keep:  # the outputs each shot leaves unread, for its next piece
-            rows, at = slice(s0, s0 + len(off)), np.arange(len(off)) * width
+            rows, at = slice(s0, s0 + shots), np.arange(shots) * width
             windows = np.lib.stride_tricks.sliding_window_view(buffer, spare)
             self.held[rows] = windows[at + np.minimum(end, width)]
             for w, row in grown.items():
@@ -395,14 +392,14 @@ class KickTape:
             self.held_len[rows] = size - end
         return hits, picks, owner
 
-    def _walk(self, piece, s, raw, cand, vals, d, lim, top):
+    def _walk(self, piece, s, raw, cand, vals, lim, top):
         """Walk shot s from its first candidate: ``cand`` are the indices into ``raw`` of
         its outputs below the largest threshold, ``vals`` those outputs, and its column c
-        reads ``raw[c + d]`` until a pick moves it on. Returns its hit columns, picks, the
-        columns from which d grew and d from each on, and its kept half; or None if it
-        would read past the end of ``raw``."""
+        reads ``raw[c + d]``, with d = 0 until a pick moves it on. Returns its hit columns,
+        picks, the columns from which d grew and d from each on, and its kept half; or
+        None if it would read past the end of ``raw``."""
         thresh, ends, half = piece.thresh, piece.ends, self.half[s]
-        floor, k, stop = 0, 0, len(raw)
+        d, floor, k, stop = 0, 0, 0, len(raw)
         hits, picks, moved, shifts = [], [], [], []
         while k < len(cand):
             i, k = cand[k], k + 1
@@ -441,8 +438,9 @@ class KickTape:
 
     def kicks(self, j: int, live: int):
         """(shots, phase, x, z) of the kicks at op position ``j``, shot i being ``live + i``:
-        what ``noisy_apply`` applies after the op."""
-        at = slice(*self.kstart[j - self.at + 1 : j - self.at + 3])
+        what ``noisy_apply`` applies after the op (at a RESET, every shot's kicks of the
+        X, which only the shots that read 1 take)."""
+        at = slice(*self.kstart[j - self.at : j - self.at + 2])
         return self.kshot[at] - live, self.kphase[at], self.kx[at], self.kz[at]
 
     def measure(self, j: int, live: int) -> np.ndarray:

@@ -65,6 +65,38 @@ def families(draw, kinds=tuple(ARITY)):
     return circuits, cuts, seeds, draw(st.integers(1, 6))
 
 
+@st.composite
+def permutation_runs(draw):
+    """(circuits, cuts, seeds, shots) as ``families`` gives them: 2-4 circuits on 2-6
+    qubits that share one RX layer, then run 2-10 X, CNOT, SWAP and TOFFOLI ops, each
+    shared or drawn per member, and at least one drawn per member. Each member is cut at
+    its end and at 0-3 points inside the run. The layer's angles differ by qubit, so the
+    basis states' probabilities nearly all differ, and a member that ran another's
+    permutation at a differing position would sample other positions."""
+    n = draw(st.integers(2, 6))
+    kinds = [kind for kind in PERMUTATIONS if ARITY[kind] <= n]
+    layer = [GateOp.rx(q, 0.4 + 0.5 * q) for q in range(n)]
+    members = [list(layer) for _ in range(draw(st.integers(2, 4)))]
+    skeleton = draw(st.lists(st.sampled_from(kinds), min_size=2, max_size=10))
+    differ = draw(st.sets(st.integers(0, len(skeleton) - 1), min_size=1))
+
+    def op(kind):
+        return GateOp(kind, tuple(draw(st.permutations(range(n)))[: ARITY[kind]]))
+
+    for j, kind in enumerate(skeleton):
+        shared = None if j in differ else op(kind)
+        for ops in members:
+            ops.append(op(kind) if shared is None else shared)
+    circuits, cuts, seeds = [], [], []
+    base = draw(st.sampled_from(SEED_BASES))
+    for ops in members:
+        circuits.append(Circuit(n, range(0, n), ops=ops).validate())
+        inside = draw(st.sets(st.integers(n + 1, len(ops) - 1), max_size=3))
+        cuts.append(sorted({len(ops), *inside}))
+        seeds.append([base + draw(st.integers(0, 20)) for _ in cuts[-1]])
+    return circuits, cuts, seeds, draw(st.integers(4, 12))
+
+
 def small_chunks(mp, n, rows, draws, window):
     mp.setattr(engine, "CHUNK_AMPS", rows << n)
     mp.setattr(engine, "CHUNK_DRAWS", draws)
@@ -93,6 +125,16 @@ def test_every_member_matches_the_per_shot_oracle(case, noisy, rows, draws, wind
         small_chunks(mp, circuits[0].n_qubits, rows, draws, window)
         got = engine._sweep(circuits, cuts, shots, seeds, noise)
     assert_members_match_oracle(got, circuits, cuts, seeds, shots, noise)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=permutation_runs())
+def test_ideal_spans_stop_at_differing_positions(case):
+    # A gather span of shared permutation ops must not take in a differing position,
+    # where each member runs its own op, whether or not a cut falls inside the run.
+    circuits, cuts, seeds, shots = case
+    got = engine._sweep(circuits, cuts, shots, seeds, None)
+    assert_members_match_oracle(got, circuits, cuts, seeds, shots, None)
 
 
 def no_dense_kernel(mp):

@@ -217,6 +217,21 @@ class TestNoisyApply:
             bound = 4.0 * math.sqrt(p * (1 - p) / n)
             assert abs(counts[bits] / n - p) <= bound, (bits, counts[bits] / n, p)
 
+    @pytest.mark.parametrize("flip", [0.0, 0.1])
+    def test_noisy_reset_channel_frequency(self, flip):
+        # H then RESET: a Pauli kick after H leaves the qubit reading 1 with probability
+        # 1/2. A shot that reads 1 takes the reset's X, whose slot errs with probability
+        # 1 - f and then flips the qubit back to 1 in 2 of 3 picks; a shot that reads 0
+        # takes no kick. So q = (1 - f) / 3, before the readout flip.
+        f, n = 0.25, 20_000
+        circuit = Circuit(n_qubits=1, counter=range(0, 1))
+        circuit.add(GateOp.h(0), GateOp.reset(0))
+        model = NoiseModel(fidelity_1q=f, fidelity_2q=0.5, readout_flip=flip)
+        ones = run_positions(circuit.validate(), n, noise=model, base_seed=2024).mean()
+        q = 0.5 * (1 - f) * 2 / 3
+        p = q * (1 - flip) + (1 - q) * flip
+        assert abs(ones - p) <= 4.0 * math.sqrt(p * (1 - p) / n), (ones, p)
+
     def test_norm_preserved_under_noise(self):
         model = NoiseModel(fidelity_1q=0.9, fidelity_2q=0.8)
         streams = one_stream(4)

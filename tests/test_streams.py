@@ -44,12 +44,12 @@ def test_rows_equal_default_rng(base_seed, shots, k):
 PICKS = ((0, 1, 0), (3, 1, 1), (0, 0, 1))  # X, Y, Z as (phase, x / b, z / b)
 
 
-def generator_draws(bit_generator, ops, model, stop, n, ones):
+def generator_draws(bit_generator, ops, model, stop, n):
     """What ``np.random.Generator(bit_generator)`` gives one shot that runs ``ops[:stop]``,
     read in the engine's order: {position: (phase, x, z)} of its kicks, folded in slot
     order; {position: uniform} of its MEASUREs and RESETs; and its retiring uniforms.
-    The shot reads 1 at its i-th RESET if ``ones[i]``, and then draws the X's noise."""
-    gen, kicks, uniforms, resets = np.random.Generator(bit_generator), {}, {}, iter(ones)
+    After a RESET's uniform the shot draws the X's noise, whatever it reads."""
+    gen, kicks, uniforms = np.random.Generator(bit_generator), {}, {}
 
     def noisy(j, op):
         slots = _injection_slots(op)
@@ -68,17 +68,16 @@ def generator_draws(bit_generator, ops, model, stop, n, ones):
             noisy(j, op)
             continue
         uniforms[j] = gen.random()
-        if op.kind == "RESET" and next(resets):
+        if op.kind == "RESET":
             noisy(j, GateOp.x(op.targets[0]))
     return kicks, uniforms, gen.random(1 + n)
 
 
-def tape_draws(tape, ops, stops, ones):
+def tape_draws(tape, ops, stops):
     """The same, for every shot, read from ``tape`` as the engine reads it (``stops``
-    ascending; shot s reads 1 at its i-th RESET if ``ones[s][i]``)."""
+    ascending)."""
     shots, live = len(stops), 0
     kicks, uniforms, retired = [{} for _ in stops], [{} for _ in stops], [None] * shots
-    resets = 0
     for j in range(len(ops) + 1):
         if j == tape.next:
             tape.resolve(j, live)
@@ -89,30 +88,22 @@ def tape_draws(tape, ops, stops, ones):
             live = end
         if live == shots:
             break
-        if ops[j].is_unitary:
-            for s, phase, x, z in zip(*tape.kicks(j, live)):
-                kicks[live + s][j] = (phase, x, z)
-            continue
-        for s, u in enumerate(tape.measure(j, live), start=live):
-            uniforms[s][j] = u
-        if ops[j].kind == "RESET":
-            read = np.array([ones[s][resets] for s in range(live, shots)], bool)
-            tape.resolve(j + 1, live, read)
-            resets += 1
-            for s, phase, x, z in zip(*tape.kicks(j, live)):
-                kicks[live + s][j] = (phase, x, z)
+        if not ops[j].is_unitary:
+            for s, u in enumerate(tape.measure(j, live), start=live):
+                uniforms[s][j] = u
+        for s, phase, x, z in zip(*tape.kicks(j, live)):  # a RESET's: every shot's X kicks
+            kicks[live + s][j] = (phase, x, z)
     return kicks, uniforms, retired
 
 
-def assert_tape_matches_generators(bit_generators, twins, ops, model, stops, n, ones,
-                                   draws, spare):
+def assert_tape_matches_generators(bit_generators, twins, ops, model, stops, n, draws, spare):
     """The tape over ``bit_generators`` against numpy Generators over ``twins``, equal
     bit generators."""
     tape = KickTape(bit_generators, ops, {}, np.zeros(len(stops), np.intp), stops, model, n,
                     draws, spare)
-    got = tape_draws(tape, ops, stops, ones)
+    got = tape_draws(tape, ops, stops)
     for s, twin in enumerate(twins):
-        kicks, uniforms, retired = generator_draws(twin, ops, model, stops[s], n, ones[s])
+        kicks, uniforms, retired = generator_draws(twin, ops, model, stops[s], n)
         assert got[0][s] == kicks, s
         assert got[1][s] == uniforms, s
         assert np.array_equal(got[2][s], retired), s
@@ -133,12 +124,11 @@ def test_windows_replay_generator_draws(base_seed, width):
     for _ in range(4):
         ops = [KINDS[i] for i in rng.integers(0, len(KINDS), size=int(rng.integers(0, 30)))]
         stops = np.sort(rng.integers(0, len(ops) + 1, size=shots))
-        ones = rng.random((shots, len(ops))) < 0.5
         model = NoiseModel(*rng.choice([0.5, 0.9, 1.0], size=2), 0.0)
         draws = int(rng.choice([1, 30, 100, CHUNK_DRAWS]))
         gens = [np.random.PCG64(base_seed + i) for i in range(shots)]
         twins = [np.random.PCG64(base_seed + i) for i in range(shots)]
-        assert_tape_matches_generators(gens, twins, ops, model, stops, 3, ones, draws, width)
+        assert_tape_matches_generators(gens, twins, ops, model, stops, 3, draws, width)
 
 
 PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
@@ -188,7 +178,7 @@ def test_lemire_rejection_matches_generator(raw, reads):
     stops = np.array([len(ops)])
     model = NoiseModel(fidelity_1q=1e-12)
     kicks, uniforms, _ = assert_tape_matches_generators(
-        [rewound()], [rewound()], ops, model, stops, 2, [[]], CHUNK_DRAWS, 1)
+        [rewound()], [rewound()], ops, model, stops, 2, CHUNK_DRAWS, 1)
     assert len(kicks[0]) == reads.count("int")
     if reads[0] == "random":
         assert uniforms[0][1] == 0.0
@@ -215,13 +205,18 @@ def test_noisy_measure_and_reset_match_the_oracle(base_seed):
 
 
 @pytest.mark.parametrize("fidelity", [1e-17, 2.0**-54])
-def test_slots_that_always_err_match_the_oracle(fidelity):
-    # 1 - fidelity rounds to 1, so every 1q slot errs: its threshold is 2**64. The noisy
-    # RESETs carry each shot's unread outputs and kept half across pieces.
+def test_slots_that_always_err_match_the_oracle(fidelity, monkeypatch):
+    # 1 - fidelity rounds to 1, so every 1q slot errs: its threshold is 2**64. A small
+    # draw budget cuts a shot's 122 columns into pieces of at most 51, so each shot
+    # carries its unread outputs and kept half across pieces, noisy RESETs among them.
+    monkeypatch.setattr(engine, "CHUNK_DRAWS", 1 << 8)
+    monkeypatch.setattr(engine, "WINDOW_COLUMNS", 1 << 2)
+    opened = spy_on_tapes(monkeypatch)
     circuit = build_circuit(WalkConfig(2, 3, design="random_jump_cascading"))
     noise = NoiseModel(fidelity, 0.9, 0.02)
     assert 1.0 - noise.fidelity_1q == 1.0
     got = run_positions(circuit, 30, noise=noise, base_seed=3)
+    assert len(opened) == 1 and opened[0].held is not None
     assert np.array_equal(got, oracle_positions(circuit, 30, noise, base_seed=3))
 
 
@@ -262,13 +257,18 @@ def spy_on_tapes(monkeypatch):
         (WalkConfig(1, 100, design="arc"), CHUNK_SHOTS),  # many shots: CHUNK_DRAWS binds
         (WalkConfig(6, 4, design="binary"), 16),  # long draws: WINDOW_COLUMNS binds
         (WalkConfig(3, 0, design="arc"), 8),  # only readout draws
-        # Noisy RESETs: every shot of a full chunk holds outputs between pieces.
+        # Noisy RESETs under a draw budget of 2 pieces per shot: every shot of a full
+        # chunk holds outputs between pieces.
         (WalkConfig(3, 2, design="random_jump_cascading"), 800),
     ],
 )
 def test_noisy_window_memory_is_bounded(config, shots, monkeypatch):
     # A chunk buffers at most CHUNK_DRAWS raw outputs: its shots' WINDOW_COLUMNS unread
     # outputs each between pieces, beside the one block the tape reads a batch into.
+    if config.design == "random_jump_cascading":  # 84 columns per shot, pieces of <= 50
+        monkeypatch.setattr(engine, "CHUNK_DRAWS", 1 << 8)
+        monkeypatch.setattr(engine, "WINDOW_COLUMNS", 1 << 2)
+    draws, window = engine.CHUNK_DRAWS, engine.WINDOW_COLUMNS
     opened = spy_on_tapes(monkeypatch)
     circuit = build_circuit(config)
     run_positions(circuit, shots, noise=NoiseModel(0.99, 0.97, 0.01), base_seed=5)
@@ -276,11 +276,12 @@ def test_noisy_window_memory_is_bounded(config, shots, monkeypatch):
     for tape in opened:
         held = 0 if tape.held is None else tape.held.size
         assert held in (0, len(tape.gens) * tape.spare)
-        assert tape.spare <= WINDOW_COLUMNS and max(tape.reads) <= CHUNK_DRAWS // 4
-        assert held + max(tape.blocks) <= CHUNK_DRAWS
-        assert max(tape.blocks) <= CHUNK_DRAWS // 4
+        assert tape.spare <= window and max(tape.reads) <= draws // 4
+        assert held + max(tape.blocks) <= draws
+        assert max(tape.blocks) <= draws // 4
     if config.design == "random_jump_cascading":
-        assert max(len(tape.gens) for tape in opened if tape.held is not None) == 768
+        full = (draws - draws // 4) // window  # 48 shots
+        assert max(len(tape.gens) for tape in opened if tape.held is not None) == full
 
 
 def test_pieces_keep_reads_within_a_small_draw_budget(monkeypatch):
@@ -295,3 +296,20 @@ def test_pieces_keep_reads_within_a_small_draw_budget(monkeypatch):
     assert len(opened[0].reads) >= 3 * 12  # at least three pieces per shot
     assert np.array_equal(got, oracle_positions(circuit, 12, NoiseModel(0.99, 0.97, 0.01),
                                                 base_seed=5))
+
+
+def test_noisy_resets_resolve_one_piece_per_chunk(monkeypatch):
+    # Every shot draws a RESET's X noise, whatever it reads, so no draw waits on an
+    # outcome: with no draw-budget split, each chunk's tape resolves one piece. Chunks
+    # of 16 shots.
+    circuit = build_circuit(WalkConfig(3, 4, design="random_jump_cascading", seed=2))
+    monkeypatch.setattr(engine, "CHUNK_AMPS", 16 << circuit.n_qubits)
+    opened, resolved = spy_on_tapes(monkeypatch), []
+    real = engine.KickTape.resolve
+    monkeypatch.setattr(engine.KickTape, "resolve",
+                        lambda tape, *args: resolved.append(tape) or real(tape, *args))
+    noise = NoiseModel(0.99, 0.97, 0.01)
+    got = run_positions(circuit, 100, noise=noise, base_seed=9)
+    assert sum(op.kind == "RESET" for op in circuit.ops) >= 4
+    assert len(opened) == 7 and resolved == opened
+    assert np.array_equal(got, oracle_positions(circuit, 100, noise, base_seed=9))
