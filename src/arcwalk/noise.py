@@ -401,10 +401,10 @@ class KickTape:
         thresh, ends, half = piece.thresh, piece.ends, self.half[s]
         d, floor, k, stop = 0, 0, 0, len(raw)
         hits, picks, moved, shifts = [], [], [], []
-        while k < len(cand):
+        while k < len(cand) and cand[k] - d < lim:  # d grows only at a hit below lim
             i, k = cand[k], k + 1
             c = i - d
-            if i < floor or c >= lim or vals[k - 1] >= thresh[c]:
+            if i < floor or vals[k - 1] >= thresh[c]:
                 continue
             e = ends[c]  # the gate's slots end at column e: find its other errors
             if e + d > stop:

@@ -144,11 +144,13 @@ for _m in MATRICES_1Q.values():
     _m.setflags(write=False)
 
 
+@lru_cache(maxsize=1024)
 def rx_matrix(theta: float) -> np.ndarray:
-    """X rotation with ``cos(theta/2)`` diagonal and ``i sin(theta/2)`` off-diagonal."""
-    c = math.cos(0.5 * theta)
-    s = 1j * math.sin(0.5 * theta)
-    return np.array([[c, s], [s, c]], dtype=np.complex128)
+    """X rotation, ``cos(theta/2)`` diagonal and ``i sin(theta/2)`` off it; cached, read-only."""
+    c, s = math.cos(0.5 * theta), 1j * math.sin(0.5 * theta)
+    m = np.array([[c, s], [s, c]], dtype=np.complex128)
+    m.setflags(write=False)
+    return m
 
 
 def index_to_bits(index: int, n_qubits: int) -> str:
@@ -288,19 +290,19 @@ def measure_rows(amps: np.ndarray, op: GateOp, u: np.ndarray, cls: np.ndarray, o
     """Measure the qubit of a MEASURE or RESET ``op`` per shot: shot s holds row ``cls[s]``
     of ``amps`` (every row is held) and reads 1 if its uniform ``u[s] * total >= p0`` for its row.
 
-    Returns one collapsed row per realized (row, outcome), in place if no row
-    was read both ways, with rows of equal bytes merged (exact: equal bytes in
-    give equal bytes out) if they come from rows of one ``owner`` (when given,
-    one int per row); each shot's row; and True for the rows that read 1. A RESET
-    then moves each such row's 1-half into its 0-half, after the merge, so a row that
-    read 1 never merges with one that read 0 and ``ones[cls]`` is each shot's outcome.
+    Returns one collapsed row per realized (row, outcome), in place if no row was read
+    both ways, with rows of equal bytes merged (exact: equal bytes in give equal bytes out)
+    if they come from rows of one ``owner`` (when given, one int per row); each shot's row;
+    and True for the rows that read 1. A RESET then moves each such row's 1-half into its
+    0-half after the merge, so a row that read 1 never merges with one that read 0, and
+    ``ones[cls]`` is each shot's outcome. The discarded half reads +0.0.
     """
     rows, q = len(amps), op.targets[0]
     v = _view(amps, rows, -1, 2, 1 << q)
-    sq = v.real**2 + v.imag**2
-    # Contiguous copies, so each row sums pairwise in the order a lone state does.
-    p0 = sq[:, :, 0, :].reshape(rows, -1).sum(axis=1)
-    p1 = sq[:, :, 1, :].reshape(rows, -1).sum(axis=1)
+    sq = v.real**2
+    sq += v.imag**2
+    # One contiguous copy, so each row sums pairwise in the order a lone state does.
+    p0, p1 = np.ascontiguousarray(sq.transpose(2, 0, 1, 3)).reshape(2, rows, -1).sum(axis=2)
     total = p0 + p1
     if not (np.isfinite(total) & (total > 0.0)).all():
         raise DegenerateStateError("state has no measurable norm")
@@ -311,22 +313,22 @@ def measure_rows(amps: np.ndarray, op: GateOp, u: np.ndarray, cls: np.ndarray, o
     branch = np.where(ones, p1[parent], p0[parent])
     if (branch < 1e-290).any():
         raise DegenerateStateError(f"projection branch of qubit {q} underflows")
-    v = amps.reshape(len(amps), -1, 2, 1 << q)
-    np.copyto(v[:, :, 0, :], 0.0, where=ones[:, None, None])
-    np.copyto(v[:, :, 1, :], 0.0, where=~ones[:, None, None])
-    v /= np.sqrt(branch)[:, None, None, None]
-    seen: dict = {}
-    keys = [row.tobytes() for row in amps]
-    if owner is not None:
-        keys = zip(owner[parent].tolist(), keys)
-    ids = np.array([seen.setdefault(key, len(seen)) for key in keys])
-    if len(seen) < len(amps):
-        first = np.unique(ids, return_index=True)[1]
-        amps, ones, cls = amps[first], ones[first], ids[cls]
+    # numpy's complex / real is (re + im*0) * (1/c); + 0.0 turns -0.0 to +0.0 for the merge.
+    f = amps.view(np.float64).reshape(len(amps), -1, 2, 2 << q)
+    f *= ((ones[:, None] == (False, True)) / np.sqrt(branch)[:, None])[:, None, :, None]
+    f += 0.0
+    if len(amps) > 1:
+        keys = amps.view(np.dtype((np.void, amps.shape[1] * 16))).ravel().tolist()
+        if owner is not None:
+            keys = zip(owner[parent].tolist(), keys)
+        seen: dict = {}
+        ids = np.array([seen.setdefault(key, len(seen)) for key in keys])
+        if len(seen) < len(amps):
+            first = np.unique(ids, return_index=True)[1]
+            amps, ones, cls = amps[first], ones[first], ids[cls]
     if op.kind == "RESET":
         v = amps.reshape(len(amps), -1, 2, 1 << q)
-        np.copyto(v[:, :, 0, :], v[:, :, 1, :], where=ones[:, None, None])
-        np.copyto(v[:, :, 1, :], 0.0, where=ones[:, None, None])
+        v[ones] = v[ones, :, ::-1]  # the 0-half of a row that read 1 holds +0.0
     return amps, cls, ones
 
 

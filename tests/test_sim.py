@@ -15,7 +15,7 @@ from arcwalk import (
     StateVector,
 )
 from arcwalk.sim import MATRICES_1Q, apply_1q, apply_rows, apply_unitary, gather, gather_index
-from arcwalk.sim import measure_rows
+from arcwalk.sim import measure_rows, rx_matrix
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -200,6 +200,91 @@ class TestRowKernels:
             zero, one = got_cls[cls == 0][0], got_cls[cls == 3][0]
             assert zero != one and got[zero].tobytes() == got[one].tobytes()
             assert got_cls[cls == 2][0] == got_cls[cls == 4][0]
+
+    @pytest.mark.parametrize("kind", ["MEASURE", "RESET"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+    def test_collapse_equals_the_complex_division(self, kind, n):
+        # Every row is read both ways (u = 0 reads 0, u just below 1 reads 1), and some
+        # inputs hold -0.0. Each shot's row must equal, in value, its source row with the
+        # discarded half set to 0.0 and divided by the kept half's norm (then, for a RESET
+        # that read 1, the kept half moved into the 0-half); the discarded half is +0.0.
+        rng = np.random.default_rng(10 * n + len(kind))
+        for q in range(n):
+            chunk = random_rows(rng, 4, n)
+            chunk.real[rng.random(chunk.shape) < 0.2] = -0.0
+            chunk.imag[rng.random(chunk.shape) < 0.2] = -0.0
+            cls = np.tile(np.arange(4), 2)
+            u = np.repeat([0.0, 1.0 - 2.0**-53], 4)
+            got, got_cls, got_ones = measure_rows(chunk.copy(), GateOp(kind, (q,)), u, cls)
+            assert len(got) == 8 and got_ones[got_cls].tolist() == [0] * 4 + [1] * 4
+            for s, row in enumerate(cls.tolist()):
+                one = int(got_ones[got_cls[s]])
+                want = chunk[row].copy().reshape(-1, 2, 1 << q)
+                kept = want[:, one, :]
+                branch = np.ascontiguousarray(kept.real**2 + kept.imag**2).sum()
+                want[:, 1 - one, :] = 0.0
+                want /= np.sqrt(branch)
+                if kind == "RESET" and one:
+                    want[:, 0, :], want[:, 1, :] = want[:, 1, :], 0.0
+                out = got[got_cls[s]].reshape(-1, 2, 1 << q)
+                assert np.array_equal(out, want), (q, s)
+                discarded = out[:, 1 if kind == "RESET" else 1 - one, :]
+                assert not np.signbit([discarded.real, discarded.imag]).any(), (q, s)
+
+    @pytest.mark.parametrize("kind", ["MEASURE", "RESET"])
+    def test_rows_differing_only_in_the_discarded_half_merge(self, kind):
+        # Row 1 is row 0 with its 1-half negated, so once both read 0 the discarded halves
+        # are 0 * x for x of opposite signs: they must both read +0.0, and the rows merge.
+        rng = np.random.default_rng(len(kind))
+        for n in range(1, 7):
+            for q in range(n):
+                chunk = random_rows(rng, 2, n)
+                halves = chunk.reshape(2, -1, 2, 1 << q)
+                halves[1, :, 0, :] = halves[0, :, 0, :]
+                halves[1, :, 1, :] = -halves[0, :, 1, :]
+                cls = np.array([0, 1, 1])
+                got, got_cls, got_ones = measure_rows(chunk, GateOp(kind, (q,)), np.zeros(3),
+                                                      cls, np.zeros(2, np.intp))
+                assert len(got) == 1 and got_cls.tolist() == [0, 0, 0], (n, q)
+                assert not got_ones.any()
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_one_copy_half_sums_equal_each_half_copied_alone(self, n):
+        # measure_rows sums both halves of every row from one contiguous copy; each sum
+        # must equal, byte for byte, that of the row's half copied out on its own.
+        rng = np.random.default_rng(n)
+        for rows in (1, 3, 14):
+            v_rows = random_rows(rng, rows, n)
+            for q in range(n):
+                v = v_rows.reshape(rows, -1, 2, 1 << q)
+                sq = v.real**2
+                sq += v.imag**2
+                p = np.ascontiguousarray(sq.transpose(2, 0, 1, 3)).reshape(2, rows, -1).sum(axis=2)
+                want = [[np.ascontiguousarray(sq[r, :, h, :]).reshape(-1).sum()
+                         for r in range(rows)] for h in (0, 1)]
+                assert p.tobytes() == np.array(want).tobytes(), (rows, q)
+
+    def test_rx_matrix_is_cached_read_only(self):
+        m = rx_matrix(0.7)
+        assert rx_matrix(0.7) is m and not m.flags.writeable
+        with pytest.raises(ValueError):
+            m[0, 0] = 0.0
+        # Rows that share an angle share the cached array; each row must still equal
+        # apply_unitary on that row alone.
+        rng = np.random.default_rng(7)
+        for kind in ("RX", "CRX"):
+            for n in range(UNITARY_ARITY[kind], 6):
+                ops = [GateOp(kind, tuple(rng.permutation(n)[: UNITARY_ARITY[kind]]), theta)
+                       for theta in (0.7, 0.7, 2.5)]
+                which = np.arange(6) % 3
+                chunk = random_rows(rng, 6, n)
+                got = chunk.copy()
+                apply_rows(got, ops, which)
+                for r, v in enumerate(which.tolist()):
+                    want = chunk[r].copy()
+                    apply_unitary(want, ops[v])
+                    assert got[r].tobytes() == want.tobytes(), (kind, n, r)
+        assert rx_matrix(0.7) is m and m.tobytes() == rx_matrix.__wrapped__(0.7).tobytes()
 
 
 PERMUTATION_ARITY = {"X": 1, "CNOT": 2, "SWAP": 2, "TOFFOLI": 3}
