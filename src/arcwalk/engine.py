@@ -196,10 +196,12 @@ def _trajectories(start: np.ndarray, ops: list[GateOp], variants: dict, seeds: n
     ``variants[j] = (distinct ops, each circuit's index into them)`` at each position j
     where the circuits' ops differ (none for a family of one). Every row holds one
     circuit's shots: each circuit starts on a ``start`` row of its own, and rows merge
-    after a collapse only within one circuit. The ``stops`` ascend, so the running
-    shots are a suffix: when the op loop reaches a shot's stop, the shot retires (it
-    samples its row's CDF and, under noise, draws its readout flips), and rows that no
-    running shot holds are dropped. An ideal run's ``gathers[j] = (end, index)`` spans
+    only within one circuit, after a RESET and after the MEASURE that ends a run of them:
+    the next position holds no MEASURE, or a shot retires there (inside a run, equal
+    rows stay apart). The ``stops`` ascend, so the running shots are a suffix: when the
+    op loop reaches a shot's stop, the shot retires (it samples its row's CDF and, under
+    noise, draws its readout flips), and rows that no running shot holds are dropped.
+    An ideal run's ``gathers[j] = (end, index)`` spans
     positions ``[j, end)`` of shared permutation ops, run as one ``gather`` of every row;
     every other op position is one kernel call: a shared unitary runs on every row
     (``apply_unitary``), a differing position gives each row its circuit's op in one
@@ -312,8 +314,10 @@ def _trajectories(start: np.ndarray, ops: list[GateOp], variants: dict, seeds: n
                     u = uniforms[live:, measured[at - 1]]
                 else:
                     u = tape.measure(at - 1, live)
-                rows_of = owner(amps, cls, idx[live:]) if variants else None
-                amps, cls, ones = measure_rows(amps, op, u, cls, rows_of)
+                # Rows merge once per run of MEASUREs that no retire parts, at its end.
+                merge = op.kind == "RESET" or ends[at] > live or ops[at].kind != "MEASURE"
+                rows_of = owner(amps, cls, idx[live:]) if variants and merge else None
+                amps, cls, ones = measure_rows(amps, op, u, cls, rows_of, merge)
             if basis:  # a kick moves the index by its x; its phase and z leave |amp| at 1
                 kicked, _, x, _ = tape.kicks(at - 1, live)
                 amps[kicked] ^= x
@@ -424,8 +428,9 @@ def run_positions(
     shots, and at most 768, so that the raw outputs its kick tape buffers stay within
     ``2**18`` words. Each distinct state is evolved once and each shot holds its row's index:
     shots part by outcome at a collapse or by kicks at a noisy gate, and rows
-    with equal bytes merge after a collapse (exact: equal bytes in give equal
-    bytes out). A run is a family of one circuit (see ``run_family``). Each shot
+    with equal bytes merge after a RESET and at the end of each run of MEASUREs,
+    so a register readout merges once (exact: equal bytes in give equal bytes
+    out). A run is a family of one circuit (see ``run_family``). Each shot
     draws what ``default_rng(base_seed + i)`` would give it alone, in the same order:
     ideal shots, which draw only ``random()``, take their uniforms from one
     vectorized block per chunk, and noisy shots take theirs from a kick tape

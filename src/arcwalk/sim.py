@@ -286,7 +286,8 @@ def _pair_update(amps: np.ndarray, lo: np.ndarray, hi: np.ndarray, u) -> None:
         flat[hi] = u[1, 0] * a_lo + u[1, 1] * a_hi
 
 
-def measure_rows(amps: np.ndarray, op: GateOp, u: np.ndarray, cls: np.ndarray, owner=None):
+def measure_rows(amps: np.ndarray, op: GateOp, u: np.ndarray, cls: np.ndarray, owner=None,
+                 merge: bool = True):
     """Measure the qubit of a MEASURE or RESET ``op`` per shot: shot s holds row ``cls[s]``
     of ``amps`` (every row is held) and reads 1 if its uniform ``u[s] * total >= p0`` for its row.
 
@@ -295,7 +296,9 @@ def measure_rows(amps: np.ndarray, op: GateOp, u: np.ndarray, cls: np.ndarray, o
     if they come from rows of one ``owner`` (when given, one int per row); each shot's row;
     and True for the rows that read 1. A RESET then moves each such row's 1-half into its
     0-half after the merge, so a row that read 1 never merges with one that read 0, and
-    ``ones[cls]`` is each shot's outcome. The discarded half reads +0.0.
+    ``ones[cls]`` is each shot's outcome. The discarded half reads +0.0. Without ``merge``
+    equal rows stay apart and a zero may read -0.0, with the same values, until a call
+    with ``merge`` turns every zero to +0.0 and merges.
     """
     rows, q = len(amps), op.targets[0]
     v = _view(amps, rows, -1, 2, 1 << q)
@@ -316,8 +319,9 @@ def measure_rows(amps: np.ndarray, op: GateOp, u: np.ndarray, cls: np.ndarray, o
     # numpy's complex / real is (re + im*0) * (1/c); + 0.0 turns -0.0 to +0.0 for the merge.
     f = amps.view(np.float64).reshape(len(amps), -1, 2, 2 << q)
     f *= ((ones[:, None] == (False, True)) / np.sqrt(branch)[:, None])[:, None, :, None]
-    f += 0.0
-    if len(amps) > 1:
+    if merge:
+        f += 0.0
+    if merge and len(amps) > 1:  # rows of one owner with equal bytes become one
         keys = amps.view(np.dtype((np.void, amps.shape[1] * 16))).ravel().tolist()
         if owner is not None:
             keys = zip(owner[parent].tolist(), keys)

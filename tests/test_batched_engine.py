@@ -7,6 +7,8 @@ documented order. The engine must return the same positions element for
 element: shots in a chunk share each op but never each other's random draws.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -342,9 +344,9 @@ def test_shared_rows_split_and_merge_as_the_oracle(case, noise, merges, monkeypa
     # (row, outcome) rows, and rows with equal bytes merge again.
     collapses = []
 
-    def spy(amps, op, u, cls, owner=None):
+    def spy(amps, op, u, cls, owner=None, merge=True):
         before = cls.tolist()
-        out, cls, ones = measure_rows(amps, op, u, cls, owner)
+        out, cls, ones = measure_rows(amps, op, u, cls, owner, merge)
         pairs = len(set(zip(before, ones[cls].tolist())))
         collapses.append((len(amps), pairs, len(out)))
         return out, cls, ones
@@ -357,6 +359,60 @@ def test_shared_rows_split_and_merge_as_the_oracle(case, noise, merges, monkeypa
     assert any(pairs > rows for rows, pairs, _ in collapses)  # a shared row parted
     if merges:
         assert any(out < pairs for _, pairs, out in collapses)  # parted rows merged
+
+
+def spy_on_merges(monkeypatch):
+    """The rows, and each row's owner (None outside a family), of every collapse that
+    merges its rows."""
+    merged = []
+
+    def spy(amps, op, u, cls, owner=None, merge=True):
+        was = None if owner is None else owner[cls]
+        out, cls, ones = measure_rows(amps, op, u, cls, owner, merge)
+        if merge:
+            owners = np.zeros(len(out), np.intp)
+            if was is not None:
+                owners[cls] = was
+            merged.append((out.copy(), owners))
+        return out, cls, ones
+
+    monkeypatch.setattr(engine, "measure_rows", spy)
+    return merged
+
+
+def assert_merged_rows(merged):
+    """No merged row holds -0.0, and no two rows of one owner are equal in value."""
+    for rows, owners in merged:
+        flat = rows.view(np.float64)
+        assert not (np.signbit(flat) & (flat == 0.0)).any()
+        alike = (rows[:, None] == rows[None]).all(axis=2) & (owners[:, None] == owners[None])
+        assert np.array_equal(alike, np.eye(len(rows), dtype=bool))
+
+
+@pytest.mark.parametrize(
+    "width,angles,noise",
+    [(4, [math.pi / 2], None), (8, [math.pi / 2], None), (3, [1.1, 2.3], None),
+     (3, [1.1, 2.3], NOISY)],
+    ids=["arc4", "arc8", "family-ideal", "family-noisy"],
+)
+def test_a_register_readout_merges_its_rows_once(width, angles, noise, monkeypatch):
+    # Period 1 measures every counter qubit after each of the 20 steps: 20 runs of
+    # ``width`` MEASUREs, on at most 100 rows, so no group splits. Rows merge at the end
+    # of each run, once, not after each of its MEASUREs. A family's circuits differ in
+    # angle, so its rows carry their circuit as owner: after a run every row is a basis
+    # state up to phase, and some rows of two circuits are equal but stay apart.
+    merged = spy_on_merges(monkeypatch)
+    circuits = [with_zeno_measurements(build_circuit(WalkConfig(width, 20, "arc", angle)), 1)
+                for angle in angles]
+    shots, seeds = 100 // len(circuits), [3 + 100 * c for c in range(len(circuits))]
+    got = engine.run_family(circuits, shots, seeds, noise)
+    for circuit, seed, positions in zip(circuits, seeds, got):
+        assert np.array_equal(positions, oracle_positions(circuit, shots, noise, base_seed=seed))
+    assert len(merged) == 20
+    assert_merged_rows(merged)
+    if len(circuits) > 1:
+        assert any(((rows[:, None] == rows[None]).all(axis=2)
+                    & (owners[:, None] != owners[None])).any() for rows, owners in merged)
 
 
 PREFIX_DESIGNS = ["binary", "arc", "arc_walk"]

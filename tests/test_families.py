@@ -66,16 +66,25 @@ def families(draw, kinds=tuple(ARITY)):
 
 
 @st.composite
-def permutation_runs(draw):
+def permutation_runs(draw, uncut=False):
     """(circuits, cuts, seeds, shots) as ``families`` gives them: 2-4 circuits on 2-6
-    qubits that share one RX layer, then run 2-10 X, CNOT, SWAP and TOFFOLI ops, each
-    shared or drawn per member, and at least one drawn per member. Each member is cut at
-    its end and at 0-3 points inside the run. The layer's angles differ by qubit, so the
-    basis states' probabilities nearly all differ, and a member that ran another's
-    permutation at a differing position would sample other positions."""
+    qubits that share one layer, then run 2-10 X, CNOT, SWAP and TOFFOLI ops, each
+    shared or drawn per member, and at least one drawn per member, so that a member that
+    ran another's permutation at a differing position would sample other positions.
+    The layer is RX with angles that differ by qubit, so the basis states'
+    probabilities nearly all differ, and each member is cut at its end and at 0-3
+    points inside the run. ``uncut`` members are cut at their end alone, so that one
+    gather could span the whole run, and their layer is H on a drawn proper subset of
+    the qubits: a uniform state over the basis states whose other qubits read 0, which
+    most permutations move (H on every qubit is uniform over all basis states, which
+    no permutation moves)."""
     n = draw(st.integers(2, 6))
     kinds = [kind for kind in PERMUTATIONS if ARITY[kind] <= n]
-    layer = [GateOp.rx(q, 0.4 + 0.5 * q) for q in range(n)]
+    if uncut:
+        layer = [GateOp.h(q) for q in sorted(draw(st.sets(st.integers(0, n - 1),
+                                                          max_size=n - 1)))]
+    else:
+        layer = [GateOp.rx(q, 0.4 + 0.5 * q) for q in range(n)]
     members = [list(layer) for _ in range(draw(st.integers(2, 4)))]
     skeleton = draw(st.lists(st.sampled_from(kinds), min_size=2, max_size=10))
     differ = draw(st.sets(st.integers(0, len(skeleton) - 1), min_size=1))
@@ -91,10 +100,57 @@ def permutation_runs(draw):
     base = draw(st.sampled_from(SEED_BASES))
     for ops in members:
         circuits.append(Circuit(n, range(0, n), ops=ops).validate())
-        inside = draw(st.sets(st.integers(n + 1, len(ops) - 1), max_size=3))
+        inside = set() if uncut else draw(st.sets(st.integers(len(layer) + 1, len(ops) - 1),
+                                                  max_size=3))
         cuts.append(sorted({len(ops), *inside}))
         seeds.append([base + draw(st.integers(0, 20)) for _ in cuts[-1]])
     return circuits, cuts, seeds, draw(st.integers(4, 12))
+
+
+@st.composite
+def measure_runs(draw):
+    """(circuits, cuts, seeds, shots) as ``families`` gives them: 1-3 circuits on 1-5
+    qubits, each an RX layer, then 1-3 runs of 2-6 MEASUREs (a qubit may repeat inside
+    a run), each ended by a RESET, by another RX layer or by the circuit's end. Each RX
+    is shared or drawn per member, so that a family's rows may carry their circuit as
+    owner. A member may end early, and its cuts fall inside runs about half the time,
+    as a ``run_step_positions`` mark may."""
+    n = draw(st.integers(1, 5))
+    members = [[] for _ in range(draw(st.integers(1, 3)))]
+    angles = st.sampled_from([0.3, 1.1, 2.5])
+
+    def add(op):
+        for ops in members:
+            ops.append(op)
+
+    def layer():
+        for q in range(n):
+            theta = draw(st.one_of(st.none(), angles))
+            for ops in members:
+                ops.append(GateOp.rx(q, draw(angles) if theta is None else theta))
+
+    layer()
+    for _ in range(draw(st.integers(1, 3))):
+        for q in draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=6)):
+            add(GateOp.measure(q))
+        end = draw(st.sampled_from(["RESET", "RX", "end"]))
+        if end == "end":
+            break
+        if end == "RESET":
+            add(GateOp.reset(draw(st.integers(0, n - 1))))
+        else:
+            layer()
+    circuits, cuts, seeds = [], [], []
+    base = draw(st.sampled_from(SEED_BASES))
+    for ops in members:
+        length = draw(st.sampled_from([len(ops), draw(st.integers(0, len(ops)))]))
+        circuits.append(Circuit(n, range(0, n), ops=ops[:length]).validate())
+        inside = [j for j in range(1, length) if ops[j - 1].kind == ops[j].kind == "MEASURE"]
+        top = draw(st.sampled_from([length, *inside[-1:]]))
+        extra = draw(st.sets(st.sampled_from([0, *inside]), max_size=2))
+        cuts.append(sorted({top, *(c for c in extra if c <= top)}))
+        seeds.append([base + draw(st.integers(0, 20)) for _ in cuts[-1]])
+    return circuits, cuts, seeds, draw(st.integers(2, 12))
 
 
 def small_chunks(mp, n, rows, draws, window):
@@ -135,6 +191,30 @@ def test_ideal_spans_stop_at_differing_positions(case):
     circuits, cuts, seeds, shots = case
     got = engine._sweep(circuits, cuts, shots, seeds, None)
     assert_members_match_oracle(got, circuits, cuts, seeds, shots, None)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=permutation_runs(uncut=True))
+def test_an_uncut_span_stops_at_differing_positions(case):
+    # No cut parts the run, so only the differing positions can end its spans.
+    circuits, cuts, seeds, shots = case
+    got = engine._sweep(circuits, cuts, shots, seeds, None)
+    assert_members_match_oracle(got, circuits, cuts, seeds, shots, None)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=measure_runs(), noisy=st.booleans(), rows=st.integers(1, 3),
+       draws=st.integers(1, 40), window=st.integers(1, 8))
+def test_runs_of_measures_match_the_per_shot_oracle(case, noisy, rows, draws, window):
+    # Rows merge once per run of MEASUREs, at its end: before a RESET, an RX, a cut or
+    # the circuit's end. In between, equal rows stay apart and may hold -0.0, and groups
+    # may split on them; every position must still equal the oracle's.
+    circuits, cuts, seeds, shots = case
+    noise = NOISY if noisy else None
+    with pytest.MonkeyPatch.context() as mp:
+        small_chunks(mp, circuits[0].n_qubits, rows, draws, window)
+        got = engine._sweep(circuits, cuts, shots, seeds, noise)
+    assert_members_match_oracle(got, circuits, cuts, seeds, shots, noise)
 
 
 def no_dense_kernel(mp):

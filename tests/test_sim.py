@@ -248,6 +248,44 @@ class TestRowKernels:
                 assert len(got) == 1 and got_cls.tolist() == [0, 0, 0], (n, q)
                 assert not got_ones.any()
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_a_run_merged_at_its_end_equals_a_merge_after_each_collapse(self, n):
+        # A run of MEASUREs over every qubit, the first again at its end, on rows that
+        # hold -0.0; rows 1 and 3 are equal in value but differ in the signs of their
+        # zeros. Without a merge until the run's last MEASURE, every shot must read the
+        # same outcomes and end on a row of the same bytes as with a merge after each,
+        # and the run must end on as many rows, none holding -0.0.
+        rng = np.random.default_rng(n)
+        chunk = random_rows(rng, 4, n)
+        chunk.real[rng.random(chunk.shape) < 0.2] = -0.0
+        chunk.imag[rng.random(chunk.shape) < 0.2] = -0.0
+        chunk[3] = chunk[1]
+        zeros = chunk[3].real
+        zeros[zeros == 0.0] *= -1.0
+        start = np.concatenate([np.arange(4), rng.integers(0, 4, 36)])
+        qubits = [*rng.permutation(n).tolist(), 0]
+        uniforms = rng.random((len(qubits), len(start)))
+        ends = []
+        for merge_each in (True, False):
+            amps, cls, owner = chunk.copy(), start, np.array([0, 1, 1, 1])
+            reads = []
+            for j, q in enumerate(qubits):
+                merge = merge_each or j == len(qubits) - 1
+                was = owner[cls]
+                amps, cls, ones = measure_rows(amps, GateOp.measure(q), uniforms[j], cls,
+                                               owner, merge)
+                owner = np.empty(len(amps), np.intp)
+                owner[cls] = was
+                reads.append(ones[cls])
+            ends.append((amps, cls, reads))
+        (want, want_cls, want_reads), (got, got_cls, got_reads) = ends
+        assert np.array_equal(got_reads, want_reads)
+        assert len(got) == len(want)
+        for s in range(len(start)):
+            assert got[got_cls[s]].tobytes() == want[want_cls[s]].tobytes(), s
+        flat = got.view(np.float64)
+        assert not (np.signbit(flat) & (flat == 0.0)).any()
+
     @pytest.mark.parametrize("n", range(1, 11))
     def test_one_copy_half_sums_equal_each_half_copied_alone(self, n):
         # measure_rows sums both halves of every row from one contiguous copy; each sum
