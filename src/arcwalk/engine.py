@@ -28,7 +28,7 @@ RANDOM_DESIGNS = ("random_jump", "random_jump_cascading")  # a new circuit per s
 # holds nothing, so it may hold 1024). CHUNK_AMPS (512 KiB) caps the rows that run
 # together. A noisy chunk whose ops can part its shots holds at most CHUNK_AMPS
 # amplitudes even if every shot parts to its own row. An ideal chunk may hold more
-# shots: when its circuits (one start row each) or a collapse give more than
+# shots: when its circuits (one |0...0> row each) or a collapse give more than
 # CHUNK_AMPS >> n rows, its shots split into row-disjoint groups of that many rows, run
 # one after another.
 # A group's start rows are built when it runs; a collapse may double the rows for a
@@ -188,55 +188,68 @@ def _decode_index(index: np.ndarray, counter: range) -> np.ndarray:
     return (index >> counter.start) & ((1 << len(counter)) - 1)
 
 
-def _trajectories(start: np.ndarray, ops: list[GateOp], variants: dict, seeds: np.ndarray,
-                  stops: np.ndarray, circs: np.ndarray, noise, draws, gathers: dict):
-    """Final basis index per shot of one chunk of a family's shots, shot i running op
-    positions ``[0, stops[i])`` of circuit ``circs[i]`` from the ``(1, 2**n)`` row
-    ``start``; see ``_sweep``. ``ops`` is the family's longest circuit, and
+class UniformTape:
+    """The draws of a chunk's ideal shots, read as ``_trajectories`` reads a ``KickTape``:
+    one ``random()`` per MEASURE or RESET, then one for the final sample. Row i of
+    ``block`` holds shot i's, its c-th draw in column c; ``columns[j]`` counts the MEASURE
+    and RESET ops before position j (a family shares them, so one map serves every
+    circuit). Nothing resolves ahead (``next`` is -1), and no shot is kicked or flipped."""
+
+    next, basis, readout_flip = -1, False, 0.0
+
+    def __init__(self, block: np.ndarray, columns: list[int], stops: np.ndarray):
+        self.block, self.columns, self.stops = block, columns, stops
+
+    def take(self, idx: np.ndarray) -> UniformTape:
+        """The draws of a group split off the chunk, row i for shot ``idx[i]``."""
+        return UniformTape(self.block[idx], self.columns, self.stops[idx])
+
+    def measure(self, j: int, live: int) -> np.ndarray:
+        """The uniforms of the shots ``live`` on at the MEASURE or RESET at position ``j``."""
+        return self.block[live:, self.columns[j]]
+
+    def retire(self, live: int, end: int) -> np.ndarray:
+        """(end - live, 1) final-sample uniforms of the shots ``live`` to ``end``, at one stop."""
+        return self.block[live:end, self.columns[self.stops[live]], None]
+
+    def kicks(self, j: int, live: int) -> None:
+        """None: no shot is kicked, so the loop calls no ``noisy_apply``."""
+
+
+def _trajectories(n: int, ops: list[GateOp], variants: dict, gathers: dict, stops: np.ndarray,
+                  circs: np.ndarray, tape) -> np.ndarray:
+    """Final basis index per shot of one chunk of a family's shots on n qubits, shot i
+    running op positions ``[0, stops[i])`` of circuit ``circs[i]`` from |0...0>; see
+    ``_sweep``. ``ops`` is the family's longest circuit, and
     ``variants[j] = (distinct ops, each circuit's index into them)`` at each position j
-    where the circuits' ops differ (none for a family of one). Every row holds one
-    circuit's shots: each circuit starts on a ``start`` row of its own, and rows merge
-    only within one circuit, after a RESET and after the MEASURE that ends a run of them:
-    the next position holds no MEASURE, or a shot retires there (inside a run, equal
-    rows stay apart). The ``stops`` ascend, so the running shots are a suffix: when the
-    op loop reaches a shot's stop, the shot retires (it samples its row's CDF and, under
-    noise, draws its readout flips), and rows that no running shot holds are dropped.
-    An ideal run's ``gathers[j] = (end, index)`` spans
-    positions ``[j, end)`` of shared permutation ops, run as one ``gather`` of every row;
-    every other op position is one kernel call: a shared unitary runs on every row
-    (``apply_unitary``), a differing position gives each row its circuit's op in one
-    gather (``apply_rows``), and a MEASURE or RESET collapses the rows per shot
-    (``measure_rows``, which also flips a RESET's rows that read 1 back to |0>); under
-    noise, which has no spans, ``noisy_apply`` then applies the op's kicks. A noisy
-    chunk whose ops up to its last stop are all X, CNOT, SWAP or TOFFOLI holds no rows
-    (``basis``): each shot holds the index of the one basis state it stays on, up to a
-    phase of 1, -1, 1j or -1j (see ``noise``), from 0. ``permute_basis`` moves it
-    through each op (per shot at a differing position), each kick XORs in its x, and
-    the shot retires with its index, which its row's CDF gives for every u in [0, 1).
-    Shot i draws from ``default_rng(seeds[i])``: one ``random()`` per collapse, each
-    noisy gate's draws, one ``random()`` for the final sample, and ``random(n)`` for
-    readout flips. Ideal shots draw only the ``random()`` calls, at most ``draws`` each,
-    so they take them from one ``_uniforms`` block whose column c serves every shot's
-    c-th draw (a family's MEASURE and RESET ops are shared, so c is a function of the
-    position); noisy shots take theirs from a ``KickTape``, which resolves them piece
-    by piece (``draws`` is each shot's spare): at the start and where a piece ends.
-    Every shot draws a noisy RESET's X; only the shots that read 1 take its kicks. When
-    more than ``CHUNK_AMPS >> n`` rows would run together (at the start or after a
-    collapse), the running shots split into row-disjoint groups of at most that many
-    rows, and each group runs the rest on its own; a waiting group holds a copy of its
-    rows, or none before its start rows are built (a noisy chunk holds no more shots
-    than that, so it never splits, and its shots are the chunk's in order).
+    where the circuits' ops differ (none for a family of one). Each circuit starts on a
+    row of its own, and rows merge only within one circuit, after a RESET and after the
+    MEASURE that ends a run of them: the next position holds no MEASURE, or a shot
+    retires there (inside a run, equal rows stay apart). The ``stops`` ascend, so the
+    running shots are a suffix: at its stop a shot retires (it samples its row's CDF and
+    takes its readout flips), and rows that no running shot holds are dropped.
+    ``gathers[j] = (end, index)`` spans positions ``[j, end)`` of shared permutation ops,
+    run as one ``gather`` of every row; every other position is one kernel call: a shared
+    unitary on every row (``apply_unitary``), a differing position's ops per row
+    (``apply_rows``), or a collapse per shot (``measure_rows``, which also flips a RESET's
+    rows that read 1 back to |0>); ``noisy_apply`` then applies the op's kicks, if any
+    (at a RESET, only the shots that read 1 take the X's).
+    ``tape``, a ``UniformTape`` or a ``KickTape``, holds each shot's draws, what its own
+    ``default_rng`` gives it alone (see ``_sweep``): one ``random()`` per collapse, each
+    noisy gate's, one ``random()`` for the final sample and ``random(n)`` for readout
+    flips, which a ``readout_flip`` of 0.0 skips. A tape that sets ``basis`` (a noisy
+    chunk of X, CNOT, SWAP and TOFFOLI ops up to its last stop) leaves no rows: each shot
+    holds the index of the one basis state it stays on, up to a phase (see ``noise``),
+    from 0; ``permute_basis`` moves it through each op (per shot at a differing position),
+    each kick XORs in its x, and the shot retires with its index, which its row's CDF
+    gives for every u in [0, 1). When more than ``CHUNK_AMPS >> n`` rows would run
+    together (at the start or after a collapse), the running shots split into groups of
+    at most that many rows, each with its shots' draws (``tape.take``), run one by one;
+    a waiting group holds a copy of its rows, or none before its start rows are built
+    (a noisy chunk holds no more shots than that, so it never splits).
     This is the one loop that runs shots and the one place a CDF is sampled."""
-    n, shots = start.shape[1].bit_length() - 1, len(seeds)
+    shots, basis = len(stops), tape.basis
     cap, out, pending = max(1, CHUNK_AMPS >> n), np.empty(shots, np.intp), []
-    basis = noise is not None and all(map(is_permutation, ops[: stops[-1]]))
-    if noise is None:
-        block = _uniforms(seeds, draws)
-        # An ideal shot's uniform column at position j: the MEASURE and RESET ops before j.
-        measured = np.cumsum([0] + [not op.is_unitary for op in ops]).tolist()
-    else:
-        tape = KickTape([np.random.PCG64(seed) for seed in seeds.tolist()], ops, variants, circs,
-                        stops, noise, n, CHUNK_DRAWS // 4, draws)
 
     def owner(amps, cls, idx):
         """The circuit of each row."""
@@ -246,8 +259,8 @@ def _trajectories(start: np.ndarray, ops: list[GateOp], variants: dict, seeds: n
 
     def push(at, amps, cls, idx):
         """Queue the shots ``idx`` (shot i on row ``cls[i]``) in row-disjoint groups of
-        at most cap rows, the first on top. ``amps`` None stands for one ``start`` row
-        per row, built when the group runs."""
+        at most cap rows, the first on top. ``amps`` None stands for one |0...0> row per
+        row, built when the group runs."""
         for lo in reversed(range(0, int(cls.max()) + 1, cap)):
             held = np.flatnonzero((cls >= lo) & (cls < lo + cap))
             rows = None if amps is None else amps[lo : lo + cap].copy()
@@ -260,29 +273,24 @@ def _trajectories(start: np.ndarray, ops: list[GateOp], variants: dict, seeds: n
         if amps is None and basis:  # the basis index of each running shot
             amps = np.zeros(len(idx), np.intp)
         elif amps is None:
-            amps = start.repeat(int(cls.max()) + 1, axis=0)
-        if noise is None:  # the group's uniforms, row i for shot idx[i]
-            uniforms = block if len(idx) == shots else block[idx]
+            amps = np.eye(1, 1 << n, dtype=np.complex128).repeat(int(cls.max()) + 1, axis=0)
+        draws = tape if len(idx) == shots else tape.take(idx)  # row i for shot idx[i]
         # The group's shots with stops at or before op ``at`` are its first ``ends[at]``.
         ends = np.searchsorted(stops[idx], np.arange(stops[idx[-1]] + 1), side="right").tolist()
         live = 0  # the shots before it have retired; cls covers the rest
         while True:
-            if noise is not None and at == tape.next:
-                tape.resolve(at, live)
+            if at == draws.next:
+                draws.resolve(at, live)
             if ends[at] > live:  # the shots that stop here sample their rows and retire
                 end, gone = ends[at], ends[at] - live
-                if noise is None:
-                    u = uniforms[live:end, measured[at]]
-                else:
-                    retired = tape.retire(live, end)
-                    u = retired[:, 0]
+                retired = draws.retire(live, end)
                 if basis:  # |amp|**2 is exactly 1.0 at the index: the CDF gives it for every u
                     sampled = amps[:gone]
                 else:
                     cdf = np.cumsum(amps.real**2 + amps.imag**2, axis=1)
-                    sampled = sample_cdf(cdf[cls[:gone]] if len(cdf) > 1 else cdf[0], u)
-                if noise is not None:  # readout flips: bit k of the mask flips qubit k
-                    sampled ^= (retired[:, 1:] < noise.readout_flip) @ (1 << np.arange(n))
+                    sampled = sample_cdf(cdf[cls[:gone]] if len(cdf) > 1 else cdf[0], retired[:, 0])
+                if draws.readout_flip:  # bit k of the mask flips qubit k
+                    sampled ^= (retired[:, 1:] < draws.readout_flip) @ (1 << np.arange(n))
                 out[idx[live:end]], live, cls = sampled, end, cls[gone:]
                 if live == len(idx):
                     break
@@ -310,19 +318,15 @@ def _trajectories(start: np.ndarray, ops: list[GateOp], variants: dict, seeds: n
             elif op.is_unitary:
                 apply_unitary(amps, op)
             else:
-                if noise is None:
-                    u = uniforms[live:, measured[at - 1]]
-                else:
-                    u = tape.measure(at - 1, live)
                 # Rows merge once per run of MEASUREs that no retire parts, at its end.
                 merge = op.kind == "RESET" or ends[at] > live or ops[at].kind != "MEASURE"
                 rows_of = owner(amps, cls, idx[live:]) if variants and merge else None
-                amps, cls, ones = measure_rows(amps, op, u, cls, rows_of, merge)
+                amps, cls, ones = measure_rows(amps, op, draws.measure(at - 1, live), cls,
+                                               rows_of, merge)
+            kicks = draws.kicks(at - 1, live)
             if basis:  # a kick moves the index by its x; its phase and z leave |amp| at 1
-                kicked, _, x, _ = tape.kicks(at - 1, live)
-                amps[kicked] ^= x
-            elif noise is not None:  # then each shot's Pauli kicks at the op
-                kicks = tape.kicks(at - 1, live)
+                amps[kicks[0]] ^= kicks[2]
+            elif kicks is not None:  # each shot's Pauli kicks at the op
                 if op.kind == "RESET":  # every shot drew the X's kicks; those that read 1 take them
                     kicks = tuple(k[ones[cls[kicks[0]]]] for k in kicks)
                 amps, cls = noisy_apply(amps, cls, kicks)
@@ -336,11 +340,10 @@ def _sweep(circuits: list[Circuit], cuts: list[list[int]], shots: int,
     listed circuit by circuit, cut by cut. The circuits form a family: at each op
     position they hold ops of one kind, and the same MEASURE or RESET op (a circuit
     may end early). One circuit is a family of one. While the run is ideal, each span of
-    two or more shared permutation ops that no cut parts is one gather, and the shared
-    unitary ops before the first cut and the first MEASURE or RESET draw nothing, so
-    they are applied once per run to the start row. Every shot, sorted by stop, then
-    runs from a copy of that row per circuit in one batch of ``_trajectories`` chunks:
-    each chunk runs the rest of its longest prefix once, and each shot retires at its
+    two or more shared permutation ops that no cut parts is one gather. Every shot,
+    sorted by stop, runs from |0...0> in one batch of ``_trajectories`` chunks: each
+    chunk runs its longest prefix once, from a row per circuit, with its shots' draws
+    on a ``UniformTape`` (ideal) or a ``KickTape`` (noisy), and each shot retires at its
     own cut."""
     n = circuits[0].n_qubits
     if shots < 1:
@@ -375,34 +378,30 @@ def _sweep(circuits: list[Circuit], cuts: list[list[int]], shots: int,
                 if g is None:
                     g = composed[key] = gather_index(n, key)
                 gathers[span[0]] = (span[-1] + 1, g)
-    row, done = np.eye(1, 1 << n, dtype=np.complex128), 0
-    shared = min(min(variants, default=len(ops)), *(run[0] for run in cuts))
-    while noise is None and done < shared and ops[done].is_unitary:
-        if done in gathers:
-            done, g = gathers[done]
-            row = gather(row, g)
-        else:
-            apply_unitary(row, ops[done])
-            done += 1
-    ops, variants = ops[done:], {j - done: v for j, v in variants.items()}
-    gathers = {j - done: (end - done, g) for j, (end, g) in gathers.items() if j >= done}
     # Draws each shot buffers: ideal, one uniform per collapse and one to sample; noisy, a
     # spare, beside the kick tape's block of CHUNK_DRAWS // 4 if ops follow.
-    k = 1 + sum(not op.is_unitary for op in ops) if noise is None else WINDOW_COLUMNS
+    columns = np.cumsum([0] + [not op.is_unitary for op in ops]).tolist()
+    k = 1 + columns[-1] if noise is None else WINDOW_COLUMNS
     chunk = max(1, CHUNK_DRAWS // k if noise is None or not ops else
                 min((CHUNK_DRAWS - CHUNK_DRAWS // 4) // k, CHUNK_AMPS >> n))
-    stops = np.repeat([c - done for run in cuts for c in run], shots)
+    stops = np.repeat([c for run in cuts for c in run], shots)
     order = np.argsort(stops, kind="stable")
     shot_seeds = _shot_seeds([s for run in seeds for s in run], shots)[order]
     shot_stops = stops[order]
     # The circuit of each shot; circuits that never differ run as one.
     shot_circs = np.repeat([c if variants else 0 for c, run in enumerate(cuts) for _ in run],
                            shots)[order]
+
+    def tape(s: slice):
+        if noise is None:
+            return UniformTape(_uniforms(shot_seeds[s], k), columns, shot_stops[s])
+        return KickTape([np.random.PCG64(seed) for seed in shot_seeds[s].tolist()], ops,
+                        variants, shot_circs[s], shot_stops[s], noise, n, CHUNK_DRAWS // 4, k)
+
     out = np.empty(len(order), np.intp)
     out[order] = np.concatenate([
-        _trajectories(row, ops, variants, shot_seeds[a : a + chunk], shot_stops[a : a + chunk],
-                      shot_circs[a : a + chunk], noise, k, gathers)
-        for a in range(0, len(order), chunk)])
+        _trajectories(n, ops, variants, gathers, shot_stops[s], shot_circs[s], tape(s))
+        for s in (slice(a, a + chunk) for a in range(0, len(order), chunk))])
     return list(out.reshape(-1, shots))
 
 
@@ -418,28 +417,25 @@ def run_positions(
     """Decoded counter value per shot; shot i uses seed ``base_seed + i``.
 
     The engine runs the circuit's ops as they stand: a Zeno schedule is a
-    circuit too, made by ``circuits.with_zeno_measurements``. Every shot starts on
-    one shared row. In an ideal run the ops before the first MEASURE or RESET draw
-    nothing, so they are evolved once per run on that row; under noise every gate
-    draws, and the row is |0...0>. From there the run's one batch runs the rest,
-    chunk by chunk: an ideal chunk holds up to ``2**18 // k`` shots (k uniforms each)
-    and splits into groups of at most ``2**15 // 2**n`` rows when its rows part
-    beyond that; a noisy chunk whose ops can part its shots holds at most that many
-    shots, and at most 768, so that the raw outputs its kick tape buffers stay within
-    ``2**18`` words. Each distinct state is evolved once and each shot holds its row's index:
-    shots part by outcome at a collapse or by kicks at a noisy gate, and rows
-    with equal bytes merge after a RESET and at the end of each run of MEASUREs,
-    so a register readout merges once (exact: equal bytes in give equal bytes
-    out). A run is a family of one circuit (see ``run_family``). Each shot
-    draws what ``default_rng(base_seed + i)`` would give it alone, in the same order:
-    ideal shots, which draw only ``random()``, take their uniforms from one
-    vectorized block per chunk, and noisy shots take theirs from a kick tape
-    (``KickTape``), resolved before the state runs: it reads each shot's raw
-    PCG64 outputs and replays numpy's ``random()`` and ``integers(3)`` on them,
-    folding each shot's Pauli kicks at a gate into one signed permutation of
-    its row. A noisy chunk of X, CNOT, SWAP and TOFFOLI ops alone (a ``binary``
-    circuit's) keeps each shot on one basis state up to phase, so it holds just
-    that state's index, moved by bit arithmetic per op and by each kick's x.
+    circuit too, made by ``circuits.with_zeno_measurements``. The run's one batch runs
+    them chunk by chunk, each chunk from one |0...0> row: an ideal chunk holds up to
+    ``2**18 // k`` shots (k uniforms each) and splits into groups of at most
+    ``2**15 // 2**n`` rows when its rows part beyond that; a noisy chunk whose ops can
+    part its shots holds at most that many shots, and at most 768, so that the raw
+    outputs its kick tape buffers stay within ``2**18`` words. Each distinct state is
+    evolved once and each shot holds its row's index: shots part by outcome at a
+    collapse or by kicks at a noisy gate, and rows with equal bytes merge after a RESET
+    and at the end of each run of MEASUREs, so a register readout merges once (exact:
+    equal bytes in give equal bytes out). A run is a family of one circuit (see
+    ``run_family``). Each shot draws what ``default_rng(base_seed + i)`` would give it
+    alone, in the same order: ideal shots, which draw only ``random()``, take their
+    uniforms from one vectorized block per chunk (``UniformTape``), and noisy shots
+    take theirs from a kick tape (``KickTape``), resolved before the state runs: it
+    reads each shot's raw PCG64 outputs and replays numpy's ``random()`` and
+    ``integers(3)`` on them, folding each shot's Pauli kicks at a gate into one signed
+    permutation of its row. A noisy chunk of X, CNOT, SWAP and TOFFOLI ops alone (a
+    ``binary`` circuit's) keeps each shot on one basis state up to phase, so it holds
+    just that state's index, moved by bit arithmetic per op and by each kick's x.
     """
     return run_family([circuit], shots, [base_seed], noise)[0]
 

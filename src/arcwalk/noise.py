@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .sim import ConfigError, GateOp
+from .sim import ConfigError, GateOp, is_permutation
 
 # A Pauli kick is a signed permutation: out[i] = 1j**phase * (-1)**parity(z & src) * a[src]
 # with src = i ^ x. Pick 0, 1, 2 is X, Y up to global phase ([[0, 1j], [-1j, 0]]), Z; on
@@ -225,12 +225,15 @@ class KickTape:
     the gate's slots, each giving its low half and keeping its high half, and a value of
     0 is redrawn. Each fresh output moves the shot's later columns one output on. Last,
     every (shot, gate)'s kicks fold into one signed permutation, for all of them at once
-    (see ``_fold``).
+    (see ``_fold``). The engine's loop reads ``readout_flip`` here too, and ``basis``: if
+    the ops up to the last stop are all X, CNOT, SWAP or TOFFOLI (see the module docstring).
     """
 
     def __init__(self, bit_generators, ops, variants, circs, stops, model, n, draws, spare):
         self.gens, self.ops, self.variants, self.circs = bit_generators, ops, variants, circs
         self.stops, self.model, self.n, self.draws = stops, model, n, draws
+        self.readout_flip = model.readout_flip
+        self.basis = all(map(is_permutation, ops[: stops[-1]]))
         self.spare = max(1, spare)
         self.held = None  # shot s's unread outputs are held[s, :held_len[s]]
         self.held_len = np.zeros(len(bit_generators), np.intp)

@@ -253,8 +253,9 @@ def spy_on_unitaries(monkeypatch):
     return applied
 
 
-def test_ideal_run_shares_one_row_over_several_chunks(monkeypatch):
-    # The row is evolved once and every shot samples it, 4096 shots per chunk.
+def test_ideal_run_applies_its_ops_once_per_chunk(monkeypatch):
+    # Chunks of 4096 shots: each chunk evolves one row from |0...0> through every op,
+    # once, and each of its shots samples that row.
     monkeypatch.setattr(engine, "CHUNK_DRAWS", 4096)
     applied, chunks = spy_on_unitaries(monkeypatch), spy_on_chunks(monkeypatch)
     circuit = build_circuit(WalkConfig(9, 3, design="arc_walk"))
@@ -271,7 +272,7 @@ def test_ideal_run_shares_one_row_over_several_chunks(monkeypatch):
     ]
     assert np.array_equal(run_positions(circuit, shots, base_seed=3), np.array(want))
     assert chunks == [4096, 2048]
-    assert applied == circuit.ops
+    assert applied == 2 * circuit.ops
 
 
 def test_noisy_circuit_without_ops_shares_one_row():
@@ -285,9 +286,9 @@ def spy_on_chunks(monkeypatch):
     """The shot count of every chunk the engine runs, in order."""
     chunks, run_chunk = [], engine._trajectories
 
-    def spy(start, ops, variants, seeds, *rest):
-        chunks.append(len(seeds))
-        return run_chunk(start, ops, variants, seeds, *rest)
+    def spy(n, ops, variants, gathers, stops, *rest):
+        chunks.append(len(stops))
+        return run_chunk(n, ops, variants, gathers, stops, *rest)
 
     monkeypatch.setattr(engine, "_trajectories", spy)
     return chunks
@@ -301,23 +302,48 @@ def test_noisy_circuit_without_ops_runs_whole_chunks(monkeypatch):
     assert chunks == [1000]
 
 
+def spy_on_draw_sources(monkeypatch):
+    """The names among ``KickTape``, ``noisy_apply`` and ``_uniforms`` that the engine
+    calls, in order."""
+    called = []
+    for name in ("KickTape", "noisy_apply", "_uniforms"):
+        real = getattr(engine, name)
+        monkeypatch.setattr(engine, name,
+                            lambda *args, real=real, name=name: called.append(name) or real(*args))
+    return called
+
+
+@pytest.mark.parametrize("noise", [None, NOISY], ids=["ideal", "noisy"])
+def test_a_run_reads_only_its_own_draw_source(noise, monkeypatch):
+    # An ideal run, with MEASUREs and RESETs, alone or as a family, computes uniform
+    # blocks and opens no kick tape, so it never calls noisy_apply; a noisy run reads
+    # kick tapes and never computes a uniform block.
+    called = spy_on_draw_sources(monkeypatch)
+    for circuit in (measure_reset_circuit(), build_circuit(WalkConfig(3, 4, design="binary"))):
+        assert_engine_matches_oracle(circuit, 12, noise=noise, base_seed=3)
+    family = [build_circuit(WalkConfig(3, 4, "random_jump_cascading", seed=s)) for s in (1, 2)]
+    assert any(op.kind == "RESET" for op in family[0].ops)
+    for circuit, seed, got in zip(family, (5, 50), engine.run_family(family, 12, [5, 50], noise)):
+        assert np.array_equal(got, oracle_positions(circuit, 12, noise, base_seed=seed))
+    assert set(called) == ({"_uniforms"} if noise is None else {"KickTape", "noisy_apply"})
+
+
 def uniforms_per_shot(circuit):
     """An ideal shot's uniforms: one per MEASURE or RESET, and one to sample."""
     return 1 + sum(not op.is_unitary for op in circuit.ops)
 
 
-def test_ideal_zeno_run_evolves_its_prefix_once_over_several_chunks(monkeypatch):
-    # Three chunks of 8 shots: the ops before the first MEASURE are applied once, and
-    # the ops after it once per chunk.
+def test_ideal_zeno_run_applies_its_unitaries_once_per_chunk(monkeypatch):
+    # Three chunks of 8 shots: each chunk applies every unitary op once, before and
+    # after the first MEASURE alike.
     circuit = with_zeno_measurements(build_circuit(WalkConfig(3, 4, design="arc_walk")), 2)
     monkeypatch.setattr(engine, "CHUNK_DRAWS", 8 * uniforms_per_shot(circuit))
     chunks = spy_on_chunks(monkeypatch)
     applied = spy_on_unitaries(monkeypatch)
     assert_engine_matches_oracle(circuit, 24, base_seed=13)
     first = next(i for i, op in enumerate(circuit.ops) if not op.is_unitary)
-    rest = [op for op in circuit.ops[first:] if op.is_unitary]
     assert chunks == [8, 8, 8]
-    assert first > 0 and applied == circuit.ops[:first] + 3 * rest
+    assert first > 0 and applied == 3 * [op for op in circuit.ops if op.is_unitary]
 
 
 ZENO_ARC = (WalkConfig(8, 6, design="arc"), 2)

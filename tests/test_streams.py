@@ -3,7 +3,9 @@
 ``_uniforms`` replays SeedSequence, PCG64 and ``random()`` in numpy integer
 arithmetic, and ``KickTape`` replays ``random(k)`` and ``integers(3)`` on raw
 PCG64 outputs, ahead of the state. If numpy changes any of them, these tests
-fail, so seeded outputs cannot change without notice.
+fail, so seeded outputs cannot change without notice. Both draw sources the
+engine reads, ``UniformTape`` and ``KickTape``, are read here as the engine
+reads them.
 """
 
 import warnings
@@ -12,7 +14,8 @@ import numpy as np
 import pytest
 
 from arcwalk import Circuit, GateOp, NoiseModel, WalkConfig, build_circuit, engine, run_positions
-from arcwalk.engine import CHUNK_DRAWS, CHUNK_SHOTS, WINDOW_COLUMNS, _shot_seeds, _uniforms
+from arcwalk.engine import CHUNK_DRAWS, CHUNK_SHOTS, WINDOW_COLUMNS, UniformTape, _shot_seeds
+from arcwalk.engine import _uniforms
 from arcwalk.noise import KickTape, _injection_slots
 from test_batched_engine import oracle_positions
 
@@ -75,7 +78,7 @@ def generator_draws(bit_generator, ops, model, stop, n):
 
 def tape_draws(tape, ops, stops):
     """The same, for every shot, read from ``tape`` as the engine reads it (``stops``
-    ascending)."""
+    ascending); a ``UniformTape`` has no kicks."""
     shots, live = len(stops), 0
     kicks, uniforms, retired = [{} for _ in stops], [{} for _ in stops], [None] * shots
     for j in range(len(ops) + 1):
@@ -91,7 +94,7 @@ def tape_draws(tape, ops, stops):
         if not ops[j].is_unitary:
             for s, u in enumerate(tape.measure(j, live), start=live):
                 uniforms[s][j] = u
-        for s, phase, x, z in zip(*tape.kicks(j, live)):  # a RESET's: every shot's X kicks
+        for s, phase, x, z in zip(*tape.kicks(j, live) or ()):  # a RESET's: every shot's X
             kicks[live + s][j] = (phase, x, z)
     return kicks, uniforms, retired
 
@@ -109,6 +112,27 @@ def assert_tape_matches_generators(bit_generators, twins, ops, model, stops, n, 
         assert np.array_equal(got[2][s], retired), s
         assert tape.held_len[s] <= spare  # what a shot holds between pieces
     return got
+
+
+@pytest.mark.parametrize("base_seed", [0, 2**32 - 5, 2**64 - 6])  # the last crosses 2**64
+def test_uniform_tape_replays_default_rng(base_seed):
+    # An ideal chunk's draws, read as the engine reads them, for the whole chunk and for a
+    # group split off it: a shot's uniforms at its MEASUREs and RESETs, then its final
+    # sample's, are default_rng(seed).random(k) column for column.
+    ops = [GateOp.h(0), GateOp.measure(0), GateOp.x(1), GateOp.reset(1), GateOp.measure(0),
+           GateOp.h(2), GateOp.reset(0)]
+    stops = np.array([0, 1, 2, 2, 4, 5, 6, 7, 7])
+    columns = np.cumsum([0] + [not op.is_unitary for op in ops]).tolist()
+    seeds = _shot_seeds([base_seed], len(stops))
+    tape = UniformTape(_uniforms(seeds, 1 + columns[-1]), columns, stops)
+    assert (tape.next, tape.basis, tape.readout_flip) == (-1, False, 0.0)
+    for idx in (np.arange(len(stops)), np.array([1, 3, 4, 7])):
+        group = tape if len(idx) == len(stops) else tape.take(idx)
+        kicks, uniforms, retired = tape_draws(group, ops, stops[idx])
+        for s, i in enumerate(idx.tolist()):
+            drawn = [*uniforms[s].values(), *retired[s]]
+            assert kicks[s] == {} and len(drawn) == 1 + columns[stops[i]], i
+            assert drawn == np.random.default_rng(int(seeds[i])).random(len(drawn)).tolist(), i
 
 
 KINDS = (GateOp.x(0), GateOp.h(1), GateOp.cnot(0, 2), GateOp.swap(1, 2),
