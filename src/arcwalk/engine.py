@@ -20,13 +20,14 @@ RANDOM_JUMP_SHOTS = 30
 RANDOM_DESIGNS = ("random_jump", "random_jump_cascading")  # a new circuit per step count
 
 # A run's shots (every cut's of every circuit's, sorted by stop) run in chunks, which may
-# end inside a cut. A chunk buffers at most CHUNK_DRAWS draws in all (2 MiB): an ideal
-# shot k = 1 + collapses uniforms; a noisy shot up to WINDOW_COLUMNS raw outputs, which
-# it reads past each piece of its kick tape for its picks and holds until its next
-# piece, beside one block of at most CHUNK_DRAWS // 4 that the tape reads the next piece
-# into, so a noisy chunk holds at most 768 shots (one without ops reads one piece and
-# holds nothing, so it may hold 1024). CHUNK_AMPS (512 KiB) caps the rows that run
-# together. A noisy chunk whose ops can part its shots holds at most CHUNK_AMPS
+# end inside a cut. An ideal chunk buffers at most CHUNK_DRAWS draws (2 MiB), k = 1 +
+# collapses uniforms per shot. A noisy chunk holds at most 768 shots (one without ops may
+# hold 1024). Beside the one block of at most CHUNK_DRAWS // 4 raw outputs that its kick
+# tape reads each piece into, that cap bounds what its shots hold: a PCG64 each (about
+# 0.7 KB), and a piece's uniforms and kick lists. A block row reads WINDOW_COLUMNS
+# outputs past a shot's columns for its picks; a shot holds none between pieces, since
+# its PCG64 steps back over the ones it left unread. CHUNK_AMPS (512 KiB) caps the rows
+# that run together. A noisy chunk whose ops can part its shots holds at most CHUNK_AMPS
 # amplitudes even if every shot parts to its own row. An ideal chunk may hold more
 # shots: when its circuits (one |0...0> row each) or a collapse give more than
 # CHUNK_AMPS >> n rows, its shots split into row-disjoint groups of that many rows, run
@@ -35,12 +36,11 @@ RANDOM_DESIGNS = ("random_jump", "random_jump_cascading")  # a new circuit per s
 # moment, and the groups it leaves waiting hold copies of their rows, so a chunk holds at
 # most the cap's rows per collapse on the running group's path, plus that doubling.
 # ``_uniforms`` computes its rows in passes of CHUNK_SHOTS, with about 11 times a pass's
-# output in temporaries. A noisy shot holds a PCG64 (about 0.7 KB). Its tape fills a
-# block row by row, one ``random_raw`` call per shot that runs short (about 1 us plus
-# 3.6 ns per output on a 2 vCPU x86 host), and while it resolves a block its temporaries
-# take about as much again. A piece ends before one shot's row would pass the block (it
-# holds at least one op). The tape also holds a piece's folded kicks and its uniforms:
-# one per MEASURE or RESET and 1 + n to retire, per shot.
+# output in temporaries. A kick tape fills a block row by row, one ``random_raw`` call
+# per shot (about 1 us plus 3.6 ns per output on a 2 vCPU x86 host), and while it
+# resolves a block its temporaries take about as much again. A piece ends before one
+# shot's row would pass the block (it holds at least one op). A piece's uniforms are one
+# per MEASURE or RESET and 1 + n to retire, per shot.
 # No chunk or group size changes a draw: shot r of a cut run at seed s draws from s + r.
 CHUNK_SHOTS = 1 << 12
 CHUNK_AMPS = 1 << 15
@@ -378,8 +378,9 @@ def _sweep(circuits: list[Circuit], cuts: list[list[int]], shots: int,
                 if g is None:
                     g = composed[key] = gather_index(n, key)
                 gathers[span[0]] = (span[-1] + 1, g)
-    # Draws each shot buffers: ideal, one uniform per collapse and one to sample; noisy, a
-    # spare, beside the kick tape's block of CHUNK_DRAWS // 4 if ops follow.
+    # Draws per shot: ideal, one uniform per collapse and one to sample; noisy, the spare
+    # its picks may read, which with the kick tape's block of CHUNK_DRAWS // 4 (if ops
+    # follow) sets the shot cap (see CHUNK_DRAWS).
     columns = np.cumsum([0] + [not op.is_unitary for op in ops]).tolist()
     k = 1 + columns[-1] if noise is None else WINDOW_COLUMNS
     chunk = max(1, CHUNK_DRAWS // k if noise is None or not ops else
@@ -421,9 +422,9 @@ def run_positions(
     them chunk by chunk, each chunk from one |0...0> row: an ideal chunk holds up to
     ``2**18 // k`` shots (k uniforms each) and splits into groups of at most
     ``2**15 // 2**n`` rows when its rows part beyond that; a noisy chunk whose ops can
-    part its shots holds at most that many shots, and at most 768, so that the raw
-    outputs its kick tape buffers stay within ``2**18`` words. Each distinct state is
-    evolved once and each shot holds its row's index: shots part by outcome at a
+    part its shots holds at most that many shots, and at most 768, each with its own
+    PCG64, beside one block of raw outputs that its kick tape reads. Each distinct
+    state is evolved once and each shot holds its row's index: shots part by outcome at a
     collapse or by kicks at a noisy gate, and rows with equal bytes merge after a RESET
     and at the end of each run of MEASUREs, so a register readout merges once (exact:
     equal bytes in give equal bytes out). A run is a family of one circuit (see

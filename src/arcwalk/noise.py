@@ -196,7 +196,7 @@ class _Piece(NamedTuple):
     below_max: np.uint64  # the largest of them
     mcols: np.ndarray  # the MEASURE and RESET columns, then a 0
     span: int  # more than any column a shot reads
-    keep: bool  # whether the shots keep their unread outputs for a next piece
+    keep: bool  # whether a piece follows, so each shot rewinds its unread outputs
 
 
 class KickTape:
@@ -211,12 +211,12 @@ class KickTape:
     listed at the RESET for every shot: only the shots that read 1 take them. So no draw
     depends on the amplitudes, and a piece ends only where a row would not fit a block.
 
-    Raw outputs live in two buffers: ``held``, where each shot keeps at most ``spare``
-    unread outputs for its next piece (made when a piece leaves any), and one block of
-    at most ``draws`` words per batch of shots that ``resolve`` reads. A block row holds
-    a shot's unread outputs, then, if those fall short of its columns, one
-    ``random_raw`` read of the rest plus ``spare`` for its picks; a piece ends before
-    one shot's row would not fit (it holds at least one op). A slot errs when its output
+    Raw outputs live in one block of at most ``draws`` words per batch of shots that
+    ``resolve`` reads. A block row is one ``random_raw`` read of a shot's columns plus
+    ``spare`` for its picks; a piece ends before one shot's row would not fit (it holds
+    at least one op). If a piece follows, each shot's PCG64 then steps back over the
+    outputs its row read but did not use, so between pieces a shot holds nothing but its
+    stream's position and its kept half (see below). A slot errs when its output
     is below the slot's threshold (see ``_slot_thresholds``), so a block is searched
     once for the outputs below the piece's largest threshold. A shot with none at its
     slots keeps its alignment; the others are walked one at a time over those outputs.
@@ -235,8 +235,6 @@ class KickTape:
         self.readout_flip = model.readout_flip
         self.basis = all(map(is_permutation, ops[: stops[-1]]))
         self.spare = max(1, spare)
-        self.held = None  # shot s's unread outputs are held[s, :held_len[s]]
-        self.held_len = np.zeros(len(bit_generators), np.intp)
         self.half = [None] * len(bit_generators)  # the kept high half, if any
         self.next = 0  # the op position whose piece comes next, or -1: none
 
@@ -258,7 +256,7 @@ class KickTape:
         while end < len(ops):
             op = ops[end]
             width = len(_injection_slots(op)) if op.is_unitary else 1 + (op.kind == "RESET")
-            if end > at and len(thresh) + width + retire + 2 * self.spare > self.draws:
+            if end > at and len(thresh) + width + retire + self.spare > self.draws:
                 break
             starts.append(len(thresh))
             if op.is_unitary:
@@ -285,11 +283,9 @@ class KickTape:
         piece = _Piece(thresh, ends, np.array(below + [0], np.uint64),
                        np.uint64(max(below, default=0)), np.array(mcols + [0]),
                        len(thresh) + retire + 1, not last)
-        if piece.keep and self.held is None:
-            self.held = np.empty((len(self.gens), self.spare), np.uint64)
         hits, picks, owner = [], [], []
         widest = int(top.max(initial=0)) + self.spare  # a block row, at most
-        batch = max(1, (self.draws - self.spare) // widest)
+        batch = max(1, self.draws // widest)
         for a in range(0, len(stops), batch):
             b = slice(a, a + batch)
             got = self._batch(piece, live + a, lim[b], top[b])
@@ -311,33 +307,26 @@ class KickTape:
         self.kstart = np.searchsorted(kpos[order], np.arange(at, end + 1)).tolist()
 
     def _read(self, s0: int, need: np.ndarray) -> tuple[np.ndarray, int, np.ndarray]:
-        """A block of the raw outputs of the shots ``s0`` on, row w for shot s0 + w, which
-        needs ``need[w]``: its unread outputs, then, if those fall short, the shortfall
-        and ``spare`` more. Returns the block's buffer, its row width and each row's
-        length; the buffer ends ``spare`` words past the last row, so that the ``spare``
-        words from any place in a row lie inside it."""
-        count, spare, had = len(need), self.spare, self.held_len[s0 : s0 + len(need)]
-        size = np.where(had < need, need + spare, had)
-        width = max(1, int(size.max()))
-        buffer = np.empty(count * width + spare, np.uint64)
-        block = buffer[: count * width].reshape(count, width)
-        if self.held is not None:
-            kept = min(width, spare)
-            block[:, :kept] = self.held[s0 : s0 + count, :kept]
-        for w in np.flatnonzero(had < need).tolist():
-            block[w, had[w] : size[w]] = self.gens[s0 + w].random_raw(int(size[w] - had[w]))
-        return buffer, width, size
+        """A block of the raw outputs of the shots ``s0`` on, row w for shot s0 + w: the
+        next ``need[w]`` outputs of its stream and ``spare`` more. Returns the block, its
+        row width and each row's length."""
+        size = need + self.spare
+        width = int(size.max())
+        block = np.empty((len(need), width), np.uint64)
+        for w, count in enumerate(size.tolist()):
+            block[w, :count] = self.gens[s0 + w].random_raw(count)
+        return block, width, size
 
     def _batch(self, piece, s0, lim, top):
         """Resolve the shots ``s0`` on (one per entry of ``lim``) from one block of their
         raw outputs (see ``_read``). Column c of shot s0 + w reads ``block[w, c]`` until a
         pick moves it on. Only the shots with an error at that first alignment are
-        walked; the others kick nowhere, so it holds throughout. Returns the hit
-        columns, their picks and their shots.
+        walked; the others kick nowhere, so it holds throughout. If a piece follows,
+        each shot's stream then rewinds to the first output its row left unread. Returns
+        the hit columns, their picks and their shots.
         """
         spare, below, shots = self.spare, piece.below, len(lim)
-        buffer, width, size = self._read(s0, top)
-        block = buffer[: shots * width].reshape(shots, width)
+        block, width, size = self._read(s0, top)
         cand = np.flatnonzero(block <= piece.below_max)  # only these outputs can err
         who, pos = np.divmod(cand, width)
         real = pos < size[who]
@@ -385,14 +374,11 @@ class KickTape:
             raw[mine] = row[u_pos[mine]]
         self.uniforms[s0 - self.first + u_shot, np.where(early, j, measures + j - q[u_shot])] = (
             (raw >> np.uint64(11)) * (1.0 / (1 << 53)))
-        if piece.keep:  # the outputs each shot leaves unread, for its next piece
-            rows, at = slice(s0, s0 + shots), np.arange(shots) * width
-            windows = np.lib.stride_tricks.sliding_window_view(buffer, spare)
-            self.held[rows] = windows[at + np.minimum(end, width)]
+        if piece.keep:  # the next piece reads on from each shot's first unread output
             for w, row in grown.items():
                 size[w] = len(row)
-                self.held[s0 + w, : size[w] - end[w]] = row[end[w] :]
-            self.held_len[rows] = size - end
+            for w, back in enumerate((size - end).tolist()):
+                self.gens[s0 + w].advance(-back)
         return hits, picks, owner
 
     def _walk(self, piece, s, raw, cand, vals, lim, top):

@@ -39,6 +39,7 @@ from arcwalk import (
     walk_step_changes,
     zeno_experiment,
 )
+from reference import apply_ops
 from synthdata import make_housing_records
 
 
@@ -47,17 +48,6 @@ def _verdict(num: int, label: str, ok: bool, detail: str = "") -> None:
     suffix = f" ({detail})" if detail else ""
     print(f"CRITERION {num:02d} [{status}] {label}{suffix}")
     assert ok, f"criterion {num}: {label}{suffix}"
-
-
-def _apply_ops(state: StateVector, ops) -> None:
-    rng = np.random.default_rng(0)
-    for op in ops:
-        if op.kind == "MEASURE":
-            state.measure_qubit(op.targets[0], rng)
-        elif op.kind == "RESET":
-            state.reset_qubit(op.targets[0], rng)
-        else:
-            state.apply_gate(op)
 
 
 def test_criterion_01_binary_counter_exactness():
@@ -152,7 +142,7 @@ def test_criterion_06_block_truth_tables():
         for b in (0, 1):
             for c in (0, 1):
                 state = StateVector.from_basis(4, a | (b << 1) | (c << 2))
-                _apply_ops(state, adder.ops)
+                apply_ops(state, adder.ops)
                 s = a ^ b ^ c
                 carry = (a & b) | (c & (a ^ b))
                 ok = ok and state.amps[a | (b << 1) | (s << 2) | (carry << 3)] == 1.0
@@ -160,14 +150,14 @@ def test_criterion_06_block_truth_tables():
     for lo in (0, 1):
         for hi in (0, 1):
             state = StateVector.from_basis(3, lo | (hi << 1))
-            _apply_ops(state, orb.ops)
+            apply_ops(state, orb.ops)
             want = lo | ((lo | hi) << 1)
             ok = ok and abs(abs(state.amps[want]) - 1.0) <= 1e-12
     for width in (2, 3, 4):
         inc = increment_circuit(width)
         for n in range(1 << width):
             state = StateVector.from_basis(inc.n_qubits, n)
-            _apply_ops(state, inc.ops)
+            apply_ops(state, inc.ops)
             ok = ok and state.amps[(n + 1) % (1 << width)] == 1.0
     _verdict(6, "adder, OR-in-place, and increment match their truth tables exactly", ok)
 

@@ -3,7 +3,6 @@
 import math
 import re
 
-import numpy as np
 import pytest
 
 from arcwalk import (
@@ -26,18 +25,7 @@ from arcwalk import (
     random_jump_circuit,
     with_cascading_disjunctions,
 )
-
-
-def apply_ops(state: StateVector, ops, rng=None) -> None:
-    if rng is None:
-        rng = np.random.default_rng(0)
-    for op in ops:
-        if op.kind == "MEASURE":
-            state.measure_qubit(op.targets[0], rng)
-        elif op.kind == "RESET":
-            state.reset_qubit(op.targets[0], rng)
-        else:
-            state.apply_gate(op)
+from reference import apply_ops
 
 
 def prob_one(state: StateVector, q: int) -> float:

@@ -29,13 +29,8 @@ from arcwalk import (
 )
 from arcwalk import engine
 from arcwalk.circuits import or_inplace_block
+from reference import decode
 from test_batched_engine import spy_on_unitaries
-
-
-def decode(bits: str, counter: range) -> int:
-    """Counter value of a qubit-0-first bitstring: sum of 2^k over set counter bits."""
-    window = bits[counter.start : counter.stop]
-    return int(window[::-1], 2)
 
 
 # Mean decoded noisy arc value per step count (width 6, quarter-turn base

@@ -19,7 +19,8 @@ from arcwalk import Circuit, ConfigError, GateOp, WalkConfig, build_circuit, eng
 from arcwalk.circuits import with_zeno_measurements
 from arcwalk.engine import run_family, run_positions
 from arcwalk.sim import apply_rows, apply_unitary, gather_index, measure_rows
-from test_batched_engine import NOISY, oracle_positions, spy_on_basis
+from reference import oracle_positions
+from test_batched_engine import NOISY, spy_on_basis
 
 ARITY = {"X": 1, "H": 1, "RX": 1, "T": 1, "TDG": 1, "MEASURE": 1, "RESET": 1,
          "CNOT": 2, "CRX": 2, "SWAP": 2, "TOFFOLI": 3}

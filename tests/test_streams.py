@@ -13,11 +13,12 @@ import warnings
 import numpy as np
 import pytest
 
-from arcwalk import Circuit, GateOp, NoiseModel, WalkConfig, build_circuit, engine, run_positions
+from arcwalk import DEFAULT_NOISE, Circuit, GateOp, NoiseModel, WalkConfig, build_circuit, engine
+from arcwalk import run_positions
 from arcwalk.engine import CHUNK_DRAWS, CHUNK_SHOTS, WINDOW_COLUMNS, UniformTape, _shot_seeds
 from arcwalk.engine import _uniforms
 from arcwalk.noise import KickTape, _injection_slots
-from test_batched_engine import oracle_positions
+from reference import oracle_positions
 
 
 def numpy_rows(base_seed, shots, k):
@@ -110,7 +111,6 @@ def assert_tape_matches_generators(bit_generators, twins, ops, model, stops, n, 
         assert got[0][s] == kicks, s
         assert got[1][s] == uniforms, s
         assert np.array_equal(got[2][s], retired), s
-        assert tape.held_len[s] <= spare  # what a shot holds between pieces
     return got
 
 
@@ -153,6 +153,21 @@ def test_windows_replay_generator_draws(base_seed, width):
         gens = [np.random.PCG64(base_seed + i) for i in range(shots)]
         twins = [np.random.PCG64(base_seed + i) for i in range(shots)]
         assert_tape_matches_generators(gens, twins, ops, model, stops, 3, draws, width)
+
+
+@pytest.mark.parametrize("k", [0, 1, 7, 256])
+@pytest.mark.parametrize("seed", [0, 2**63 + 11])
+def test_negative_advance_replays_unread_outputs(seed, k):
+    # Between pieces a tape steps each shot's PCG64 back over the outputs its block row
+    # read but did not use: advance(-k), which numpy wraps mod 2**128. The stream then
+    # reads those k outputs again, and goes on as if they had never been read.
+    bit_generator, twin = np.random.PCG64(seed), np.random.PCG64(seed)
+    read = bit_generator.random_raw(300)
+    bit_generator.advance(-k)
+    twin.random_raw(300 - k)
+    again = bit_generator.random_raw(k + 5)
+    assert np.array_equal(again[:k], read[300 - k :])
+    assert np.array_equal(again, twin.random_raw(k + 5))
 
 
 PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
@@ -231,16 +246,16 @@ def test_noisy_measure_and_reset_match_the_oracle(base_seed):
 @pytest.mark.parametrize("fidelity", [1e-17, 2.0**-54])
 def test_slots_that_always_err_match_the_oracle(fidelity, monkeypatch):
     # 1 - fidelity rounds to 1, so every 1q slot errs: its threshold is 2**64. A small
-    # draw budget cuts a shot's 122 columns into pieces of at most 51, so each shot
-    # carries its unread outputs and kept half across pieces, noisy RESETs among them.
+    # draw budget cuts a shot's 122 columns into pieces, so each shot rewinds its
+    # stream and carries its kept half across pieces, noisy RESETs among them.
     monkeypatch.setattr(engine, "CHUNK_DRAWS", 1 << 8)
     monkeypatch.setattr(engine, "WINDOW_COLUMNS", 1 << 2)
-    opened = spy_on_tapes(monkeypatch)
+    opened, resolved = spy_on_tapes(monkeypatch), spy_on_pieces(monkeypatch)
     circuit = build_circuit(WalkConfig(2, 3, design="random_jump_cascading"))
     noise = NoiseModel(fidelity, 0.9, 0.02)
     assert 1.0 - noise.fidelity_1q == 1.0
     got = run_positions(circuit, 30, noise=noise, base_seed=3)
-    assert len(opened) == 1 and opened[0].held is not None
+    assert len(opened) == 1 and len(resolved) > 1
     assert np.array_equal(got, oracle_positions(circuit, 30, noise, base_seed=3))
 
 
@@ -253,6 +268,9 @@ class CountedReads:
     def random_raw(self, size):
         self.reads.append(size)
         return self.bit_generator.random_raw(size)
+
+    def advance(self, delta):
+        return self.bit_generator.advance(delta)
 
 
 def spy_on_tapes(monkeypatch):
@@ -267,12 +285,20 @@ def spy_on_tapes(monkeypatch):
             opened.append(self)
 
         def _read(self, s0, need):
-            buffer, width, size = super()._read(s0, need)
-            self.blocks.append(buffer.size)
-            return buffer, width, size
+            block, width, size = super()._read(s0, need)
+            self.blocks.append(block.size)
+            return block, width, size
 
     monkeypatch.setattr(engine, "KickTape", Spy)
     return opened
+
+
+def spy_on_pieces(monkeypatch):
+    """The tape of every piece the engine resolves, once per piece."""
+    resolved, real = [], engine.KickTape.resolve
+    monkeypatch.setattr(engine.KickTape, "resolve",
+                        lambda tape, *args: resolved.append(tape) or real(tape, *args))
+    return resolved
 
 
 @pytest.mark.parametrize(
@@ -282,14 +308,14 @@ def spy_on_tapes(monkeypatch):
         (WalkConfig(6, 4, design="binary"), 16),  # long draws: WINDOW_COLUMNS binds
         (WalkConfig(3, 0, design="arc"), 8),  # only readout draws
         # Noisy RESETs under a draw budget of 2 pieces per shot: every shot of a full
-        # chunk holds outputs between pieces.
+        # chunk rewinds its stream between pieces.
         (WalkConfig(3, 2, design="random_jump_cascading"), 800),
     ],
 )
 def test_noisy_window_memory_is_bounded(config, shots, monkeypatch):
-    # A chunk buffers at most CHUNK_DRAWS raw outputs: its shots' WINDOW_COLUMNS unread
-    # outputs each between pieces, beside the one block the tape reads a batch into.
-    if config.design == "random_jump_cascading":  # 84 columns per shot, pieces of <= 50
+    # A tape reads each batch of shots into one block of at most CHUNK_DRAWS // 4 raw
+    # outputs and holds none between pieces.
+    if config.design == "random_jump_cascading":  # 84 columns per shot, 2 pieces
         monkeypatch.setattr(engine, "CHUNK_DRAWS", 1 << 8)
         monkeypatch.setattr(engine, "WINDOW_COLUMNS", 1 << 2)
     draws, window = engine.CHUNK_DRAWS, engine.WINDOW_COLUMNS
@@ -298,14 +324,11 @@ def test_noisy_window_memory_is_bounded(config, shots, monkeypatch):
     run_positions(circuit, shots, noise=NoiseModel(0.99, 0.97, 0.01), base_seed=5)
     assert opened
     for tape in opened:
-        held = 0 if tape.held is None else tape.held.size
-        assert held in (0, len(tape.gens) * tape.spare)
         assert tape.spare <= window and max(tape.reads) <= draws // 4
-        assert held + max(tape.blocks) <= draws
         assert max(tape.blocks) <= draws // 4
     if config.design == "random_jump_cascading":
         full = (draws - draws // 4) // window  # 48 shots
-        assert max(len(tape.gens) for tape in opened if tape.held is not None) == full
+        assert max(len(tape.gens) for tape in opened) == full
 
 
 def test_pieces_keep_reads_within_a_small_draw_budget(monkeypatch):
@@ -322,16 +345,24 @@ def test_pieces_keep_reads_within_a_small_draw_budget(monkeypatch):
                                                 base_seed=5))
 
 
+def test_a_long_noisy_run_resolves_two_pieces_at_the_shipped_budget(monkeypatch):
+    # A noisy binary counter at width 10 and 20 steps reads more columns per shot than
+    # one block row of CHUNK_DRAWS // 4 holds, so with no budget patched each shot's
+    # stream rewinds between two pieces.
+    resolved = spy_on_pieces(monkeypatch)
+    circuit = build_circuit(WalkConfig(10, 20, design="binary"))
+    got = run_positions(circuit, 4, noise=DEFAULT_NOISE, base_seed=11)
+    assert len(resolved) == 2
+    assert np.array_equal(got, oracle_positions(circuit, 4, DEFAULT_NOISE, base_seed=11))
+
+
 def test_noisy_resets_resolve_one_piece_per_chunk(monkeypatch):
     # Every shot draws a RESET's X noise, whatever it reads, so no draw waits on an
     # outcome: with no draw-budget split, each chunk's tape resolves one piece. Chunks
     # of 16 shots.
     circuit = build_circuit(WalkConfig(3, 4, design="random_jump_cascading", seed=2))
     monkeypatch.setattr(engine, "CHUNK_AMPS", 16 << circuit.n_qubits)
-    opened, resolved = spy_on_tapes(monkeypatch), []
-    real = engine.KickTape.resolve
-    monkeypatch.setattr(engine.KickTape, "resolve",
-                        lambda tape, *args: resolved.append(tape) or real(tape, *args))
+    opened, resolved = spy_on_tapes(monkeypatch), spy_on_pieces(monkeypatch)
     noise = NoiseModel(0.99, 0.97, 0.01)
     got = run_positions(circuit, 100, noise=noise, base_seed=9)
     assert sum(op.kind == "RESET" for op in circuit.ops) >= 4
