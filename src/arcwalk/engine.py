@@ -23,24 +23,24 @@ RANDOM_DESIGNS = ("random_jump", "random_jump_cascading")  # a new circuit per s
 # end inside a cut. An ideal chunk buffers at most CHUNK_DRAWS draws (2 MiB), k = 1 +
 # collapses uniforms per shot. A noisy chunk holds at most 768 shots (one without ops may
 # hold 1024). Beside the one block of at most CHUNK_DRAWS // 4 raw outputs that its kick
-# tape reads each piece into, that cap bounds what its shots hold: a PCG64 each (about
-# 0.7 KB), and a piece's uniforms and kick lists. A block row reads WINDOW_COLUMNS
-# outputs past a shot's columns for its picks; a shot holds none between pieces, since
-# its PCG64 steps back over the ones it left unread. CHUNK_AMPS (512 KiB) caps the rows
-# that run together. A noisy chunk whose ops can part its shots holds at most CHUNK_AMPS
-# amplitudes even if every shot parts to its own row. An ideal chunk may hold more
-# shots: when its circuits (one |0...0> row each) or a collapse give more than
+# tape reads each piece into, that cap bounds what its shots hold: a seeded PCG64 state
+# each (two 128-bit ints, about 150 B), and a piece's uniforms and kick lists. A block
+# row reads WINDOW_COLUMNS outputs past a shot's columns for its picks; between pieces a
+# shot holds none, only a count of the outputs it used. CHUNK_AMPS (512 KiB) caps the
+# rows that run together. A noisy chunk whose ops can part its shots holds at most
+# CHUNK_AMPS amplitudes even if every shot parts to its own row. An ideal chunk may hold
+# more shots: when its circuits (one |0...0> row each) or a collapse give more than
 # CHUNK_AMPS >> n rows, its shots split into row-disjoint groups of that many rows, run
-# one after another.
-# A group's start rows are built when it runs; a collapse may double the rows for a
-# moment, and the groups it leaves waiting hold copies of their rows, so a chunk holds at
-# most the cap's rows per collapse on the running group's path, plus that doubling.
-# ``_uniforms`` computes its rows in passes of CHUNK_SHOTS, with about 11 times a pass's
-# output in temporaries. A kick tape fills a block row by row, one ``random_raw`` call
-# per shot (about 1 us plus 3.6 ns per output on a 2 vCPU x86 host), and while it
-# resolves a block its temporaries take about as much again. A piece ends before one
-# shot's row would pass the block (it holds at least one op). A piece's uniforms are one
-# per MEASURE or RESET and 1 + n to retire, per shot.
+# one after another. A group's start rows are built when it runs; a collapse may double
+# the rows for a moment, and the groups it leaves waiting hold copies of their rows, so
+# a chunk holds at most the cap's rows per collapse on the running group's path, plus
+# that doubling. ``_uniforms`` computes its rows in passes of CHUNK_SHOTS, with about 11
+# times a pass's output in temporaries. A kick tape fills a block row by row with its one
+# PCG64: per shot it sets the state (about 2.6 us), advances past the used outputs if any
+# (about 1.2 us) and makes one ``random_raw`` call (about 1 us plus 3.6 ns per output on
+# a 2 vCPU x86 host); while it resolves a block its temporaries take about as much again.
+# A piece ends before one shot's row would pass the block (it holds at least one op). A
+# piece's uniforms are one per MEASURE or RESET and 1 + n to retire, per shot.
 # No chunk or group size changes a draw: shot r of a cut run at seed s draws from s + r.
 CHUNK_SHOTS = 1 << 12
 CHUNK_AMPS = 1 << 15
@@ -81,18 +81,18 @@ def _hashmix(v: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=256)
-def _pcg_jumps(k: int) -> tuple[np.ndarray, ...]:
-    """64-bit halves A_hi, A_lo, B_hi, B_lo of A_j and B_j for draws j = 1..k, where
-    draw j outputs from the LCG state A_j * initstate + B_j * inc mod 2**128: seeding
-    steps twice, each draw once, so A_j = M**(j+1), B_j = 1 + M + ... + M**(j+1)."""
+def _pcg_jumps(k: int) -> np.ndarray:
+    """Rows A_hi, A_lo, B_hi, B_lo: 64-bit halves of A_j and B_j, where after seeding and
+    j = 0..k draws the LCG state is A_j * initstate + B_j * inc mod 2**128: seeding steps
+    twice, each draw once, so A_j = M**(j+1), B_j = 1 + M + ... + M**(j+1)."""
     rows, power, total, low = [], _PCG64_MULT, 1 + _PCG64_MULT, (1 << 64) - 1
-    for _ in range(k):
+    for _ in range(k + 1):
+        rows.append((power >> 64, power & low, total >> 64, total & low))
         power = power * _PCG64_MULT % (1 << 128)
         total = (total + power) % (1 << 128)
-        rows.append((power >> 64, power & low, total >> 64, total & low))
     out = np.array(rows, np.uint64).T
     out.setflags(write=False)
-    return tuple(out)
+    return out
 
 
 def _mul128(x_hi, x_lo, c_hi, c_lo):
@@ -113,40 +113,54 @@ def _shot_seeds(seeds: list[int], shots: int) -> np.ndarray:
     return np.array([seed + r for seed in seeds for r in range(shots)], dtype=object)
 
 
-def _uniforms(seeds: np.ndarray, k: int) -> np.ndarray:
-    """(len(seeds), k) array whose row i equals ``default_rng(seeds[i]).random(k)``
-    bit for bit, computed for every row at once.
-
-    It replays numpy's algorithms in wrapping uint32/uint64 arithmetic:
-    SeedSequence hashing of each seed as 4 entropy words (a seed's missing
-    words act as zeros), ``generate_state(4, np.uint64)`` and PCG64 seeding, a
-    jump to each draw's 128-bit LCG state, and the XSL-RR output as
-    ``(x >> 11) * 2**-53``. Seeds as Python ints (``_shot_seeds`` gives them when one
-    reaches 2**64) take ``default_rng`` row by row. tests/test_streams.py checks the
-    rows against numpy.
-    """
-    if seeds.dtype == object:
-        return np.array([np.random.default_rng(seed).random(k) for seed in seeds.tolist()])
-    if len(seeds) > CHUNK_SHOTS:  # in passes, which bound the temporaries below
-        return np.concatenate([_uniforms(seeds[a : a + CHUNK_SHOTS], k)
-                               for a in range(0, len(seeds), CHUNK_SHOTS)])
+def _pcg_lcg(seeds: np.ndarray, jumps: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(hi, lo) halves of each seed's PCG64 LCG state at each column of ``jumps`` (see
+    ``_pcg_jumps``), then (hi, lo) of its increment as columns, for every seed at once.
+    SeedSequence hashing of each seed as 4 entropy words (missing words act as zeros) and
+    ``generate_state(4, np.uint64)`` (initstate, initseq; inc = 2 * initseq + 1) replay
+    in wrapping uint32/uint64 arithmetic; Python-int seeds (``_shot_seeds`` gives them
+    when one reaches 2**64) take their words from ``SeedSequence`` itself."""
     u32, u64 = np.uint32, np.uint64
-    pool = np.zeros((4, len(seeds)), u32)
-    pool[0], pool[1] = seeds & u64(0xFFFFFFFF), seeds >> u64(32)
-    xor, mult = _POOL_HASH
-    pool = _hashmix(pool, xor[:4], mult[:4])
-    for src in range(4):  # each word mixes into the other three, in order
-        dst, at = [d for d in range(4) if d != src], slice(4 + 3 * src, 7 + 3 * src)
-        r = u32(0xCA01F9DD) * pool[dst] - u32(0x4973F715) * _hashmix(pool[src], xor[at], mult[at])
-        pool[dst] = r ^ (r >> u32(16))
-    state = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], *_STATE_HASH).astype(u64)
-    init_hi, init_lo, seq_hi, seq_lo = (state[0::2] | state[1::2] << u64(32))[:, :, None]
+    if seeds.dtype == object:
+        words = np.array([np.random.SeedSequence(seed).generate_state(4, u64)
+                          for seed in seeds.tolist()]).T
+    else:
+        pool = np.zeros((4, len(seeds)), u32)
+        pool[0], pool[1] = seeds & u64(0xFFFFFFFF), seeds >> u64(32)
+        xor, mult = _POOL_HASH
+        pool = _hashmix(pool, xor[:4], mult[:4])
+        for src in range(4):  # each word mixes into the other three, in order
+            dst, at = [d for d in range(4) if d != src], slice(4 + 3 * src, 7 + 3 * src)
+            mixed = _hashmix(pool[src], xor[at], mult[at])
+            r = u32(0xCA01F9DD) * pool[dst] - u32(0x4973F715) * mixed
+            pool[dst] = r ^ (r >> u32(16))
+        state = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], *_STATE_HASH).astype(u64)
+        words = state[0::2] | state[1::2] << u64(32)
+    init_hi, init_lo, seq_hi, seq_lo = words[:, :, None]
     inc_hi, inc_lo = seq_hi << u64(1) | seq_lo >> u64(63), seq_lo << u64(1) | u64(1)
-    a_hi, a_lo, b_hi, b_lo = _pcg_jumps(k)
+    a_hi, a_lo, b_hi, b_lo = jumps
     hi_a, lo_a = _mul128(init_hi, init_lo, a_hi, a_lo)
     hi_b, lo_b = _mul128(inc_hi, inc_lo, b_hi, b_lo)
     lo = lo_a + lo_b
-    hi = hi_a + hi_b + (lo < lo_a)
+    return hi_a + hi_b + (lo < lo_a), lo, inc_hi, inc_lo
+
+
+def _pcg_states(seeds: np.ndarray) -> list[tuple[int, int]]:
+    """Per seed, ``(state, inc)`` of ``np.random.PCG64(seed).state["state"]`` as Python ints:
+    the state after seeding is M * initstate + (M + 1) * inc mod 2**128 (see ``_pcg_lcg``)."""
+    hi, lo, inc_hi, inc_lo = (v.ravel().tolist() for v in _pcg_lcg(seeds, _pcg_jumps(0)))
+    return [(h << 64 | l, ih << 64 | il) for h, l, ih, il in zip(hi, lo, inc_hi, inc_lo)]
+
+
+def _uniforms(seeds: np.ndarray, k: int) -> np.ndarray:
+    """(len(seeds), k) array whose row i equals ``default_rng(seeds[i]).random(k)`` bit
+    for bit, for every row at once: each draw's LCG state (see ``_pcg_lcg``) and its
+    XSL-RR output as ``(x >> 11) * 2**-53``. tests/test_streams.py checks the rows."""
+    if len(seeds) > CHUNK_SHOTS:  # in passes, which bound the temporaries below
+        return np.concatenate([_uniforms(seeds[a : a + CHUNK_SHOTS], k)
+                               for a in range(0, len(seeds), CHUNK_SHOTS)])
+    u64 = np.uint64
+    hi, lo = _pcg_lcg(seeds, _pcg_jumps(k)[:, 1:])[:2]
     x, rot = hi ^ lo, hi >> u64(58)
     x = x >> rot | x << ((u64(64) - rot) & u64(63))
     return (x >> u64(11)) * (1.0 / (1 << 53))
@@ -396,8 +410,8 @@ def _sweep(circuits: list[Circuit], cuts: list[list[int]], shots: int,
     def tape(s: slice):
         if noise is None:
             return UniformTape(_uniforms(shot_seeds[s], k), columns, shot_stops[s])
-        return KickTape([np.random.PCG64(seed) for seed in shot_seeds[s].tolist()], ops,
-                        variants, shot_circs[s], shot_stops[s], noise, n, CHUNK_DRAWS // 4, k)
+        return KickTape(_pcg_states(shot_seeds[s]), ops, variants, shot_circs[s],
+                        shot_stops[s], noise, n, CHUNK_DRAWS // 4, k)
 
     out = np.empty(len(order), np.intp)
     out[order] = np.concatenate([
@@ -422,8 +436,8 @@ def run_positions(
     them chunk by chunk, each chunk from one |0...0> row: an ideal chunk holds up to
     ``2**18 // k`` shots (k uniforms each) and splits into groups of at most
     ``2**15 // 2**n`` rows when its rows part beyond that; a noisy chunk whose ops can
-    part its shots holds at most that many shots, and at most 768, each with its own
-    PCG64, beside one block of raw outputs that its kick tape reads. Each distinct
+    part its shots holds at most that many shots, and at most 768, each with its seeded
+    PCG64 state, beside one block of raw outputs that its kick tape reads. Each distinct
     state is evolved once and each shot holds its row's index: shots part by outcome at a
     collapse or by kicks at a noisy gate, and rows with equal bytes merge after a RESET
     and at the end of each run of MEASUREs, so a register readout merges once (exact:
@@ -431,8 +445,8 @@ def run_positions(
     ``run_family``). Each shot draws what ``default_rng(base_seed + i)`` would give it
     alone, in the same order: ideal shots, which draw only ``random()``, take their
     uniforms from one vectorized block per chunk (``UniformTape``), and noisy shots
-    take theirs from a kick tape (``KickTape``), resolved before the state runs: it
-    reads each shot's raw PCG64 outputs and replays numpy's ``random()`` and
+    take theirs from a kick tape (``KickTape``), resolved before the state runs: one
+    PCG64 seeks forward through each shot's raw outputs, and it replays ``random()`` and
     ``integers(3)`` on them, folding each shot's Pauli kicks at a gate into one signed
     permutation of its row. A noisy chunk of X, CNOT, SWAP and TOFFOLI ops alone (a
     ``binary`` circuit's) keeps each shot on one basis state up to phase, so it holds

@@ -13,7 +13,8 @@ CNOT is error-free with probability ``fidelity_2q**2``.
 Noise is one step after each op: the engine applies every op as in an ideal run,
 then ``noisy_apply`` applies the kicks its shots drew there. A noisy shot's draws do
 not depend on its amplitudes (every shot draws a RESET's X, whatever it reads), so
-``KickTape`` resolves them from each shot's PCG64 stream before its state runs.
+``KickTape`` resolves them before its state runs, from each shot's PCG64 stream: one
+PCG64 takes the shot's seeded state (all computed at once) and seeks forward in it.
 
 Every folded kick is a signed permutation, so where a chunk's ops are X, CNOT, SWAP
 and TOFFOLI alone, each shot stays 1, -1, 1j or -1j times one basis state and the
@@ -28,6 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -133,26 +135,28 @@ def _injection_slots(op: GateOp) -> tuple[tuple[bool, int], ...]:
     return tuple((cls == "2q", q) for cls, qubits in constituents(op) for q in qubits)
 
 
+class _Columns(NamedTuple):
+    """One op's columns under a noise model: a gate's noise slots; a MEASURE's uniform; a
+    RESET's uniform, then its X's slots."""
+
+    thresh: tuple[int, ...]  # per column, the raw output below which it errs; 0: a uniform
+    words: np.ndarray  # (2, columns) uint64: max(thresh, 1) - 1, then 1 << qubit (0: none)
+
+
 @lru_cache(maxsize=8192)
-def _slot_thresholds(op: GateOp, model: NoiseModel) -> tuple[int, ...]:
-    """Per noise slot of the op under ``model``, the raw output below which the slot errs:
-    with error probability p, ``random() < p`` reads ``(x >> 11) * 2**-53 < p``, that is
-    ``x < ceil(p * 2**53) << 11``, which is 2**64 (every output) when p rounds to 1."""
+def _columns(op: GateOp, model: NoiseModel) -> _Columns:
+    """The op's columns. With error probability p, ``random() < p`` reads
+    ``(x >> 11) * 2**-53 < p``, that is ``x < ceil(p * 2**53) << 11``, which is 2**64
+    (every output) when p rounds to 1; ``max(t, 1) - 1`` fits a uint64."""
+    gate = GateOp.x(op.targets[0]) if op.kind == "RESET" else op  # a MEASURE has no slots
     p1, p2 = 1.0 - model.fidelity_1q, 1.0 - model.fidelity_2q
-    return tuple(math.ceil((p2 if is_2q else p1) * 2.0**53) << 11
-                 for is_2q, _ in _injection_slots(op))
-
-
-@lru_cache(maxsize=8192)
-def _slot_below(op: GateOp, model: NoiseModel) -> tuple[int, ...]:
-    """``max(t, 1) - 1`` of each of the op's thresholds t, which fits a uint64."""
-    return tuple(max(t, 1) - 1 for t in _slot_thresholds(op, model))
-
-
-@lru_cache(maxsize=8192)
-def _slot_bits(op: GateOp) -> tuple[int, ...]:
-    """``1 << qubit`` of each of the op's noise slots."""
-    return tuple(1 << q for _, q in _injection_slots(op))
+    cols = [(0, 0)] * (not op.is_unitary)  # a MEASURE's or RESET's uniform, then slots
+    cols += [(math.ceil((p2 if is_2q else p1) * 2.0**53) << 11, 1 << q)
+             for is_2q, q in _injection_slots(gate)]
+    thresh, bits = zip(*cols)
+    words = np.array([[max(t, 1) - 1 for t in thresh], bits], np.uint64)
+    words.setflags(write=False)
+    return _Columns(thresh, words)
 
 
 @lru_cache(maxsize=None)
@@ -190,99 +194,88 @@ class _Piece(NamedTuple):
     p = 1 errs on every output); a slot that never errs then passes an output of 0,
     which the walk's exact ``<`` turns down."""
 
-    thresh: list[int]  # per column, its threshold (see _slot_thresholds); 0 for a uniform
-    ends: list[int]  # per column, the end of its gate's slots
+    thresh: list[int]  # per column, its threshold (see _columns); 0 for a uniform
+    ends: list[int]  # per column, the end of its op's columns (a uniform's is never read)
     below: np.ndarray  # per column, max(thresh, 1) - 1 as uint64, then a 0
     below_max: np.uint64  # the largest of them
     mcols: np.ndarray  # the MEASURE and RESET columns, then a 0
     span: int  # more than any column a shot reads
-    keep: bool  # whether a piece follows, so each shot rewinds its unread outputs
 
 
 class KickTape:
     """Every draw of a chunk's noisy shots, resolved from their streams before the state
     runs, one piece of ops at a time.
 
-    Shot s draws what ``np.random.Generator(bit_generators[s])`` would, in the engine's
-    order: per noisy gate ``random(len(slots))``, then ``integers(3)`` per realized slot;
-    one ``random()`` per MEASURE or RESET; and when it retires (at op position
-    ``stops[s]``), ``random(1)`` and ``random(n)``. A RESET's X draws as a noisy gate
-    right after the RESET's ``random()``, whatever the shot reads, and its kicks are
-    listed at the RESET for every shot: only the shots that read 1 take them. So no draw
-    depends on the amplitudes, and a piece ends only where a row would not fit a block.
+    Shot s draws what ``np.random.Generator`` would over a PCG64 in the ``(state, inc)``
+    ``states[s]``, in the engine's order: per noisy gate ``random(len(slots))``, then
+    ``integers(3)`` per realized slot; one ``random()`` per MEASURE or RESET; and when it
+    retires (at op position ``stops[s]``), ``random(1)`` and ``random(n)``. A RESET's X
+    draws as a noisy gate right after the RESET's ``random()``, whatever the shot reads,
+    and its kicks are listed at the RESET for every shot: only the shots that read 1
+    take them. So no draw depends on the amplitudes, and a piece ends only where a row
+    would not fit a block.
 
     Raw outputs live in one block of at most ``draws`` words per batch of shots that
     ``resolve`` reads. A block row is one ``random_raw`` read of a shot's columns plus
-    ``spare`` for its picks; a piece ends before one shot's row would not fit (it holds
-    at least one op). If a piece follows, each shot's PCG64 then steps back over the
-    outputs its row read but did not use, so between pieces a shot holds nothing but its
-    stream's position and its kept half (see below). A slot errs when its output
-    is below the slot's threshold (see ``_slot_thresholds``), so a block is searched
-    once for the outputs below the piece's largest threshold. A shot with none at its
-    slots keeps its alignment; the others are walked one at a time over those outputs.
-    The picks of a gate replay ``integers(3)``, Lemire's method on 32-bit values: the
-    kept high half of the shot's last fresh output first, then fresh outputs right after
-    the gate's slots, each giving its low half and keeping its high half, and a value of
-    0 is redrawn. Each fresh output moves the shot's later columns one output on. Last,
-    every (shot, gate)'s kicks fold into one signed permutation, for all of them at once
-    (see ``_fold``). The engine's loop reads ``readout_flip`` here too, and ``basis``: if
-    the ops up to the last stop are all X, CNOT, SWAP or TOFFOLI (see the module docstring).
+    ``spare`` for its picks, by the tape's one PCG64 set to the shot's state and
+    advanced past the outputs the shot has used; a piece ends before one shot's row
+    would not fit (it holds at least one op). That count then moves to the first output
+    the row left unread, so between pieces a shot holds nothing but the count and its
+    kept half (see below). A slot errs when its output is below the slot's threshold (see
+    ``_columns``), so a block is searched once for the outputs below the piece's
+    largest threshold. A shot with none at its slots keeps its alignment; the others are
+    walked one at a time over those outputs. The picks of a gate replay
+    ``integers(3)``, Lemire's method on 32-bit values: the kept high half of the shot's
+    last fresh output first, then fresh outputs right after the gate's slots, each
+    giving its low half and keeping its high half, and a value of 0 is redrawn. Each
+    fresh output moves the shot's later columns one output on. Last, every (shot,
+    gate)'s kicks fold into one signed permutation, for all of them at once (see
+    ``_fold``). The engine's loop reads ``readout_flip`` here too, and ``basis``: if the
+    ops up to the last stop are all X, CNOT, SWAP or TOFFOLI (see the module docstring).
     """
 
-    def __init__(self, bit_generators, ops, variants, circs, stops, model, n, draws, spare):
-        self.gens, self.ops, self.variants, self.circs = bit_generators, ops, variants, circs
+    def __init__(self, states, ops, variants, circs, stops, model, n, draws, spare):
+        self.states, self.ops, self.variants, self.circs = states, ops, variants, circs
         self.stops, self.model, self.n, self.draws = stops, model, n, draws
         self.readout_flip = model.readout_flip
         self.basis = all(map(is_permutation, ops[: stops[-1]]))
         self.spare = max(1, spare)
-        self.half = [None] * len(bit_generators)  # the kept high half, if any
+        self.gen = np.random.PCG64(0)  # seeks to each shot's stream as it is read
+        self.used = np.zeros(len(states), np.int64)  # outputs each shot has used
+        self.half = [None] * len(states)  # the kept high half, if any
         self.next = 0  # the op position whose piece comes next, or -1: none
 
     def resolve(self, at: int, live: int) -> None:
         """Resolve the piece that starts at op position ``at`` for the shots ``live`` on."""
         ops, model, retire = self.ops, self.model, 1 + self.n
-        thresh, below, ends, where, bits = [], [], [], [], []  # per column; a uniform: 0
+        laid, starts, end = [], [0], at  # each op's _Columns; where each op's columns start
         measured, mcols, varied = {}, [], []  # MEASURE/RESET: uniform index, column; variants
-
-        def gate(j, op):
-            first = len(thresh)
-            thresh.extend(_slot_thresholds(op, model))
-            below.extend(_slot_below(op, model))
-            ends.extend([len(thresh)] * (len(thresh) - first))
-            where.extend([j] * (len(thresh) - first))
-            bits.extend(_slot_bits(op))
-
-        starts, end = [], at
         while end < len(ops):
             op = ops[end]
-            width = len(_injection_slots(op)) if op.is_unitary else 1 + (op.kind == "RESET")
-            if end > at and len(thresh) + width + retire + self.spare > self.draws:
+            cols = _columns(op, model)
+            if end > at and starts[-1] + len(cols.thresh) + retire + self.spare > self.draws:
                 break
-            starts.append(len(thresh))
-            if op.is_unitary:
-                if end in self.variants:
-                    varied.append((end, len(thresh)))
-                gate(end, op)
-            else:
+            if end in self.variants:
+                varied.append((end, starts[-1]))
+            elif not op.is_unitary:
                 measured[end] = len(mcols)
-                mcols.append(len(thresh))
-                thresh.append(0), below.append(0), ends.append(len(thresh))
-                where.append(end), bits.append(0)
-                if op.kind == "RESET":
-                    gate(end, GateOp.x(op.targets[0]))
+                mcols.append(starts[-1])
+            laid.append(cols)
+            starts.append(starts[-1] + len(cols.thresh))
             end += 1
-        starts.append(len(thresh))
         last = end == len(ops)  # the shots that stop at the end retire here
         self.next = -1 if last else end
+        widths = np.diff(starts)
+        thresh = list(chain.from_iterable(c.thresh for c in laid))
+        below, bits = np.concatenate([c.words for c in laid] + [np.zeros((2, 1), np.uint64)], 1)
         # Shot live + i reads columns [0, lim[i]), then its retiring draws if it stops here.
         stops = self.stops[live:]
         lim = np.array(starts)[np.minimum(stops, end) - at]
         top = lim + retire * ((stops < end) | last)
         self.first, self.at, self.measured = live, at, measured
         self.uniforms = np.empty((len(stops), len(measured) + retire))
-        piece = _Piece(thresh, ends, np.array(below + [0], np.uint64),
-                       np.uint64(max(below, default=0)), np.array(mcols + [0]),
-                       len(thresh) + retire + 1, not last)
+        piece = _Piece(thresh, np.repeat(starts[1:], widths).tolist(), below, below.max(),
+                       np.array(mcols + [0]), len(thresh) + retire + 1)
         hits, picks, owner = [], [], []
         widest = int(top.max(initial=0)) + self.spare  # a block row, at most
         batch = max(1, self.draws // widest)
@@ -293,18 +286,27 @@ class KickTape:
             picks += got[1]
             owner += got[2]
         hits, picks, owner = (np.array(v, np.intp) for v in (hits, picks, owner))
-        pos, bit = np.array(where, np.intp)[hits], np.array(bits, np.intp)[hits]
+        pos, bit = np.repeat(np.arange(at, end), widths)[hits], bits[hits].astype(np.intp)
         for j, first in varied:  # the kicked qubits come from each shot's own op
             on = np.flatnonzero(pos == j)
             if len(on):
                 vops, which = self.variants[j]
-                vbits = np.array([_slot_bits(vop) for vop in vops])
+                vbits = np.array([_columns(vop, model).words[1] for vop in vops], np.intp)
                 bit[on] = vbits[which[self.circs[owner[on]]], hits[on] - first]
         first, phase, x, z = _fold(owner * (end - at) + pos, bit, picks)
         kshot, kpos = owner[first], pos[first]
         order = np.lexsort((kshot, kpos))
         self.kshot, self.kphase, self.kx, self.kz = kshot[order], phase[order], x[order], z[order]
         self.kstart = np.searchsorted(kpos[order], np.arange(at, end + 1)).tolist()
+
+    def _raw(self, s: int, at: int, count: int) -> np.ndarray:
+        """Outputs ``at`` to ``at + count`` of shot s's stream, by a forward seek."""
+        state, inc = self.states[s]
+        self.gen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                          "has_uint32": 0, "uinteger": 0}
+        if at:
+            self.gen.advance(at)
+        return self.gen.random_raw(count)
 
     def _read(self, s0: int, need: np.ndarray) -> tuple[np.ndarray, int, np.ndarray]:
         """A block of the raw outputs of the shots ``s0`` on, row w for shot s0 + w: the
@@ -313,17 +315,18 @@ class KickTape:
         size = need + self.spare
         width = int(size.max())
         block = np.empty((len(need), width), np.uint64)
+        used = self.used[s0 : s0 + len(need)].tolist()
         for w, count in enumerate(size.tolist()):
-            block[w, :count] = self.gens[s0 + w].random_raw(count)
+            block[w, :count] = self._raw(s0 + w, used[w], count)
         return block, width, size
 
     def _batch(self, piece, s0, lim, top):
         """Resolve the shots ``s0`` on (one per entry of ``lim``) from one block of their
         raw outputs (see ``_read``). Column c of shot s0 + w reads ``block[w, c]`` until a
         pick moves it on. Only the shots with an error at that first alignment are
-        walked; the others kick nowhere, so it holds throughout. If a piece follows,
-        each shot's stream then rewinds to the first output its row left unread. Returns
-        the hit columns, their picks and their shots.
+        walked; the others kick nowhere, so it holds throughout. Each shot's count of
+        used outputs then moves on to the first output its row left unread. Returns the
+        hit columns, their picks and their shots.
         """
         spare, below, shots = self.spare, piece.below, len(lim)
         block, width, size = self._read(s0, top)
@@ -344,7 +347,8 @@ class KickTape:
             args = int(lim[w]), int(top[w])
             got = self._walk(piece, s, row, pos[mine], vals[mine], *args)
             while got is None:  # its picks ran past its row (rare): read on, walk it again
-                row = grown[w] = np.concatenate([row, self.gens[s].random_raw(spare)])
+                more = self._raw(s, int(self.used[s]) + len(row), spare)
+                row = grown[w] = np.concatenate([row, more])
                 new = np.flatnonzero(row <= piece.below_max)
                 got = self._walk(piece, s, row, new.tolist(), row[new].tolist(), *args)
             shot_hits, shot_picks, cols, ds, self.half[s] = got
@@ -356,6 +360,7 @@ class KickTape:
             shift_d += ds
             if ds:
                 end[w] = top[w] + ds[-1]
+        self.used[s0 : s0 + shots] += end  # the next piece reads on from there
         # Each shot's uniforms: its MEASUREs before its stop, then its retiring draws.
         mcols, measures, span = piece.mcols, len(piece.mcols) - 1, piece.span
         q = np.searchsorted(mcols[:measures], lim)
@@ -374,11 +379,6 @@ class KickTape:
             raw[mine] = row[u_pos[mine]]
         self.uniforms[s0 - self.first + u_shot, np.where(early, j, measures + j - q[u_shot])] = (
             (raw >> np.uint64(11)) * (1.0 / (1 << 53)))
-        if piece.keep:  # the next piece reads on from each shot's first unread output
-            for w, row in grown.items():
-                size[w] = len(row)
-            for w, back in enumerate((size - end).tolist()):
-                self.gens[s0 + w].advance(-back)
         return hits, picks, owner
 
     def _walk(self, piece, s, raw, cand, vals, lim, top):

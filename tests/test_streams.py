@@ -1,22 +1,24 @@
 """Vectorized per-shot streams against numpy's own generators.
 
-``_uniforms`` replays SeedSequence, PCG64 and ``random()`` in numpy integer
-arithmetic, and ``KickTape`` replays ``random(k)`` and ``integers(3)`` on raw
-PCG64 outputs, ahead of the state. If numpy changes any of them, these tests
-fail, so seeded outputs cannot change without notice. Both draw sources the
-engine reads, ``UniformTape`` and ``KickTape``, are read here as the engine
-reads them.
+``_uniforms`` and ``_pcg_states`` replay SeedSequence and PCG64 seeding (and
+``_uniforms`` ``random()``) in numpy integer arithmetic, and ``KickTape`` replays
+``random(k)`` and ``integers(3)`` on raw PCG64 outputs, ahead of the state. If
+numpy changes any of them, these tests fail, so seeded outputs cannot change
+without notice. Both draw sources the engine reads, ``UniformTape`` and
+``KickTape``, are read here as the engine reads them.
 """
 
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arcwalk import DEFAULT_NOISE, Circuit, GateOp, NoiseModel, WalkConfig, build_circuit, engine
 from arcwalk import run_positions
 from arcwalk.engine import CHUNK_DRAWS, CHUNK_SHOTS, WINDOW_COLUMNS, UniformTape, _shot_seeds
-from arcwalk.engine import _uniforms
+from arcwalk.engine import _pcg_states, _uniforms
 from arcwalk.noise import KickTape, _injection_slots
 from reference import oracle_positions
 
@@ -33,7 +35,7 @@ def numpy_rows(base_seed, shots, k):
         (0, 2_000, 7),
         (2**32 - 100, 200, 161),
         (2**64 - 3, 3, 7),  # the largest seed the vectorized path takes
-        (2**64 - 3, 6, 2),  # crosses 2**64: the default_rng fallback
+        (2**64 - 3, 6, 2),  # crosses 2**64: words from SeedSequence itself
         (2**64 + 12_345, 4, 3),
     ],
 )
@@ -43,6 +45,29 @@ def test_rows_equal_default_rng(base_seed, shots, k):
         got = _uniforms(_shot_seeds([base_seed], shots), k)
     assert got.shape == (shots, k) and got.dtype == np.float64
     assert np.array_equal(got, numpy_rows(base_seed, shots, k))
+
+
+def pcg_state(bit_generator):
+    """The ``(state, inc)`` pair of a PCG64, as ``_pcg_states`` gives it."""
+    state = bit_generator.state["state"]
+    return state["state"], state["inc"]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63 + 11, 2**64 - 1, 2**64 + 5,
+                                  2**130])
+def test_seeded_states_equal_pcg64(seed):
+    # Seeds past uint64 come as Python ints and take their words from SeedSequence itself.
+    seeds = np.array([seed], np.uint64 if seed < 2**64 else object)
+    assert _pcg_states(seeds) == [pcg_state(np.random.PCG64(seed))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=8))
+def test_seeded_states_equal_pcg64_for_any_uint64_seeds(seeds):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = _pcg_states(np.array(seeds, np.uint64))
+    assert got == [pcg_state(np.random.PCG64(seed)) for seed in seeds]
 
 
 PICKS = ((0, 1, 0), (3, 1, 1), (0, 0, 1))  # X, Y, Z as (phase, x / b, z / b)
@@ -100,10 +125,10 @@ def tape_draws(tape, ops, stops):
     return kicks, uniforms, retired
 
 
-def assert_tape_matches_generators(bit_generators, twins, ops, model, stops, n, draws, spare):
-    """The tape over ``bit_generators`` against numpy Generators over ``twins``, equal
-    bit generators."""
-    tape = KickTape(bit_generators, ops, {}, np.zeros(len(stops), np.intp), stops, model, n,
+def assert_tape_matches_generators(states, twins, ops, model, stops, n, draws, spare):
+    """The tape over the PCG64 ``(state, inc)`` pairs ``states`` against numpy Generators
+    over ``twins``, bit generators in those states."""
+    tape = KickTape(states, ops, {}, np.zeros(len(stops), np.intp), stops, model, n,
                     draws, spare)
     got = tape_draws(tape, ops, stops)
     for s, twin in enumerate(twins):
@@ -150,24 +175,27 @@ def test_windows_replay_generator_draws(base_seed, width):
         stops = np.sort(rng.integers(0, len(ops) + 1, size=shots))
         model = NoiseModel(*rng.choice([0.5, 0.9, 1.0], size=2), 0.0)
         draws = int(rng.choice([1, 30, 100, CHUNK_DRAWS]))
-        gens = [np.random.PCG64(base_seed + i) for i in range(shots)]
+        states = _pcg_states(_shot_seeds([base_seed], shots))
         twins = [np.random.PCG64(base_seed + i) for i in range(shots)]
-        assert_tape_matches_generators(gens, twins, ops, model, stops, 3, draws, width)
+        assert_tape_matches_generators(states, twins, ops, model, stops, 3, draws, width)
 
 
-@pytest.mark.parametrize("k", [0, 1, 7, 256])
+@pytest.mark.parametrize("k", [0, 1, 7, 256, 2**20])
 @pytest.mark.parametrize("seed", [0, 2**63 + 11])
-def test_negative_advance_replays_unread_outputs(seed, k):
-    # Between pieces a tape steps each shot's PCG64 back over the outputs its block row
-    # read but did not use: advance(-k), which numpy wraps mod 2**128. The stream then
-    # reads those k outputs again, and goes on as if they had never been read.
-    bit_generator, twin = np.random.PCG64(seed), np.random.PCG64(seed)
-    read = bit_generator.random_raw(300)
-    bit_generator.advance(-k)
-    twin.random_raw(300 - k)
-    again = bit_generator.random_raw(k + 5)
-    assert np.array_equal(again[:k], read[300 - k :])
-    assert np.array_equal(again, twin.random_raw(k + 5))
+def test_seek_reads_one_continuous_stream(seed, k):
+    # A tape reads a shot's block row with one PCG64 that takes the shot's seeded state
+    # (has_uint32 0) and advance(k) past the k outputs it has used: what one stream
+    # reads after k outputs, including after another shot's state was set in between.
+    twin = np.random.PCG64(seed)
+    state, inc = pcg_state(twin)
+    seeded = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+              "has_uint32": 0, "uinteger": 0}
+    bit_generator = np.random.PCG64(1)
+    bit_generator.random_raw(3)
+    bit_generator.state = seeded
+    bit_generator.advance(k)
+    twin.random_raw(k)
+    assert np.array_equal(bit_generator.random_raw(300), twin.random_raw(300))
 
 
 PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
@@ -217,7 +245,7 @@ def test_lemire_rejection_matches_generator(raw, reads):
     stops = np.array([len(ops)])
     model = NoiseModel(fidelity_1q=1e-12)
     kicks, uniforms, _ = assert_tape_matches_generators(
-        [rewound()], [rewound()], ops, model, stops, 2, CHUNK_DRAWS, 1)
+        [pcg_state(rewound())], [rewound()], ops, model, stops, 2, CHUNK_DRAWS, 1)
     assert len(kicks[0]) == reads.count("int")
     if reads[0] == "random":
         assert uniforms[0][1] == 0.0
@@ -246,7 +274,7 @@ def test_noisy_measure_and_reset_match_the_oracle(base_seed):
 @pytest.mark.parametrize("fidelity", [1e-17, 2.0**-54])
 def test_slots_that_always_err_match_the_oracle(fidelity, monkeypatch):
     # 1 - fidelity rounds to 1, so every 1q slot errs: its threshold is 2**64. A small
-    # draw budget cuts a shot's 122 columns into pieces, so each shot rewinds its
+    # draw budget cuts a shot's 122 columns into pieces, so each shot seeks on in its
     # stream and carries its kept half across pieces, noisy RESETs among them.
     monkeypatch.setattr(engine, "CHUNK_DRAWS", 1 << 8)
     monkeypatch.setattr(engine, "WINDOW_COLUMNS", 1 << 2)
@@ -265,6 +293,14 @@ class CountedReads:
     def __init__(self, bit_generator, reads):
         self.bit_generator, self.reads = bit_generator, reads
 
+    @property
+    def state(self):
+        return self.bit_generator.state
+
+    @state.setter
+    def state(self, value):
+        self.bit_generator.state = value
+
     def random_raw(self, size):
         self.reads.append(size)
         return self.bit_generator.random_raw(size)
@@ -279,9 +315,10 @@ def spy_on_tapes(monkeypatch):
     opened = []
 
     class Spy(KickTape):
-        def __init__(self, bit_generators, *args):
+        def __init__(self, *args):
+            super().__init__(*args)
             self.reads, self.blocks = [], []
-            super().__init__([CountedReads(g, self.reads) for g in bit_generators], *args)
+            self.gen = CountedReads(self.gen, self.reads)
             opened.append(self)
 
         def _read(self, s0, need):
@@ -308,7 +345,7 @@ def spy_on_pieces(monkeypatch):
         (WalkConfig(6, 4, design="binary"), 16),  # long draws: WINDOW_COLUMNS binds
         (WalkConfig(3, 0, design="arc"), 8),  # only readout draws
         # Noisy RESETs under a draw budget of 2 pieces per shot: every shot of a full
-        # chunk rewinds its stream between pieces.
+        # chunk seeks on in its stream between pieces.
         (WalkConfig(3, 2, design="random_jump_cascading"), 800),
     ],
 )
@@ -328,7 +365,7 @@ def test_noisy_window_memory_is_bounded(config, shots, monkeypatch):
         assert max(tape.blocks) <= draws // 4
     if config.design == "random_jump_cascading":
         full = (draws - draws // 4) // window  # 48 shots
-        assert max(len(tape.gens) for tape in opened) == full
+        assert max(len(tape.states) for tape in opened) == full
 
 
 def test_pieces_keep_reads_within_a_small_draw_budget(monkeypatch):
@@ -348,7 +385,7 @@ def test_pieces_keep_reads_within_a_small_draw_budget(monkeypatch):
 def test_a_long_noisy_run_resolves_two_pieces_at_the_shipped_budget(monkeypatch):
     # A noisy binary counter at width 10 and 20 steps reads more columns per shot than
     # one block row of CHUNK_DRAWS // 4 holds, so with no budget patched each shot's
-    # stream rewinds between two pieces.
+    # stream seeks on between two pieces.
     resolved = spy_on_pieces(monkeypatch)
     circuit = build_circuit(WalkConfig(10, 20, design="binary"))
     got = run_positions(circuit, 4, noise=DEFAULT_NOISE, base_seed=11)
