@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import csv
 import logging
-import math
 import re
 from array import array
 from dataclasses import dataclass
@@ -175,62 +174,73 @@ def excess_kurtosis(xs) -> float:
     return m4 / (m2 * m2) - 3.0
 
 
+def _correlate(x: np.ndarray, y: np.ndarray, counts: np.ndarray):
+    """Clamped r of each run of ``counts`` float64 ``x`` and ``y`` rows (end to end, by
+    non-decreasing count), and masks of the runs whose sums overflow and of those with no
+    spread as float64. Each sum is an ``np.add.reduce`` along axis 1 of a C-contiguous
+    ``(runs, count)`` block: numpy's pairwise sum of a run's rows in order, as ``np.sum``."""
+    bounds = np.append(0, np.cumsum(counts)).tolist()  # run i is rows bounds[i]:bounds[i + 1]
+    cuts = np.flatnonzero(np.diff(counts, prepend=-1)).tolist() + [len(counts)]
+
+    def sums(values: np.ndarray) -> np.ndarray:
+        out = np.empty(len(counts))
+        for a, b in zip(cuts, cuts[1:]):  # runs a to b share one count
+            np.add.reduce(values[bounds[a] : bounds[b]].reshape(b - a, -1), axis=1, out=out[a:b])
+        return out
+
+    with np.errstate(all="ignore"):  # overflow is reported in a mask instead
+        dx = x - np.repeat(sums(x) / counts, counts)
+        dy = y - np.repeat(sums(y) / counts, counts)
+        sxy, spread = sums(dx * dy), sums(dx * dx) * sums(dy * dy)
+        r = np.clip(sxy / np.sqrt(spread), -1.0, 1.0)
+    flat = spread == 0.0
+    for col in (x, y):
+        flat |= np.minimum.reduceat(col, bounds[:-1]) == np.maximum.reduceat(col, bounds[:-1])
+    return r, ~(np.isfinite(sxy) & np.isfinite(spread)), flat
+
+
 def pearson(xs, ys) -> float:
-    """Product-moment correlation, clamped to [-1, 1] against rounding spill."""
-    x = np.asarray(xs, dtype=float)
-    y = np.asarray(ys, dtype=float)
+    """Product-moment correlation, clamped to [-1, 1] against rounding spill: the
+    one-run case of the kernel that ``housing_correlations`` runs on every metro."""
+    x, y = np.asarray(xs, dtype=float).ravel(), np.asarray(ys, dtype=float).ravel()
     if x.size != y.size:
         raise LengthMismatchError(f"length mismatch: {x.size} vs {y.size}")
     if x.size < 2:
         raise TooShortError(f"need at least 2 pairs, got {x.size}")
-    dx = x - x.mean()
-    dy = y - y.mean()
-    sxx = float(np.sum(dx * dx))
-    syy = float(np.sum(dy * dy))
-    if sxx <= 0.0 or syy <= 0.0:
-        raise DegenerateVarianceError("correlation of a constant sequence is undefined")
-    r = float(np.sum(dx * dy)) / math.sqrt(sxx * syy)
-    return max(-1.0, min(1.0, r))
+    r, overflow, flat = _correlate(x, y, np.array([x.size]))
+    if overflow[0] or flat[0]:
+        raise DegenerateVarianceError("sums of squares or products overflow float64"
+                                      if overflow[0] else "no spread as float64 to correlate")
+    return float(r[0])
 
 
 def housing_correlations(panel: MetroPanel, bins: int = 20) -> CorrelationReport:
     """Correlate monthly sales counts with sale-to-list ratios per metro.
 
-    Months with a ratio above 1 are dropped before correlating. Metros left
-    with fewer than two usable months, with a column that is constant as
-    float64, or with a column whose squared deviations sum to 0 (``pearson``
-    raises DegenerateVarianceError) are listed as skipped. The histogram spans
-    [-1, 1] in ``bins`` uniform bins.
+    Months with a ratio above 1 are dropped. Metros left with under two months, or
+    for which ``pearson`` raises DegenerateVarianceError, are skipped. The histogram
+    spans [-1, 1] in ``bins`` bins. ``pearson``'s kernel runs one reduction pass per
+    distinct usable-month count, not per metro, bit-identical to ``pearson`` per metro.
     """
     if bins < 1:
         raise ConfigError(f"bins must be positive, got {bins}")
-    per_metro: dict[str, MetroCorrelation] = {}
-    skipped: list[str] = []
-    ends = np.searchsorted(panel.metro, np.arange(len(panel.metro_names)), side="right")
-    start = 0
-    for metro, end in zip(panel.metro_names, ends.tolist()):
-        ratios = panel.sale_to_list_ratio[start:end]
-        usable = ratios <= 1.0
-        xs = panel.sales_count[start:end][usable].astype(float)
-        ys = ratios[usable]
-        start = end
-        if xs.size < 2 or xs.min() == xs.max() or ys.min() == ys.max():
-            skipped.append(metro)
-            continue
-        try:
-            r = pearson(xs, ys)
-        except DegenerateVarianceError:  # deviations too small to square, such as 5e-324
-            skipped.append(metro)
-            continue
-        per_metro[metro] = MetroCorrelation(metro, r, int(xs.size))
-    values = [c.pearson_r for c in per_metro.values()]
-    counts, edges = np.histogram(values, bins=bins, range=(-1.0, 1.0))
-    return CorrelationReport(
-        per_metro=per_metro,
-        skipped=skipped,
-        bin_edges=[float(e) for e in edges],
-        bin_counts=[int(c) for c in counts],
-    )
+    usable = np.flatnonzero(panel.sale_to_list_ratio <= 1.0)  # sorted by metro, as the panel
+    ends = np.searchsorted(panel.metro[usable], np.arange(len(panel.metro_names)), "right")
+    months = np.diff(ends, prepend=0)
+    # Metros of 2+ months by (count, metro), each one's rows shifted from ``usable`` to its run.
+    ranked = np.argsort(months, kind="stable")[np.count_nonzero(months < 2) :]
+    counts = months[ranked]
+    rows = usable[np.repeat(ends[ranked] - np.cumsum(counts), counts) + np.arange(counts.sum())]
+    r, overflow, flat = _correlate(panel.sales_count[rows].astype(float),
+                                   panel.sale_to_list_ratio[rows], counts)
+    ok, pearson_r = np.zeros(len(months), bool), np.zeros(len(months))
+    ok[ranked[~(overflow | flat)]], pearson_r[ranked] = True, r
+    names = panel.metro_names
+    per_metro = {names[i]: MetroCorrelation(names[i], pearson_r[i].item(), months[i].item())
+                 for i in np.flatnonzero(ok).tolist()}
+    counts, edges = np.histogram(pearson_r[ok], bins=bins, range=(-1.0, 1.0))
+    skipped = [names[i] for i in np.flatnonzero(~ok).tolist()]
+    return CorrelationReport(per_metro, skipped, edges.tolist(), counts.tolist())
 
 
 def _blocks(path: str, required: tuple[str, ...]):

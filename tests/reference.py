@@ -5,7 +5,12 @@ Each shot runs alone on its own ``StateVector`` with its own
 drawing in the documented order. Nothing here reads the engine's batched draw
 sources or its shot loop, so an engine that shares draws or rows wrongly between
 shots disagrees with it.
+
+It also holds the per-metro correlation that the grouped market kernel is
+checked against, bit for bit: one metro at a time, on its 1-D usable slice.
 """
+
+import math
 
 import numpy as np
 
@@ -89,3 +94,39 @@ def oracle_positions(circuit, shots, noise=None, period=None, base_seed=0):
             bits = apply_readout_noise(bits, noise, rng)
         out.append(decode(bits, circuit.counter))
     return np.array(out, dtype=np.int64)
+
+
+def reference_pearson(x: np.ndarray, y: np.ndarray) -> float | None:
+    """Product-moment r of two float64 arrays from ``np.mean`` and ``np.sum`` over each
+    whole 1-D array, ``math.sqrt`` and a clamp to [-1, 1]. None where ``pearson`` raises
+    DegenerateVarianceError: an array constant as float64, a sum of products or product
+    of the sums of squares that is not finite (overflow), or that product 0."""
+    if x.min() == x.max() or y.min() == y.max():
+        return None
+    with np.errstate(all="ignore"):
+        dx = x - np.mean(x)
+        dy = y - np.mean(y)
+        sxx, syy, sxy = float(np.sum(dx * dx)), float(np.sum(dy * dy)), float(np.sum(dx * dy))
+    spread = sxx * syy
+    if not (math.isfinite(sxy) and math.isfinite(spread)) or spread == 0.0:
+        return None
+    return max(-1.0, min(1.0, sxy / math.sqrt(spread)))
+
+
+def reference_housing(panel, bins: int):
+    """``housing_correlations`` metro by metro: the (metro, r, months used) of each
+    correlated metro and the skipped metros, both in name order, and the histogram
+    counts. A metro is skipped with under two usable months (ratio at most 1), or
+    where ``reference_pearson`` gives None."""
+    correlated, skipped = [], []
+    for code, name in enumerate(panel.metro_names):
+        usable = (panel.metro == code) & (panel.sale_to_list_ratio <= 1.0)
+        x = panel.sales_count[usable].astype(float)
+        y = panel.sale_to_list_ratio[usable]
+        r = reference_pearson(x, y) if x.size >= 2 else None
+        if r is None:
+            skipped.append(name)
+        else:
+            correlated.append((name, r, x.size))
+    counts, _ = np.histogram([r for _, r, _ in correlated], bins=bins, range=(-1.0, 1.0))
+    return correlated, skipped, counts.tolist()

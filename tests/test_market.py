@@ -32,6 +32,7 @@ from arcwalk import (
     pearson,
     relative_changes,
 )
+from reference import reference_housing, reference_pearson
 from synthdata import make_housing_records
 
 
@@ -95,6 +96,81 @@ class TestExcessKurtosis:
             excess_kurtosis([2.0, 2.0, 2.0, 2.0])
 
 
+# Usable-month counts around numpy's pairwise sum: it adds 8 accumulators, and splits
+# blocks of more than 128 values in two.
+USABLE_COUNTS = [0, 1, *range(2, 10), 16, 127, 128, 129, 256, 257]
+SAMPLE_FLOATS = st.one_of(
+    st.floats(-1e3, 1e3),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, 1e-323, 2.0**60, 1e200, -1e200]),
+)
+SALES = {
+    "random": lambda rng, k: rng.integers(0, 1000, k),
+    "constant": lambda rng, k: np.full(k, 500),
+    "2**60": lambda rng, k: 2**60 + rng.integers(0, 2, k),  # equal as float64
+    "wide": lambda rng, k: rng.integers(0, 2**63 - 1, k),
+}
+RATIOS = {
+    "random": lambda rng, k: rng.uniform(0.5, 1.0, k),
+    "constant": lambda rng, k: np.full(k, 0.97),
+    "subnormal": lambda rng, k: rng.choice([5e-324, 1e-323], k),
+    "overflowing": lambda rng, k: rng.choice([-1e300, 0.5], k),
+}
+FIXED_METROS = [
+    # Not constant, but the deviations square to 0.
+    (np.array([1, 2, 3]), np.array([5e-324, 1e-323, 1e-323])),
+    # The deviations are (-1, 0) and (0, -2**-53), so both cross products are -0.0.
+    (np.array([2**52 + 1, 2**52 + 2]), np.array([0.5 + 2**-52, 0.5 + 2**-53])),
+]
+
+
+@st.composite
+def metro_specs(draw):
+    """One metro's usable (sales, ratios) columns and its count of over-asking months."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    fixed = draw(st.sampled_from([None, *range(len(FIXED_METROS))]))
+    if fixed is None:
+        k = draw(st.sampled_from(USABLE_COUNTS))
+        sales = SALES[draw(st.sampled_from(sorted(SALES)))](rng, k)
+        ratios = RATIOS[draw(st.sampled_from(sorted(RATIOS)))](rng, k)
+    else:
+        sales, ratios = FIXED_METROS[fixed]
+    return sales, ratios, draw(st.integers(0 if len(sales) else 1, 3))
+
+
+def metro_panel(specs, seed: int = 0) -> MetroPanel:
+    """A panel of one metro per ``(sales, ratios, over_asking)`` spec, the over-asking
+    months (ratio above 1) placed at random among the usable ones."""
+    rng = np.random.default_rng(seed)
+    columns = []
+    for sales, ratios, over in specs:
+        sales = np.concatenate([sales, rng.integers(0, 1000, over)]).astype(np.int64)
+        ratios = np.concatenate([ratios, rng.uniform(1.01, 1.2, over)])
+        order = rng.permutation(len(sales))
+        columns.append((sales[order], ratios[order]))
+    lengths = [len(sales) for sales, _ in columns]
+    span = max(lengths, default=0)
+    return MetroPanel(
+        tuple(f"metro{m:04d}" for m in range(len(specs))),
+        tuple(f"{2000 + t // 12}-{t % 12 + 1:02d}" for t in range(span)),
+        np.repeat(np.arange(len(specs)), lengths),
+        np.concatenate([np.arange(n) for n in lengths] or [np.zeros(0, int)]),
+        np.concatenate([sales for sales, _ in columns] or [np.zeros(0, np.int64)]),
+        np.concatenate([ratios for _, ratios in columns] or [np.zeros(0)]),
+    )
+
+
+def assert_matches_reference(panel: MetroPanel, bins: int = 20) -> None:
+    """``housing_correlations`` gives the per-metro reference's r (by float.hex),
+    months used, skipped metros in order and histogram counts."""
+    report = housing_correlations(panel, bins=bins)
+    correlated, skipped, counts = reference_housing(panel, bins)
+    got = [(m, c.pearson_r.hex(), c.months_used) for m, c in report.per_metro.items()]
+    assert got == [(m, r.hex(), n) for m, r, n in correlated]
+    assert report.skipped == skipped
+    assert report.bin_counts == counts
+
+
 class TestPearson:
     def test_perfect_line(self):
         xs = [1.0, 2.0, 3.0, 4.0]
@@ -131,6 +207,34 @@ class TestPearson:
             pearson([1.0], [2.0])
         with pytest.raises(DegenerateVarianceError):
             pearson([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
+        with pytest.raises(DegenerateVarianceError):  # constant, but the mean is not 0.1
+            pearson([0.1, 0.1, 0.1], [1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize("xs, ys", [
+        ([1e200, 2e200, 3e200], [1.0, 2.0, 3.0]),  # sxx overflows: r was 0.0
+        ([-1e200, 1e200, 2e200], [1e200, -3e200, 2e200]),  # all three overflow: r was 1.0
+        ([0.0, 1e100, 2e100], [0.0, 1e100, 3e100]),  # sxx * syy overflows: r was 0.0
+    ])
+    def test_overflow_raises(self, xs, ys):
+        with pytest.raises(DegenerateVarianceError, match="overflow"):
+            pearson(xs, ys)
+
+    def test_spread_too_small_to_multiply_raises(self):
+        # sxx and syy are about 2e-200 each, and their product underflows to 0.
+        with pytest.raises(DegenerateVarianceError, match="no spread"):
+            pearson([0.0, 1e-100, 2e-100], [0.0, 1e-100, 3e-100])
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), n=st.one_of(st.sampled_from(USABLE_COUNTS[2:]), st.integers(2, 20)))
+    def test_bit_identical_to_reference(self, data, n):
+        values = st.lists(SAMPLE_FLOATS, min_size=n, max_size=n)
+        x, y = np.array(data.draw(values)), np.array(data.draw(values))
+        want = reference_pearson(x, y)
+        if want is None:
+            with pytest.raises(DegenerateVarianceError):
+                pearson(x, y)
+        else:
+            assert pearson(x, y).hex() == want.hex()
 
 
 class TestHousingCorrelations:
@@ -191,6 +295,34 @@ class TestHousingCorrelations:
     def test_bins_validated(self):
         with pytest.raises(ConfigError):
             housing_correlations(MetroPanel.from_records([]), bins=0)
+
+    def test_overflowing_metro_is_skipped(self):
+        records = [
+            MetroMonthlyRecord("huge", f"2024-{m:02d}", m, -1e300 * m) for m in range(1, 6)
+        ]
+        records += make_housing_records(metros=1, months=12, seed=3)
+        report = housing_correlations(MetroPanel.from_records(records))
+        assert report.skipped == ["huge"]
+        assert list(report.per_metro) == ["metro000"]
+
+    def test_one_metro_per_count_matches_reference(self):
+        rng = np.random.default_rng(9)
+        specs = [(SALES["random"](rng, k), RATIOS["random"](rng, k), 2) for k in USABLE_COUNTS]
+        assert_matches_reference(metro_panel(specs[::-1] + [(*m, 1) for m in FIXED_METROS]))
+
+    @settings(max_examples=150, deadline=None)
+    @given(specs=st.lists(metro_specs(), max_size=12), bins=st.integers(1, 30),
+           seed=st.integers(0, 2**32 - 1))
+    def test_bit_identical_to_reference(self, specs, bins, seed):
+        assert_matches_reference(metro_panel(specs, seed), bins)
+
+    @settings(max_examples=15, deadline=None)
+    @given(k=st.sampled_from(USABLE_COUNTS), metros=st.integers(100, 400),
+           seed=st.integers(0, 2**32 - 1))
+    def test_many_metros_sharing_a_count_match_reference(self, k, metros, seed):
+        rng = np.random.default_rng(seed)
+        specs = [(SALES["random"](rng, k), RATIOS["random"](rng, k), 1) for _ in range(metros)]
+        assert_matches_reference(metro_panel(specs, seed))
 
 
 class TestIngestPrices:
