@@ -146,19 +146,23 @@ class CorrelationReport:
 
 
 def relative_changes(series: PriceSeries) -> np.ndarray:
-    """Per-period relative price changes: (p[t+1] - p[t]) / p[t]."""
+    """Per-period relative price changes: (p[t+1] - p[t]) / p[t]; inf where one overflows."""
     if len(series) < 2:
         raise TooShortError(f"need at least 2 prices, got {len(series)}")
-    closes = series.closes()
-    return np.diff(closes) / closes[:-1]
+    with np.errstate(over="ignore"):
+        return np.diff(series.prices) / series.prices[:-1]
 
 
 def fit_normal(xs) -> tuple[float, float]:
-    """Sample mean and unbiased (n-1) standard deviation."""
+    """Sample mean and unbiased (n-1) standard deviation; raises if either overflows."""
     arr = np.asarray(xs, dtype=float)
     if arr.size < 2:
         raise TooShortError(f"need at least 2 values, got {arr.size}")
-    return float(arr.mean()), float(arr.std(ddof=1))
+    with np.errstate(all="ignore"):
+        fit = float(arr.mean()), float(arr.std(ddof=1))
+    if not np.isfinite(fit).all():
+        raise DegenerateVarianceError("mean or standard deviation overflows float64")
+    return fit
 
 
 def excess_kurtosis(xs) -> float:
@@ -166,12 +170,14 @@ def excess_kurtosis(xs) -> float:
     arr = np.asarray(xs, dtype=float)
     if arr.size < 4:
         raise TooShortError(f"need at least 4 values, got {arr.size}")
-    dev = arr - arr.mean()
-    m2 = float(np.mean(dev**2))
-    if m2 <= 0.0:
-        raise DegenerateVarianceError("constant input has undefined kurtosis")
-    m4 = float(np.mean(dev**4))
-    return m4 / (m2 * m2) - 3.0
+    with np.errstate(all="ignore"):
+        dev = arr - arr.mean()
+        m2 = float(np.mean(dev**2))
+        kurt = np.mean(dev**4) / (m2 * m2) - 3.0
+    if not np.isfinite(kurt):  # m2 == 0.0 gives 0 / 0
+        raise DegenerateVarianceError("constant input has undefined kurtosis" if m2 == 0.0
+                                      else "kurtosis moments overflow or underflow float64")
+    return float(kurt)
 
 
 def _correlate(x: np.ndarray, y: np.ndarray, counts: np.ndarray):

@@ -79,7 +79,6 @@ class GateCensus:
         return GateCensus(self.count_1q + other.count_1q, self.count_2q + other.count_2q)
 
 
-@lru_cache(maxsize=None)
 def toffoli_decomposition(control_a: int, control_b: int, target: int) -> tuple[GateOp, ...]:
     """Exact expansion of the double-controlled NOT: 6 CNOT and 9 phase/H gates."""
     g = GateOp
@@ -103,7 +102,6 @@ def toffoli_decomposition(control_a: int, control_b: int, target: int) -> tuple[
     )
 
 
-@lru_cache(maxsize=8192)
 def constituents(op: GateOp) -> tuple[tuple[str, tuple[int, ...]], ...]:
     """(gate class, qubits) entries for one op after decomposition.
 
@@ -129,7 +127,6 @@ def constituents(op: GateOp) -> tuple[tuple[str, tuple[int, ...]], ...]:
     return ()
 
 
-@lru_cache(maxsize=8192)
 def _injection_slots(op: GateOp) -> tuple[tuple[bool, int], ...]:
     """Flattened (is_two_qubit, qubit) noise slots for one op."""
     return tuple((cls == "2q", q) for cls, qubits in constituents(op) for q in qubits)
@@ -451,8 +448,6 @@ def _fold(keys, bits, picks):
     new = np.ones(len(keys), bool)
     new[1:] = keys[1:] != keys[:-1]
     first = np.flatnonzero(new)
-    if not len(first):
-        return first, first, first, first
     before = np.bitwise_xor.accumulate(xb) ^ xb  # the x of all earlier kicks, then of the run's
     before ^= before[first][np.cumsum(new) - 1]
     phase = np.add.reduceat(dp + 2 * ((before & zb) != 0), first) & 3
@@ -478,16 +473,13 @@ def noisy_apply(state: np.ndarray, cls: np.ndarray, kicks):
     if not len(shots):
         return state, cls
     size = state.shape[1]
-    if len(state) < len(cls):  # shared rows part: one row per realized (row, kicks)
-        key = cls * (4 * size * size)
-        key[shots] += (phase * size + x) * size + z
-        alike, first, ids = np.unique(key, return_index=True, return_inverse=True)
-        if len(alike) > len(state):
-            state, cls = state[cls[first]], ids.reshape(-1)
-        rows, at = np.unique(cls[shots], return_index=True)  # a row's shots were kicked alike
-        phase, x, z = phase[at], x[at], z[at]
-    else:
-        rows = cls[shots]
+    key = cls * (4 * size * size)  # shared rows part: one row per realized (row, kicks)
+    key[shots] += (phase * size + x) * size + z
+    alike, first, ids = np.unique(key, return_index=True, return_inverse=True)
+    if len(alike) > len(state):
+        state, cls = state[cls[first]], ids.reshape(-1)
+    rows, at = np.unique(cls[shots], return_index=True)  # a row's shots were kicked alike
+    phase, x, z = phase[at], x[at], z[at]
     src = np.arange(size) ^ x[:, None]
     coef = _PHASES[phase[:, None] + _sign_phases(size)[z[:, None] & src]]
     state[rows] = state.reshape(-1)[rows[:, None] * size + src] * coef
@@ -497,6 +489,4 @@ def noisy_apply(state: np.ndarray, cls: np.ndarray, kicks):
 def apply_readout_noise(bits: str, model: NoiseModel, rng: np.random.Generator) -> str:
     """Flip each measured bit independently with probability ``readout_flip``."""
     flips = rng.random(len(bits)) < model.readout_flip
-    if not flips.any():
-        return bits
     return "".join("10"[int(b)] if f else b for b, f in zip(bits, flips))

@@ -319,9 +319,8 @@ def measure_rows(amps: np.ndarray, op: GateOp, u: np.ndarray, cls: np.ndarray, o
     # numpy's complex / real is (re + im*0) * (1/c); + 0.0 turns -0.0 to +0.0 for the merge.
     f = amps.view(np.float64).reshape(len(amps), -1, 2, 2 << q)
     f *= ((ones[:, None] == (False, True)) / np.sqrt(branch)[:, None])[:, None, :, None]
-    if merge:
+    if merge:  # rows of one owner with equal bytes become one
         f += 0.0
-    if merge and len(amps) > 1:  # rows of one owner with equal bytes become one
         keys = amps.view(np.dtype((np.void, amps.shape[1] * 16))).ravel().tolist()
         if owner is not None:
             keys = zip(owner[parent].tolist(), keys)

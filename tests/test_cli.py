@@ -313,6 +313,18 @@ class TestMarketReturns:
         src.write_text(make_price_csv(n_days=30, seed=0))
         assert main(["market", "returns", str(src), "--out-prefix", "x"]) == 2
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_change_is_runtime_error_and_writes_nothing(self, tmp_path, capsys):
+        # 1e200 / 1e-200 overflows float64: numpy's histogram used to end the run.
+        src = tmp_path / "prices.csv"
+        closes = ["1e-200", "1e200", "1e-200", "1e200", "1"]
+        src.write_text("date,close\n" + "".join(f"2024-01-0{d + 1},{c}\n"
+                                               for d, c in enumerate(closes)))
+        assert main(["market", "returns", str(src)]) == 1
+        assert "arcwalk: error: mean or standard deviation overflows float64" in (
+            capsys.readouterr().err)
+        assert sorted(os.listdir(tmp_path)) == ["prices.csv"]
+
 
 class TestMarketHousing:
     def test_outputs_parse_and_agree(self, tmp_path):

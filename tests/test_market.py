@@ -10,7 +10,7 @@ from itertools import count
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from arcwalk import market
@@ -55,6 +55,11 @@ class TestRelativeChanges:
         with pytest.raises(TooShortError):
             relative_changes(series(100.0))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_change_is_inf_without_a_warning(self):
+        got = relative_changes(series(1e-200, 1e200, 1e-200, 1e200, 1.0))
+        assert got.tolist() == [math.inf, -1.0, math.inf, -1.0]
+
 
 class TestFitNormal:
     def test_two_points(self):
@@ -71,6 +76,27 @@ class TestFitNormal:
     def test_too_short(self):
         with pytest.raises(TooShortError):
             fit_normal([5.0])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("xs", [
+        [1e300, -1e300, 1.7e308],  # the squared deviations overflow: std was inf
+        [1.7e308] * 3,  # the sum overflows: both were inf
+    ])
+    def test_overflow_raises(self, xs):
+        with pytest.raises(DegenerateVarianceError, match="overflows float64"):
+            fit_normal(xs)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=2, max_size=40))
+    def test_finite_fit_keeps_numpy_bits(self, xs):
+        arr = np.array(xs)
+        with np.errstate(all="ignore"):
+            want = arr.mean(), arr.std(ddof=1)
+        if np.isfinite(want).all():
+            assert fit_normal(xs) == (float(want[0]), float(want[1]))
+        else:
+            with pytest.raises(DegenerateVarianceError):
+                fit_normal(xs)
 
 
 class TestExcessKurtosis:
@@ -94,6 +120,24 @@ class TestExcessKurtosis:
     def test_constant_rejected(self):
         with pytest.raises(DegenerateVarianceError):
             excess_kurtosis([2.0, 2.0, 2.0, 2.0])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("xs", [
+        [1e80, -1e80, 2e80, 3e80],  # m2 * m2 and m4 overflow: the result was nan
+        [0.0, 1e-160, 2e-160, 3e-160],  # m2 * m2 underflows to 0: it raised ZeroDivisionError
+    ])
+    def test_moments_out_of_range_raise(self, xs):
+        with pytest.raises(DegenerateVarianceError, match="moments overflow or underflow float64"):
+            excess_kurtosis(xs)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(-1e60, 1e60), min_size=4, max_size=40))
+    def test_finite_kurtosis_keeps_its_bits(self, xs):
+        # The float arithmetic of the form before the range check.
+        dev = np.array(xs) - np.array(xs).mean()
+        m2, m4 = float(np.mean(dev**2)), float(np.mean(dev**4))
+        assume(m2 * m2 > 0.0)
+        assert excess_kurtosis(xs).hex() == (m4 / (m2 * m2) - 3.0).hex()
 
 
 # Usable-month counts around numpy's pairwise sum: it adds 8 accumulators, and splits

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from arcwalk import (
@@ -15,7 +15,7 @@ from arcwalk import (
     StateVector,
 )
 from arcwalk.sim import MATRICES_1Q, apply_1q, apply_rows, apply_unitary, gather, gather_index
-from arcwalk.sim import measure_rows, rx_matrix
+from arcwalk.sim import measure_rows, rx_matrix, sample_cdf
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -420,6 +420,34 @@ class TestMeasureAll:
             state.apply_gate(GateOp.h(0))
             ones += state.measure_all(np.random.default_rng(seed)) == "1"
         assert 0.47 <= ones / 10_000 <= 0.53
+
+
+# A CDF row: zeros, then weights that may hold zeros and subnormals, then one nonzero
+# weight and zeros after it; or zeros alone, where every u reaches the N - 1 clamp.
+CDF_WEIGHTS = st.one_of(st.just(0.0), st.floats(0.0, 1e3),
+                        st.sampled_from([5e-324, 1e-300, 1.0, 2.0**60]))
+CDF_ROWS = st.one_of(
+    st.tuples(st.integers(0, 5), st.lists(CDF_WEIGHTS, max_size=20),
+              st.one_of(st.floats(5e-324, 1e3), st.sampled_from([5e-324, 1.0])),
+              st.integers(0, 5)).map(lambda r: [0.0] * r[0] + r[1] + [r[2]] + [0.0] * r[3]),
+    st.integers(1, 8).map(lambda n: [0.0] * n),
+)
+CDF_US = st.lists(st.one_of(st.sampled_from([0.0, 1.0 - 2.0**-53]),
+                            st.floats(0.0, 1.0, exclude_max=True)), min_size=1, max_size=8)
+
+
+class TestSampleCdf:
+    # The trajectory loop samples a lone row's CDF in the 1-D form and a stack of rows in
+    # the 2-D form; a shot's index must not depend on which form ran.
+    @settings(max_examples=400, deadline=None)
+    @given(weights=CDF_ROWS, us=CDF_US)
+    @example(weights=[0.0, 0.0, 0.0], us=[0.0, 1.0 - 2.0**-53])
+    @example(weights=[0.0, 0.0, 5e-324], us=[0.0, 1.0 - 2.0**-53])
+    def test_one_row_and_stacked_forms_agree(self, weights, us):
+        cdf, u = np.cumsum(weights), np.array(us)
+        one = sample_cdf(cdf, u)
+        assert one.tolist() == sample_cdf(np.repeat(cdf[None], len(u), 0), u).tolist()
+        assert ((0 <= one) & (one < len(cdf))).all()
 
 
 class TestMeasureQubit:
