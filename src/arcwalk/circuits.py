@@ -233,14 +233,13 @@ def full_adder_block(a: int, b: int, carry_in: int, out: int) -> Circuit:
 
 
 def _mcx_ops(controls: tuple[int, ...], target: int, scratch: tuple[int, ...]) -> list[GateOp]:
-    """Multi-controlled X over {X, CNOT, TOFFOLI} using one dirty borrow qubit.
+    """Multi-controlled X over {CNOT, TOFFOLI} using one dirty borrow qubit, for one
+    control or more.
 
     The borrow is toggled twice, so any initial value (clean or dirty) is
     restored.
     """
     k = len(controls)
-    if k == 0:
-        return [GateOp.x(target)]
     if k == 1:
         return [GateOp.cnot(controls[0], target)]
     if k == 2:

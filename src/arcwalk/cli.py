@@ -60,6 +60,7 @@ def _add_config_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--config",
         metavar="FILE",
+        default=argparse.SUPPRESS,  # a subcommand's own default must not clear a given one
         help="key=value defaults file; flags on the command line still win",
     )
 
@@ -250,15 +251,6 @@ def _apply_config(config: dict[str, str], parsers: list[argparse.ArgumentParser]
     unknown = sorted(set(config) - consumed)
     if unknown:
         raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
-
-
-def _prescan_config_path(argv: list[str]) -> str | None:
-    for i, token in enumerate(argv):
-        if token == "--config" and i + 1 < len(argv):
-            return argv[i + 1]
-        if token.startswith("--config="):
-            return token.split("=", 1)[1]
-    return None
 
 
 def _resolve_seed(args) -> int:
@@ -561,28 +553,20 @@ def _cmd_emit_circuit(args) -> int:
 
 @lru_cache(maxsize=1)
 def _plain_parser() -> argparse.ArgumentParser:
-    """The parser of every call without ``--config``, built once per process."""
+    """The parser of every call's first parse, built once per process."""
     return build_parser()[0]
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        config_path = _prescan_config_path(argv)
-        if config_path is None:
-            parser = _plain_parser()
-        else:  # config values become defaults of a parser of this call's own
+        args = _plain_parser().parse_args(argv)
+        if hasattr(args, "config"):  # the file sets defaults of a parser of this call's own
             parser, all_parsers = build_parser()
-            _apply_config(_load_config(config_path), all_parsers)
-    except ConfigError as exc:
-        print(f"arcwalk: error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        args = parser.parse_args(argv)
+            _apply_config(_load_config(args.config), all_parsers)
+            args = parser.parse_args(argv)
+        return args.func(args)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
-    try:
-        return args.func(args)
     except ConfigError as exc:
         print(f"arcwalk: error: {exc}", file=sys.stderr)
         return 2

@@ -174,8 +174,9 @@ def excess_kurtosis(xs) -> float:
         dev = arr - arr.mean()
         m2 = float(np.mean(dev**2))
         kurt = np.mean(dev**4) / (m2 * m2) - 3.0
-    if not np.isfinite(kurt):  # m2 == 0.0 gives 0 / 0
-        raise DegenerateVarianceError("constant input has undefined kurtosis" if m2 == 0.0
+    if not np.isfinite(kurt):  # 0 / 0 where m2 is 0.0: constant input, or an underflow
+        raise DegenerateVarianceError("constant input has undefined kurtosis"
+                                      if arr.min() == arr.max()
                                       else "kurtosis moments overflow or underflow float64")
     return float(kurt)
 

@@ -213,15 +213,16 @@ class KickTape:
     would not fit a block.
 
     Raw outputs live in one block of at most ``draws`` words per batch of shots that
-    ``resolve`` reads. A block row is one ``random_raw`` read of a shot's columns plus
-    ``spare`` for its picks, by the tape's one PCG64 set to the shot's state and
-    advanced past the outputs the shot has used; a piece ends before one shot's row
-    would not fit (it holds at least one op). That count then moves to the first output
-    the row left unread, so between pieces a shot holds nothing but the count and its
-    kept half (see below). A slot errs when its output is below the slot's threshold (see
-    ``_columns``), so a block is searched once for the outputs below the piece's
-    largest threshold. A shot with none at its slots keeps its alignment; the others are
-    walked one at a time over those outputs. The picks of a gate replay
+    ``resolve`` reads. Every row of a block has one width, the most columns one of its
+    shots reads plus ``spare`` for picks: one ``random_raw`` read per shot, by the tape's
+    one PCG64 set to the shot's state and advanced past the outputs the shot has used; a
+    piece ends before one shot's row would not fit (it holds at least one op). That
+    count then moves to the first output the shot's own reads left unread, so between
+    pieces a shot holds nothing but the count and its kept half (see below). A slot
+    errs when its output is below the slot's threshold (see ``_columns``), so a block is
+    searched once for the outputs below the piece's largest threshold. A shot with none
+    at its slots keeps its alignment; the others are walked one at a time over those
+    outputs. The picks of a gate replay
     ``integers(3)``, Lemire's method on 32-bit values: the kept high half of the shot's
     last fresh output first, then fresh outputs right after the gate's slots, each
     giving its low half and keeping its high half, and a value of 0 is redrawn. Each
@@ -305,32 +306,28 @@ class KickTape:
             self.gen.advance(at)
         return self.gen.random_raw(count)
 
-    def _read(self, s0: int, need: np.ndarray) -> tuple[np.ndarray, int, np.ndarray]:
+    def _read(self, s0: int, shots: int, width: int) -> np.ndarray:
         """A block of the raw outputs of the shots ``s0`` on, row w for shot s0 + w: the
-        next ``need[w]`` outputs of its stream and ``spare`` more. Returns the block, its
-        row width and each row's length."""
-        size = need + self.spare
-        width = int(size.max())
-        block = np.empty((len(need), width), np.uint64)
-        used = self.used[s0 : s0 + len(need)].tolist()
-        for w, count in enumerate(size.tolist()):
-            block[w, :count] = self._raw(s0 + w, used[w], count)
-        return block, width, size
+        next ``width`` outputs of its stream."""
+        block = np.empty((shots, width), np.uint64)
+        used = self.used[s0 : s0 + shots].tolist()
+        for w in range(shots):
+            block[w] = self._raw(s0 + w, used[w], width)
+        return block
 
     def _batch(self, piece, s0, lim, top):
         """Resolve the shots ``s0`` on (one per entry of ``lim``) from one block of their
         raw outputs (see ``_read``). Column c of shot s0 + w reads ``block[w, c]`` until a
         pick moves it on. Only the shots with an error at that first alignment are
         walked; the others kick nowhere, so it holds throughout. Each shot's count of
-        used outputs then moves on to the first output its row left unread. Returns the
-        hit columns, their picks and their shots.
+        used outputs then moves on to the first output its own reads left unread.
+        Returns the hit columns, their picks and their shots.
         """
         spare, below, shots = self.spare, piece.below, len(lim)
-        block, width, size = self._read(s0, top)
+        width = int(top.max()) + spare
+        block = self._read(s0, shots, width)
         cand = np.flatnonzero(block <= piece.below_max)  # only these outputs can err
         who, pos = np.divmod(cand, width)
-        real = pos < size[who]
-        cand, who, pos = cand[real], who[real], pos[real]
         vals = block.ravel()[cand]
         first = (pos < lim[who]) & (vals <= below[np.minimum(pos, len(below) - 1)])
         bounds = np.searchsorted(who, np.arange(shots + 1)).tolist()
@@ -340,7 +337,7 @@ class KickTape:
         # Per shift of a shot's columns: the shot, the column from which it holds, its d.
         shift_shot, shift_col, shift_d = [-1], [0], [0]
         for w in np.flatnonzero(np.bincount(who[first], minlength=shots)).tolist():
-            s, row, mine = s0 + w, block[w, : size[w]], slice(bounds[w], bounds[w + 1])
+            s, row, mine = s0 + w, block[w], slice(bounds[w], bounds[w + 1])
             args = int(lim[w]), int(top[w])
             got = self._walk(piece, s, row, pos[mine], vals[mine], *args)
             while got is None:  # its picks ran past its row (rare): read on, walk it again

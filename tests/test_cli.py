@@ -5,6 +5,8 @@ import json
 import math
 import os
 import stat
+import subprocess
+import sys
 
 import pytest
 
@@ -521,6 +523,42 @@ class TestConfigAndSeeds:
             "distance-table", "--config", str(tmp_path / "absent.cfg"), "--out", "-",
         ]) == 2
 
+    @pytest.mark.parametrize("form", [
+        ["--conf", "{a}"],  # an argparse prefix of --config
+        ["--config={a}"],
+        ["--config", "{b}", "--config", "{a}"],  # the last one wins, as for every flag
+    ])
+    def test_config_flag_forms(self, tmp_path, form):
+        (tmp_path / "a.cfg").write_text("steps=1\n")
+        (tmp_path / "b.cfg").write_text("steps=2\n")
+        out = tmp_path / "t.csv"
+        paths = {"a": tmp_path / "a.cfg", "b": tmp_path / "b.cfg"}
+        assert main([
+            "distance-table", *(token.format(**paths) for token in form), "--designs", "arc",
+            "--width", "3", "--shots", "20", "--out", str(out),
+        ]) == 0
+        manifest, _, _, _ = read_annotated_csv(out)
+        assert manifest["steps"] == 1
+
+    def test_config_before_subcommand(self, tmp_path):
+        # The subcommand's own --config, not given, leaves the top-level one standing.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("steps=1\n")
+        out = tmp_path / "t.csv"
+        assert main([
+            "--config", str(cfg), "distance-table", "--designs", "arc", "--width", "3",
+            "--shots", "20", "--out", str(out),
+        ]) == 0
+        manifest, _, _, _ = read_annotated_csv(out)
+        assert manifest["steps"] == 1
+
+    def test_flags_are_read_before_the_config_file(self, tmp_path, capsys):
+        absent = str(tmp_path / "absent.cfg")
+        assert main(["--config", absent, "--version"]) == 0
+        assert main(["distance-table", "--config", absent, "--frobnicate"]) == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --frobnicate" in err and "not found" not in err
+
     def test_env_seed_used_when_no_flag(self, tmp_path, monkeypatch):
         argv = ["walk-hist", "--design", "random_jump", "--width", "3",
                 "--steps", "4", "--shots", "80"]
@@ -571,6 +609,15 @@ class TestTopLevel:
     def test_version(self, capsys):
         assert main(["--version"]) == 0
         assert "arcwalk" in capsys.readouterr().out
+
+    def test_module_entry_point(self):
+        # ``python -m arcwalk.cli`` exits with main's return code.
+        src = os.path.dirname(os.path.dirname(arcwalk.cli.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-m", "arcwalk.cli", "--version"],
+                              capture_output=True, text=True, env=env, check=False)
+        assert (done.returncode, done.stdout) == (0, f"arcwalk {arcwalk.__version__}\n")
 
     def test_no_arguments_is_usage_error(self):
         assert main([]) == 2

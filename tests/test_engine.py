@@ -143,6 +143,13 @@ class TestRunShots:
         b = run_shots(circ, 100, base_seed=8).counts
         assert a == b
 
+    def test_base_seed_defaults_to_zero(self):
+        circ = build_circuit(WalkConfig(3, 3, design="arc_walk"))
+        pinned = run_positions(circ, 100, base_seed=0)
+        assert np.array_equal(run_positions(circ, 100), pinned)
+        assert not np.array_equal(run_positions(circ, 100, base_seed=1), pinned)
+        assert run_shots(circ, 100).counts == run_shots(circ, 100, base_seed=0).counts
+
     def test_empty_circuit_pins_origin(self):
         circ = build_circuit(WalkConfig(4, 0, design="arc"))
         h = run_shots(circ, 50, base_seed=0)

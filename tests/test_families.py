@@ -459,3 +459,9 @@ def test_a_family_must_share_its_skeleton():
         run_family([a, Circuit(3, range(0, 2))], 3, [0, 1])
     with pytest.raises(ConfigError, match="need 2 base seeds, one per circuit, got 1"):
         run_family([a, b], 3, [0])
+
+
+def test_an_empty_family_runs_nothing():
+    assert run_family([], 8, []) == []
+    with pytest.raises(ConfigError, match="need 0 base seeds, one per circuit, got 1"):
+        run_family([], 8, [1])

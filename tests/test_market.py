@@ -118,13 +118,14 @@ class TestExcessKurtosis:
             excess_kurtosis([1.0, 2.0, 3.0])
 
     def test_constant_rejected(self):
-        with pytest.raises(DegenerateVarianceError):
+        with pytest.raises(DegenerateVarianceError, match="constant input"):
             excess_kurtosis([2.0, 2.0, 2.0, 2.0])
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("xs", [
         [1e80, -1e80, 2e80, 3e80],  # m2 * m2 and m4 overflow: the result was nan
         [0.0, 1e-160, 2e-160, 3e-160],  # m2 * m2 underflows to 0: it raised ZeroDivisionError
+        [0.0, 5e-324, 0.0, 0.0],  # m2 underflows to 0: it was called constant
     ])
     def test_moments_out_of_range_raise(self, xs):
         with pytest.raises(DegenerateVarianceError, match="moments overflow or underflow float64"):

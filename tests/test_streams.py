@@ -321,10 +321,10 @@ def spy_on_tapes(monkeypatch):
             self.gen = CountedReads(self.gen, self.reads)
             opened.append(self)
 
-        def _read(self, s0, need):
-            block, width, size = super()._read(s0, need)
+        def _read(self, s0, shots, width):
+            block = super()._read(s0, shots, width)
             self.blocks.append(block.size)
-            return block, width, size
+            return block
 
     monkeypatch.setattr(engine, "KickTape", Spy)
     return opened
