@@ -5,10 +5,11 @@ from __future__ import annotations
 import csv
 import logging
 import re
+import warnings
 from array import array
 from dataclasses import dataclass
 from datetime import date
-from itertools import islice
+from itertools import chain, islice
 from operator import itemgetter, not_
 from typing import NamedTuple
 
@@ -23,8 +24,17 @@ _DATE_DIGITS = [0, 1, 2, 3, 5, 6, 8, 9]  # YYYY-MM-DD positions that hold digits
 _MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
 _DAYS_BEFORE = np.cumsum(_MONTH_DAYS) - _MONTH_DAYS  # days of the year before month m
 
-# Records per block of an ingest: each block is checked and converted column by column.
+# Records per block of an ingest on the csv path, which checks and converts each block
+# column by column. A plain block (see ``_plain``) holds 4 * BLOCK_RECORDS lines, since
+# numpy's reader gains from longer blocks and csv's lose.
 BLOCK_RECORDS = 2**9
+# The characters of lines that numpy's reader splits at every comma as csv does: printable
+# ASCII but space and quote, and the newline.
+_PLAIN = (bytes(range(ord("!"), ord("~") + 1)) + b"\n").replace(b'"', b"")
+# The fields of plain blocks. A bytes field that fills its width may have been cut short,
+# so its block takes the csv path.
+_PRICE_DTYPE = [("date", "S11"), ("close", "f8")]
+_METRO_DTYPE = [("metro", "S32"), ("month", "S8"), ("sales", "i8"), ("ratio", "f8")]
 
 PRICE_COLUMNS = ("date", "close")
 METRO_COLUMNS = ("metro", "month", "sales_count", "sale_to_list_ratio")
@@ -250,44 +260,82 @@ def housing_correlations(panel: MetroPanel, bins: int = 20) -> CorrelationReport
     return CorrelationReport(per_metro, skipped, edges.tolist(), counts.tolist())
 
 
-def _blocks(path: str, required: tuple[str, ...]):
-    """Yield, per block of at most ``BLOCK_RECORDS`` records, the row number of its
-    first record and its stripped ``required`` columns, found by header name (the
-    last of a repeated name). Short rows are padded with "". Blank lines are
-    skipped: row 2 is the first record."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        where = {name: i for i, name in enumerate(next(reader, None) or ())}
+def _blocks(path: str, required: tuple[str, ...], typed, parse):
+    """Yield the typed columns of each block of the CSV at ``path``.
+
+    The ``required`` columns are found by header name (the last of a repeated name). A
+    plain block (see ``_plain``) goes to ``typed(lines, cols)``, which returns its columns
+    or None. From the first block that is not plain, or that ``typed`` returns None for,
+    csv reads the rest of the file, so quoted fields may span lines and a file that
+    needs the csv path reads no block twice but that one. Each block of csv records
+    goes to ``parse(row, *fields)``, with the row number of its first record and its
+    stripped ``required`` fields, short rows padded with "". Blank lines are skipped:
+    row 2 is the first record. The first column of each result holds one entry per
+    record."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        where = {name: i for i, name in enumerate(next(csv.reader(fh), None) or ())}
         missing = [c for c in required if c not in where]
         if missing:
             raise SchemaError(f"{path} is missing column(s) {missing}; need {list(required)}")
         cols = [where[name] for name in required]
         width = max(cols) + 1
-        records, row = filter(None, reader), 2
-        while block := list(islice(records, BLOCK_RECORDS)):
-            if min(map(len, block)) < width:
-                block = [r + [""] * (width - len(r)) for r in block]
-            yield row, [list(map(str.strip, map(itemgetter(c), block))) for c in cols]
-            row += len(block)
+        row = 2
+        for lines in iter(lambda: list(islice(fh, 4 * BLOCK_RECORDS)), []):
+            if _plain(lines) and (got := typed(lines, cols)) is not None:
+                yield got
+                row += len(got[0])
+                continue
+            records = filter(None, csv.reader(chain(lines, fh)))
+            while block := list(islice(records, BLOCK_RECORDS)):
+                if min(map(len, block)) < width:
+                    block = [r + [""] * (width - len(r)) for r in block]
+                yield parse(row, *[list(map(str.strip, map(itemgetter(c), block))) for c in cols])
+                row += len(block)
+
+
+def _plain(lines: list[str]) -> bool:
+    """Whether csv splits each of ``lines`` into one record at every comma, as numpy's
+    reader does: printable ASCII with no space, quote, tab or CR (a blank line has no
+    record in either), and no line longer than csv's field size limit."""
+    text, limit = "".join(lines), csv.field_size_limit()
+    return (text.isascii() and not text.encode("ascii").translate(None, _PLAIN)
+            and (len(text) <= limit or max(map(len, lines)) <= limit))
+
+
+def _loadtxt(lines: list[str], cols: list[int], dtype) -> np.ndarray | None:
+    """The records of plain ``lines`` as a structured array of ``dtype`` with fields in
+    ``cols`` order, from numpy's C reader; None if it raises or warns (on no records,
+    or, before numpy 2, on an int field it parses through float)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return np.loadtxt(lines, dtype, delimiter=",", comments=None, quotechar=None,
+                              usecols=cols, ndmin=1)
+        except (ValueError, Warning):
+            return None
 
 
 def _iso_days(dates: list[str]) -> tuple[np.ndarray, np.ndarray]:
-    """``date.fromisoformat(d).toordinal()`` of each ASCII ``YYYY-MM-DD`` string, and a
-    mask of the strings that are not such dates, whose ordinals mean nothing. The strings
-    are checked as one ``(n, 10)`` byte matrix, in which a placeholder stands for each
-    string of another length or not ASCII. The arithmetic runs in int64, since uint8
-    digit sums overflow."""
+    """``_ordinals`` of ``date.fromisoformat`` strings, in which a placeholder stands for
+    each string of another length than 10 or not ASCII."""
     text, bad = "".join(dates), np.zeros(len(dates), bool)
     if set(map(len, dates)) != {10} or not text.isascii():
         bad = np.fromiter((len(d) != 10 or not d.isascii() for d in dates), bool, len(dates))
         text = "".join("0000-00-00" if b else d for d, b in zip(dates, bad.tolist()))
-    raw = np.frombuffer(text.encode("ascii"), np.uint8).reshape(-1, 10)
+    days, wrong = _ordinals(np.frombuffer(text.encode("ascii"), np.uint8).reshape(-1, 10))
+    return days, bad | wrong
+
+
+def _ordinals(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``date.fromisoformat(d).toordinal()`` of each row of an ``(n, 10)`` uint8 matrix of
+    ASCII ``YYYY-MM-DD`` dates, and a mask of the rows that are not such dates, whose
+    ordinals mean nothing. The arithmetic runs in int64, since uint8 digit sums overflow."""
     digits = raw[:, _DATE_DIGITS].astype(np.int64) - ord("0")
     year = digits[:, :4] @ np.array([1000, 100, 10, 1])
     month = digits[:, 4] * 10 + digits[:, 5]
     day = digits[:, 6] * 10 + digits[:, 7]
     leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
-    bad |= ((digits < 0) | (digits > 9)).any(axis=1) | (raw[:, [4, 7]] != ord("-")).any(axis=1)
+    bad = ((digits < 0) | (digits > 9)).any(axis=1) | (raw[:, [4, 7]] != ord("-")).any(axis=1)
     bad |= (year < 1) | (month < 1) | (month > 12) | (day < 1)
     # mode="clip" clips the month to 0-12 first, since bad rows are summed too
     bad |= day > _MONTH_DAYS.take(month, mode="clip") + (leap & (month == 2))
@@ -340,6 +388,20 @@ def _price_block(row: int, dates: list[str], closes: list[str]):
     return days, values
 
 
+def _typed_prices(lines: list[str], cols: list[int]):
+    """The day ordinals and closes of a plain block, or None if a field needs the csv path.
+    Dates are read as 11 bytes, so that one longer than 10 is seen."""
+    block = _loadtxt(lines, cols, _PRICE_DTYPE)
+    if block is None:
+        return None
+    dates = np.ascontiguousarray(block["date"]).view(np.uint8).reshape(-1, 11)
+    days, bad = _ordinals(dates[:, :10])
+    closes = block["close"]
+    if (bad | (dates[:, 10] != 0) | ~((closes > 0.0) & np.isfinite(closes))).any():
+        return None
+    return days, closes
+
+
 def ingest_prices(path: str) -> PriceSeries:
     """Read a ``date,close`` CSV of ``YYYY-MM-DD`` dates and positive ASCII prices.
 
@@ -347,8 +409,7 @@ def ingest_prices(path: str) -> PriceSeries:
     duplicate dates are rejected.
     """
     days, closes = array("q"), array("d")
-    for row, (dates, raw) in _blocks(path, PRICE_COLUMNS):
-        block_days, block_closes = _price_block(row, dates, raw)
+    for block_days, block_closes in _blocks(path, PRICE_COLUMNS, _typed_prices, _price_block):
         days.frombytes(block_days.tobytes())
         closes.frombytes(block_closes.tobytes())
     day_col, close_col = np.frombuffer(days, "q"), np.frombuffer(closes, "d")
@@ -386,6 +447,33 @@ def _metro_block(row: int, names, months, sales, ratios, seen):
     return counts, values
 
 
+def _typed_metro(lines: list[str], cols: list[int], metro_codes, month_codes):
+    """The metro and month codes, sales counts and ratios of a plain block, or None if a
+    field needs the csv path. Names and months are coded per distinct value, and the
+    code dicts gain a block's names only once all its checks pass, since a name that
+    fills its field may have been cut short."""
+    block = _loadtxt(lines, cols, _METRO_DTYPE)
+    if block is None:
+        return None
+    # np.unique of the first name of each run, since a metro's rows tend to come together
+    names = block["metro"]
+    heads = np.flatnonzero(np.r_[True, names[1:] != names[:-1]])
+    names, runs = np.unique(names[heads], return_inverse=True)
+    # 8 bytes of month sort faster as one uint64 than as bytes; codes need no name order,
+    # since _from_codes ranks them by name
+    months, month = np.unique(np.ascontiguousarray(block["month"]).view(np.uint64),
+                              return_inverse=True)
+    names, months = names.astype(str).tolist(), months.view("S8").astype(str).tolist()
+    sales, ratios = block["sales"], block["ratio"]
+    if (not names[0] or max(map(len, names)) == block["metro"].itemsize
+            or not all(map(_MONTH_RE.fullmatch, set(months).difference(month_codes)))
+            or (sales < 0).any() or not ((ratios > 0.0) & np.isfinite(ratios)).all()):
+        return None
+    metro = np.repeat(np.frombuffer(_code(metro_codes, names), "q")[runs],
+                      np.diff(np.r_[heads, len(block)]))
+    return metro, np.frombuffer(_code(month_codes, months), "q")[month], sales, ratios
+
+
 def ingest_metro(path: str) -> MetroPanel:
     """Read a ``metro,month,sales_count,sale_to_list_ratio`` CSV.
 
@@ -394,11 +482,16 @@ def ingest_metro(path: str) -> MetroPanel:
     """
     metro_codes: dict[str, int] = {}
     month_codes: dict[str, int] = {}
-    metro, month, sales, ratio = array("q"), array("q"), array("q"), array("d")
-    for row, cols in _blocks(path, METRO_COLUMNS):
-        counts, values = _metro_block(row, *cols, month_codes)
-        metro += _code(metro_codes, cols[0])
-        month += _code(month_codes, cols[1])
-        sales.frombytes(counts.tobytes())
-        ratio.frombytes(values.tobytes())
-    return MetroPanel._from_codes(metro_codes, month_codes, metro, month, sales, ratio)
+
+    def typed(lines, cols):
+        return _typed_metro(lines, cols, metro_codes, month_codes)
+
+    def parse(row, names, months, sales, ratios):
+        counts, values = _metro_block(row, names, months, sales, ratios, month_codes)
+        return _code(metro_codes, names), _code(month_codes, months), counts, values
+
+    columns = array("q"), array("q"), array("q"), array("d")
+    for block in _blocks(path, METRO_COLUMNS, typed, parse):
+        for column, values in zip(columns, block):
+            column.frombytes(values.tobytes())
+    return MetroPanel._from_codes(metro_codes, month_codes, *columns)

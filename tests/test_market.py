@@ -1,5 +1,6 @@
 """Return statistics, correlation report, and CSV ingestion."""
 
+import csv
 import inspect
 import logging
 import math
@@ -541,6 +542,13 @@ class TestIngestContract:
                 METRO_HEADER + " town , 2024-01 , 5 , 0.9 \n",
                 [("town", "2024-01", 5, 0.9)],
             ),
+            # a spreadsheet's UTF-8 byte order mark is not part of the first column's name
+            (ingest_prices, "\ufeffdate,close\n2024-01-02,1.0\n", [(date(2024, 1, 2), 1.0)]),
+            (
+                ingest_metro,
+                "\ufeff" + METRO_HEADER + "town,2024-01,5,0.9\n",
+                [("town", "2024-01", 5, 0.9)],
+            ),
         ],
     )
     def test_loads(self, tmp_path, ingest, text, expected):
@@ -649,8 +657,10 @@ def _metro_records(row: int, *cols: list[str]):
 
 def _by_record(monkeypatch, ingest, path):
     """``_outcome`` with every block checked by the per-record oracle above in place
-    of the column checks."""
+    of the column checks, and none read by the plain-block reader."""
     with monkeypatch.context() as m:
+        m.setattr(market, "_typed_prices", lambda lines, cols: None)
+        m.setattr(market, "_typed_metro", lambda lines, cols, *codes: None)
         m.setattr(market, "_price_block", _price_records)
         m.setattr(market, "_metro_block", lambda row, *cols: _metro_records(row, *cols[:4]))
         return _outcome(ingest, path)
@@ -729,6 +739,8 @@ MUTATIONS = [
     "１０", "1_0", "nan", "inf", "-inf", "0", "-0", "-1", "+5", "1e3", " ", "", str(2**63),
     str(2**63 - 1), str(2**64), str(-(2**63) - 1), "0000-01-01", "1900-02-29", "2000-02-29",
     "2024-02-30", "2024-13", "2024-1-01", "2024-00", "２０２４-01", "2024/01/02", "10000-01-01",
+    "1.0", "1.5e0",  # an int written as a float, which numpy 1.x's reader parses
+    "2024-01-011", "2024-01-0111", "2024-011",  # fill or overflow a plain block's byte fields
 ]
 
 
@@ -834,6 +846,113 @@ class TestIngestEquivalence:
         assert got[~bad].tolist() == [d.toordinal() for d in good]
 
 
+# Per ingest, its plain-block converter and its csv-path block check.
+PATHS = {ingest_prices: ("_typed_prices", "_price_block"),
+         ingest_metro: ("_typed_metro", "_metro_block")}
+
+
+def _spy(monkeypatch, ingest) -> dict[str, int]:
+    """Counts, kept up to date, of the blocks that ``ingest`` converts on the plain path
+    and of those that it checks on the csv path."""
+    calls = {"plain": 0, "csv": 0}
+    typed, block = (getattr(market, name) for name in PATHS[ingest])
+
+    def typed_spy(*args):
+        got = typed(*args)
+        calls["plain"] += got is not None
+        return got
+
+    def block_spy(*args):
+        calls["csv"] += 1
+        return block(*args)
+
+    monkeypatch.setattr(market, PATHS[ingest][0], typed_spy)
+    monkeypatch.setattr(market, PATHS[ingest][1], block_spy)
+    return calls
+
+
+def _benchmark_csv(ingest, n: int) -> str:
+    """``n`` records spelled as the benchmark writes them: daily dates and ``repr``
+    closes, or metros of 100 months each with ``repr`` ratios."""
+    rng = np.random.default_rng(3)
+    if ingest is ingest_prices:
+        closes = 100.0 * np.exp(np.cumsum(0.01 * rng.standard_t(4, n)))
+        rows = [f"{date(1800, 1, 1) + timedelta(i)},{c!r}" for i, c in enumerate(closes.tolist())]
+    else:
+        sales, ratios = rng.integers(0, 800, n).tolist(), rng.uniform(0.93, 1.01, n).tolist()
+        rows = [f"metro{i // 100:04d},{2000 + i % 100 // 12}-{i % 100 % 12 + 1:02d},{k},{r!r}"
+                for i, (k, r) in enumerate(zip(sales, ratios))]
+    return "\n".join([HEADERS[ingest], *rows]) + "\n"
+
+
+class TestIngestPaths:
+    """Which blocks numpy's reader converts, and which take the csv path."""
+
+    @pytest.mark.parametrize("ingest", [ingest_prices, ingest_metro])
+    def test_benchmark_shape_stays_plain(self, tmp_path, monkeypatch, ingest):
+        f = tmp_path / "in.csv"
+        f.write_text(_benchmark_csv(ingest, 5000))
+        calls = _spy(monkeypatch, ingest)
+        got = _outcome(ingest, str(f))
+        assert calls == {"plain": math.ceil(5000 / (4 * market.BLOCK_RECORDS)), "csv": 0}
+        assert got == _by_record(monkeypatch, ingest, str(f))
+
+    @pytest.mark.parametrize("ingest,odd", [
+        (ingest_metro, "m0,2024-05, 5 ,0.95"),
+        (ingest_prices, "2024-02-01,\t5.5"),
+        (ingest_prices, "2024-02-01,5.5\r"),  # the line ends in CR LF
+        (ingest_metro, "Zürich,2024-05,5,0.95"),
+        (ingest_prices, "2024-02-01,1_0"),
+        (ingest_metro, "m" * 32 + ",2024-05,5,0.95"),  # fills the 32-byte name field
+        (ingest_metro, "m" * 40 + ",2024-05,5,0.95"),  # and is cut short in it
+        (ingest_prices, "2024-02-01"),
+    ], ids=["space-padded", "tab", "crlf", "non-ascii-name", "underscore", "name-fills-field",
+            "name-cut-short", "short-row"])
+    def test_odd_record_takes_csv_path(self, tmp_path, monkeypatch, ingest, odd):
+        # Four lines per plain block: the odd record opens block 2.
+        monkeypatch.setattr(market, "BLOCK_RECORDS", 1)
+        f = tmp_path / "in.csv"
+        rows = [HEADERS[ingest], *GOOD[ingest][:4], odd, *GOOD[ingest][4:]]
+        f.write_bytes(("\n".join(rows) + "\n").encode())
+        calls = _spy(monkeypatch, ingest)
+        got = _outcome(ingest, str(f))
+        assert calls["plain"] >= 1 and calls["csv"] >= 1
+        assert got == _by_record(monkeypatch, ingest, str(f))
+
+    def test_name_one_byte_short_of_its_field_stays_plain(self, tmp_path, monkeypatch):
+        f = tmp_path / "in.csv"
+        f.write_text(f"{METRO_HEADER}{'m' * 31},2024-05,5,0.95\n")
+        calls = _spy(monkeypatch, ingest_metro)
+        assert ingest_metro(str(f))[0].metro == "m" * 31
+        assert calls == {"plain": 1, "csv": 0}
+
+    def test_blank_block_counts_no_rows(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(market, "BLOCK_RECORDS", 1)
+        rows = [*GOOD[ingest_prices][:4], "", "", "", "", "2024-02-30,1.0"]
+        f = tmp_path / "in.csv"
+        f.write_text("\n".join([HEADERS[ingest_prices], *rows]) + "\n")
+        assert _outcome(ingest_prices, str(f)) == ("bad ISO date '2024-02-30' (row 6)", 6)
+
+    def test_field_past_csv_limit_still_raises(self, tmp_path):
+        # numpy would skip the unread column; csv refuses the field, as before.
+        f = tmp_path / "in.csv"
+        f.write_text("date,close,note\n2024-01-02,1.0," + "x" * (csv.field_size_limit() + 1))
+        with pytest.raises(csv.Error, match="field limit"):
+            ingest_prices(str(f))
+
+    def test_quoted_field_in_block_two_continues_rows(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(market, "BLOCK_RECORDS", 1)
+        rows = [*GOOD[ingest_metro][:4], '"m1",2024-05,5,0.95', *GOOD[ingest_metro][4:8],
+                "m0,2024-13,5,0.9"]
+        f = tmp_path / "in.csv"
+        f.write_text("\n".join([HEADERS[ingest_metro], *rows]) + "\n")
+        calls = _spy(monkeypatch, ingest_metro)
+        got = _outcome(ingest_metro, str(f))
+        assert calls == {"plain": 1, "csv": 6}  # csv reads the rest a record per block
+        assert got == _by_record(monkeypatch, ingest_metro, str(f))
+        assert got == ("bad month '2024-13'; expected YYYY-MM (row 11)", 11)
+
+
 def _price_csv(n: int) -> str:
     days = [date(1900, 1, 1).toordinal() + i for i in range(n)]
     days[::100], days[1::100] = days[1::100], days[::100]  # out of order, so the sort runs
@@ -875,19 +994,25 @@ class TestIngestMemory:
     )
     def test_one_wide_record(self, tmp_path, ingest, make_csv):
         """A record of 10**5 extra fields costs about its own 0.8 MB of field pointers. A
-        block transposed out to its widest record holds 10**5 tuples of 100 fields, 86 MB."""
+        block transposed out to its widest record holds 10**5 tuples of 100 fields, 86 MB.
+        A metro name of 10**5 characters, which csv accepts, costs about its own size; a
+        string field sized by the longest line would hold 100 such widths, 10 MB."""
         lines = make_csv(100).splitlines(keepends=True)
-        lines[50] = lines[50].rstrip("\n") + "," * 10**5 + "\n"
+        wide = [lines[50].rstrip("\n") + "," * 10**5 + "\n"]
+        if ingest is ingest_metro:
+            wide.append("m" * 10**5 + lines[50][lines[50].index(",") :])
         f = tmp_path / "in.csv"
-        f.write_text("".join(lines))
-        tracemalloc.start()
-        try:
-            got = ingest(str(f))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert len(got) == 100
-        assert peak < 4 * 10**6
+        for line in wide:
+            lines[50] = line
+            f.write_text("".join(lines))
+            tracemalloc.start()
+            try:
+                got = ingest(str(f))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert len(got) == 100
+            assert peak < 4 * 10**6
 
 
 class TestMetroMonthlyRecord:
